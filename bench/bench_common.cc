@@ -192,6 +192,18 @@ double RunCell(const std::string& backbone, const Graph& graph,
   return accuracy;
 }
 
+double TrainMillisPerEpoch(const TrainResult& result, int warmup_epochs) {
+  int64_t total_ns = 0;
+  int epochs = 0;
+  for (const EpochMetrics& m : result.epoch_metrics) {
+    if (m.epoch < warmup_epochs) continue;
+    total_ns += m.forward_ns + m.backward_ns + m.step_ns + m.health_ns;
+    ++epochs;
+  }
+  SKIPNODE_CHECK(epochs > 0);
+  return static_cast<double>(total_ns) / 1e6 / epochs;
+}
+
 double RunCellTuned(const std::string& backbone, const Graph& graph,
                     const Split& split, StrategyKind kind,
                     const std::vector<float>& rates, int num_layers,

@@ -109,6 +109,11 @@ double RunCell(const std::string& backbone, const Graph& graph,
                int num_layers, int hidden, int epochs, uint64_t seed,
                float dropout = 0.5f, float weight_decay = 5e-4f);
 
+// Mean training time per epoch (ms) of a run trained with
+// TrainRun::collect_metrics: forward + backward + step + health phases,
+// evaluation excluded. The first `warmup_epochs` epochs are left out.
+double TrainMillisPerEpoch(const TrainResult& result, int warmup_epochs = 0);
+
 // Best accuracy over a small rho grid — the paper tunes the strategy rate on
 // the validation set; we mirror that cheaply with a fixed grid. Returns the
 // test accuracy of the best-validation rho and records it (params include

@@ -9,11 +9,12 @@
 //     the big graph: L=3 with fanout 4, batch 128, SkipNode-U rho=0.5 so the
 //     skip-aware frontier pruning fires. Records ms_per_epoch (one pass over
 //     the train split) and rss_over_footprint against the graph + sampler
-//     footprint; the validator's check_sampled rule holds the epoch wall to
+//     footprint; the validator's check_sampled rule holds the epoch time to
 //     <= 0.5x the full-batch stream_train cell and the RSS ratio to <= 2x.
-//     It runs FIRST: ru_maxrss is a process-lifetime high-water mark, so the
-//     sampled cell's peak is only attributable while the full-batch working
-//     set has not yet been resident.
+//     The peak includes the trainer's full-graph evaluations at the first
+//     and last epoch. It runs FIRST: ru_maxrss is a process-lifetime
+//     high-water mark, so the sampled cell's peak is only attributable while
+//     the full-batch working set has not yet been resident.
 //   * stream_train — the headline full-batch memory cell on the same graph.
 //     Records rss_over_footprint = peak_rss / MemoryFootprintBytes(); the
 //     validator's check_scale rule holds it to <= 2x (the
@@ -25,12 +26,15 @@
 //     mid-sized graph; the validator holds the sampled val accuracy to
 //     within 0.15 of full-batch.
 //
-// The workspace pool is trimmed between cells so one cell's buffers don't
-// count against the next cell's budget.
+// Every cell trains through TrainNodeClassifier, the loop every experiment
+// runs. ms_per_epoch is the mean of its per-epoch training phases (forward,
+// which includes minibatch sampling, + backward + step, plus the health
+// scans under SKIPNODE_BENCH_GUARD) from TrainRun::collect_metrics;
+// evaluation is excluded. The workspace pool is trimmed between cells so
+// one cell's buffers don't count against the next cell's budget.
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -40,7 +44,6 @@
 #include "bench_common.h"
 #include "graph/sampler.h"
 #include "tensor/pool.h"
-#include "train/optimizer.h"
 
 namespace skipnode {
 namespace {
@@ -64,78 +67,21 @@ ModelConfig ScaleConfig(const Graph& graph, int num_layers, int hidden) {
   return config;
 }
 
-// Trains a GCN for `epochs` full-batch steps and returns the mean wall
-// time per epoch (ms).
+// Trains a GCN for `epochs` epochs through TrainNodeClassifier — full-batch,
+// or minibatch neighbor-sampled (DESIGN §15) when `sampling` is enabled —
+// and returns its mean training time per epoch (ms), evaluation excluded.
+// Evaluation runs only at the first and last epoch.
 double TrainMsPerEpoch(const Graph& graph, const Split& split,
                        const StrategyConfig& strategy, int num_layers,
-                       int hidden, int epochs) {
+                       int hidden, int epochs, SamplingOptions sampling = {}) {
   Rng rng(3);
   auto model = MakeModel("GCN", ScaleConfig(graph, num_layers, hidden), rng);
-  const std::vector<Parameter*> params = model->Parameters();
-  Adam optimizer(0.01f, 5e-4f);
-
-  const int64_t start_ns = MonotonicNanos();
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    Tape tape;
-    StrategyContext ctx(graph, strategy, /*training=*/true, rng);
-    Var logits = model->Forward(tape, graph, ctx, /*training=*/true, rng);
-    Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), split.train);
-    Optimizer::ZeroGrad(params);
-    tape.Backward(loss);
-    optimizer.Step(params);
-  }
-  return static_cast<double>(MonotonicNanos() - start_ns) / 1e6 /
-         static_cast<double>(epochs);
-}
-
-// Minibatch neighbor-sampled counterpart (DESIGN §15): one epoch is one
-// shuffled pass over the train split, one optimizer step per batch — the
-// same loop TrainNodeClassifier runs in sampling mode, without the
-// full-batch evaluation passes so the cell times training alone.
-double SampledTrainMsPerEpoch(const Graph& graph, const Split& split,
-                              const StrategyConfig& strategy,
-                              NeighborSampler& sampler, int hidden,
-                              int batch_size, int epochs) {
-  const int num_layers = static_cast<int>(sampler.config().fanouts.size());
-  Rng rng(3);
-  auto model = MakeModel("GCN", ScaleConfig(graph, num_layers, hidden), rng);
-  const std::vector<Parameter*> params = model->Parameters();
-  Adam optimizer(0.01f, 5e-4f);
-  const LayerSkipMaskFn mask_fn =
-      MakeSampledSkipMaskFn(graph, strategy, num_layers, rng);
-  std::vector<int> seed_order = split.train;
-
-  const int64_t start_ns = MonotonicNanos();
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    for (size_t i = seed_order.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(rng.UniformInt(i));
-      std::swap(seed_order[i - 1], seed_order[j]);
-    }
-    for (size_t start = 0; start < seed_order.size();
-         start += static_cast<size_t>(batch_size)) {
-      const size_t end = std::min(start + static_cast<size_t>(batch_size),
-                                  seed_order.size());
-      const std::vector<int> seeds(seed_order.begin() + start,
-                                   seed_order.begin() + end);
-      const SampledBatch batch =
-          sampler.SampleBlocks(seeds, rng.Next(), mask_fn);
-      Tape tape;
-      Var logits = model->ForwardSampled(tape, graph, batch, strategy,
-                                         /*training=*/true, rng);
-      std::vector<int> batch_labels(seeds.size());
-      std::vector<int> batch_nodes(seeds.size());
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        batch_labels[i] = graph.labels()[static_cast<size_t>(seeds[i])];
-        batch_nodes[i] = static_cast<int>(i);
-      }
-      Var loss = tape.SoftmaxCrossEntropy(logits, batch_labels, batch_nodes);
-      Optimizer::ZeroGrad(params);
-      tape.Backward(loss);
-      optimizer.Step(params);
-    }
-  }
-  return static_cast<double>(MonotonicNanos() - start_ns) / 1e6 /
-         static_cast<double>(epochs);
+  TrainRun run{.options = {.epochs = epochs, .eval_every = epochs, .seed = 3},
+               .collect_metrics = true,
+               .sampling = std::move(sampling)};
+  run.health.enabled = bench::Config().guard;
+  return bench::TrainMillisPerEpoch(
+      TrainNodeClassifier(*model, graph, split, strategy, run));
 }
 
 void RecordRss(bench::CellRecorder& recorder, int64_t footprint_bytes,
@@ -188,15 +134,17 @@ void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs) {
         .Param("fanout", fanout)
         .Param("batch_size", batch_size)
         .Param("rho", static_cast<double>(rho));
-    NeighborSampler sampler(graph, {{fanout, fanout, fanout}});
-    const double ms =
-        SampledTrainMsPerEpoch(graph, split, StrategyConfig::SkipNodeU(rho),
-                               sampler, /*hidden=*/8, batch_size, epochs);
+    const std::vector<int> fanouts = {fanout, fanout, fanout};
+    // The trainer's own sampler holds the same per-node state as this one.
+    const int64_t sampler_bytes =
+        NeighborSampler(graph, {fanouts}).MemoryFootprintBytes();
+    const double ms = TrainMsPerEpoch(
+        graph, split, StrategyConfig::SkipNodeU(rho), /*num_layers=*/3,
+        /*hidden=*/8, epochs,
+        {.fanouts = fanouts, .batch_size = batch_size});
     recorder.Record("ms_per_epoch", ms);
     double ratio = 0.0;
-    RecordRss(recorder,
-              graph.MemoryFootprintBytes() + sampler.MemoryFootprintBytes(),
-              &ratio);
+    RecordRss(recorder, graph.MemoryFootprintBytes() + sampler_bytes, &ratio);
     std::printf(
         "sampled_train: synth @ %lld nodes, L=3 fanout=%d batch=%d "
         "rho=%.1f\n  %.1f ms/epoch, RSS ratio %.2f (budget 2.00)\n\n",

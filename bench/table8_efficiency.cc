@@ -6,34 +6,26 @@
 // large premium (they re-normalise the adjacency every epoch — DropNode even
 // per layer); SkipNode costs about as little as PairNorm, close to vanilla.
 //
-// All timing goes through the telemetry layer (base/telemetry.h): each
-// timed region is a ScopedTimer and the per-epoch averages are read back
-// from the aggregated snapshot, so this table uses the same clock and
-// aggregation as every other instrumented kernel — and each cell's JSONL
-// record (SKIPNODE_BENCH_JSON) carries the per-kernel breakdown (GEMM vs
-// SpMM vs adjacency renormalisation) underneath the headline number.
+// The total-time panel trains through TrainNodeClassifier, the loop every
+// experiment runs: ms_per_epoch is the mean of its per-epoch training
+// phases (forward + backward + step, plus the health scans under
+// SKIPNODE_BENCH_GUARD) from TrainRun::collect_metrics, evaluation
+// excluded. The overhead panel times its region with a telemetry
+// ScopedTimer. Both use the telemetry clock, and each cell's JSONL record
+// (SKIPNODE_BENCH_JSON) carries the per-kernel breakdown (GEMM vs SpMM vs
+// adjacency renormalisation) underneath the headline number.
 
 #include <string>
 #include <vector>
 
+#include "base/check.h"
 #include "base/result_table.h"
 #include "base/telemetry.h"
 #include "bench_common.h"
 #include "core/skipnode.h"
-#include "train/optimizer.h"
 
 namespace skipnode {
 namespace {
-
-// Reads the per-completion average of `metric` (ms) from the current
-// snapshot.
-double SnapshotMillisPerCount(const char* metric) {
-  const TelemetrySnapshot snapshot = SnapshotTelemetry();
-  const MetricStat* stat = snapshot.Find(metric);
-  if (stat == nullptr || stat->count == 0) return 0.0;
-  return static_cast<double>(stat->total_ns) / 1e6 /
-         static_cast<double>(stat->count);
-}
 
 // Isolates the per-epoch *strategy overhead*: adjacency sampling and
 // renormalisation (DropEdge once per epoch, DropNode once per layer) or
@@ -68,10 +60,15 @@ double OverheadMillisPerEpoch(const Graph& graph,
       }
     }
   }
-  return SnapshotMillisPerCount("bench.overhead");
+  const TelemetrySnapshot snapshot = SnapshotTelemetry();
+  const MetricStat* stat = snapshot.Find("bench.overhead");
+  SKIPNODE_CHECK(stat != nullptr && stat->count == epochs);
+  return static_cast<double>(stat->total_ns) / 1e6 / epochs;
 }
 
-// Times `epochs` full training steps (forward + backward + update).
+// Mean training cost per epoch (forward + backward + update phases of
+// TrainNodeClassifier, evaluation excluded) over `epochs` epochs that follow
+// one warm-up epoch.
 double MillisPerEpoch(const std::string& backbone, const Graph& graph,
                       const Split& split, const StrategyConfig& strategy,
                       int num_layers, int hidden, int epochs) {
@@ -84,28 +81,21 @@ double MillisPerEpoch(const std::string& backbone, const Graph& graph,
 
   Rng rng(3);
   auto model = MakeModel(backbone, config, rng);
-  const std::vector<Parameter*> params = model->Parameters();
-  Adam optimizer(0.01f, 5e-4f);
-
-  const auto run_epoch = [&]() {
-    Tape tape;
-    StrategyContext ctx(graph, strategy, /*training=*/true, rng);
-    Var logits = model->Forward(tape, graph, ctx, /*training=*/true, rng);
-    Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), split.train);
-    Optimizer::ZeroGrad(params);
-    tape.Backward(loss);
-    optimizer.Step(params);
-  };
-  // Warm-up epoch (allocations, adjacency cache) excluded: the reset wipes
-  // its timings along with whatever model construction recorded.
-  run_epoch();
-  ResetTelemetry();
-
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    const ScopedTimer timer("bench.epoch");
-    run_epoch();
-  }
-  return SnapshotMillisPerCount("bench.epoch");
+  // Epoch 0 is the warm-up (allocations, adjacency cache): it is left out of
+  // the mean, and resetting telemetry at its callback wipes its kernel
+  // timings (and model construction's) from the cell's snapshot. Evaluation
+  // runs only at the first and last epoch.
+  TrainRun run{
+      .options = {.epochs = epochs + 1, .eval_every = epochs + 1, .seed = 3},
+      .on_epoch =
+          [](int epoch, double, double, double) {
+            if (epoch == 0) ResetTelemetry();
+          },
+      .collect_metrics = true};
+  run.health.enabled = bench::Config().guard;
+  return bench::TrainMillisPerEpoch(
+      TrainNodeClassifier(*model, graph, split, strategy, run),
+      /*warmup_epochs=*/1);
 }
 
 void Main() {

@@ -7,6 +7,11 @@
 //   (a) MAD of the penultimate representation           (over-smoothing),
 //   (b) gradient at the classification layer            (gradient vanishing),
 //   (c) total L2 norm of the model weights              (weight over-decay).
+// It is a view over TrainNodeClassifier's training loop, not a loop of its
+// own: the series are read from the trainer's per-epoch callback plus one
+// dLoss/dlogits probe inside the step, so the trajectory is exactly the one
+// TrainNodeClassifier trains at the same seed. Defined in trainer.cc,
+// beside the loop, which keeps that probe out of every header.
 
 #ifndef SKIPNODE_TRAIN_DYNAMICS_H_
 #define SKIPNODE_TRAIN_DYNAMICS_H_
@@ -40,9 +45,10 @@ struct DynamicsRecord {
   std::vector<float> val_accuracy;
 };
 
-// Same loop as TrainNodeClassifier but records the dynamics; `options`
-// controls epochs/optimiser. Evaluation (MAD + val accuracy) runs every
-// epoch regardless of options.eval_every.
+// TrainNodeClassifier (full-batch, no guardrails) recording the dynamics;
+// `options` controls epochs/optimiser. Evaluation (MAD + val accuracy) runs
+// every epoch and never stops early: options.eval_every and
+// options.patience are overridden to 1 and 0.
 DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
                                  const Split& split,
                                  const StrategyConfig& strategy,

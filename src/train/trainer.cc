@@ -8,13 +8,15 @@
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
-#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "autograd/health.h"
 #include "base/check.h"
 #include "base/telemetry.h"
+#include "core/oversmoothing.h"
 #include "serve/frozen_model.h"
+#include "train/dynamics.h"
 #include "train/metrics.h"
 #include "train/optimizer.h"
 
@@ -59,14 +61,27 @@ const char* HealthEventKindName(HealthEventKind kind) {
   return "?";
 }
 
-TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
-                                const Split& split,
-                                const StrategyConfig& strategy,
-                                const TrainRun& run) {
+namespace {
+
+// Called once per optimizer step, right after Backward, with dLoss/dlogits
+// and the logit rows the loss covers (the train split in full-batch mode,
+// the batch-local rows 0..B-1 in sampled mode). TrainWithDynamics's hook:
+// Figure 2's output-gradient signal lives on the step's Tape and is gone by
+// the time TrainRun::on_epoch runs. A pure read.
+using LogitGradientProbe = std::function<void(
+    const Matrix& logit_grad, const std::vector<int>& loss_rows)>;
+
+// The training loop behind TrainNodeClassifier and TrainWithDynamics;
+// `logit_grad_probe` may be empty.
+TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
+                      const StrategyConfig& strategy, const TrainRun& run,
+                      const LogitGradientProbe& logit_grad_probe) {
   const TrainOptions& options = run.options;
   const HealthOptions& health = run.health;
   SKIPNODE_CHECK(graph.has_labels());
   SKIPNODE_CHECK(!split.train.empty());
+  SKIPNODE_CHECK(options.epochs >= 0);
+  SKIPNODE_CHECK(options.eval_every >= 1);
   SKIPNODE_CHECK(health.check_every >= 1);
   SKIPNODE_CHECK(health.max_rollbacks >= 0);
   SKIPNODE_CHECK(health.lr_backoff > 0.0f && health.lr_backoff <= 1.0f);
@@ -82,10 +97,11 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   // live for the whole run; the callback draws the per-batch SkipNode masks
   // from the run Rng, serially, inside SampleBlocks.
   const SamplingOptions& sampling = run.sampling;
+  const bool sampled = sampling.enabled();
   std::unique_ptr<NeighborSampler> sampler;
   LayerSkipMaskFn sampled_mask_fn;
   std::vector<int> seed_order;
-  if (sampling.enabled()) {
+  if (sampled) {
     SKIPNODE_CHECK_MSG(model.SupportsSampledForward(),
                        "model does not support sampled training");
     SKIPNODE_CHECK(sampling.batch_size >= 1);
@@ -148,139 +164,82 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   EpochMetrics phase;
   const auto now = [timed]() { return timed ? MonotonicNanos() : 0; };
 
-  const auto maybe_inject = [&](FaultSite site, int epoch, float* data,
-                                int64_t size) {
+  // Fault injection: corrupts `target` when the plan is armed for `site` at
+  // `epoch`. The gradient and update sites hit one parameter.
+  const auto maybe_inject = [&](FaultSite site, int epoch, Matrix& target) {
     if (!injector.ShouldFire(site, epoch)) return;
-    injector.Corrupt(data, size, epoch);
+    injector.Corrupt(target.data(), target.size(), epoch);
     log_event(HealthEventKind::kFaultInjected, epoch,
               FormatDetail("%s %s x%zu", FaultSiteName(site),
                            FaultKindName(run.fault.kind),
                            injector.events().back().indices.size()));
   };
+  Parameter* const fault_parameter =
+      run.fault.enabled
+          ? parameters[run.fault.parameter_index % parameters.size()]
+          : nullptr;
 
-  // One training step under the guardrails. Factored out so the epoch loop
-  // below reads as: step, then (maybe) evaluate.
-  const auto train_step = [&](int epoch) {
+  // One epoch: a pass over the train split in batches, one optimizer step
+  // per batch. Full-batch training is the one-batch case — the whole split
+  // through a StrategyContext forward, cross-entropy plus the model's
+  // auxiliary loss. Sampled training (DESIGN §15) shuffles the split into
+  // minibatches, each expanded into sampled blocks under its own seed, with
+  // a batch-local cross-entropy. The guardrails run per batch (loss check;
+  // gradient probe / clip when armed) and the parameter scan + snapshot once,
+  // after the epoch's last step. A rollback abandons the rest of the epoch —
+  // the restored parameters predate every batch of it. All Rng draws
+  // (shuffle, batch seeds, masks, dropout) happen serially, so the epoch is
+  // bitwise identical at any thread count.
+  const auto train_epoch = [&](int epoch) {
     const bool scan_epoch =
         health.enabled &&
         (epoch % health.check_every == 0 || epoch == options.epochs - 1);
-    const int64_t forward_start = now();
-    Tape tape;
-    tape.set_fast_math(strategy.fast_math);
-    StrategyContext ctx(graph, strategy, /*training=*/true, rng);
-    Var logits = model.Forward(tape, graph, ctx, /*training=*/true, rng);
-    {
-      Matrix& activations = tape.MutableValue(logits);
-      maybe_inject(FaultSite::kActivation, epoch, activations.data(),
-                   activations.size());
-    }
-    Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), split.train);
-    const Var aux = model.AuxiliaryLoss(tape);
-    if (aux.valid()) loss = tape.Add(loss, aux);
-    const double loss_value = loss.value()(0, 0);
-    phase.forward_ns = now() - forward_start;
-    result.final_train_loss = loss_value;
-    if (health.enabled && !std::isfinite(loss_value)) {
-      log_event(HealthEventKind::kNonFiniteLoss, epoch,
-                FormatDetail("loss = %g", loss_value));
-      return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
-    }
-    const int64_t backward_start = now();
-    Optimizer::ZeroGrad(parameters);
-    tape.Backward(loss);
-    if (injector.ShouldFire(FaultSite::kGradient, epoch)) {
-      Parameter* target =
-          parameters[run.fault.parameter_index % parameters.size()];
-      maybe_inject(FaultSite::kGradient, epoch, target->grad.data(),
-                   target->grad.size());
-    }
-    phase.backward_ns = now() - backward_start;
-    if (scan_epoch || (health.enabled && health.grad_clip_norm > 0.0f)) {
-      const int64_t probe_start = now();
-      const GradientHealth grads = ProbeGradients(parameters);
-      if (!grads.finite) {
-        log_event(HealthEventKind::kNonFiniteGradient, epoch,
-                  grads.first_bad);
-        return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
+    size_t batch_size = split.train.size();
+    if (sampled) {
+      // Fisher-Yates from the run Rng: a fresh minibatch partition per epoch.
+      for (size_t i = seed_order.size(); i > 1; --i) {
+        const size_t j = static_cast<size_t>(rng.UniformInt(i));
+        std::swap(seed_order[i - 1], seed_order[j]);
       }
-      if (health.grad_clip_norm > 0.0f &&
-          grads.global_norm > health.grad_clip_norm) {
-        ScaleGradients(parameters,
-                       static_cast<float>(health.grad_clip_norm /
-                                          grads.global_norm));
-        log_event(HealthEventKind::kGradientClipped, epoch,
-                  FormatDetail("norm %g > %g", grads.global_norm,
-                               health.grad_clip_norm));
-      }
-      phase.health_ns += now() - probe_start;
+      batch_size = static_cast<size_t>(sampling.batch_size);
     }
-    const int64_t step_start = now();
-    optimizer.Step(parameters);
-    if (injector.ShouldFire(FaultSite::kUpdate, epoch)) {
-      Parameter* target =
-          parameters[run.fault.parameter_index % parameters.size()];
-      maybe_inject(FaultSite::kUpdate, epoch, target->value.data(),
-                   target->value.size());
-    }
-    phase.step_ns = now() - step_start;
-    if (scan_epoch) {
-      const int64_t scan_start = now();
-      std::string first_bad;
-      if (!ParametersFinite(parameters, &first_bad)) {
-        log_event(HealthEventKind::kNonFiniteParameter, epoch, first_bad);
-        return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
-      }
-      take_snapshot(epoch);
-      phase.health_ns += now() - scan_start;
-    }
-    return StepStatus::kOk;
-  };
-
-  // One sampled epoch: a pass over the shuffled train split in minibatches,
-  // one optimizer step per batch, under the same guardrails as train_step
-  // (loss check per batch; gradient probe / clip per batch when armed; the
-  // parameter scan + snapshot once, after the epoch's last step). A rollback
-  // abandons the rest of the epoch — the restored parameters predate every
-  // batch of it. All Rng draws (shuffle, batch seeds, masks, dropout) happen
-  // serially, so the epoch is bitwise identical at any thread count.
-  const auto sampled_epoch = [&](int epoch) {
-    const bool scan_epoch =
-        health.enabled &&
-        (epoch % health.check_every == 0 || epoch == options.epochs - 1);
-    // Fisher-Yates from the run Rng: a fresh minibatch partition per epoch.
-    for (size_t i = seed_order.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(rng.UniformInt(i));
-      std::swap(seed_order[i - 1], seed_order[j]);
-    }
-    const size_t batch_size = static_cast<size_t>(sampling.batch_size);
     double epoch_loss = 0.0;
     int num_batches = 0;
-    for (size_t start = 0; start < seed_order.size(); start += batch_size) {
-      const size_t end = std::min(start + batch_size, seed_order.size());
-      const std::vector<int> seeds(seed_order.begin() + start,
-                                   seed_order.begin() + end);
-      const uint64_t batch_seed = rng.Next();
+    for (size_t start = 0; start < split.train.size(); start += batch_size) {
       const int64_t forward_start = now();
-      const SampledBatch batch =
-          sampler->SampleBlocks(seeds, batch_seed, sampled_mask_fn);
       Tape tape;
       tape.set_fast_math(strategy.fast_math);
-      Var logits = model.ForwardSampled(tape, graph, batch, strategy,
-                                        /*training=*/true, rng);
-      {
-        Matrix& activations = tape.MutableValue(logits);
-        maybe_inject(FaultSite::kActivation, epoch, activations.data(),
-                     activations.size());
+      // The forward's inputs stay alive until the step is done.
+      std::optional<StrategyContext> ctx;
+      SampledBatch batch;
+      std::vector<int> batch_labels;
+      std::vector<int> batch_rows;
+      Var logits;
+      if (sampled) {
+        const size_t end = std::min(start + batch_size, seed_order.size());
+        const std::vector<int> seeds(seed_order.begin() + start,
+                                     seed_order.begin() + end);
+        batch = sampler->SampleBlocks(seeds, rng.Next(), sampled_mask_fn);
+        logits = model.ForwardSampled(tape, graph, batch, strategy,
+                                      /*training=*/true, rng);
+        // Logit row i is seed i: the loss sees the batch-local id space.
+        for (size_t i = 0; i < seeds.size(); ++i) {
+          batch_labels.push_back(
+              graph.labels()[static_cast<size_t>(seeds[i])]);
+          batch_rows.push_back(static_cast<int>(i));
+        }
+      } else {
+        ctx.emplace(graph, strategy, /*training=*/true, rng);
+        logits = model.Forward(tape, graph, *ctx, /*training=*/true, rng);
       }
-      // Logit row i is seed i: the loss sees the batch-local id space.
-      std::vector<int> batch_labels(seeds.size());
-      std::vector<int> batch_nodes(seeds.size());
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        batch_labels[i] = graph.labels()[static_cast<size_t>(seeds[i])];
-        batch_nodes[i] = static_cast<int>(i);
+      maybe_inject(FaultSite::kActivation, epoch, tape.MutableValue(logits));
+      const std::vector<int>& loss_rows = sampled ? batch_rows : split.train;
+      Var loss = tape.SoftmaxCrossEntropy(
+          logits, sampled ? batch_labels : graph.labels(), loss_rows);
+      if (!sampled) {
+        const Var aux = model.AuxiliaryLoss(tape);
+        if (aux.valid()) loss = tape.Add(loss, aux);
       }
-      const Var loss = tape.SoftmaxCrossEntropy(logits, batch_labels,
-                                                batch_nodes);
       const double loss_value = loss.value()(0, 0);
       epoch_loss += loss_value;
       ++num_batches;
@@ -288,18 +247,17 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
       phase.forward_ns += now() - forward_start;
       if (health.enabled && !std::isfinite(loss_value)) {
         log_event(HealthEventKind::kNonFiniteLoss, epoch,
-                  FormatDetail("loss = %g (batch %d)", loss_value,
-                               num_batches - 1));
+                  sampled ? FormatDetail("loss = %g (batch %d)", loss_value,
+                                         num_batches - 1)
+                          : FormatDetail("loss = %g", loss_value));
         return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
       }
       const int64_t backward_start = now();
       Optimizer::ZeroGrad(parameters);
       tape.Backward(loss);
-      if (injector.ShouldFire(FaultSite::kGradient, epoch)) {
-        Parameter* target =
-            parameters[run.fault.parameter_index % parameters.size()];
-        maybe_inject(FaultSite::kGradient, epoch, target->grad.data(),
-                     target->grad.size());
+      if (logit_grad_probe) logit_grad_probe(logits.grad(), loss_rows);
+      if (fault_parameter != nullptr) {
+        maybe_inject(FaultSite::kGradient, epoch, fault_parameter->grad);
       }
       phase.backward_ns += now() - backward_start;
       if (scan_epoch || (health.enabled && health.grad_clip_norm > 0.0f)) {
@@ -323,11 +281,8 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
       }
       const int64_t step_start = now();
       optimizer.Step(parameters);
-      if (injector.ShouldFire(FaultSite::kUpdate, epoch)) {
-        Parameter* target =
-            parameters[run.fault.parameter_index % parameters.size()];
-        maybe_inject(FaultSite::kUpdate, epoch, target->value.data(),
-                     target->value.size());
+      if (fault_parameter != nullptr) {
+        maybe_inject(FaultSite::kUpdate, epoch, fault_parameter->value);
       }
       phase.step_ns += now() - step_start;
     }
@@ -364,8 +319,7 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     phase = EpochMetrics{};
     phase.epoch = epoch;
-    const StepStatus status =
-        sampling.enabled() ? sampled_epoch(epoch) : train_step(epoch);
+    const StepStatus status = train_epoch(epoch);
     result.epochs_run = epoch + 1;
     phase.train_loss = result.final_train_loss;
     if (status == StepStatus::kHalt) {
@@ -414,6 +368,62 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
     if (out_of_patience) break;
   }
   return result;
+}
+
+}  // namespace
+
+TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
+                                const Split& split,
+                                const StrategyConfig& strategy,
+                                const TrainRun& run) {
+  return TrainLoop(model, graph, split, strategy, run, nullptr);
+}
+
+DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
+                                 const Split& split,
+                                 const StrategyConfig& strategy,
+                                 const TrainOptions& options) {
+  const std::vector<Parameter*> parameters = model.Parameters();
+  DynamicsRecord record;
+
+  // (b) Gradient at the classification layer, training rows only.
+  const auto probe_logit_grad = [&](const Matrix& g,
+                                    const std::vector<int>& rows) {
+    double sq = 0.0, signed_sum = 0.0;
+    for (const int node : rows) {
+      const float* row = g.row(node);
+      for (int c = 0; c < g.cols(); ++c) {
+        sq += static_cast<double>(row[c]) * row[c];
+        signed_sum += row[c];
+      }
+    }
+    record.output_gradient_norm.push_back(static_cast<float>(std::sqrt(sq)));
+    record.output_gradient_signed_sum.push_back(
+        static_cast<float>(signed_sum));
+  };
+
+  TrainRun run{.options = options};
+  run.options.eval_every = 1;
+  run.options.patience = 0;
+  // Runs after every epoch's evaluation pass. Parameter gradients survive
+  // until the next step's ZeroGrad, and the eval forward has just refreshed
+  // Penultimate().
+  run.on_epoch = [&](int, double train_loss, double val_accuracy, double) {
+    record.train_loss.push_back(static_cast<float>(train_loss));
+    record.first_layer_gradient_norm.push_back(
+        parameters.front()->grad.Norm());
+    // (c) Weight norms after the update.
+    float weight_norm = 0.0f;
+    for (const Parameter* p : parameters) weight_norm += p->value.Norm();
+    record.weight_norm.push_back(weight_norm);
+    // (a) MAD of the eval-mode penultimate representation.
+    const Matrix& penultimate = model.Penultimate();
+    SKIPNODE_CHECK(!penultimate.empty());
+    record.mad.push_back(MeanAverageDistance(graph, penultimate));
+    record.val_accuracy.push_back(static_cast<float>(val_accuracy));
+  };
+  TrainLoop(model, graph, split, strategy, run, probe_logit_grad);
+  return record;
 }
 
 Matrix EvaluateLogits(Model& model, const Graph& graph,

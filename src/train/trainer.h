@@ -1,9 +1,11 @@
 // Copyright 2026 The SkipNode Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Full-batch node-classification training loop shared by every experiment:
-// Adam + L2, per-epoch validation, model selection on best validation
-// accuracy (the paper's protocol).
+// The node-classification training loop shared by every experiment, the
+// Figure-2 dynamics recorder and the timing benches: Adam + L2, per-epoch
+// validation, model selection on best validation accuracy (the paper's
+// protocol). One epoch is one batch loop — full-batch training is the
+// one-batch case, neighbor-sampled training the shuffled-minibatch case.
 
 #ifndef SKIPNODE_TRAIN_TRAINER_H_
 #define SKIPNODE_TRAIN_TRAINER_H_
@@ -22,29 +24,30 @@
 namespace skipnode {
 
 struct TrainOptions {
-  int epochs = 200;
+  int epochs = 200;  // >= 0
   float learning_rate = 0.01f;
   float weight_decay = 5e-4f;
   // Stop if validation accuracy has not improved for this many epochs
   // (<= 0 disables early stopping).
   int patience = 0;
-  // Evaluate every `eval_every` epochs (validation + test tracking).
+  // Evaluate every `eval_every` epochs (validation + test tracking; >= 1).
   int eval_every = 1;
   uint64_t seed = 1;
 };
 
 // Numerical-health guardrails (DESIGN §8). When enabled, the trainer checks
-// the loss every epoch and scans gradients / parameters every `check_every`
-// epochs; a non-finite value triggers a rollback to the last good in-memory
-// parameter snapshot, a learning-rate backoff, and a fresh optimizer (so
-// poisoned Adam moments die with the bad step) instead of silently training
-// on garbage. All checks are pure reads: with no fault firing and
-// `grad_clip_norm` at 0, a guarded run is bitwise identical to an unguarded
-// one at any thread count.
+// the loss of every step and scans gradients / parameters every
+// `check_every` epochs (gradients at every step of a scan epoch, parameters
+// after its last step); a non-finite value triggers a rollback to the last
+// good in-memory parameter snapshot, a learning-rate backoff, and a fresh
+// optimizer (so poisoned Adam moments die with the bad step) instead of
+// silently training on garbage. All checks are pure reads: with no fault
+// firing and `grad_clip_norm` at 0, a guarded run is bitwise identical to an
+// unguarded one at any thread count.
 struct HealthOptions {
   bool enabled = false;
   // Cadence of the gradient/parameter scans and snapshots (>= 1). The loss
-  // scalar is checked every epoch regardless — it is already in hand.
+  // scalar is checked every step regardless — it is already in hand.
   int check_every = 1;
   // Rollbacks allowed before the trainer gives up and returns early.
   int max_rollbacks = 3;
@@ -79,8 +82,9 @@ const char* HealthEventKindName(HealthEventKind kind);
 
 // Wall-clock split of one training epoch, in nanoseconds. Collected off the
 // numeric path: the clock reads happen between phases, never inside a kernel,
-// so collecting metrics cannot change any trained weight. `eval_ns` is zero
-// on epochs where evaluation was skipped (TrainOptions::eval_every);
+// so collecting metrics cannot change any trained weight. Each phase sums
+// over the epoch's batches; minibatch sampling counts as forward. `eval_ns`
+// is zero on epochs where evaluation was skipped (TrainOptions::eval_every);
 // `health_ns` covers the gradient probe/clip and the post-step parameter
 // scan + snapshot, and is zero when the guardrails are off.
 struct EpochMetrics {

@@ -4,11 +4,14 @@
 #include "train/dynamics.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/datasets.h"
 #include "nn/model_factory.h"
+#include "train/trainer.h"
 
 namespace skipnode {
 namespace {
@@ -113,6 +116,54 @@ TEST(DynamicsTest, SignedSumIsSmallWithBalancedTraining) {
     EXPECT_LT(std::fabs(record.output_gradient_signed_sum[e]),
               0.5f * record.output_gradient_norm[e] + 1e-4f);
   }
+}
+
+std::string Bytes(const std::vector<float>& values) {
+  return std::string(reinterpret_cast<const char*>(values.data()),
+                     values.size() * sizeof(float));
+}
+
+std::string ParameterBytes(Model& model) {
+  std::string bytes;
+  for (const Parameter* p : model.Parameters()) {
+    bytes.append(reinterpret_cast<const char*>(p->value.data()),
+                 static_cast<size_t>(p->value.size()) * sizeof(float));
+  }
+  return bytes;
+}
+
+// TrainWithDynamics is a view over TrainNodeClassifier's loop, not a copy of
+// it: at the same seed it trains the same trajectory bit for bit, so the
+// Figure-2 series describe exactly the runs the other benches train.
+TEST(DynamicsTest, SeriesAndWeightsMatchTrainNodeClassifierBitwise) {
+  Fixture f;
+  const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
+  TrainOptions options;
+  options.epochs = 12;
+  options.seed = 5;
+
+  Rng dynamics_rng(6);
+  auto dynamics_model = MakeModel("GCN", SmallConfig(f.graph), dynamics_rng);
+  const DynamicsRecord record =
+      TrainWithDynamics(*dynamics_model, f.graph, f.split, strategy, options);
+
+  Rng classifier_rng(6);
+  auto classifier_model =
+      MakeModel("GCN", SmallConfig(f.graph), classifier_rng);
+  std::vector<float> train_loss;
+  std::vector<float> val_accuracy;
+  TrainRun run{.options = options,
+               .on_epoch = [&](int, double loss, double val, double) {
+                 train_loss.push_back(static_cast<float>(loss));
+                 val_accuracy.push_back(static_cast<float>(val));
+               }};
+  run.options.eval_every = 1;
+  TrainNodeClassifier(*classifier_model, f.graph, f.split, strategy, run);
+
+  ASSERT_EQ(record.train_loss.size(), 12u);
+  EXPECT_EQ(Bytes(record.train_loss), Bytes(train_loss));
+  EXPECT_EQ(Bytes(record.val_accuracy), Bytes(val_accuracy));
+  EXPECT_EQ(ParameterBytes(*dynamics_model), ParameterBytes(*classifier_model));
 }
 
 }  // namespace

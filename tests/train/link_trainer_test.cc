@@ -82,5 +82,26 @@ TEST(LinkTrainerTest, WorksWithSkipNodeOnDeeperEncoder) {
   EXPECT_GT(result.test_hits100, 0.3);
 }
 
+// `epoch % eval_every` must never see a zero divisor (it used to die of
+// SIGFPE); a negative epoch count is rejected alongside it.
+TEST(LinkTrainerDeathTest, RejectsNonPositiveEvalEveryAndNegativeEpochs) {
+  LinkSetup setup(7);
+  Rng rng(8);
+  GcnModel encoder(EncoderConfig(setup.message_graph, 2), rng);
+  for (const int eval_every : {0, -1}) {
+    LinkTrainOptions options;
+    options.epochs = 3;
+    options.eval_every = eval_every;
+    EXPECT_DEATH(TrainLinkPredictor(encoder, setup.message_graph, setup.split,
+                                    StrategyConfig::None(), options),
+                 "eval_every >= 1");
+  }
+  LinkTrainOptions options;
+  options.epochs = -1;
+  EXPECT_DEATH(TrainLinkPredictor(encoder, setup.message_graph, setup.split,
+                                  StrategyConfig::None(), options),
+               "epochs >= 0");
+}
+
 }  // namespace
 }  // namespace skipnode

@@ -49,6 +49,27 @@ int CountEvents(const std::vector<HealthEvent>& log, HealthEventKind kind) {
       [kind](const HealthEvent& e) { return e.kind == kind; }));
 }
 
+// The guardrail cases parameterised on Mode run in both training modes:
+// full-batch, and neighbor-sampled minibatches (GCN, fanout 3 at every
+// layer, a batch size that splits the train split into 3 batches per epoch,
+// so every guardrail fires mid-epoch as well as on an epoch's last batch).
+enum class Mode { kFullBatch, kSampled };
+
+SamplingOptions SamplingFor(Mode mode, const Split& split, int layers) {
+  if (mode == Mode::kFullBatch) return {};
+  return {.fanouts = std::vector<int>(static_cast<size_t>(layers), 3),
+          .batch_size = static_cast<int>((split.train.size() + 2) / 3)};
+}
+
+class TrainerHealthModeTest : public ::testing::TestWithParam<Mode> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, TrainerHealthModeTest,
+    ::testing::Values(Mode::kFullBatch, Mode::kSampled),
+    [](const ::testing::TestParamInfo<Mode>& info) {
+      return info.param == Mode::kSampled ? "Sampled" : "FullBatch";
+    });
+
 FaultPlan UpdateNaNAt(int epoch) {
   FaultPlan plan;
   plan.enabled = true;
@@ -93,11 +114,12 @@ TEST(TrainerHealthTest, InjectedNaNTriggersRollbackAndRunStillConverges) {
   EXPECT_GT(result.test_accuracy, chance * 2.5);
 }
 
-TEST(TrainerHealthTest, ActivationFaultIsCaughtAtTheLossCheck) {
+TEST_P(TrainerHealthModeTest, ActivationFaultIsCaughtAtTheLossCheck) {
   Fixture setup(2);
   Rng rng(3);
   auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
   TrainRun run;
+  run.sampling = SamplingFor(GetParam(), setup.split, 2);
   run.options.epochs = 30;
   run.health.enabled = true;
   run.fault.enabled = true;
@@ -114,11 +136,12 @@ TEST(TrainerHealthTest, ActivationFaultIsCaughtAtTheLossCheck) {
   EXPECT_TRUE(std::isfinite(result.final_train_loss));
 }
 
-TEST(TrainerHealthTest, GradientFaultIsCaughtBeforeTheOptimizerStep) {
+TEST_P(TrainerHealthModeTest, GradientFaultIsCaughtBeforeTheOptimizerStep) {
   Fixture setup(3);
   Rng rng(4);
   auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
   TrainRun run;
+  run.sampling = SamplingFor(GetParam(), setup.split, 2);
   run.options.epochs = 30;
   run.health.enabled = true;
   run.fault.enabled = true;
@@ -147,11 +170,12 @@ TEST(TrainerHealthTest, GradientFaultIsCaughtBeforeTheOptimizerStep) {
   }
 }
 
-TEST(TrainerHealthTest, ExhaustedRollbackBudgetHaltsTraining) {
+TEST_P(TrainerHealthModeTest, ExhaustedRollbackBudgetHaltsTraining) {
   Fixture setup(4);
   Rng rng(5);
   auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
   TrainRun run;
+  run.sampling = SamplingFor(GetParam(), setup.split, 2);
   run.options.epochs = 50;
   run.health.enabled = true;
   run.health.max_rollbacks = 0;
@@ -168,13 +192,14 @@ TEST(TrainerHealthTest, ExhaustedRollbackBudgetHaltsTraining) {
 
 // DESIGN §8's first invariant: the guardrails are pure reads, so enabling
 // them on a healthy run must not change one bit of the result.
-TEST(TrainerHealthTest, GuardedRunWithoutFaultIsBitwiseIdentical) {
+TEST_P(TrainerHealthModeTest, GuardedRunWithoutFaultIsBitwiseIdentical) {
   Fixture setup(5);
   TrainResult results[2];
   for (int i = 0; i < 2; ++i) {
     Rng rng(6);
     auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
     TrainRun run;
+    run.sampling = SamplingFor(GetParam(), setup.split, 2);
     run.options.epochs = 25;
     run.options.seed = 23;
     run.health.enabled = (i == 1);
@@ -193,7 +218,7 @@ TEST(TrainerHealthTest, GuardedRunWithoutFaultIsBitwiseIdentical) {
 // DESIGN §8's second invariant: detection, rollback, and recovery all stay
 // on the row-ownership parallel contract, so the whole faulted run
 // reproduces bitwise at any thread count.
-TEST(TrainerHealthTest, RecoveryIsBitwiseIdenticalAcrossThreadCounts) {
+TEST_P(TrainerHealthModeTest, RecoveryIsBitwiseIdenticalAcrossThreadCounts) {
   Fixture setup(6);
   TrainResult results[2];
   const int thread_counts[2] = {1, 4};
@@ -202,6 +227,7 @@ TEST(TrainerHealthTest, RecoveryIsBitwiseIdenticalAcrossThreadCounts) {
     Rng rng(7);
     auto model = MakeModel("GCN", ConfigFor(setup.graph, 4), rng);
     TrainRun run;
+    run.sampling = SamplingFor(GetParam(), setup.split, 4);
     run.options.epochs = 40;
     run.options.seed = 31;
     run.health.enabled = true;

@@ -48,13 +48,23 @@ struct RunOutput {
   std::vector<std::vector<char>> parameter_bytes;
 };
 
-RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads) {
+// Full-batch, or neighbor-sampled minibatches: fanout 3 at every layer and
+// a batch size that splits the train split into 3 batches per epoch.
+enum class Mode { kFullBatch, kSampled };
+
+RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads,
+                    Mode mode = Mode::kFullBatch) {
   SetParallelThreadCount(threads);
   SetTelemetryEnabled(instrumented);
   if (instrumented) ResetTelemetry();
   Rng rng(12);
   auto model = MakeModel("GCN", ConfigFor(setup.graph, 4), rng);
   TrainRun run;
+  if (mode == Mode::kSampled) {
+    run.sampling = {
+        .fanouts = {3, 3, 3, 3},
+        .batch_size = static_cast<int>((setup.split.train.size() + 2) / 3)};
+  }
   run.options.epochs = 20;
   run.options.seed = 31;
   run.collect_metrics = instrumented;
@@ -71,15 +81,24 @@ RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads) {
   return output;
 }
 
+class TrainerMetricsModeTest : public ::testing::TestWithParam<Mode> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, TrainerMetricsModeTest,
+    ::testing::Values(Mode::kFullBatch, Mode::kSampled),
+    [](const ::testing::TestParamInfo<Mode>& info) {
+      return info.param == Mode::kSampled ? "Sampled" : "FullBatch";
+    });
+
 // The acceptance criterion: trained weights are bitwise identical with
 // telemetry + metrics collection on vs off, at 1 and at 4 threads.
-TEST(TrainerMetricsTest, WeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
+TEST_P(TrainerMetricsModeTest, WeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
   Fixture setup(10);
   const RunOutput baseline = TrainOnce(setup, /*instrumented=*/false,
-                                       /*threads=*/1);
+                                       /*threads=*/1, GetParam());
   for (const int threads : {1, 4}) {
     const RunOutput instrumented =
-        TrainOnce(setup, /*instrumented=*/true, threads);
+        TrainOnce(setup, /*instrumented=*/true, threads, GetParam());
     ASSERT_EQ(instrumented.parameter_bytes.size(),
               baseline.parameter_bytes.size());
     for (size_t i = 0; i < baseline.parameter_bytes.size(); ++i) {

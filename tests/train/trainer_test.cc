@@ -177,5 +177,24 @@ TEST(TrainerTest, TrainingLossFallsOverTraining) {
   EXPECT_LT(loss_end, loss_start);
 }
 
+// A non-positive eval cadence used to reach `epoch % eval_every` and die of
+// SIGFPE; a negative epoch count is just as meaningless. Both now fail the
+// entry-point check with a message naming the field.
+TEST(TrainerDeathTest, RejectsNonPositiveEvalEveryAndNegativeEpochs) {
+  Fixture setup(8);
+  Rng rng(10);
+  auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
+  for (const int eval_every : {0, -1}) {
+    EXPECT_DEATH(TrainNodeClassifier(
+                     *model, setup.graph, setup.split, StrategyConfig::None(),
+                     {.options = {.epochs = 3, .eval_every = eval_every}}),
+                 "eval_every >= 1");
+  }
+  EXPECT_DEATH(TrainNodeClassifier(*model, setup.graph, setup.split,
+                                   StrategyConfig::None(),
+                                   {.options = {.epochs = -1}}),
+               "epochs >= 0");
+}
+
 }  // namespace
 }  // namespace skipnode

@@ -12,7 +12,8 @@
 # wall <= 0.5x full-batch, RSS ratio <= 2x, pruning telemetry at rho > 0,
 # sampled accuracy within 0.15 of full).
 # When tools/BENCH_baseline.jsonl exists each run is also diffed against it:
-# missing (cell, metric) pairs fail (schema drift), slow cells only warn.
+# (cell, metric) pairs missing from the run (schema drift) or missing from
+# the baseline (unguarded cells) fail, slow cells only warn.
 # Refresh the baseline by re-running this script with
 # BENCH_BASELINE_REFRESH=1 (writes the merged smoke JSONL back to the file).
 #

@@ -15,8 +15,8 @@ cmake -B "$BUILD_DIR" -DSKIPNODE_SANITIZE=thread \
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   parallel_test telemetry_test tensor_ops_test csr_matrix_test \
   spmm_transposed_parallel_test spmm_rowselect_test \
-  graph_ops_test optimizer_test trainer_test trainer_metrics_test \
-  sampler_test sampled_train_test \
+  graph_ops_test optimizer_test trainer_test trainer_health_test \
+  trainer_metrics_test sampler_test sampled_train_test \
   frozen_model_test serve_concurrency_test serve_robustness_test
 
 # Force multi-threaded execution even on single-core hosts so the pool's
@@ -24,7 +24,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
 export SKIPNODE_NUM_THREADS=4
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-  '^(parallel_test|telemetry_test|tensor_ops_test|csr_matrix_test|spmm_transposed_parallel_test|spmm_rowselect_test|graph_ops_test|optimizer_test|trainer_test|trainer_metrics_test|sampler_test|sampled_train_test|frozen_model_test|serve_concurrency_test|serve_robustness_test)$' \
+  '^(parallel_test|telemetry_test|tensor_ops_test|csr_matrix_test|spmm_transposed_parallel_test|spmm_rowselect_test|graph_ops_test|optimizer_test|trainer_test|trainer_health_test|trainer_metrics_test|sampler_test|sampled_train_test|frozen_model_test|serve_concurrency_test|serve_robustness_test)$' \
   "$@"
 
 echo "TSan: no data races detected."

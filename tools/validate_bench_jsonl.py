@@ -39,9 +39,12 @@ DESIGN.md section 9, plus bench-specific invariants:
     sampled_accuracy val_accuracy within 0.15 of the full-batch run.
 
 With --baseline, diffs the run against a committed baseline (filtered to
-BENCH_NAME): a (cell, metric) pair present in the baseline but missing from
-the run is schema drift and fails; a cell that got much slower than the
-baseline elapsed_ns only warns (timing noise is expected across machines).
+BENCH_NAME). The (cell, metric) pairs must match both ways: a pair in the
+baseline but missing from the run is schema drift, and a pair the run emits
+but the baseline lacks is a cell no baseline guards (a new cell, or a new
+bench, needs a baseline refresh); either fails. A cell that got much slower
+than the baseline elapsed_ns only warns (timing noise is expected across
+machines).
 """
 import json
 import sys
@@ -381,11 +384,6 @@ def check_sampled(path, records):
 
 def diff_against_baseline(path, records, baseline_path, bench_name):
     baseline = load_records(baseline_path, bench_name=bench_name)
-    if not baseline:
-        # The baseline predates this bench; nothing to diff (adding a brand
-        # new bench must not fail until the baseline is refreshed).
-        print(f"   baseline has no {bench_name!r} records; diff skipped")
-        return
 
     def keyed(recs):
         by_key = {}
@@ -400,6 +398,11 @@ def diff_against_baseline(path, records, baseline_path, bench_name):
     if missing:
         fail(f"{path}: schema drift vs {baseline_path}: baseline "
              f"(cell, metric) pairs missing from this run: {missing}")
+    extra = sorted(set(run_keys) - set(base_keys))
+    if extra:
+        fail(f"{path}: {baseline_path} has no {bench_name!r} baseline for "
+             f"(cell, metric) pairs this run emits: {extra} — refresh it "
+             f"with BENCH_BASELINE_REFRESH=1 tools/check_bench_smoke.sh")
 
     warned = 0
     for key, base_recs in base_keys.items():
@@ -410,9 +413,6 @@ def diff_against_baseline(path, records, baseline_path, bench_name):
                   f"{run_ns} ns vs baseline {base_ns} ns "
                   f"(> {ELAPSED_WARN_FACTOR:.0f}x)", file=sys.stderr)
             warned += 1
-    extra = sorted(set(run_keys) - set(base_keys))
-    if extra:
-        print(f"   note: cells not in baseline (refresh it): {extra}")
     print(f"   baseline diff ok ({len(base_keys)} keys, "
           f"{warned} slow-cell warnings)")
 
