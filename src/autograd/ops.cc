@@ -20,21 +20,18 @@ namespace skipnode {
 
 Var Tape::MatMul(Var a, Var b) {
   SKIPNODE_CHECK(a.tape_ == this && b.tape_ == this);
-  // fast_math (set from StrategyConfig) only changes the reduction-shaped
-  // A * B^T variant; the other Gemm paths ignore it.
-  const bool fast_math = fast_math_;
   Matrix value = AcquireOutput(a.rows(), b.cols());
-  Gemm(a.value(), b.value(), value, {.fast_math = fast_math});
+  Gemm(a.value(), b.value(), value);
   Var out = Emplace(std::move(value));
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi, fast_math]() {
+  node(oi).backward = [tape, oi, ai, bi]() {
     const Matrix& g = tape->node(oi).grad;
     // dA += g * B^T ; dB += A^T * g (both row-parallel through Gemm).
     Gemm(g, tape->node(bi).value, tape->EnsureGrad(ai),
-         {.transpose_b = true, .accumulate = true, .fast_math = fast_math});
+         {.transpose_b = true, .accumulate = true});
     Gemm(tape->node(ai).value, g, tape->EnsureGrad(bi),
-         {.transpose_a = true, .accumulate = true, .fast_math = fast_math});
+         {.transpose_a = true, .accumulate = true});
   };
   return out;
 }
@@ -100,14 +97,9 @@ Var Tape::AddRowBroadcast(Var x, Var bias) {
   Matrix value = AcquireOutput(x.rows(), x.cols());
   const Matrix& xv = x.value();
   const Matrix& bv = bias.value();
-  const bool vec = simd::Enabled();
   const float* bd = bv.row(0);
   for (int r = 0; r < value.rows(); ++r) {
-    if (vec) {
-      simd::Add(xv.row(r), bd, value.row(r), value.cols());
-    } else {
-      simd::AddRef(xv.row(r), bd, value.row(r), value.cols());
-    }
+    simd::Add(xv.row(r), bd, value.row(r), value.cols());
   }
   Var out = Emplace(std::move(value));
   Tape* tape = this;
@@ -119,14 +111,9 @@ Var Tape::AddRowBroadcast(Var x, Var bias) {
     // order (each element's sum order is fixed — vector lanes are distinct
     // columns), preserving the serial kernel's bits.
     Matrix& gb = tape->EnsureGrad(bi);
-    const bool vec = simd::Enabled();
     float* gbd = gb.row(0);
     for (int r = 0; r < g.rows(); ++r) {
-      if (vec) {
-        simd::Accumulate(g.row(r), gbd, g.cols());
-      } else {
-        simd::AccumulateRef(g.row(r), gbd, g.cols());
-      }
+      simd::Accumulate(g.row(r), gbd, g.cols());
     }
   };
   return out;
@@ -210,18 +197,13 @@ Var Tape::ConcatCols(const std::vector<Var>& parts) {
   const int oi = out.index_;
   node(oi).backward = [tape, oi, indices = std::move(indices)]() {
     const Matrix& g = tape->node(oi).grad;
-    const bool vec = simd::Enabled();
     int col_offset = 0;
     for (const int pi : indices) {
       Matrix& gp = tape->EnsureGrad(pi);
       for (int r = 0; r < gp.rows(); ++r) {
         const float* src = g.row(r) + col_offset;
         float* dst = gp.row(r);
-        if (vec) {
-          simd::Accumulate(src, dst, gp.cols());
-        } else {
-          simd::AccumulateRef(src, dst, gp.cols());
-        }
+        simd::Accumulate(src, dst, gp.cols());
       }
       col_offset += gp.cols();
     }
@@ -297,7 +279,6 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
   std::vector<float> raw(col_idx.size());
   std::vector<float> alpha(col_idx.size());
   Matrix value(n, hv.cols());
-  const bool vec = simd::Enabled();
   WithOffsets(pattern->row_offsets(), [&](const auto* row_ptr) {
     for (int i = 0; i < n; ++i) {
       const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
@@ -323,11 +304,7 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
         const size_t se = static_cast<size_t>(e);
         alpha[se] *= inv;
         const float* neighbor = hv.row(col_idx[se]);
-        if (vec) {
-          simd::Axpy(alpha[se], neighbor, out_row, hv.cols());
-        } else {
-          simd::AxpyRef(alpha[se], neighbor, out_row, hv.cols());
-        }
+        simd::Axpy(alpha[se], neighbor, out_row, hv.cols());
       }
     }
   });
@@ -393,18 +370,12 @@ Var Tape::RowDots(Var a, Var b) {
     const Matrix& bv = tape->node(bi).value;
     Matrix& ga = tape->EnsureGrad(ai);
     Matrix& gb = tape->EnsureGrad(bi);
-    const bool vec = simd::Enabled();
     for (int r = 0; r < av.rows(); ++r) {
       const float gr = g(r, 0);
       const float* ar = av.row(r);
       const float* br = bv.row(r);
-      if (vec) {
-        simd::Axpy(gr, br, ga.row(r), av.cols());
-        simd::Axpy(gr, ar, gb.row(r), av.cols());
-      } else {
-        simd::AxpyRef(gr, br, ga.row(r), av.cols());
-        simd::AxpyRef(gr, ar, gb.row(r), av.cols());
-      }
+      simd::Axpy(gr, br, ga.row(r), av.cols());
+      simd::Axpy(gr, ar, gb.row(r), av.cols());
     }
   };
   return out;
@@ -429,15 +400,10 @@ Var Tape::RowSelect(const std::vector<uint8_t>& skip_mask, Var skipped,
     const Matrix& g = tape->node(oi).grad;
     Matrix& gs = tape->EnsureGrad(si);
     Matrix& gc = tape->EnsureGrad(ci);
-    const bool vec = simd::Enabled();
     for (int r = 0; r < g.rows(); ++r) {
       const float* gr = g.row(r);
       float* dst = mask[r] ? gs.row(r) : gc.row(r);
-      if (vec) {
-        simd::Accumulate(gr, dst, g.cols());
-      } else {
-        simd::AccumulateRef(gr, dst, g.cols());
-      }
+      simd::Accumulate(gr, dst, g.cols());
     }
   };
   return out;
@@ -449,14 +415,9 @@ Var Tape::PairNorm(Var x, float scale, float epsilon) {
   Matrix centered = SubtractRowVector(xv, ColumnMeans(xv));
   Matrix norms = RowNorms(centered);  // N x 1
   Matrix value = centered;
-  const bool vec = simd::Enabled();
   for (int r = 0; r < value.rows(); ++r) {
     const float inv = scale / std::max(norms(r, 0), epsilon);
-    if (vec) {
-      simd::ScaleInPlace(value.row(r), inv, value.cols());
-    } else {
-      simd::ScaleInPlaceRef(value.row(r), inv, value.cols());
-    }
+    simd::ScaleInPlace(value.row(r), inv, value.cols());
   }
   Var out = Emplace(std::move(value));
   Tape* tape = this;
@@ -531,17 +492,12 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const std::vector<int>& labels,
     // identical. Mutating probs is safe: Backward() runs at most once.
     const float coef = g * inv_batch;
     Matrix& gl = tape->EnsureGrad(li);
-    const bool vec = simd::Enabled();
     for (size_t i = 0; i < nodes.size(); ++i) {
       const int node_id = nodes[i];
       float* pr = probs.row(static_cast<int>(i));
       const int label = labels[node_id];
       pr[label] -= 1.0f;
-      if (vec) {
-        simd::Axpy(coef, pr, gl.row(node_id), gl.cols());
-      } else {
-        simd::AxpyRef(coef, pr, gl.row(node_id), gl.cols());
-      }
+      simd::Axpy(coef, pr, gl.row(node_id), gl.cols());
     }
   };
   return out;

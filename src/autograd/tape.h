@@ -175,13 +175,6 @@ class Tape {
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
-  // Opt-in to the reassociated fast-math dot kernel for MatMul's
-  // transpose-B (k-reduction) paths, forward and backward (DESIGN §14).
-  // Off (the default) keeps the exact double-accumulation dot. Set before
-  // recording ops; flipping it changes which floats MatMul produces.
-  void set_fast_math(bool fast_math) { fast_math_ = fast_math; }
-  bool fast_math() const { return fast_math_; }
-
   // Mutable access to a node's forward value, for the fault-injection layer
   // (base/fault.h): corrupting an activation *before* the ops consuming it
   // are recorded propagates the fault exactly as a kernel bug would. Not for
@@ -210,7 +203,6 @@ class Tape {
 
   std::vector<std::unique_ptr<Node>> nodes_;
   bool backward_done_ = false;
-  bool fast_math_ = false;
   // Storage keeping constant-shaped zero grads alive for Var::grad() calls
   // on untouched nodes.
   Matrix empty_grad_;

@@ -3,19 +3,12 @@
 
 #include "base/simd.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 #include "base/check.h"
 
 namespace skipnode::simd {
-namespace {
-
-// -1 = not yet initialised from the environment; 0/1 = resolved.
-std::atomic<int> g_enabled{-1};
-
-}  // namespace
 
 bool ParseEnabledEnv(const char* value) {
   if (value == nullptr || std::strcmp(value, "1") == 0) return true;
@@ -25,30 +18,12 @@ bool ParseEnabledEnv(const char* value) {
   return true;  // Unreachable.
 }
 
-bool Enabled() {
-  int state = g_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    // Parsed lazily (not in a static initialiser) so tests can setenv first.
-    state = ParseEnabledEnv(std::getenv("SKIPNODE_SIMD")) ? 1 : 0;
-    g_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
-}
+namespace detail {
+bool enabled = ParseEnabledEnv(std::getenv("SKIPNODE_SIMD"));
+}  // namespace detail
 
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
+void SetEnabled(bool enabled) { detail::enabled = enabled; }
 
-const char* CompiledMode() {
-#if defined(SKIPNODE_SIMD_SCALAR)
-  return "scalar";
-#elif defined(SKIPNODE_SIMD_AVX2)
-  return "avx2";
-#elif defined(SKIPNODE_SIMD_NEON)
-  return "neon";
-#else
-  return "portable";
-#endif
-}
+const char* CompiledMode() { return "portable"; }
 
 }  // namespace skipnode::simd

@@ -4,51 +4,30 @@
 // Width-N microkernels for the hot inner loops (DESIGN §14). Every kernel
 // exists twice:
 //
-//   * simd::Foo     — the vectorized form: a stripmined loop of kLanes
-//     independent lanes plus a scalar tail (or guarded AVX2/NEON intrinsics
-//     when the SKIPNODE_SIMD CMake knob selects them). Lanes are
-//     independent output elements, so vectorizing reorders nothing: every
-//     kernel here is bitwise identical to its scalar twin.
+//   * simd::Foo     — a stripmined loop of kLanes independent lanes plus a
+//     scalar tail, which the compiler vectorizes for whatever target it
+//     builds for. Lanes are independent output elements, so vectorizing
+//     reorders nothing: every kernel here is bitwise identical to its
+//     scalar twin.
 //   * simd::FooRef  — the retained scalar reference (simd_ref.cc, compiled
 //     with auto-vectorization disabled). This is the retired inline loop,
 //     kept callable so tests pin Foo == FooRef bitwise and benches measure
 //     the speedup against a genuinely scalar baseline.
 //
-// Call sites hoist `const bool vec = simd::Enabled()` once per kernel
-// invocation and branch to Foo or FooRef; the runtime switch (SKIPNODE_SIMD
-// env: unset/"1" on, "0" scalar reference, anything else aborts) exists so
-// one binary can A/B the two paths and tools/check_simd.sh can prove them
-// bitwise interchangeable.
-//
-// The one deliberate exception is DotFast: a reassociated kLanes-accumulator
-// dot product for the reduction-shaped Gemm paths, where vectorization
-// *must* reorder the sum. It ships behind the fast_math opt-in
-// (GemmOptions::fast_math / StrategyConfig::fast_math, default off), and its
-// fixed lane-then-tree order makes it deterministic at any thread count and
-// bitwise identical across compile modes and the runtime switch — just not
-// to the exact serial path.
+// Foo is also the one dispatch point of the runtime kill-switch: when
+// Enabled() is false it calls FooRef itself, so call sites never branch.
+// The switch (SKIPNODE_SIMD env: unset/"1" on, "0" scalar reference,
+// anything else aborts) exists so one binary can A/B the two paths and
+// tools/check_simd.sh can prove them bitwise interchangeable.
 //
 // No kernel may use an FMA contraction: fusing skips the intermediate
-// rounding and breaks Foo == FooRef. The build forces -ffp-contract=off and
-// the intrinsic bodies use separate mul/add, never _mm256_fmadd_ps.
+// rounding and breaks Foo == FooRef. The build forces -ffp-contract=off.
 
 #ifndef SKIPNODE_BASE_SIMD_H_
 #define SKIPNODE_BASE_SIMD_H_
 
 #include <cmath>
 #include <cstdint>
-
-#if defined(SKIPNODE_SIMD_AVX2)
-#if !defined(__AVX2__)
-#error "SKIPNODE_SIMD=avx2 requires an AVX2 target (the build adds -mavx2)"
-#endif
-#include <immintrin.h>
-#elif defined(SKIPNODE_SIMD_NEON)
-#if !defined(__ARM_NEON)
-#error "SKIPNODE_SIMD=neon requires a NEON target"
-#endif
-#include <arm_neon.h>
-#endif
 
 namespace skipnode::simd {
 
@@ -58,17 +37,26 @@ inline constexpr int kLanes = 8;
 
 // --- Runtime dispatch -------------------------------------------------------
 
-// Whether call sites should take the vectorized kernels. Initialised from
-// the SKIPNODE_SIMD environment variable on first use (unset/"1" = on,
-// "0" = scalar reference, anything else aborts).
-bool Enabled();
-// Overrides the runtime switch (tests, the micro_kernels A/B sweep).
+namespace detail {
+// The kill-switch state every kernel reads. A plain bool, not an atomic: the
+// check is one byte compare and a predictable branch per call, which matters
+// because Axpy runs once per stored nonzero in the SpMM kernels. Initialised
+// from SKIPNODE_SIMD during static initialisation and written only by
+// SetEnabled between kernel calls; the thread pool's task hand-off orders
+// that write before workers read it.
+extern bool enabled;
+}  // namespace detail
+
+// Whether the kernels take their vectorized bodies.
+inline bool Enabled() { return detail::enabled; }
+// Overrides the runtime switch (tests, the micro_kernels A/B sweep). Call it
+// only while no kernel is running.
 void SetEnabled(bool enabled);
 // Parses a SKIPNODE_SIMD value: nullptr/"1" -> true, "0" -> false, anything
 // else aborts with a clear message. Shared with bench::BenchConfig::FromEnv
 // so the bench harness rejects bad values instead of silently defaulting.
 bool ParseEnabledEnv(const char* value);
-// The compile-time kernel flavour: "scalar", "portable", "avx2", or "neon".
+// The compiled kernel flavour, for run banners. Always "portable".
 const char* CompiledMode();
 
 // --- Scalar reference kernels (simd_ref.cc, never auto-vectorized) ---------
@@ -108,18 +96,15 @@ struct AdamConstants {
 
 void AdamStepRef(float* value, const float* grad, float* m, float* v,
                  int64_t n, const AdamConstants& k);
-float DotFastRef(const float* a, const float* b, int64_t n);
 
-// --- Portable stripmined bodies --------------------------------------------
-// Always compiled (the scalar/AVX2/NEON modes fall back to them for any
-// kernel without a hand-written body). Each is the Ref loop stripmined into
-// kLanes independent lanes — same per-element expression, so bitwise
-// identical — with a scalar tail for n % kLanes.
+// --- Kernels ----------------------------------------------------------------
+// Each is the Ref loop stripmined into kLanes independent lanes — same
+// per-element expression, so bitwise identical — with a scalar tail for
+// n % kLanes.
 
-namespace detail {
-
-inline void AxpyPortable(float a, const float* __restrict x,
-                         float* __restrict out, int64_t n) {
+inline void Axpy(float a, const float* __restrict x, float* __restrict out,
+                 int64_t n) {
+  if (!Enabled()) return AxpyRef(a, x, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) out[i + l] += a * x[i + l];
@@ -127,8 +112,9 @@ inline void AxpyPortable(float a, const float* __restrict x,
   for (; i < n; ++i) out[i] += a * x[i];
 }
 
-inline void AccumulatePortable(const float* __restrict x,
-                               float* __restrict out, int64_t n) {
+inline void Accumulate(const float* __restrict x, float* __restrict out,
+                       int64_t n) {
+  if (!Enabled()) return AccumulateRef(x, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) out[i + l] += x[i + l];
@@ -136,8 +122,9 @@ inline void AccumulatePortable(const float* __restrict x,
   for (; i < n; ++i) out[i] += x[i];
 }
 
-inline void SubtractPortable(const float* __restrict x, float* __restrict out,
-                             int64_t n) {
+inline void Subtract(const float* __restrict x, float* __restrict out,
+                     int64_t n) {
+  if (!Enabled()) return SubtractRef(x, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) out[i + l] -= x[i + l];
@@ -145,8 +132,9 @@ inline void SubtractPortable(const float* __restrict x, float* __restrict out,
   for (; i < n; ++i) out[i] -= x[i];
 }
 
-inline void ScalePortable(const float* __restrict x, float s,
-                          float* __restrict out, int64_t n) {
+inline void Scale(const float* __restrict x, float s, float* __restrict out,
+                  int64_t n) {
+  if (!Enabled()) return ScaleRef(x, s, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) out[i + l] = x[i + l] * s;
@@ -154,7 +142,8 @@ inline void ScalePortable(const float* __restrict x, float s,
   for (; i < n; ++i) out[i] = x[i] * s;
 }
 
-inline void ScaleInPlacePortable(float* x, float s, int64_t n) {
+inline void ScaleInPlace(float* x, float s, int64_t n) {
+  if (!Enabled()) return ScaleInPlaceRef(x, s, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) x[i + l] *= s;
@@ -162,7 +151,8 @@ inline void ScaleInPlacePortable(float* x, float s, int64_t n) {
   for (; i < n; ++i) x[i] *= s;
 }
 
-inline void AddScalarInPlacePortable(float* x, float b, int64_t n) {
+inline void AddScalarInPlace(float* x, float b, int64_t n) {
+  if (!Enabled()) return AddScalarInPlaceRef(x, b, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) x[i + l] += b;
@@ -170,8 +160,9 @@ inline void AddScalarInPlacePortable(float* x, float b, int64_t n) {
   for (; i < n; ++i) x[i] += b;
 }
 
-inline void AddPortable(const float* __restrict a, const float* __restrict b,
-                        float* __restrict out, int64_t n) {
+inline void Add(const float* __restrict a, const float* __restrict b,
+                float* __restrict out, int64_t n) {
+  if (!Enabled()) return AddRef(a, b, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) out[i + l] = a[i + l] + b[i + l];
@@ -179,8 +170,9 @@ inline void AddPortable(const float* __restrict a, const float* __restrict b,
   for (; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-inline void MulPortable(const float* __restrict a, const float* __restrict b,
-                        float* __restrict out, int64_t n) {
+inline void Mul(const float* __restrict a, const float* __restrict b,
+                float* __restrict out, int64_t n) {
+  if (!Enabled()) return MulRef(a, b, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) out[i + l] = a[i + l] * b[i + l];
@@ -188,9 +180,10 @@ inline void MulPortable(const float* __restrict a, const float* __restrict b,
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-inline void AxpbyPortable(float alpha, const float* __restrict a, float beta,
-                          const float* __restrict b, float* __restrict out,
-                          int64_t n) {
+inline void Axpby(float alpha, const float* __restrict a, float beta,
+                  const float* __restrict b, float* __restrict out,
+                  int64_t n) {
+  if (!Enabled()) return AxpbyRef(alpha, a, beta, b, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) {
@@ -200,8 +193,9 @@ inline void AxpbyPortable(float alpha, const float* __restrict a, float beta,
   for (; i < n; ++i) out[i] = alpha * a[i] + beta * b[i];
 }
 
-inline void ReluPortable(const float* __restrict x, float* __restrict out,
-                         int64_t n) {
+inline void Relu(const float* __restrict x, float* __restrict out,
+                 int64_t n) {
+  if (!Enabled()) return ReluRef(x, out, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) {
@@ -211,7 +205,8 @@ inline void ReluPortable(const float* __restrict x, float* __restrict out,
   for (; i < n; ++i) out[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
 
-inline void ReluGradInPlacePortable(const float* x, float* g, int64_t n) {
+inline void ReluGradInPlace(const float* x, float* g, int64_t n) {
+  if (!Enabled()) return ReluGradInPlaceRef(x, g, n);
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) {
@@ -221,8 +216,11 @@ inline void ReluGradInPlacePortable(const float* x, float* g, int64_t n) {
   for (; i < n; ++i) g[i] = x[i] <= 0.0f ? 0.0f : g[i];
 }
 
-inline void SgdStepPortable(float* value, const float* grad, int64_t n,
-                            float learning_rate, float weight_decay) {
+inline void SgdStep(float* value, const float* grad, int64_t n,
+                    float learning_rate, float weight_decay) {
+  if (!Enabled()) {
+    return SgdStepRef(value, grad, n, learning_rate, weight_decay);
+  }
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     for (int l = 0; l < kLanes; ++l) {
@@ -238,8 +236,9 @@ inline void SgdStepPortable(float* value, const float* grad, int64_t n,
 // Hoisting the coupled/decoupled branch gives the compiler two straight-line
 // loops it can vectorize (vsqrtps/vdivps are correctly rounded per IEEE 754,
 // so the vector forms are bitwise identical to the scalar ones).
-inline void AdamStepPortable(float* value, const float* grad, float* m,
-                             float* v, int64_t n, const AdamConstants& k) {
+inline void AdamStep(float* value, const float* grad, float* m, float* v,
+                     int64_t n, const AdamConstants& k) {
+  if (!Enabled()) return AdamStepRef(value, grad, m, v, n, k);
   if (!k.decoupled) {
     for (int64_t i = 0; i < n; ++i) {
       const float g = grad[i] + k.weight_decay * value[i];
@@ -261,386 +260,6 @@ inline void AdamStepPortable(float* value, const float* grad, float* m,
     }
   }
 }
-
-// Reassociated dot: kLanes independent partial sums accumulated in lane
-// order, reduced by a fixed halving tree, tail added last. The order is a
-// function of n alone — never the thread count, compile mode, or runtime
-// switch — so fast_math results are deterministic, just not equal to the
-// exact serial double-precision path.
-inline float DotFastPortable(const float* __restrict a,
-                             const float* __restrict b, int64_t n) {
-  float acc[kLanes] = {};
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (int l = 0; l < kLanes; ++l) acc[l] += a[i + l] * b[i + l];
-  }
-  float tail = 0.0f;
-  for (; i < n; ++i) tail += a[i] * b[i];
-  for (int w = kLanes / 2; w > 0; w /= 2) {
-    for (int l = 0; l < w; ++l) acc[l] += acc[l + w];
-  }
-  return acc[0] + tail;
-}
-
-}  // namespace detail
-
-// --- Vectorized kernels -----------------------------------------------------
-
-#if defined(SKIPNODE_SIMD_SCALAR)
-
-// Scalar compile mode: the whole binary runs the reference kernels, giving
-// tools/check_simd.sh a build whose every path is provably scalar.
-inline void Axpy(float a, const float* x, float* out, int64_t n) {
-  AxpyRef(a, x, out, n);
-}
-inline void Accumulate(const float* x, float* out, int64_t n) {
-  AccumulateRef(x, out, n);
-}
-inline void Subtract(const float* x, float* out, int64_t n) {
-  SubtractRef(x, out, n);
-}
-inline void Scale(const float* x, float s, float* out, int64_t n) {
-  ScaleRef(x, s, out, n);
-}
-inline void ScaleInPlace(float* x, float s, int64_t n) {
-  ScaleInPlaceRef(x, s, n);
-}
-inline void AddScalarInPlace(float* x, float b, int64_t n) {
-  AddScalarInPlaceRef(x, b, n);
-}
-inline void Add(const float* a, const float* b, float* out, int64_t n) {
-  AddRef(a, b, out, n);
-}
-inline void Mul(const float* a, const float* b, float* out, int64_t n) {
-  MulRef(a, b, out, n);
-}
-inline void Axpby(float alpha, const float* a, float beta, const float* b,
-                  float* out, int64_t n) {
-  AxpbyRef(alpha, a, beta, b, out, n);
-}
-inline void Relu(const float* x, float* out, int64_t n) { ReluRef(x, out, n); }
-inline void ReluGradInPlace(const float* x, float* g, int64_t n) {
-  ReluGradInPlaceRef(x, g, n);
-}
-inline void SgdStep(float* value, const float* grad, int64_t n,
-                    float learning_rate, float weight_decay) {
-  SgdStepRef(value, grad, n, learning_rate, weight_decay);
-}
-inline void AdamStep(float* value, const float* grad, float* m, float* v,
-                     int64_t n, const AdamConstants& k) {
-  AdamStepRef(value, grad, m, v, n, k);
-}
-inline float DotFast(const float* a, const float* b, int64_t n) {
-  return DotFastRef(a, b, n);
-}
-
-#elif defined(SKIPNODE_SIMD_AVX2)
-
-// Hand-vectorized 8-lane bodies. Separate mul + add everywhere (no FMA —
-// fusing would skip a rounding and break bitwise identity with the scalar
-// reference). The Adam/SGD state updates keep the portable stripmined form:
-// under -mavx2 the compiler already emits vsqrtps/vdivps for them.
-
-inline void Axpy(float a, const float* x, float* out, int64_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(out + i,
-                     _mm256_add_ps(_mm256_loadu_ps(out + i), prod));
-  }
-  for (; i < n; ++i) out[i] += a * x[i];
-}
-
-inline void Accumulate(const float* x, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(out + i),
-                                            _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) out[i] += x[i];
-}
-
-inline void Subtract(const float* x, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_sub_ps(_mm256_loadu_ps(out + i),
-                                            _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) out[i] -= x[i];
-}
-
-inline void Scale(const float* x, float s, float* out, int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
-  }
-  for (; i < n; ++i) out[i] = x[i] * s;
-}
-
-inline void ScaleInPlace(float* x, float s, int64_t n) { Scale(x, s, x, n); }
-
-inline void AddScalarInPlace(float* x, float b, int64_t n) {
-  const __m256 vb = _mm256_set1_ps(b);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_add_ps(_mm256_loadu_ps(x + i), vb));
-  }
-  for (; i < n; ++i) x[i] += b;
-}
-
-inline void Add(const float* a, const float* b, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-inline void Mul(const float* a, const float* b, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-inline void Axpby(float alpha, const float* a, float beta, const float* b,
-                  float* out, int64_t n) {
-  const __m256 valpha = _mm256_set1_ps(alpha);
-  const __m256 vbeta = _mm256_set1_ps(beta);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 pa = _mm256_mul_ps(valpha, _mm256_loadu_ps(a + i));
-    const __m256 pb = _mm256_mul_ps(vbeta, _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(out + i, _mm256_add_ps(pa, pb));
-  }
-  for (; i < n; ++i) out[i] = alpha * a[i] + beta * b[i];
-}
-
-inline void Relu(const float* x, float* out, int64_t n) {
-  // max_ps(0, x) returns the second operand when x is a NaN or a zero of
-  // either sign — exactly the scalar (x < 0 ? 0 : x), including Relu(-0).
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_max_ps(zero, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] < 0.0f ? 0.0f : x[i];
-}
-
-inline void ReluGradInPlace(const float* x, float* g, int64_t n) {
-  // Zero g where x <= 0. The ordered-quiet compare is false on NaN, which
-  // keeps g — matching the scalar (x <= 0 ? 0 : g) on NaN inputs.
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 le =
-        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_LE_OQ);
-    _mm256_storeu_ps(g + i, _mm256_andnot_ps(le, _mm256_loadu_ps(g + i)));
-  }
-  for (; i < n; ++i) g[i] = x[i] <= 0.0f ? 0.0f : g[i];
-}
-
-inline void SgdStep(float* value, const float* grad, int64_t n,
-                    float learning_rate, float weight_decay) {
-  detail::SgdStepPortable(value, grad, n, learning_rate, weight_decay);
-}
-
-inline void AdamStep(float* value, const float* grad, float* m, float* v,
-                     int64_t n, const AdamConstants& k) {
-  detail::AdamStepPortable(value, grad, m, v, n, k);
-}
-
-inline float DotFast(const float* a, const float* b, int64_t n) {
-  // Lane l accumulates elements i with i % 8 == l, then the halving tree
-  // (lanes += lanes+4, +2, +1) — the exact order of DotFastPortable, so the
-  // fast_math result is identical across compile modes.
-  __m256 acc = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod =
-        _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc = _mm256_add_ps(acc, prod);
-  }
-  float tail = 0.0f;
-  for (; i < n; ++i) tail += a[i] * b[i];
-  __m128 lo = _mm256_castps256_ps128(acc);
-  lo = _mm_add_ps(lo, _mm256_extractf128_ps(acc, 1));   // l += l+4
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));           // l += l+2
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 0x1));     // 0 += 1
-  return _mm_cvtss_f32(lo) + tail;
-}
-
-#elif defined(SKIPNODE_SIMD_NEON)
-
-// 4-lane NEON bodies for the elementwise family (two vectors per kLanes
-// strip); the branchy/sqrt-heavy kernels keep the portable form, which the
-// compiler vectorizes for NEON targets. No vfmaq (same no-FMA rule).
-
-inline void Axpy(float a, const float* x, float* out, int64_t n) {
-  const float32x4_t va = vdupq_n_f32(a);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t prod = vmulq_f32(va, vld1q_f32(x + i));
-    vst1q_f32(out + i, vaddq_f32(vld1q_f32(out + i), prod));
-  }
-  for (; i < n; ++i) out[i] += a * x[i];
-}
-
-inline void Accumulate(const float* x, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vaddq_f32(vld1q_f32(out + i), vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) out[i] += x[i];
-}
-
-inline void Subtract(const float* x, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vsubq_f32(vld1q_f32(out + i), vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) out[i] -= x[i];
-}
-
-inline void Scale(const float* x, float s, float* out, int64_t n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vmulq_f32(vld1q_f32(x + i), vs));
-  }
-  for (; i < n; ++i) out[i] = x[i] * s;
-}
-
-inline void ScaleInPlace(float* x, float s, int64_t n) { Scale(x, s, x, n); }
-
-inline void AddScalarInPlace(float* x, float b, int64_t n) {
-  const float32x4_t vb = vdupq_n_f32(b);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(x + i, vaddq_f32(vld1q_f32(x + i), vb));
-  }
-  for (; i < n; ++i) x[i] += b;
-}
-
-inline void Add(const float* a, const float* b, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vaddq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-inline void Mul(const float* a, const float* b, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(out + i, vmulq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-inline void Axpby(float alpha, const float* a, float beta, const float* b,
-                  float* out, int64_t n) {
-  const float32x4_t valpha = vdupq_n_f32(alpha);
-  const float32x4_t vbeta = vdupq_n_f32(beta);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t pa = vmulq_f32(valpha, vld1q_f32(a + i));
-    const float32x4_t pb = vmulq_f32(vbeta, vld1q_f32(b + i));
-    vst1q_f32(out + i, vaddq_f32(pa, pb));
-  }
-  for (; i < n; ++i) out[i] = alpha * a[i] + beta * b[i];
-}
-
-inline void Relu(const float* x, float* out, int64_t n) {
-  // Select (not vmaxq, whose -0/NaN handling differs from the scalar
-  // expression): x < 0 ? 0 : x, NaN compares false and passes through.
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t vx = vld1q_f32(x + i);
-    vst1q_f32(out + i, vbslq_f32(vcltq_f32(vx, zero), zero, vx));
-  }
-  for (; i < n; ++i) out[i] = x[i] < 0.0f ? 0.0f : x[i];
-}
-
-inline void ReluGradInPlace(const float* x, float* g, int64_t n) {
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t le = vcleq_f32(vld1q_f32(x + i), zero);
-    vst1q_f32(g + i, vbslq_f32(le, zero, vld1q_f32(g + i)));
-  }
-  for (; i < n; ++i) g[i] = x[i] <= 0.0f ? 0.0f : g[i];
-}
-
-inline void SgdStep(float* value, const float* grad, int64_t n,
-                    float learning_rate, float weight_decay) {
-  detail::SgdStepPortable(value, grad, n, learning_rate, weight_decay);
-}
-
-inline void AdamStep(float* value, const float* grad, float* m, float* v,
-                     int64_t n, const AdamConstants& k) {
-  detail::AdamStepPortable(value, grad, m, v, n, k);
-}
-
-inline float DotFast(const float* a, const float* b, int64_t n) {
-  return detail::DotFastPortable(a, b, n);
-}
-
-#else  // portable (the default): compiler-vectorized stripmined loops.
-
-inline void Axpy(float a, const float* x, float* out, int64_t n) {
-  detail::AxpyPortable(a, x, out, n);
-}
-inline void Accumulate(const float* x, float* out, int64_t n) {
-  detail::AccumulatePortable(x, out, n);
-}
-inline void Subtract(const float* x, float* out, int64_t n) {
-  detail::SubtractPortable(x, out, n);
-}
-inline void Scale(const float* x, float s, float* out, int64_t n) {
-  detail::ScalePortable(x, s, out, n);
-}
-inline void ScaleInPlace(float* x, float s, int64_t n) {
-  detail::ScaleInPlacePortable(x, s, n);
-}
-inline void AddScalarInPlace(float* x, float b, int64_t n) {
-  detail::AddScalarInPlacePortable(x, b, n);
-}
-inline void Add(const float* a, const float* b, float* out, int64_t n) {
-  detail::AddPortable(a, b, out, n);
-}
-inline void Mul(const float* a, const float* b, float* out, int64_t n) {
-  detail::MulPortable(a, b, out, n);
-}
-inline void Axpby(float alpha, const float* a, float beta, const float* b,
-                  float* out, int64_t n) {
-  detail::AxpbyPortable(alpha, a, beta, b, out, n);
-}
-inline void Relu(const float* x, float* out, int64_t n) {
-  detail::ReluPortable(x, out, n);
-}
-inline void ReluGradInPlace(const float* x, float* g, int64_t n) {
-  detail::ReluGradInPlacePortable(x, g, n);
-}
-inline void SgdStep(float* value, const float* grad, int64_t n,
-                    float learning_rate, float weight_decay) {
-  detail::SgdStepPortable(value, grad, n, learning_rate, weight_decay);
-}
-inline void AdamStep(float* value, const float* grad, float* m, float* v,
-                     int64_t n, const AdamConstants& k) {
-  detail::AdamStepPortable(value, grad, m, v, n, k);
-}
-inline float DotFast(const float* a, const float* b, int64_t n) {
-  return detail::DotFastPortable(a, b, n);
-}
-
-#endif
 
 }  // namespace skipnode::simd
 

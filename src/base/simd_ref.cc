@@ -3,8 +3,9 @@
 //
 // Scalar reference kernels: the retired inline loops, verbatim. This file is
 // compiled with auto-vectorization disabled (see src/CMakeLists.txt) so the
-// reference stays genuinely scalar — it is both the bitwise pin for the
-// vectorized kernels and the baseline the micro_kernels bench measures
+// reference stays genuinely scalar — it is the path every simd::Foo takes
+// when the SKIPNODE_SIMD kill-switch is off, the bitwise pin for the
+// vectorized kernels, and the baseline the micro_kernels bench measures
 // speedups against. Keep each body a plain element loop; do not "optimize".
 
 #include "base/simd.h"
@@ -77,23 +78,6 @@ void AdamStepRef(float* value, const float* grad, float* m, float* v,
     value[i] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
     if (k.decoupled) value[i] -= k.lr_weight_decay * value[i];
   }
-}
-
-float DotFastRef(const float* a, const float* b, int64_t n) {
-  // Same lane-then-tree accumulation order as DotFast (that is the point:
-  // the fast_math sum is a deterministic function of n, not of the compile
-  // mode or runtime switch), just never vectorized.
-  float acc[kLanes] = {};
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (int l = 0; l < kLanes; ++l) acc[l] += a[i + l] * b[i + l];
-  }
-  float tail = 0.0f;
-  for (; i < n; ++i) tail += a[i] * b[i];
-  for (int w = kLanes / 2; w > 0; w /= 2) {
-    for (int l = 0; l < w; ++l) acc[l] += acc[l + w];
-  }
-  return acc[0] + tail;
 }
 
 }  // namespace skipnode::simd

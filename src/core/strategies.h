@@ -62,12 +62,6 @@ struct StrategyConfig {
   // fused_train_test); false keeps the naive path, for A/B timing and the
   // bitwise-equivalence tests.
   bool fuse_propagation = true;
-  // Opt-in to the reassociated SIMD dot kernel in MatMul's k-reduction
-  // paths (Tape::set_fast_math, DESIGN §14). Default off: training stays
-  // bitwise identical to the exact double-accumulation path. On, results
-  // differ by rounding only (tolerance-tested), and are still deterministic
-  // at any thread count.
-  bool fast_math = false;
 
   static StrategyConfig None() { return {}; }
   static StrategyConfig SkipNodeU(float rho) {

@@ -25,7 +25,6 @@ FrozenModel FrozenModel::Freeze(Model& model, const Graph& graph,
   // satisfies Model::Forward's signature. The value is irrelevant.
   Rng rng(0);
   Tape tape;
-  tape.set_fast_math(strategy.fast_math);
   StrategyContext ctx(graph, strategy, /*training=*/false, rng);
   Var logits = model.Forward(tape, graph, ctx, /*training=*/false, rng);
 

@@ -43,7 +43,6 @@ void CsrMatrix::MultiplyAccumulate(const Matrix& dense, Matrix& out) const {
   // cannot serialise its whole chunk on power-law-ish graphs. The per-entry
   // row update is the simd Axpy microkernel (vector lanes are independent
   // output columns, so vectorizing reorders nothing — DESIGN §14).
-  const bool vec = simd::Enabled();
   WithOffsets(row_ptr_, [&](const auto* rp) {
     ParallelForBalanced(
         rows_, rp,
@@ -54,11 +53,7 @@ void CsrMatrix::MultiplyAccumulate(const Matrix& dense, Matrix& out) const {
               const float w = values_[static_cast<size_t>(e)];
               const float* __restrict src =
                   dense.row(col_idx_[static_cast<size_t>(e)]);
-              if (vec) {
-                simd::Axpy(w, src, or_, d);
-              } else {
-                simd::AxpyRef(w, src, or_, d);
-              }
+              simd::Axpy(w, src, or_, d);
             }
           }
         },
@@ -86,7 +81,6 @@ void CsrMatrix::MultiplyAccumulateMasked(const Matrix& dense,
   // the existing row loop (no extra O(rows) telemetry pass); the relaxed
   // atomic merge is integer-only, so it stays off the numeric path.
   const bool count_skips = TelemetryEnabled();
-  const bool vec = simd::Enabled();
   std::atomic<int64_t> skipped{0};
   WithOffsets(row_ptr_, [&](const auto* rp) {
     ParallelForBalanced(
@@ -103,11 +97,7 @@ void CsrMatrix::MultiplyAccumulateMasked(const Matrix& dense,
               const float w = values_[static_cast<size_t>(e)];
               const float* __restrict src =
                   dense.row(col_idx_[static_cast<size_t>(e)]);
-              if (vec) {
-                simd::Axpy(w, src, or_, d);
-              } else {
-                simd::AxpyRef(w, src, or_, d);
-              }
+              simd::Axpy(w, src, or_, d);
             }
           }
           if (count_skips) {
@@ -198,7 +188,6 @@ Matrix CsrMatrix::MultiplyTransposed(const Matrix& dense) const {
   // source-row order — the order the serial scatter wrote them — so the
   // result is bitwise identical at any thread count (DESIGN §7).
   // t_val == nullptr means "the plan is the matrix itself" (symmetric alias).
-  const bool vec = simd::Enabled();
   const auto run = [&](const auto* t_ptr, const int* t_src,
                        const auto* t_val) {
     ParallelForBalanced(
@@ -211,11 +200,7 @@ Matrix CsrMatrix::MultiplyTransposed(const Matrix& dense) const {
                   t_val != nullptr ? t_val[e] : e)];
               const float* __restrict src =
                   dense.row(t_src[static_cast<size_t>(e)]);
-              if (vec) {
-                simd::Axpy(w, src, or_, d);
-              } else {
-                simd::AxpyRef(w, src, or_, d);
-              }
+              simd::Axpy(w, src, or_, d);
             }
           }
         },
@@ -260,7 +245,6 @@ Matrix CsrMatrix::MultiplyTransposedMasked(
   Matrix out(cols_, dense.cols());
   const int d = dense.cols();
   const TransposePlan& plan = transpose_plan();
-  const bool vec = simd::Enabled();
   const auto run = [&](const auto* t_ptr, const int* t_src,
                        const auto* t_val) {
     ParallelForBalanced(
@@ -274,11 +258,7 @@ Matrix CsrMatrix::MultiplyTransposedMasked(
               const float w = values_[static_cast<size_t>(
                   t_val != nullptr ? t_val[e] : e)];
               const float* __restrict src = dense.row(r);
-              if (vec) {
-                simd::Axpy(w, src, or_, d);
-              } else {
-                simd::AxpyRef(w, src, or_, d);
-              }
+              simd::Axpy(w, src, or_, d);
             }
           }
         },

@@ -36,6 +36,7 @@ constexpr int kGemmColumnBlock = 256;
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmOptions& options) {
+  SKIPNODE_CHECK(!(options.transpose_a && options.transpose_b));
   // Shapes of the transposed views: out is m x n, shared dimension k.
   const int m = options.transpose_a ? a.cols() : a.rows();
   const int k = options.transpose_a ? a.rows() : a.cols();
@@ -44,17 +45,13 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
   SKIPNODE_CHECK(out.rows() == m && out.cols() == n);
   // Per-variant names so the backward-pass shapes (dW = X^T dY, dX = dY W^T)
   // show up separately from the forward GEMM in a snapshot.
-  const char* timer_name =
-      !options.transpose_a
-          ? (!options.transpose_b ? "tensor.gemm" : "tensor.gemm_tb")
-          : (!options.transpose_b ? "tensor.gemm_ta" : "tensor.gemm_tt");
+  const char* timer_name = options.transpose_a   ? "tensor.gemm_ta"
+                           : options.transpose_b ? "tensor.gemm_tb"
+                                                 : "tensor.gemm";
   const ScopedTimer timer(timer_name, /*items=*/m);
   const int64_t min_rows =
       MinRowsPerThread(2 * static_cast<int64_t>(k) * n);
   const bool accumulate = options.accumulate;
-  // Hoisted once per Gemm; each worker branches to the vectorized or scalar
-  // reference microkernel (base/simd.h) — bitwise identical either way.
-  const bool vec = simd::Enabled();
 
   if (!options.transpose_a && !options.transpose_b) {
     // i-p-j loop order keeps the inner loop contiguous in both B and out so
@@ -76,17 +73,13 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
                 const float aip = ai[p];
                 if (aip == 0.0f) continue;
                 const float* __restrict bp = b.row(p);
-                if (vec) {
-                  simd::Axpy(aip, bp + jb, oi + jb, je - jb);
-                } else {
-                  simd::AxpyRef(aip, bp + jb, oi + jb, je - jb);
-                }
+                simd::Axpy(aip, bp + jb, oi + jb, je - jb);
               }
             }
           }
         },
         min_rows);
-  } else if (options.transpose_a && !options.transpose_b) {
+  } else if (options.transpose_a) {
     // out rows are columns of A. Each thread walks all rows of A but writes
     // only its own block of output rows, in the same i-ascending order the
     // serial kernel used, so the sums are bit-for-bit unchanged.
@@ -108,20 +101,14 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
               const float aip = ai[p];
               if (aip == 0.0f) continue;
               float* __restrict op = out.row(p);
-              if (vec) {
-                simd::Axpy(aip, bi, op, n);
-              } else {
-                simd::AxpyRef(aip, bi, op, n);
-              }
+              simd::Axpy(aip, bi, op, n);
             }
           }
         },
         min_rows);
-  } else if (!options.transpose_a && options.transpose_b) {
-    // Row-by-row dot products. The exact path keeps the serial kernel's
-    // double accumulator; fast_math opts into the reassociated
-    // lane-accumulator dot (deterministic, but not bitwise equal to exact).
-    const bool fast = options.fast_math;
+  } else {
+    // A * B^T: row-by-row dot products, each accumulated in double in
+    // ascending k — the serial kernel's exact order.
     ParallelFor(
         0, m,
         [&](int64_t row_begin, int64_t row_end) {
@@ -129,41 +116,13 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
             const float* __restrict ai = a.row(i);
             float* __restrict oi = out.row(i);
             if (!accumulate) std::fill(oi, oi + n, 0.0f);
-            if (fast) {
-              for (int p = 0; p < n; ++p) {
-                const float* __restrict bp = b.row(p);
-                oi[p] += vec ? simd::DotFast(ai, bp, k)
-                             : simd::DotFastRef(ai, bp, k);
-              }
-            } else {
-              for (int p = 0; p < n; ++p) {
-                const float* __restrict bp = b.row(p);
-                double dot = 0.0;
-                for (int j = 0; j < k; ++j) {
-                  dot += static_cast<double>(ai[j]) * bp[j];
-                }
-                oi[p] += static_cast<float>(dot);
-              }
-            }
-          }
-        },
-        min_rows);
-  } else {
-    // A^T * B^T: column-strided reads of A; rare (no current caller), kept
-    // for completeness of the Gemm surface.
-    ParallelFor(
-        0, m,
-        [&](int64_t row_begin, int64_t row_end) {
-          for (int p = static_cast<int>(row_begin); p < row_end; ++p) {
-            float* __restrict op = out.row(p);
-            if (!accumulate) std::fill(op, op + n, 0.0f);
-            for (int q = 0; q < n; ++q) {
-              const float* __restrict bq = b.row(q);
+            for (int p = 0; p < n; ++p) {
+              const float* __restrict bp = b.row(p);
               double dot = 0.0;
-              for (int i = 0; i < k; ++i) {
-                dot += static_cast<double>(a(i, p)) * bq[i];
+              for (int j = 0; j < k; ++j) {
+                dot += static_cast<double>(ai[j]) * bp[j];
               }
-              op[q] += static_cast<float>(dot);
+              oi[p] += static_cast<float>(dot);
             }
           }
         },
@@ -187,15 +146,10 @@ void ParallelElements(int64_t size, const Fn& fn) {
 Matrix Add(const Matrix& a, const Matrix& b) {
   SKIPNODE_CHECK(a.SameShape(b));
   Matrix out = a;
-  const bool vec = simd::Enabled();
   const float* __restrict bd = b.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Accumulate(bd + lo, od + lo, hi - lo);
-    } else {
-      simd::AccumulateRef(bd + lo, od + lo, hi - lo);
-    }
+    simd::Accumulate(bd + lo, od + lo, hi - lo);
   });
   return out;
 }
@@ -203,15 +157,10 @@ Matrix Add(const Matrix& a, const Matrix& b) {
 Matrix Sub(const Matrix& a, const Matrix& b) {
   SKIPNODE_CHECK(a.SameShape(b));
   Matrix out = a;
-  const bool vec = simd::Enabled();
   const float* __restrict bd = b.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Subtract(bd + lo, od + lo, hi - lo);
-    } else {
-      simd::SubtractRef(bd + lo, od + lo, hi - lo);
-    }
+    simd::Subtract(bd + lo, od + lo, hi - lo);
   });
   return out;
 }
@@ -225,16 +174,11 @@ Matrix Hadamard(const Matrix& a, const Matrix& b) {
 void HadamardInto(const Matrix& a, const Matrix& b, Matrix& out) {
   SKIPNODE_CHECK(a.SameShape(b));
   SKIPNODE_CHECK(a.SameShape(out));
-  const bool vec = simd::Enabled();
   const float* __restrict ad = a.data();
   const float* __restrict bd = b.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Mul(ad + lo, bd + lo, od + lo, hi - lo);
-    } else {
-      simd::MulRef(ad + lo, bd + lo, od + lo, hi - lo);
-    }
+    simd::Mul(ad + lo, bd + lo, od + lo, hi - lo);
   });
 }
 
@@ -246,29 +190,19 @@ Matrix Scale(const Matrix& a, float s) {
 
 void ScaleInto(const Matrix& a, float s, Matrix& out) {
   SKIPNODE_CHECK(a.SameShape(out));
-  const bool vec = simd::Enabled();
   const float* __restrict ad = a.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Scale(ad + lo, s, od + lo, hi - lo);
-    } else {
-      simd::ScaleRef(ad + lo, s, od + lo, hi - lo);
-    }
+    simd::Scale(ad + lo, s, od + lo, hi - lo);
   });
 }
 
 void AddScaled(const Matrix& a, float s, Matrix& out) {
   SKIPNODE_CHECK(a.SameShape(out));
-  const bool vec = simd::Enabled();
   const float* __restrict ad = a.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Axpy(s, ad + lo, od + lo, hi - lo);
-    } else {
-      simd::AxpyRef(s, ad + lo, od + lo, hi - lo);
-    }
+    simd::Axpy(s, ad + lo, od + lo, hi - lo);
   });
 }
 
@@ -276,16 +210,11 @@ void AxpbyInto(const Matrix& a, const Matrix& b, float alpha, float beta,
                Matrix& out) {
   SKIPNODE_CHECK(a.SameShape(b));
   SKIPNODE_CHECK(a.SameShape(out));
-  const bool vec = simd::Enabled();
   const float* __restrict ad = a.data();
   const float* __restrict bd = b.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Axpby(alpha, ad + lo, beta, bd + lo, od + lo, hi - lo);
-    } else {
-      simd::AxpbyRef(alpha, ad + lo, beta, bd + lo, od + lo, hi - lo);
-    }
+    simd::Axpby(alpha, ad + lo, beta, bd + lo, od + lo, hi - lo);
   });
 }
 
@@ -298,15 +227,10 @@ Matrix Relu(const Matrix& x) {
 void ReluInto(const Matrix& x, Matrix& out) {
   const ScopedTimer timer("tensor.relu", /*items=*/x.rows());
   SKIPNODE_CHECK(x.SameShape(out));
-  const bool vec = simd::Enabled();
   const float* __restrict xd = x.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::Relu(xd + lo, od + lo, hi - lo);
-    } else {
-      simd::ReluRef(xd + lo, od + lo, hi - lo);
-    }
+    simd::Relu(xd + lo, od + lo, hi - lo);
   });
 }
 
@@ -314,15 +238,10 @@ Matrix ReluBackward(const Matrix& x, const Matrix& grad) {
   const ScopedTimer timer("tensor.relu_backward", /*items=*/x.rows());
   SKIPNODE_CHECK(x.SameShape(grad));
   Matrix out = grad;
-  const bool vec = simd::Enabled();
   const float* __restrict xd = x.data();
   float* __restrict od = out.data();
   ParallelElements(out.size(), [&](int64_t lo, int64_t hi) {
-    if (vec) {
-      simd::ReluGradInPlace(xd + lo, od + lo, hi - lo);
-    } else {
-      simd::ReluGradInPlaceRef(xd + lo, od + lo, hi - lo);
-    }
+    simd::ReluGradInPlace(xd + lo, od + lo, hi - lo);
   });
   return out;
 }
@@ -380,16 +299,11 @@ void ScatterAddRows(const Matrix& src, const std::vector<int>& rows,
                           /*items=*/static_cast<int64_t>(rows.size()));
   SKIPNODE_CHECK(src.rows() == static_cast<int>(rows.size()));
   SKIPNODE_CHECK(src.cols() == out.cols());
-  const bool vec = simd::Enabled();
   for (size_t i = 0; i < rows.size(); ++i) {
     SKIPNODE_CHECK(rows[i] >= 0 && rows[i] < out.rows());
     const float* si = src.row(static_cast<int>(i));
     float* oi = out.row(rows[i]);
-    if (vec) {
-      simd::Accumulate(si, oi, out.cols());
-    } else {
-      simd::AccumulateRef(si, oi, out.cols());
-    }
+    simd::Accumulate(si, oi, out.cols());
   }
 }
 
@@ -414,7 +328,6 @@ void AddRowsWhere(const Matrix& src, const std::vector<uint8_t>& mask,
   const ScopedTimer timer("tensor.add_rows_where", /*items=*/src.rows());
   SKIPNODE_CHECK(src.SameShape(out));
   SKIPNODE_CHECK(static_cast<int>(mask.size()) == src.rows());
-  const bool vec = simd::Enabled();
   ParallelFor(
       0, src.rows(),
       [&](int64_t lo, int64_t hi) {
@@ -422,11 +335,7 @@ void AddRowsWhere(const Matrix& src, const std::vector<uint8_t>& mask,
           if (!mask[r]) continue;
           const float* __restrict sr = src.row(r);
           float* __restrict or_ = out.row(r);
-          if (vec) {
-            simd::Accumulate(sr, or_, src.cols());
-          } else {
-            simd::AccumulateRef(sr, or_, src.cols());
-          }
+          simd::Accumulate(sr, or_, src.cols());
         }
       },
       MinRowsPerThread(src.cols()));
@@ -449,18 +358,13 @@ Matrix ColumnMeans(const Matrix& x) {
 Matrix SubtractRowVector(const Matrix& x, const Matrix& v) {
   SKIPNODE_CHECK(v.rows() == 1 && v.cols() == x.cols());
   Matrix out = x;
-  const bool vec = simd::Enabled();
   const float* __restrict vd = v.row(0);
   ParallelFor(
       0, out.rows(),
       [&](int64_t lo, int64_t hi) {
         for (int i = static_cast<int>(lo); i < hi; ++i) {
           float* oi = out.row(i);
-          if (vec) {
-            simd::Subtract(vd, oi, out.cols());
-          } else {
-            simd::SubtractRef(vd, oi, out.cols());
-          }
+          simd::Subtract(vd, oi, out.cols());
         }
       },
       MinRowsPerThread(out.cols()));
@@ -470,7 +374,6 @@ Matrix SubtractRowVector(const Matrix& x, const Matrix& v) {
 Matrix RowSoftmax(const Matrix& x) {
   const ScopedTimer timer("tensor.row_softmax", /*items=*/x.rows());
   Matrix out = x;
-  const bool vec = simd::Enabled();
   ParallelFor(
       0, out.rows(),
       [&](int64_t lo, int64_t hi) {
@@ -486,11 +389,7 @@ Matrix RowSoftmax(const Matrix& x) {
             total += oi[j];
           }
           const float inv = static_cast<float>(1.0 / total);
-          if (vec) {
-            simd::ScaleInPlace(oi, inv, out.cols());
-          } else {
-            simd::ScaleInPlaceRef(oi, inv, out.cols());
-          }
+          simd::ScaleInPlace(oi, inv, out.cols());
         }
       },
       MinRowsPerThread(4 * out.cols()));
@@ -500,7 +399,6 @@ Matrix RowSoftmax(const Matrix& x) {
 Matrix RowLogSoftmax(const Matrix& x) {
   const ScopedTimer timer("tensor.row_log_softmax", /*items=*/x.rows());
   Matrix out = x;
-  const bool vec = simd::Enabled();
   ParallelFor(
       0, out.rows(),
       [&](int64_t lo, int64_t hi) {
@@ -514,11 +412,7 @@ Matrix RowLogSoftmax(const Matrix& x) {
           }
           const float log_z = max_v + static_cast<float>(std::log(total));
           // x - log_z == x + (-log_z) exactly (negation is a sign flip).
-          if (vec) {
-            simd::AddScalarInPlace(oi, -log_z, out.cols());
-          } else {
-            simd::AddScalarInPlaceRef(oi, -log_z, out.cols());
-          }
+          simd::AddScalarInPlace(oi, -log_z, out.cols());
         }
       },
       MinRowsPerThread(4 * out.cols()));

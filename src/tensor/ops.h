@@ -17,18 +17,13 @@ namespace skipnode {
 // --- GEMM family -----------------------------------------------------------
 
 // Every dense product funnels through Gemm so the thread pool is wired in
-// exactly one place. The historical MatMul* names below are inline wrappers.
+// exactly one place. MatMul and MatMulTransposeA below are inline wrappers.
 struct GemmOptions {
+  // At most one of the two may be set.
   bool transpose_a = false;
   bool transpose_b = false;
   // false: out = op(A) * op(B);  true: out += op(A) * op(B).
   bool accumulate = false;
-  // Opt-in (DESIGN §14): reduction-shaped variants (A * B^T) may use the
-  // reassociated kLanes-accumulator dot instead of the exact serial
-  // double-precision sum. Deterministic at any thread count (the lane order
-  // is a function of the length alone) but not bitwise equal to the exact
-  // path; default off, plumbed from StrategyConfig::fast_math.
-  bool fast_math = false;
 };
 
 // out (+)= op(A) * op(B) with op fixed by `options`. Shapes are checked
@@ -46,35 +41,11 @@ inline Matrix MatMul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-// out += A * B (out must already be m x n).
-inline void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix& out) {
-  Gemm(a, b, out, {.accumulate = true});
-}
-
 // Returns A^T * B. A is m x k, B is m x n; result is k x n.
 inline Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   Matrix out(a.cols(), b.cols());
   Gemm(a, b, out, {.transpose_a = true});
   return out;
-}
-
-// out += A^T * B.
-inline void MatMulTransposeAAccumulate(const Matrix& a, const Matrix& b,
-                                       Matrix& out) {
-  Gemm(a, b, out, {.transpose_a = true, .accumulate = true});
-}
-
-// Returns A * B^T. A is m x n, B is k x n; result is m x k.
-inline Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.rows());
-  Gemm(a, b, out, {.transpose_b = true});
-  return out;
-}
-
-// out += A * B^T.
-inline void MatMulTransposeBAccumulate(const Matrix& a, const Matrix& b,
-                                       Matrix& out) {
-  Gemm(a, b, out, {.transpose_b = true, .accumulate = true});
 }
 
 // --- Element-wise ----------------------------------------------------------

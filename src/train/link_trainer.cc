@@ -48,7 +48,6 @@ LinkResult TrainLinkPredictor(Model& encoder, const Graph& message_graph,
     // --- Training step: BCE over positives + equally many uniform negatives.
     {
       Tape tape;
-      tape.set_fast_math(strategy.fast_math);
       StrategyContext ctx(message_graph, strategy, /*training=*/true, rng);
       Var z = encoder.Forward(tape, message_graph, ctx, /*training=*/true,
                               rng);
@@ -81,7 +80,6 @@ LinkResult TrainLinkPredictor(Model& encoder, const Graph& message_graph,
       continue;
     }
     Tape tape;
-    tape.set_fast_math(strategy.fast_math);
     StrategyContext ctx(message_graph, strategy, /*training=*/false, rng);
     Var z = encoder.Forward(tape, message_graph, ctx, /*training=*/false,
                             rng);

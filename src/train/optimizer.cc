@@ -26,7 +26,6 @@ void Sgd::Step(const std::vector<Parameter*>& parameters) {
   int64_t total_elements = 0;
   for (const Parameter* p : parameters) total_elements += p->value.size();
   const ScopedTimer timer("train.sgd_step", /*items=*/total_elements);
-  const bool vec = simd::Enabled();
   for (Parameter* p : parameters) {
     float* value = p->value.data();
     const float* grad = p->grad.data();
@@ -35,13 +34,8 @@ void Sgd::Step(const std::vector<Parameter*>& parameters) {
     ParallelFor(
         0, p->value.size(),
         [&](int64_t lo, int64_t hi) {
-          if (vec) {
-            simd::SgdStep(value + lo, grad + lo, hi - lo, learning_rate_,
-                          weight_decay_);
-          } else {
-            simd::SgdStepRef(value + lo, grad + lo, hi - lo, learning_rate_,
-                             weight_decay_);
-          }
+          simd::SgdStep(value + lo, grad + lo, hi - lo, learning_rate_,
+                        weight_decay_);
         },
         kMinUpdateElementsPerThread);
   }
@@ -72,7 +66,6 @@ void Adam::Step(const std::vector<Parameter*>& parameters) {
       .lr_weight_decay = learning_rate_ * weight_decay_,
       .decoupled = decoupled_,
   };
-  const bool vec = simd::Enabled();
   for (Parameter* p : parameters) {
     Moments& moments = moments_[p];
     if (moments.m.empty()) {
@@ -88,13 +81,8 @@ void Adam::Step(const std::vector<Parameter*>& parameters) {
     ParallelFor(
         0, p->value.size(),
         [&](int64_t lo, int64_t hi) {
-          if (vec) {
-            simd::AdamStep(value + lo, grad + lo, m + lo, v + lo, hi - lo,
-                           constants);
-          } else {
-            simd::AdamStepRef(value + lo, grad + lo, m + lo, v + lo, hi - lo,
-                              constants);
-          }
+          simd::AdamStep(value + lo, grad + lo, m + lo, v + lo, hi - lo,
+                         constants);
         },
         kMinUpdateElementsPerThread);
   }

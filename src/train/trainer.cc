@@ -208,7 +208,6 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
     for (size_t start = 0; start < split.train.size(); start += batch_size) {
       const int64_t forward_start = now();
       Tape tape;
-      tape.set_fast_math(strategy.fast_math);
       // The forward's inputs stay alive until the step is done.
       std::optional<StrategyContext> ctx;
       SampledBatch batch;
@@ -342,7 +341,6 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
     {
       const int64_t eval_start = now();
       Tape tape;
-      tape.set_fast_math(strategy.fast_math);
       StrategyContext ctx(graph, strategy, /*training=*/false, rng);
       Var logits = model.Forward(tape, graph, ctx, /*training=*/false, rng);
       const double val_acc =

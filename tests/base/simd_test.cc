@@ -4,9 +4,7 @@
 // The DESIGN §14 contract: every vectorized microkernel is bitwise identical
 // to its retained scalar reference at every length — strip-covered sizes,
 // tails, and the special values (NaN, ±0) where vector instruction semantics
-// classically diverge from scalar code. DotFast is the one deliberate
-// exception (reassociated); its pin is determinism, not equality with a
-// serial sum.
+// classically diverge from scalar code.
 
 #include "base/simd.h"
 
@@ -31,6 +29,18 @@ std::vector<float> RandomVec(int64_t n, Rng& rng, float lo = -2.0f,
   return v;
 }
 
+// Forces the runtime switch on for the duration of a case: with it off,
+// every Foo forwards to FooRef and the pins would compare the reference with
+// itself (the suite may run under SKIPNODE_SIMD=0).
+class SimdOn {
+ public:
+  SimdOn() : saved_(Enabled()) { SetEnabled(true); }
+  ~SimdOn() { SetEnabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
 #define EXPECT_BITWISE_EQ(a, b, n)                                    \
   do {                                                                \
     for (int64_t bi = 0; bi < (n); ++bi) {                            \
@@ -42,6 +52,7 @@ std::vector<float> RandomVec(int64_t n, Rng& rng, float lo = -2.0f,
   } while (0)
 
 TEST(SimdTest, AxpyMatchesRefBitwise) {
+  const SimdOn simd_on;
   Rng rng(1);
   for (const int64_t n : kSizes) {
     const std::vector<float> x = RandomVec(n, rng);
@@ -54,6 +65,7 @@ TEST(SimdTest, AxpyMatchesRefBitwise) {
 }
 
 TEST(SimdTest, AccumulateSubtractMatchRefBitwise) {
+  const SimdOn simd_on;
   Rng rng(2);
   for (const int64_t n : kSizes) {
     const std::vector<float> x = RandomVec(n, rng);
@@ -69,6 +81,7 @@ TEST(SimdTest, AccumulateSubtractMatchRefBitwise) {
 }
 
 TEST(SimdTest, ScaleFamilyMatchesRefBitwise) {
+  const SimdOn simd_on;
   Rng rng(3);
   for (const int64_t n : kSizes) {
     const std::vector<float> x = RandomVec(n, rng);
@@ -90,6 +103,7 @@ TEST(SimdTest, ScaleFamilyMatchesRefBitwise) {
 }
 
 TEST(SimdTest, AddMulAxpbyMatchRefBitwise) {
+  const SimdOn simd_on;
   Rng rng(4);
   for (const int64_t n : kSizes) {
     const std::vector<float> a = RandomVec(n, rng);
@@ -109,6 +123,7 @@ TEST(SimdTest, AddMulAxpbyMatchRefBitwise) {
 }
 
 TEST(SimdTest, ReluMatchesRefOnSpecialValues) {
+  const SimdOn simd_on;
   // NaN propagation and the sign of zero are exactly where vector max
   // semantics differ across ISAs; the kernels must match the scalar
   // (x < 0) ? 0 : x form bit for bit on them.
@@ -132,6 +147,7 @@ TEST(SimdTest, ReluMatchesRefOnSpecialValues) {
 }
 
 TEST(SimdTest, SgdStepMatchesRefBitwise) {
+  const SimdOn simd_on;
   Rng rng(5);
   for (const int64_t n : kSizes) {
     const std::vector<float> grad = RandomVec(n, rng);
@@ -159,6 +175,7 @@ AdamConstants MakeAdamConstants(bool decoupled) {
 }
 
 TEST(SimdTest, AdamStepMatchesRefBitwiseCoupledAndDecoupled) {
+  const SimdOn simd_on;
   Rng rng(6);
   for (const bool decoupled : {false, true}) {
     const AdamConstants k = MakeAdamConstants(decoupled);
@@ -187,31 +204,6 @@ TEST(SimdTest, AdamStepMatchesRefBitwiseCoupledAndDecoupled) {
   }
 }
 
-TEST(SimdTest, DotFastIsDeterministicAndMatchesRef) {
-  // DotFast reassociates, so it is NOT pinned against a serial sum; the
-  // contract is that Vec and Ref implement the identical lane-then-tree
-  // order, making fast_math results independent of the compile flavour and
-  // the runtime switch.
-  Rng rng(7);
-  for (const int64_t n : kSizes) {
-    const std::vector<float> a = RandomVec(n, rng);
-    const std::vector<float> b = RandomVec(n, rng);
-    const float vec = DotFast(a.data(), b.data(), n);
-    const float ref = DotFastRef(a.data(), b.data(), n);
-    uint32_t uv, ur;
-    std::memcpy(&uv, &vec, 4);
-    std::memcpy(&ur, &ref, 4);
-    EXPECT_EQ(uv, ur) << "n=" << n;
-    // And it approximates the exact dot.
-    double exact = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      exact += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    }
-    EXPECT_NEAR(vec, static_cast<float>(exact), 1e-4 * (1.0 + std::abs(exact)))
-        << "n=" << n;
-  }
-}
-
 TEST(SimdTest, ParseEnabledEnvAcceptsOnOffAndDefaultsOn) {
   EXPECT_TRUE(ParseEnabledEnv(nullptr));
   EXPECT_TRUE(ParseEnabledEnv("1"));
@@ -234,10 +226,8 @@ TEST(SimdTest, SetEnabledOverridesRuntimeSwitch) {
 }
 
 TEST(SimdTest, CompiledModeNamesAKnownFlavour) {
-  const std::string mode = CompiledMode();
-  EXPECT_TRUE(mode == "scalar" || mode == "portable" || mode == "avx2" ||
-              mode == "neon")
-      << mode;
+  // One flavour remains: the stripmined loops in base/simd.h.
+  EXPECT_STREQ(CompiledMode(), "portable");
 }
 
 }  // namespace

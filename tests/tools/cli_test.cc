@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,6 +151,64 @@ TEST(CliTest, RejectsBadSizeSuffixAndNegativeOverrides) {
   EXPECT_EQ(RunTool({"--dataset", "synth", "--nodes", "-5"}).exit_code, 1);
   EXPECT_EQ(RunTool({"--dataset", "synth", "--avg-degree", "-1"}).exit_code,
             1);
+}
+
+// A numeric value must parse completely and fit its type; it is never
+// coerced to 0 or to a numeric prefix of the text.
+TEST(CliTest, RejectsMalformedNumericFlags) {
+  CliResult result = RunTool({"--dataset", "cornell_like", "--hidden", "abc"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --hidden expects an integer, got "
+                               "'abc'"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dataset", "cornell_like", "--layers", "3x"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --layers expects an integer, got "
+                               "'3x'"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dataset", "cornell_like", "--dropout", "0.5.1"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --dropout expects a number"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dataset", "cornell_like", "--lr", "nan"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --lr expects a number"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dataset", "cornell_like", "--seed", "-1"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --seed expects a non-negative "
+                               "integer"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dataset", "cornell_like", "--epochs", "99999999999"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --epochs expects an integer"),
+            std::string::npos)
+      << result.output;
+}
+
+// Values the model, dropout op or trainer would abort on exit 1 with a
+// message instead.
+TEST(CliTest, RejectsOutOfRangeModelFlags) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--hidden", "0"}, "error: --hidden must be >= 1"},
+       {{"--epochs", "-3"}, "error: --epochs must be >= 0"},
+       {{"--dropout", "1"}, "error: --dropout must be in [0, 1)"},
+       {{"--dropout", "-0.1"}, "error: --dropout must be in [0, 1)"},
+       {{"--strategy", "dropedge", "--rate", "1"},
+        "error: --rate must be < 1 for strategy 'dropedge'"}};
+  for (const auto& [flags, message] : cases) {
+    std::vector<std::string> args = {"--dataset", "cornell_like"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const CliResult result = RunTool(args);
+    EXPECT_EQ(result.exit_code, 1) << flags[0];
+    EXPECT_NE(result.output.find(message), std::string::npos)
+        << result.output;
+  }
 }
 
 TEST(CliTest, RejectsBadScaleAndLayers) {

@@ -89,6 +89,28 @@ TEST(ServeCliTest, ServesFromTrainCliCheckpoint) {
   EXPECT_NE(result.output.find("verification OK"), std::string::npos);
 }
 
+// The serve CLI shares the model/data flags and their checks with
+// skipnode_train: out-of-range values exit 1 with a message instead of
+// aborting inside the trainer or the dropout op.
+TEST(ServeCliTest, RejectsOutOfRangeModelFlags) {
+  CliResult result = RunTool({"--epochs", "-1"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: --epochs must be >= 0"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dropout", "1"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: --dropout must be in [0, 1)"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--hidden", "abc"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: flag --hidden expects an integer, "
+                               "got 'abc'"),
+            std::string::npos)
+      << result.output;
+}
+
 TEST(ServeCliTest, RejectsUnknownPolicyAndFaultSite) {
   CliResult result = RunTool({"--policy", "drop-everything"});
   EXPECT_EQ(result.exit_code, 1);

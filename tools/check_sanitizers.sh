@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
-# Runs the test suite under both sanitizer modes:
-#   * address: ASan + UBSan over the full ctest suite (memory bugs, UB);
-#   * thread:  TSan over the pool-exercising tests (delegates to
-#     tools/check_tsan.sh, which forces SKIPNODE_NUM_THREADS=4).
-# Any report aborts the run.
+# Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
+# the full ctest suite under it (memory bugs, UB). Any report aborts the
+# run. Data races are tools/check_tsan.sh's job.
 #
 # Usage: tools/check_sanitizers.sh [extra ctest args...]
 set -euo pipefail
@@ -11,14 +9,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-asan
 
-echo "== address (ASan + UBSan) =="
 cmake -B "$BUILD_DIR" -DSKIPNODE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 echo "ASan/UBSan: clean."
-
-echo "== thread (TSan) =="
-tools/check_tsan.sh "$@"
-
-echo "Sanitizers: all clean."

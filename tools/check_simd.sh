@@ -1,64 +1,46 @@
 #!/usr/bin/env bash
 # Proves the exact-path SIMD contract (DESIGN §14) end to end: builds the
-# tree twice — -DSKIPNODE_SIMD=scalar (every kernel pinned to the scalar
-# reference) and the default portable flavour (compiler-vectorized strips) —
-# trains the same SkipNode model with each binary at 1/4/8 threads, and
-# diffs the saved checkpoints bit for bit. Any reassociation smuggled into a
-# vectorized kernel shows up as a byte difference here.
-#
-# Also checks the runtime kill-switch: the vectorized binary run under
-# SKIPNODE_SIMD=0 must reproduce the scalar build's bytes exactly (it routes
-# every kernel through the same simd_ref.cc code).
+# tree once, trains the same SkipNode model with the vectorized kernels
+# (SKIPNODE_SIMD unset) and with the runtime kill-switch (SKIPNODE_SIMD=0,
+# every kernel routed through its scalar reference in simd_ref.cc) at
+# 1/4/8 threads, and diffs the saved checkpoints bit for bit. Any
+# reassociation smuggled into a vectorized kernel shows up as a byte
+# difference here.
 #
 # Usage: tools/check_simd.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SCALAR_DIR=build-simd-scalar
-VEC_DIR=build-simd-vec
+BUILD_DIR=build-simd
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 
-cmake -B "$SCALAR_DIR" -DCMAKE_BUILD_TYPE=Release \
-  -DSKIPNODE_SIMD=scalar >/dev/null
-cmake --build "$SCALAR_DIR" -j "$(nproc)" --target skipnode_train_cli \
-  >/dev/null
-cmake -B "$VEC_DIR" -DCMAKE_BUILD_TYPE=Release \
-  -DSKIPNODE_SIMD=portable >/dev/null
-cmake --build "$VEC_DIR" -j "$(nproc)" --target skipnode_train_cli \
+cmake -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target skipnode_train_cli \
   >/dev/null
 
 # A SkipNode run touches every vectorized family: Gemm (dense layers), the
 # masked + unmasked SpMM forward and transposed backward (fused propagation),
-# the elementwise tape ops, and Adam. fast_math stays off — this is the
-# exact path.
+# the elementwise tape ops, and Adam.
 TRAIN_ARGS=(--dataset cora_like --model GCN --layers 4 --hidden 64
   --strategy skipnode-u --rate 0.5 --epochs 8 --seed 7)
 
 for threads in 1 4 8; do
   export SKIPNODE_NUM_THREADS=$threads
-  "$SCALAR_DIR/tools/skipnode_train" "${TRAIN_ARGS[@]}" \
-    --save-dir "$OUT/scalar-$threads" >/dev/null
-  "$VEC_DIR/tools/skipnode_train" "${TRAIN_ARGS[@]}" \
-    --save-dir "$OUT/vec-$threads" >/dev/null
-  diff -r "$OUT/scalar-$threads" "$OUT/vec-$threads" || {
-    echo "SIMD: scalar and vectorized checkpoints differ at" \
+  (unset SKIPNODE_SIMD; "$BUILD_DIR/tools/skipnode_train" "${TRAIN_ARGS[@]}" \
+    --save-dir "$OUT/vec-$threads" >/dev/null)
+  SKIPNODE_SIMD=0 "$BUILD_DIR/tools/skipnode_train" "${TRAIN_ARGS[@]}" \
+    --save-dir "$OUT/ref-$threads" >/dev/null
+  diff -r "$OUT/vec-$threads" "$OUT/ref-$threads" || {
+    echo "SIMD: vectorized and SKIPNODE_SIMD=0 checkpoints differ at" \
       "$threads threads" >&2
     exit 1
   }
-  SKIPNODE_SIMD=0 "$VEC_DIR/tools/skipnode_train" "${TRAIN_ARGS[@]}" \
-    --save-dir "$OUT/kill-$threads" >/dev/null
-  diff -r "$OUT/scalar-$threads" "$OUT/kill-$threads" || {
-    echo "SIMD: the SKIPNODE_SIMD=0 kill-switch did not reproduce the" \
-      "scalar build at $threads threads" >&2
-    exit 1
-  }
-  echo "SIMD: bitwise identical at $threads threads (scalar build," \
-    "vectorized build, kill-switch)."
+  echo "SIMD: bitwise identical at $threads threads (vectorized," \
+    "kill-switch)."
 done
 
-# Cross-thread-count determinism within one build (DESIGN §7) is already
-# pinned by the unit suite; the cross-build diffs above are this script's
-# contribution.
-echo "SIMD: exact-path training is bitwise independent of the kernel build."
+# Cross-thread-count determinism (DESIGN §7) is already pinned by the unit
+# suite; the on/off diffs above are this script's contribution.
+echo "SIMD: exact-path training is bitwise independent of the kill-switch."

@@ -162,7 +162,7 @@ int RunCli(int argc, const char* const* argv, std::FILE* out) {
   parser.AddString("--inject-kind", &options.inject_kind);
   parser.AddInt("--sample-fanout", &options.sample_fanout);
   parser.AddInt("--batch-size", &options.batch_size);
-  if (!parser.Parse(argc, argv, out)) return 1;
+  if (!parser.Parse(argc, argv, out) || !options.md.Validate(out)) return 1;
 
   // --- Data ---------------------------------------------------------------
   std::unique_ptr<Graph> graph;

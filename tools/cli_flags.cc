@@ -3,50 +3,78 @@
 
 #include "tools/cli_flags.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "base/check.h"
 #include "nn/model_factory.h"
 
 namespace skipnode {
+namespace {
 
-void FlagParser::Add(std::string name, bool boolean,
-                     std::function<void(const char*)> set) {
+// Parses all of `value` into `*target`: no leading whitespace or '+', no
+// trailing characters, nothing outside T's range, and (for floating point)
+// nothing non-finite. `*target` is untouched on failure.
+template <typename T>
+bool ParseNumber(const char* value, T* target) {
+  const char* end = value + std::strlen(value);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
+  }
+  *target = parsed;
+  return true;
+}
+
+template <typename T>
+std::function<bool(const char*)> NumberSetter(T* target) {
+  return [target](const char* value) { return ParseNumber(value, target); };
+}
+
+}  // namespace
+
+void FlagParser::Add(std::string name, bool boolean, const char* expects,
+                     std::function<bool(const char*)> set) {
   SKIPNODE_CHECK(Find(name) == nullptr);  // One registration per flag.
-  flags_.push_back({std::move(name), boolean, std::move(set)});
+  flags_.push_back({std::move(name), boolean, expects, std::move(set)});
 }
 
 void FlagParser::AddString(const std::string& name, std::string* target) {
-  Add(name, false, [target](const char* value) { *target = value; });
+  Add(name, false, nullptr, [target](const char* value) {
+    *target = value;
+    return true;
+  });
 }
 
 void FlagParser::AddInt(const std::string& name, int* target) {
-  Add(name, false, [target](const char* value) { *target = std::atoi(value); });
+  Add(name, false, "an integer", NumberSetter(target));
 }
 
 void FlagParser::AddInt64(const std::string& name, int64_t* target) {
-  Add(name, false,
-      [target](const char* value) { *target = std::atoll(value); });
+  Add(name, false, "an integer", NumberSetter(target));
 }
 
 void FlagParser::AddUint64(const std::string& name, uint64_t* target) {
-  Add(name, false, [target](const char* value) {
-    *target = std::strtoull(value, nullptr, 10);
-  });
+  Add(name, false, "a non-negative integer", NumberSetter(target));
 }
 
 void FlagParser::AddDouble(const std::string& name, double* target) {
-  Add(name, false, [target](const char* value) { *target = std::atof(value); });
+  Add(name, false, "a number", NumberSetter(target));
 }
 
 void FlagParser::AddFloat(const std::string& name, float* target) {
-  Add(name, false, [target](const char* value) {
-    *target = static_cast<float>(std::atof(value));
-  });
+  Add(name, false, "a number", NumberSetter(target));
 }
 
 void FlagParser::AddBool(const std::string& name, bool* target) {
-  Add(name, true, [target](const char*) { *target = true; });
+  Add(name, true, nullptr, [target](const char*) {
+    *target = true;
+    return true;
+  });
 }
 
 const FlagParser::Flag* FlagParser::Find(const std::string& name) const {
@@ -80,7 +108,11 @@ bool FlagParser::Parse(int argc, const char* const* argv,
       std::fprintf(out, "error: unknown flag %s (try --help)\n", name.c_str());
       return false;
     }
-    flag->set(value);
+    if (!flag->set(value)) {
+      std::fprintf(out, "error: flag %s expects %s, got '%s'\n", name.c_str(),
+                   flag->expects, value);
+      return false;
+    }
   }
   return true;
 }
@@ -98,6 +130,22 @@ void ModelDataFlags::RegisterOn(FlagParser* parser) {
   parser->AddInt("--epochs", &epochs);
   parser->AddInt64("--nodes", &nodes);
   parser->AddDouble("--avg-degree", &avg_degree);
+}
+
+bool ModelDataFlags::Validate(std::FILE* out) const {
+  if (hidden < 1) {
+    std::fprintf(out, "error: --hidden must be >= 1\n");
+    return false;
+  }
+  if (epochs < 0) {
+    std::fprintf(out, "error: --epochs must be >= 0\n");
+    return false;
+  }
+  if (!(dropout >= 0.0f && dropout < 1.0f)) {
+    std::fprintf(out, "error: --dropout must be in [0, 1)\n");
+    return false;
+  }
+  return true;
 }
 
 bool ModelDataFlags::BuildGraph(std::unique_ptr<Graph>* graph,
@@ -130,6 +178,13 @@ bool ModelDataFlags::BuildGraph(std::unique_ptr<Graph>* graph,
 
 bool MakeStrategyFromName(const std::string& name, float rate,
                           StrategyConfig* strategy, std::FILE* out) {
+  // The drop samplers must keep part of the graph (SkipNode clamps its rho
+  // into [0, 1] itself).
+  if ((name == "dropedge" || name == "dropnode") && !(rate < 1.0f)) {
+    std::fprintf(out, "error: --rate must be < 1 for strategy '%s'\n",
+                 name.c_str());
+    return false;
+  }
   if (name == "none") {
     *strategy = StrategyConfig::None();
   } else if (name == "dropedge") {

@@ -2,12 +2,13 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Shared flag-parsing substrate for the skipnode_train / skipnode_serve
-// CLIs. FlagParser maps --flag names to typed targets with the CLIs'
-// long-standing behaviour (atoi/atof-style coercion, boolean flags take no
-// value, --help prints usage, missing-value and unknown-flag errors);
-// ModelDataFlags bundles the model/dataset flags both CLIs share, including
-// dataset resolution through DatasetRegistry with the @SIZE / --nodes /
-// --avg-degree size overrides (DESIGN §13).
+// CLIs. FlagParser maps --flag names to typed targets (numeric values must
+// parse completely and fit the target type, boolean flags take no value,
+// --help prints usage, malformed-value, missing-value and unknown-flag
+// errors); ModelDataFlags bundles the model/dataset flags both CLIs share,
+// including their range checks and dataset resolution through
+// DatasetRegistry with the @SIZE / --nodes / --avg-degree size overrides
+// (DESIGN §13).
 
 #ifndef SKIPNODE_TOOLS_CLI_FLAGS_H_
 #define SKIPNODE_TOOLS_CLI_FLAGS_H_
@@ -38,17 +39,22 @@ class FlagParser {
   void AddBool(const std::string& name, bool* target);
 
   // Parses argv. Returns false after printing the usage (--help), a
-  // missing-value error, or an unknown-flag error; callers exit 1.
+  // missing-value error, an unknown-flag error, or a malformed numeric value
+  // ("error: flag --hidden expects an integer, got 'abc'"); callers exit 1.
   bool Parse(int argc, const char* const* argv, std::FILE* out) const;
 
  private:
   struct Flag {
     std::string name;
     bool boolean;
-    std::function<void(const char*)> set;
+    // What a value must look like ("an integer", "a number"), for the
+    // malformed-value error; set returns false when the value is not that.
+    // nullptr for string and boolean flags, whose set never fails.
+    const char* expects;
+    std::function<bool(const char*)> set;
   };
-  void Add(std::string name, bool boolean,
-           std::function<void(const char*)> set);
+  void Add(std::string name, bool boolean, const char* expects,
+           std::function<bool(const char*)> set);
   const Flag* Find(const std::string& name) const;
 
   std::string usage_;
@@ -77,6 +83,11 @@ struct ModelDataFlags {
   // --strategy --rate --epochs --nodes --avg-degree on `parser`.
   void RegisterOn(FlagParser* parser);
 
+  // Rejects the values the model and trainer would abort on: --hidden < 1,
+  // --epochs < 0, --dropout outside [0, 1). False, with an error line on
+  // `out`; both CLIs call it right after parsing.
+  bool Validate(std::FILE* out) const;
+
   // Resolves `dataset` (name or name@SIZE; an explicit --nodes beats the
   // suffix) through DatasetRegistry::Global(). False, with the usual error
   // message, on a malformed suffix, unknown name, or out-of-range --scale.
@@ -84,7 +95,7 @@ struct ModelDataFlags {
 };
 
 // Shared name -> StrategyConfig resolution; false (with message) on unknown
-// names.
+// names or a --rate the strategy cannot sample with.
 bool MakeStrategyFromName(const std::string& name, float rate,
                           StrategyConfig* strategy, std::FILE* out);
 

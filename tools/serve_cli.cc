@@ -111,7 +111,9 @@ bool ParseFlags(int argc, const char* const* argv, ServeCliOptions* options,
   parser.AddString("--inject", &options->inject_site);
   parser.AddInt64("--inject-batch", &options->inject_batch);
   parser.AddInt("--inject-stall-us", &options->inject_stall_us);
-  if (!parser.Parse(argc, argv, out)) return false;
+  if (!parser.Parse(argc, argv, out) || !options->md.Validate(out)) {
+    return false;
+  }
   if (options->clients < 1 || options->requests < 1 ||
       options->batch_ids < 1) {
     std::fprintf(out, "error: --clients/--requests/--batch-ids must be >= 1\n");
