@@ -50,7 +50,7 @@ RhoPoint RunPoint(const Graph& graph, const Split& split,
   Tape tape;
   Rng eval_rng(20);
   StrategyContext ctx(graph, strategy, /*training=*/false, eval_rng);
-  model->Forward(tape, graph, ctx, /*training=*/false, eval_rng);
+  model->Forward(tape, ctx, /*training=*/false, eval_rng);
   point.mad = MeanAverageDistance(graph, model->Penultimate());
   return point;
 }

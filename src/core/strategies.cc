@@ -3,8 +3,11 @@
 
 #include "core/strategies.h"
 
+#include <numeric>
+
 #include "base/check.h"
 #include "core/skipnode.h"
+#include "tensor/ops.h"
 
 namespace skipnode {
 
@@ -28,6 +31,26 @@ const char* StrategyName(StrategyKind kind) {
   return "?";
 }
 
+namespace {
+
+bool IsSkipNode(StrategyKind kind) {
+  return kind == StrategyKind::kSkipNodeUniform ||
+         kind == StrategyKind::kSkipNodeBiased;
+}
+
+// SkipNode rate at the k-th middle combine of a pass: clamp(rate +
+// rho_growth * k, 0, 1), constant when rho_growth is 0. Both mask sources —
+// the full-graph draw and the sampler's callback — read it.
+float ScheduledRho(const StrategyConfig& config, int middle_index) {
+  const float rho =
+      config.rate + config.rho_growth * static_cast<float>(middle_index);
+  if (rho < 0.0f) return 0.0f;
+  if (rho > 1.0f) return 1.0f;
+  return rho;
+}
+
+}  // namespace
+
 StrategyContext::StrategyContext(const Graph& graph,
                                  const StrategyConfig& config, bool training,
                                  Rng& rng)
@@ -43,8 +66,38 @@ StrategyContext::StrategyContext(const Graph& graph,
   }
 }
 
+StrategyContext::StrategyContext(const Graph& graph, const SampledBatch& batch,
+                                 const StrategyConfig& config, Rng& rng)
+    : graph_(graph),
+      batch_(&batch),
+      config_(config),
+      training_(true),
+      rng_(rng) {
+  SKIPNODE_CHECK_MSG(
+      config.kind == StrategyKind::kNone || IsSkipNode(config.kind),
+      "sampled training supports only SkipNode-U/-B or none");
+}
+
+Var StrategyContext::Features(Tape& tape) const {
+  if (batch_ == nullptr) return tape.Constant(graph_.features());
+  return tape.Constant(GatherRows(graph_.features(), batch_->input_nodes));
+}
+
+const SampledLayer& StrategyContext::BatchLayer(int layer) const {
+  SKIPNODE_CHECK(layer >= 0 &&
+                 layer < static_cast<int>(batch_->layers.size()));
+  return batch_->layers[static_cast<size_t>(layer)];
+}
+
+Var StrategyContext::OutputRows(Tape& tape, int layer, Var x) const {
+  if (batch_ == nullptr) return x;
+  std::vector<int> prefix(static_cast<size_t>(BatchLayer(layer).num_dst()));
+  std::iota(prefix.begin(), prefix.end(), 0);
+  return tape.GatherRows(x, std::move(prefix));
+}
+
 std::shared_ptr<const CsrMatrix> StrategyContext::LayerAdjacency(int layer) {
-  (void)layer;
+  if (batch_ != nullptr) return BatchLayer(layer).block;
   if (training_ && config_.kind == StrategyKind::kDropNode &&
       config_.rate > 0.0f) {
     // DropNode re-samples nodes and renormalises at every layer.
@@ -54,63 +107,46 @@ std::shared_ptr<const CsrMatrix> StrategyContext::LayerAdjacency(int layer) {
   return shared_adjacency_;
 }
 
-namespace {
-
-float ClampRate(float rate) {
-  if (rate < 0.0f) return 0.0f;
-  if (rate > 1.0f) return 1.0f;
-  return rate;
-}
-
-}  // namespace
-
-float StrategyContext::ScheduledRho(int middle_index) const {
-  // Constant when rho_growth is 0.
-  return ClampRate(config_.rate +
-                   config_.rho_growth * static_cast<float>(middle_index));
-}
-
-std::vector<uint8_t> StrategyContext::SampleMask(float rho) {
+std::vector<uint8_t> StrategyContext::NextSkipMask() {
+  const int middle_index = middle_calls_++;
+  if (batch_ != nullptr) {
+    // A block built under a mask holds bare self rows for the masked dst
+    // nodes, so its mask must always be applied.
+    return BatchLayer(middle_index + 1).skip_mask;
+  }
+  if (!training_ || !IsSkipNode(config_.kind)) return {};
+  const float rho = ScheduledRho(config_, middle_index);
+  if (rho <= 0.0f) return {};
   if (config_.kind == StrategyKind::kSkipNodeBiased) {
     return SampleSkipMaskBiased(graph_.degree_weights(), rho, rng_);
   }
   return SampleSkipMaskUniform(graph_.num_nodes(), rho, rng_);
 }
 
-Var StrategyContext::TransformMiddle(Tape& tape, Var pre, Var conv) {
-  const int middle_index = middle_calls_++;
-  const float rho = ScheduledRho(middle_index);
+Var StrategyContext::Combine(Tape& tape, Var pre, Var conv) const {
   switch (config_.kind) {
-    case StrategyKind::kSkipNodeUniform:
-    case StrategyKind::kSkipNodeBiased: {
-      if (!training_ || rho <= 0.0f) return conv;
-      return tape.RowSelect(SampleMask(rho), pre, conv);
-    }
     case StrategyKind::kSkipConnection:
       return tape.Add(conv, pre);
     case StrategyKind::kPairNorm:
       return tape.PairNorm(conv, config_.pairnorm_scale);
-    case StrategyKind::kNone:
-    case StrategyKind::kDropEdge:
-    case StrategyKind::kDropNode:
+    default:
       return conv;
   }
-  return conv;
+}
+
+Var StrategyContext::TransformMiddle(Tape& tape, Var pre, Var conv) {
+  const std::vector<uint8_t> mask = NextSkipMask();
+  if (!mask.empty()) return tape.RowSelect(mask, pre, conv);
+  return Combine(tape, pre, conv);
 }
 
 Var StrategyContext::PropagateMiddle(Tape& tape, int layer, Var pre, Var h) {
   std::shared_ptr<const CsrMatrix> adjacency = LayerAdjacency(layer);
-  const bool skipnode = config_.kind == StrategyKind::kSkipNodeUniform ||
-                        config_.kind == StrategyKind::kSkipNodeBiased;
-  if (!skipnode || !training_ || !config_.fuse_propagation) {
-    return TransformMiddle(tape, pre, tape.SpMM(std::move(adjacency), h));
+  std::vector<uint8_t> mask = NextSkipMask();
+  if (!mask.empty()) {
+    return tape.SpMMRowSelect(std::move(adjacency), h, pre, std::move(mask));
   }
-  const int middle_index = middle_calls_++;
-  const float rho = ScheduledRho(middle_index);
-  // rho == 0 skips nothing; match TransformMiddle, which returns the bare
-  // convolution without sampling a mask.
-  if (rho <= 0.0f) return tape.SpMM(std::move(adjacency), h);
-  return tape.SpMMRowSelect(std::move(adjacency), h, pre, SampleMask(rho));
+  return Combine(tape, pre, tape.SpMM(std::move(adjacency), h));
 }
 
 Var StrategyContext::TransformBoundary(Tape& tape, Var conv) {
@@ -125,16 +161,14 @@ LayerSkipMaskFn MakeSampledSkipMaskFn(const Graph& graph,
                                       int num_layers, Rng& rng) {
   SKIPNODE_CHECK(num_layers >= 2);
   if (config.kind == StrategyKind::kNone) return nullptr;
-  SKIPNODE_CHECK_MSG(config.kind == StrategyKind::kSkipNodeUniform ||
-                         config.kind == StrategyKind::kSkipNodeBiased,
+  SKIPNODE_CHECK_MSG(IsSkipNode(config.kind),
                      "sampled training supports only SkipNode-U/-B or none");
   const bool biased = config.kind == StrategyKind::kSkipNodeBiased;
   return [&graph, config, num_layers, biased, &rng](
              int layer, const std::vector<int>& dst_nodes) {
     if (layer <= 0 || layer >= num_layers - 1) return std::vector<uint8_t>();
     // Middle layer l is the (l-1)-th middle combine of a forward pass.
-    const float rho = ClampRate(config.rate +
-                                config.rho_growth * static_cast<float>(layer - 1));
+    const float rho = ScheduledRho(config, layer - 1);
     if (rho <= 0.0f) return std::vector<uint8_t>();
     if (biased) {
       // Biased draw over the *frontier's* degree weights: gathering keeps

@@ -11,11 +11,14 @@
 //   * SkipConnection           — residual add (ResGCN-style),
 //   * None                     — vanilla backbone.
 //
-// A StrategyContext is created per forward pass. Backbones query it twice
-// per convolution layer:
-//   1. LayerAdjacency(layer)  — which adjacency operator to propagate with;
-//   2. Transform(...)         — the post-convolution combine (identity for
+// A StrategyContext is created per forward pass and is the one object a
+// backbone gets its inputs from:
+//   1. Features(tape)         — the input rows;
+//   2. LayerAdjacency(layer)  — which adjacency operator to propagate with;
+//   3. Transform*/Propagate*  — the post-convolution combine (identity for
 //      topology-level strategies).
+// It runs over either the full graph or one sampled minibatch (DESIGN §15),
+// so each backbone has a single forward for both.
 
 #ifndef SKIPNODE_CORE_STRATEGIES_H_
 #define SKIPNODE_CORE_STRATEGIES_H_
@@ -55,13 +58,6 @@ struct StrategyConfig {
   // stacks want larger rho; a positive growth lets early layers convolve
   // more while deep layers skip more. 0 reproduces the paper's constant rho.
   float rho_growth = 0.0f;
-  // When true (the default), backbones that hand their propagation to
-  // PropagateMiddle get the fused masked kernel (Tape::SpMMRowSelect) for
-  // SkipNode: skipped rows never pay for the convolution. The fused path is
-  // bitwise identical to the naive SpMM + RowSelect one (asserted by
-  // fused_train_test); false keeps the naive path, for A/B timing and the
-  // bitwise-equivalence tests.
-  bool fuse_propagation = true;
 
   static StrategyConfig None() { return {}; }
   static StrategyConfig SkipNodeU(float rho) {
@@ -90,14 +86,30 @@ struct StrategyConfig {
 // and SkipConnection degenerates to the vanilla model, as in the paper.
 class StrategyContext {
  public:
-  // `graph` and `rng` must outlive the context.
+  // A full-graph pass. `graph` and `rng` must outlive the context. SkipNode
+  // masks are drawn from `rng` at each middle combine.
   StrategyContext(const Graph& graph, const StrategyConfig& config,
                   bool training, Rng& rng);
+  // A minibatch pass over `batch`'s bipartite blocks (DESIGN §15); `graph`,
+  // `batch` and `rng` must outlive the context. The masks were drawn up
+  // front by the sampler (MakeSampledSkipMaskFn) and ride in the batch:
+  // nothing here draws from `rng`. `config` must be kNone or SkipNode.
+  StrategyContext(const Graph& graph, const SampledBatch& batch,
+                  const StrategyConfig& config, Rng& rng);
+
+  // The input feature rows as a tape constant: all of them, or on a batch
+  // the bottom src frontier (SampledBatch::input_nodes).
+  Var Features(Tape& tape) const;
+
+  // X^(l-1) restricted to the output rows of convolution layer `layer` —
+  // the skip path of Eq. 4. On the full graph that is `x`; on a batch the
+  // dst frontier is a prefix of the src frontier, so it is a prefix gather.
+  Var OutputRows(Tape& tape, int layer, Var x) const;
 
   // Adjacency operator for convolution layer `layer` (0-based). DropEdge
   // returns one sampled-and-renormalised matrix shared by all layers of this
   // pass; DropNode resamples (and renormalises) per layer — the cost
-  // difference Table 8 measures.
+  // difference Table 8 measures. On a batch it is batch.layers[layer].block.
   std::shared_ptr<const CsrMatrix> LayerAdjacency(int layer);
 
   // Post-convolution combine for a *middle* layer, where input and output
@@ -113,14 +125,13 @@ class StrategyContext {
   // Propagate-and-combine for a middle layer whose combine input is the raw
   // convolution: equivalent to
   //   TransformMiddle(tape, pre, tape.SpMM(LayerAdjacency(layer), h))
-  // but for a training-time SkipNode pass it fuses the two into
+  // but when a SkipNode mask applies it fuses the two into
   // Tape::SpMMRowSelect, so the rho-fraction of skipped rows never computes
   // its convolution (DESIGN §10). Backbones whose combine input is not the
   // raw SpMM (residual adds, GCNII/APPNP mixes, GAT attention) keep calling
   // SpMM + TransformMiddle. Bitwise identical to the unfused form at any
-  // thread count, rho, and mask kind; shares the middle-layer counter and
-  // draws the mask from the same Rng stream, so fused and naive passes
-  // consume identical randomness.
+  // thread count, rho, and mask kind (spmm_rowselect_test), and consumes
+  // the same mask.
   Var PropagateMiddle(Tape& tape, int layer, Var pre, Var h);
 
   // Post-convolution hook for layers whose width changed (first/last):
@@ -128,19 +139,25 @@ class StrategyContext {
   Var TransformBoundary(Tape& tape, Var conv);
 
   const StrategyConfig& config() const { return config_; }
-  bool training() const { return training_; }
-  // Number of TransformMiddle calls so far in this pass (the middle-layer
-  // index used by the rho schedule).
+  // The minibatch this pass runs over, or null on the full graph.
+  const SampledBatch* batch() const { return batch_; }
+  // Number of middle combines so far in this pass (the middle-layer index
+  // used by the rho schedule).
   int middle_calls() const { return middle_calls_; }
 
  private:
-  // Scheduled rho for the middle layer with the given index.
-  float ScheduledRho(int middle_index) const;
-  // Samples the SkipNode mask for the configured kind (uniform or biased —
-  // biased reuses the graph's cached degree-weight vector).
-  std::vector<uint8_t> SampleMask(float rho);
+  // The SkipNode mask for the next middle combine, or empty when no row
+  // skips. Full graph: drawn from the rho schedule (uniform, or biased by
+  // the graph's cached degree weights) when training. Batch: the k-th
+  // middle combine takes batch.layers[k + 1].skip_mask.
+  std::vector<uint8_t> NextSkipMask();
+  // The mask-free part of TransformMiddle.
+  Var Combine(Tape& tape, Var pre, Var conv) const;
+  // batch_->layers[layer], bounds-checked.
+  const SampledLayer& BatchLayer(int layer) const;
 
   const Graph& graph_;
+  const SampledBatch* batch_ = nullptr;
   StrategyConfig config_;
   bool training_;
   Rng& rng_;
@@ -152,9 +169,9 @@ class StrategyContext {
 // (DESIGN §15). For SkipNode the callback draws the batch's middle-layer
 // masks over the dst frontier — uniform, or biased by the gathered
 // degree weights — from `rng`, in the sampler's serial top-layer-first
-// order; the same masks ride along in SampledLayer::skip_mask and drive the
-// forward's RowSelect, so pruning and training agree row for row. The rho
-// schedule matches the full-batch pass: middle layer l uses
+// order; the same masks ride along in SampledLayer::skip_mask and a batch
+// StrategyContext applies them, so pruning and training agree row for row.
+// The rho schedule is the full-batch one: middle layer l uses
 // clamp(rate + rho_growth * (l - 1), 0, 1). kNone returns a null callback
 // (no pruning); any other strategy aborts — the sampled path supports only
 // SkipNode and the vanilla backbone.

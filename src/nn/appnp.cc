@@ -23,9 +23,9 @@ Var AppnpModel::Mlp(Tape& tape, Var x, bool training, Rng& rng) {
   return lin2_->Apply(tape, h);
 }
 
-Var AppnpModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                        bool training, Rng& rng) {
-  Var h = Mlp(tape, tape.Constant(graph.features()), training, rng);
+Var AppnpModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) {
+  Var h = Mlp(tape, ctx.Features(tape), training, rng);
   Var z = h;
   for (int k = 0; k < config_.num_layers; ++k) {
     const Var pre = z;

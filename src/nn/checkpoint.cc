@@ -114,14 +114,6 @@ bool ReadCheckpointManifest(const std::string& directory,
   return true;
 }
 
-bool ReadCheckpointGeneration(const std::string& directory,
-                              std::string* generation) {
-  Manifest manifest;
-  if (!ReadManifest(fs::path(directory), &manifest)) return false;
-  *generation = manifest.generation;
-  return true;
-}
-
 bool SaveModelParameters(Model& model, const std::string& directory) {
   std::error_code ec;
   const fs::path dir(directory);

@@ -40,14 +40,6 @@ struct CheckpointEntry {
 bool ReadCheckpointManifest(const std::string& directory,
                             std::vector<CheckpointEntry>* entries);
 
-// Reads the live generation name committed in `<directory>/manifest.txt`
-// ("" for legacy checkpoints whose CSVs sit at the top level). Returns
-// false when the directory holds no valid checkpoint. Hot-swap watchers
-// (tools/serve_cli.cc) poll this to notice a newly committed generation
-// without re-reading every parameter file.
-bool ReadCheckpointGeneration(const std::string& directory,
-                              std::string* generation);
-
 // Writes `<directory>/<param-name>.csv` for every parameter and a
 // `<directory>/manifest.txt` listing `name rows cols` per line. The
 // directory is created if missing (its parent must exist); an existing

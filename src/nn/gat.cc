@@ -44,10 +44,10 @@ Var GatModel::ApplyHead(Tape& tape, const Head& head, Var x,
   return tape.GatAggregate(pattern, h, score_src, score_dst);
 }
 
-Var GatModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                      bool training, Rng& rng) {
+Var GatModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                      Rng& rng) {
   const int num_layers = config_.num_layers;
-  Var x = tape.Constant(graph.features());
+  Var x = ctx.Features(tape);
   for (int l = 0; l < num_layers; ++l) {
     const Var pre = x;
     Var dropped = tape.Dropout(x, config_.dropout, training, rng);

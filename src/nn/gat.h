@@ -30,8 +30,8 @@ class GatModel : public Model {
  public:
   GatModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-              bool training, Rng& rng) override;
+  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+              Rng& rng) override;
   std::vector<Parameter*> Parameters() override;
   const std::string& name() const override { return name_; }
 

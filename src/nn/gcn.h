@@ -27,15 +27,9 @@ class GcnModel : public Model {
   GcnModel(const ModelConfig& config, Rng& rng, bool residual = false,
            std::string name = "GCN");
 
-  Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-              bool training, Rng& rng) override;
-  // Minibatch forward over sampled blocks (DESIGN §15). Mirrors Forward()
-  // layer for layer: the dst prefix of each layer's input is the skip path,
-  // and the batch's pre-drawn masks replace StrategyContext sampling.
+  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+              Rng& rng) override;
   bool SupportsSampledForward() const override { return true; }
-  Var ForwardSampled(Tape& tape, const Graph& graph, const SampledBatch& batch,
-                     const StrategyConfig& config, bool training,
-                     Rng& rng) override;
   std::vector<Parameter*> Parameters() override;
   const std::string& name() const override { return name_; }
 

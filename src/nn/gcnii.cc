@@ -24,9 +24,9 @@ GcniiModel::GcniiModel(const ModelConfig& config, Rng& rng)
                                           rng);
 }
 
-Var GcniiModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                        bool training, Rng& rng) {
-  Var x = tape.Constant(graph.features());
+Var GcniiModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) {
+  Var x = ctx.Features(tape);
   x = tape.Dropout(x, config_.dropout, training, rng);
   Var h0 = tape.Relu(input_proj_->Apply(tape, x));
 

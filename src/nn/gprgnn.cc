@@ -20,9 +20,9 @@ GprGnnModel::GprGnnModel(const ModelConfig& config, Rng& rng)
   gammas_ = std::make_unique<Parameter>(name_ + ".gammas", std::move(init));
 }
 
-Var GprGnnModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                         bool training, Rng& rng) {
-  Var h = Mlp(tape, tape.Constant(graph.features()), training, rng);
+Var GprGnnModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                         Rng& rng) {
+  Var h = Mlp(tape, ctx.Features(tape), training, rng);
   std::vector<Var> hops = {h};
   Var z = h;
   for (int k = 0; k < config_.num_layers; ++k) {

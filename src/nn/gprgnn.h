@@ -21,8 +21,8 @@ class GprGnnModel : public AppnpModel {
  public:
   GprGnnModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-              bool training, Rng& rng) override;
+  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+              Rng& rng) override;
   std::vector<Parameter*> Parameters() override;
 
  private:

@@ -17,15 +17,15 @@ GrandModel::GrandModel(const ModelConfig& config, Rng& rng)
                                    config.out_dim, rng);
 }
 
-Var GrandModel::View(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                     bool training, Rng& rng) {
-  Var x = tape.Constant(graph.features());
+Var GrandModel::View(Tape& tape, StrategyContext& ctx, bool training,
+                     Rng& rng) {
+  Var x = ctx.Features(tape);
   if (training && config_.grand_dropnode > 0.0f) {
     // GRAND's DropNode augmentation: zero whole feature rows, rescale the
     // rest (this is a *data augmentation*, distinct from the DropNode
     // strategy of Do et al. that resamples the adjacency).
     const std::vector<uint8_t> drop_mask = SampleSkipMaskUniform(
-        graph.num_nodes(), config_.grand_dropnode, rng);
+        x.rows(), config_.grand_dropnode, rng);
     Var zeros = tape.Constant(Matrix(x.rows(), x.cols()));
     Var scaled = tape.Scale(x, 1.0f / (1.0f - config_.grand_dropnode));
     x = tape.RowSelect(drop_mask, zeros, scaled);
@@ -47,12 +47,12 @@ Var GrandModel::View(Tape& tape, const Graph& graph, StrategyContext& ctx,
   return lin2_->Apply(tape, h);
 }
 
-Var GrandModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                        bool training, Rng& rng) {
+Var GrandModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) {
   view_logits_.clear();
   const int views = training ? std::max(1, config_.grand_augmentations) : 1;
   for (int s = 0; s < views; ++s) {
-    view_logits_.push_back(View(tape, graph, ctx, training, rng));
+    view_logits_.push_back(View(tape, ctx, training, rng));
   }
   StashPenultimate(view_logits_.front());
   return view_logits_.front();

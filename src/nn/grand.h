@@ -25,8 +25,8 @@ class GrandModel : public Model {
  public:
   GrandModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-              bool training, Rng& rng) override;
+  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+              Rng& rng) override;
   // Consistency loss (already weighted); invalid outside training passes.
   Var AuxiliaryLoss(Tape& tape) override;
   std::vector<Parameter*> Parameters() override;
@@ -34,8 +34,7 @@ class GrandModel : public Model {
 
  private:
   // One random-propagation + MLP view.
-  Var View(Tape& tape, const Graph& graph, StrategyContext& ctx,
-           bool training, Rng& rng);
+  Var View(Tape& tape, StrategyContext& ctx, bool training, Rng& rng);
 
   std::string name_ = "GRAND";
   ModelConfig config_;

@@ -24,8 +24,8 @@ class IncepGcnModel : public Model {
  public:
   IncepGcnModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-              bool training, Rng& rng) override;
+  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+              Rng& rng) override;
   std::vector<Parameter*> Parameters() override;
   const std::string& name() const override { return name_; }
 

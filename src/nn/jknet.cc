@@ -20,9 +20,9 @@ JkNetModel::JkNetModel(const ModelConfig& config, Rng& rng)
       rng);
 }
 
-Var JkNetModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                        bool training, Rng& rng) {
-  Var x = tape.Constant(graph.features());
+Var JkNetModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) {
+  Var x = ctx.Features(tape);
   std::vector<Var> layer_outputs;
   for (int l = 0; l < config_.num_layers; ++l) {
     const Var pre = x;

@@ -2,9 +2,10 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Common interface for the GNN backbones. Each Forward() call records one
-// computation on the caller's Tape and returns N x num_classes logits; any
-// plug-and-play strategy is injected through the StrategyContext so every
-// backbone supports every strategy.
+// computation on the caller's Tape and returns one logit row per output
+// node; the input rows, the propagation operators and any plug-and-play
+// strategy come from the StrategyContext, so every backbone supports every
+// strategy through one forward.
 
 #ifndef SKIPNODE_NN_MODEL_H_
 #define SKIPNODE_NN_MODEL_H_
@@ -13,11 +14,8 @@
 #include <vector>
 
 #include "autograd/tape.h"
-#include "base/check.h"
 #include "base/rng.h"
 #include "core/strategies.h"
-#include "graph/graph.h"
-#include "graph/sampler.h"
 #include "tensor/matrix.h"
 
 namespace skipnode {
@@ -58,36 +56,21 @@ class Model {
  public:
   virtual ~Model() = default;
 
-  // Builds the forward pass. `ctx` carries the active plug-and-play
-  // strategy (StrategyConfig::None() for the vanilla backbone); `training`
-  // toggles Dropout and per-step strategy sampling.
-  virtual Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                      bool training, Rng& rng) = 0;
+  // Builds the forward pass. `ctx` supplies the input rows, the
+  // propagation operators and the active plug-and-play strategy
+  // (StrategyConfig::None() for the vanilla backbone), over the full graph
+  // or over one sampled minibatch; `training` toggles Dropout and per-step
+  // strategy sampling. A full-graph pass returns N x num_classes logits and
+  // refreshes Penultimate(); a batch pass returns |batch.seeds| x
+  // num_classes logits in seed order and leaves Penultimate() untouched.
+  virtual Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+                      Rng& rng) = 0;
 
-  // True when the model implements ForwardSampled (minibatch training over
-  // sampled blocks, DESIGN §15). The trainer checks this before entering
-  // sampled mode so unsupported backbones fail with a clear message.
+  // True when Forward accepts a minibatch StrategyContext (sampled
+  // training, DESIGN §15). The trainer and the CLI check this before
+  // entering sampled mode so unsupported backbones fail with a clear
+  // message.
   virtual bool SupportsSampledForward() const { return false; }
-
-  // Builds one minibatch forward over `batch`'s bipartite blocks and returns
-  // |batch.seeds| x num_classes logits (seed order). Layer l propagates with
-  // batch.layers[l].block; middle layers apply the batch's pre-drawn
-  // SkipNode masks (SampledLayer::skip_mask) — the strategy config only
-  // selects the fused vs naive combine. Does not refresh Penultimate().
-  // Models that return false from SupportsSampledForward abort here.
-  virtual Var ForwardSampled(Tape& tape, const Graph& graph,
-                             const SampledBatch& batch,
-                             const StrategyConfig& config, bool training,
-                             Rng& rng) {
-    (void)tape;
-    (void)graph;
-    (void)batch;
-    (void)config;
-    (void)training;
-    (void)rng;
-    SKIPNODE_CHECK_MSG(false, "model does not support sampled forward");
-    return Var();
-  }
 
   // Auxiliary loss added to the classification loss (weighted by the model),
   // e.g. GRAND's consistency regulariser. Returns an invalid Var when the

@@ -13,12 +13,12 @@ SgcModel::SgcModel(const ModelConfig& config, Rng& rng) : config_(config) {
                                          config.out_dim, rng);
 }
 
-Var SgcModel::Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-                      bool training, Rng& rng) {
+Var SgcModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
+                      Rng& rng) {
   // The propagation has no trainable pieces, but running it through the tape
   // keeps strategies (DropEdge topologies, SkipNode skips) uniform across
   // backbones; gradients stop at the constant features anyway.
-  Var x = tape.Constant(graph.features());
+  Var x = ctx.Features(tape);
   for (int k = 0; k < config_.num_layers; ++k) {
     const Var pre = x;
     x = ctx.PropagateMiddle(tape, k, pre, x);

@@ -21,8 +21,8 @@ class SgcModel : public Model {
  public:
   SgcModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, const Graph& graph, StrategyContext& ctx,
-              bool training, Rng& rng) override;
+  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
+              Rng& rng) override;
   std::vector<Parameter*> Parameters() override;
   const std::string& name() const override { return name_; }
   bool ExportServingHead(ServingHead* head) override;

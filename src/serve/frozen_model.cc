@@ -26,7 +26,7 @@ FrozenModel FrozenModel::Freeze(Model& model, const Graph& graph,
   Rng rng(0);
   Tape tape;
   StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-  Var logits = model.Forward(tape, graph, ctx, /*training=*/false, rng);
+  Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
 
   FrozenModel frozen;
   frozen.model_name_ = model.name();
@@ -110,18 +110,6 @@ std::unique_ptr<FrozenModel> FrozenModel::TryFromCheckpoint(
     return fail(message);
   }
   return std::make_unique<FrozenModel>(Freeze(*model, graph, strategy));
-}
-
-FrozenModel FrozenModel::FromCheckpoint(const std::string& directory,
-                                        const std::string& model_name,
-                                        const ModelConfig& config,
-                                        const Graph& graph,
-                                        const StrategyConfig& strategy) {
-  std::string error;
-  std::unique_ptr<FrozenModel> frozen = TryFromCheckpoint(
-      directory, model_name, config, graph, strategy, &error);
-  SKIPNODE_CHECK_MSG(frozen != nullptr, "%s", error.c_str());
-  return std::move(*frozen);
 }
 
 Matrix FrozenModel::Logits(const std::vector<int>& node_ids) const {

@@ -42,21 +42,13 @@ class FrozenModel {
 
   // Builds `model_name` from `config`, restores its parameters from a
   // SaveModelParameters checkpoint at `directory`, and freezes it. The
-  // manifest architecture is validated against the model up front — a
-  // missing parameter or a shape mismatch aborts with a message naming the
-  // offending parameter instead of shape-aborting mid-Gemm later.
-  static FrozenModel FromCheckpoint(const std::string& directory,
-                                    const std::string& model_name,
-                                    const ModelConfig& config,
-                                    const Graph& graph,
-                                    const StrategyConfig& strategy);
-
-  // Non-aborting FromCheckpoint: returns nullptr and fills *error (when
-  // non-null) instead of aborting when `directory` holds no valid
-  // checkpoint for this architecture — missing/corrupt manifest,
-  // parameter-set or shape mismatch, or a corrupt parameter CSV. This is
-  // the hot-swap candidate-validation path (DESIGN §12): a watcher must
-  // reject a bad checkpoint without disturbing serving.
+  // manifest architecture is validated against the model up front. Returns
+  // nullptr and fills *error (when non-null) with a message naming the
+  // problem instead of aborting when `directory` holds no valid checkpoint
+  // for this architecture: missing/corrupt manifest, parameter-set or shape
+  // mismatch, or a corrupt parameter CSV. Serving a --load-dir and
+  // validating a hot-swap candidate (DESIGN §12) both go through here, so a
+  // bad checkpoint never takes the process down.
   static std::unique_ptr<FrozenModel> TryFromCheckpoint(
       const std::string& directory, const std::string& model_name,
       const ModelConfig& config, const Graph& graph,

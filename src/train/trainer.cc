@@ -8,7 +8,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "autograd/health.h"
@@ -180,16 +179,16 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
           : nullptr;
 
   // One epoch: a pass over the train split in batches, one optimizer step
-  // per batch. Full-batch training is the one-batch case — the whole split
-  // through a StrategyContext forward, cross-entropy plus the model's
-  // auxiliary loss. Sampled training (DESIGN §15) shuffles the split into
-  // minibatches, each expanded into sampled blocks under its own seed, with
-  // a batch-local cross-entropy. The guardrails run per batch (loss check;
-  // gradient probe / clip when armed) and the parameter scan + snapshot once,
-  // after the epoch's last step. A rollback abandons the rest of the epoch —
-  // the restored parameters predate every batch of it. All Rng draws
-  // (shuffle, batch seeds, masks, dropout) happen serially, so the epoch is
-  // bitwise identical at any thread count.
+  // per batch, each a StrategyContext forward plus cross-entropy and the
+  // model's auxiliary loss. Full-batch training is the one-batch case — the
+  // whole split over the full graph. Sampled training (DESIGN §15) shuffles
+  // the split into minibatches, each expanded into sampled blocks under its
+  // own seed, with a batch-local cross-entropy. The guardrails run per
+  // batch (loss check; gradient probe / clip when armed) and the parameter
+  // scan + snapshot once, after the epoch's last step. A rollback abandons
+  // the rest of the epoch — the restored parameters predate every batch of
+  // it. All Rng draws (shuffle, batch seeds, masks, dropout) happen
+  // serially, so the epoch is bitwise identical at any thread count.
   const auto train_epoch = [&](int epoch) {
     const bool scan_epoch =
         health.enabled &&
@@ -209,36 +208,31 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
       const int64_t forward_start = now();
       Tape tape;
       // The forward's inputs stay alive until the step is done.
-      std::optional<StrategyContext> ctx;
       SampledBatch batch;
       std::vector<int> batch_labels;
       std::vector<int> batch_rows;
-      Var logits;
       if (sampled) {
         const size_t end = std::min(start + batch_size, seed_order.size());
         const std::vector<int> seeds(seed_order.begin() + start,
                                      seed_order.begin() + end);
         batch = sampler->SampleBlocks(seeds, rng.Next(), sampled_mask_fn);
-        logits = model.ForwardSampled(tape, graph, batch, strategy,
-                                      /*training=*/true, rng);
         // Logit row i is seed i: the loss sees the batch-local id space.
         for (size_t i = 0; i < seeds.size(); ++i) {
           batch_labels.push_back(
               graph.labels()[static_cast<size_t>(seeds[i])]);
           batch_rows.push_back(static_cast<int>(i));
         }
-      } else {
-        ctx.emplace(graph, strategy, /*training=*/true, rng);
-        logits = model.Forward(tape, graph, *ctx, /*training=*/true, rng);
       }
+      StrategyContext ctx =
+          sampled ? StrategyContext(graph, batch, strategy, rng)
+                  : StrategyContext(graph, strategy, /*training=*/true, rng);
+      Var logits = model.Forward(tape, ctx, /*training=*/true, rng);
       maybe_inject(FaultSite::kActivation, epoch, tape.MutableValue(logits));
       const std::vector<int>& loss_rows = sampled ? batch_rows : split.train;
       Var loss = tape.SoftmaxCrossEntropy(
           logits, sampled ? batch_labels : graph.labels(), loss_rows);
-      if (!sampled) {
-        const Var aux = model.AuxiliaryLoss(tape);
-        if (aux.valid()) loss = tape.Add(loss, aux);
-      }
+      const Var aux = model.AuxiliaryLoss(tape);
+      if (aux.valid()) loss = tape.Add(loss, aux);
       const double loss_value = loss.value()(0, 0);
       epoch_loss += loss_value;
       ++num_batches;
@@ -342,7 +336,7 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
       const int64_t eval_start = now();
       Tape tape;
       StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-      Var logits = model.Forward(tape, graph, ctx, /*training=*/false, rng);
+      Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
       const double val_acc =
           Accuracy(logits.value(), graph.labels(), split.val);
       const double test_acc =

@@ -120,8 +120,9 @@ struct TrainResult {
 // epoch makes one pass over the shuffled train split in minibatches: each
 // batch draws a fresh seed from the run Rng, expands its seed nodes into
 // per-layer bipartite blocks (graph/sampler.h, skip-masked rows pruned
-// before neighbor fetch), runs Model::ForwardSampled, and takes one
-// optimizer step. Evaluation (and model selection) stays full-batch.
+// before neighbor fetch), runs Model::Forward over a StrategyContext on
+// that batch, and takes one optimizer step. Evaluation (and model
+// selection) stays full-batch.
 // Deterministic: a fixed TrainOptions::seed reproduces every batch — and
 // every trained weight — bitwise at any thread count. Requires
 // Model::SupportsSampledForward() and a strategy of kind kNone /

@@ -7,7 +7,8 @@
 //   2. Fused == naive, bitwise: SpMMRowSelect(a, x, pre, mask) must produce
 //      the same forward values and the same accumulated parameter gradients
 //      as RowSelect(mask, pre, SpMM(a, x)) at every thread count, every rho,
-//      and for both mask samplers — with the workspace pool on or off.
+//      and for both mask samplers — with the workspace pool on or off, and
+//      on square adjacencies as well as on sampled-block shapes.
 
 #include <cstdint>
 #include <memory>
@@ -88,6 +89,10 @@ struct BitwiseCase {
   const char* name;
   float rho;
   bool biased;
+  // 0: the square n x n adjacency. Otherwise a dst_rows x n block, shaped
+  // like a sampled minibatch layer (DESIGN §15): fewer dst rows than src
+  // columns, and masked rows hold only their self entry.
+  int dst_rows = 0;
 };
 
 class FusedBitwiseTest : public ::testing::TestWithParam<BitwiseCase> {};
@@ -109,6 +114,24 @@ std::shared_ptr<const CsrMatrix> MediumAdjacency(int n, Rng& rng) {
       testing::CsrFromCoo(n, n, coords, values));
 }
 
+// The first `rows` rows of `a` as a sampled block: rows the mask skips keep
+// only their self entry, as NeighborSampler builds them.
+std::shared_ptr<const CsrMatrix> MaskedBlock(const CsrMatrix& a, int rows,
+                                             const std::vector<uint8_t>& mask) {
+  std::vector<std::pair<int, int>> coords;
+  std::vector<float> values;
+  for (int r = 0; r < rows; ++r) {
+    for (int64_t e = a.RowBegin(r); e < a.RowEnd(r); ++e) {
+      const int col = a.col_idx()[static_cast<size_t>(e)];
+      if (mask[static_cast<size_t>(r)] != 0 && col != r) continue;
+      coords.push_back({r, col});
+      values.push_back(a.values()[static_cast<size_t>(e)]);
+    }
+  }
+  return std::make_shared<const CsrMatrix>(
+      testing::CsrFromCoo(rows, a.cols(), coords, values));
+}
+
 std::vector<int> Degrees(int n, Rng& rng) {
   std::vector<int> degrees(n);
   for (int& d : degrees) d = 1 + static_cast<int>(rng.UniformInt(9));
@@ -118,6 +141,7 @@ std::vector<int> Degrees(int n, Rng& rng) {
 TEST_P(FusedBitwiseTest, FusedMatchesNaiveBitwise) {
   const BitwiseCase& c = GetParam();
   const int n = 64, d = 7;
+  const int rows = c.dst_rows > 0 ? c.dst_rows : n;
   Rng graph_rng(42);
   auto adjacency = MediumAdjacency(n, graph_rng);
   const std::vector<int> degrees = Degrees(n, graph_rng);
@@ -127,11 +151,12 @@ TEST_P(FusedBitwiseTest, FusedMatchesNaiveBitwise) {
   Rng mask_rng(7);
   std::vector<uint8_t> mask;
   if (c.biased) {
-    std::vector<double> weights(degrees.begin(), degrees.end());
+    std::vector<double> weights(degrees.begin(), degrees.begin() + rows);
     mask = SampleSkipMaskBiased(weights, c.rho, mask_rng);
   } else {
-    mask = SampleSkipMaskUniform(n, c.rho, mask_rng);
+    mask = SampleSkipMaskUniform(rows, c.rho, mask_rng);
   }
+  if (c.dst_rows > 0) adjacency = MaskedBlock(*adjacency, rows, mask);
 
   for (const int threads : {1, 4}) {
     for (const bool pooled : {true, false}) {
@@ -140,9 +165,10 @@ TEST_P(FusedBitwiseTest, FusedMatchesNaiveBitwise) {
 
       Rng data_rng(9);
       Parameter x_param("x", Matrix::Random(n, d, data_rng, -1.0f, 1.0f));
-      Parameter pre_param("pre", Matrix::Random(n, d, data_rng, -1.0f, 1.0f));
+      Parameter pre_param("pre",
+                          Matrix::Random(rows, d, data_rng, -1.0f, 1.0f));
       Rng target_rng(11);
-      const Matrix target = Matrix::Random(n, d, target_rng);
+      const Matrix target = Matrix::Random(rows, d, target_rng);
 
       Matrix values[2], x_grads[2], pre_grads[2];
       for (int fused = 0; fused < 2; ++fused) {
@@ -181,7 +207,9 @@ INSTANTIATE_TEST_SUITE_P(
                       BitwiseCase{"UniformRho1", 1.0f, false},
                       BitwiseCase{"BiasedRho0", 0.0f, true},
                       BitwiseCase{"BiasedRho05", 0.5f, true},
-                      BitwiseCase{"BiasedRho1", 1.0f, true}),
+                      BitwiseCase{"BiasedRho1", 1.0f, true},
+                      BitwiseCase{"BlockUniformRho05", 0.5f, false, 40},
+                      BitwiseCase{"BlockBiasedRho05", 0.5f, true, 40}),
     [](const ::testing::TestParamInfo<BitwiseCase>& info) {
       return info.param.name;
     });

@@ -159,5 +159,52 @@ TEST_F(StrategiesTest, TopologyStrategiesRevertAtEval) {
   }
 }
 
+// A minibatch context serves the batch's blocks and the masks the sampler
+// drew: the k-th middle combine applies layer k + 1's mask, through both
+// the unfused and the fused combine, and nothing touches the Rng.
+TEST_F(StrategiesTest, BatchContextServesBlocksAndPreDrawnMasks) {
+  const StrategyConfig config = StrategyConfig::SkipNodeU(0.5f);
+  NeighborSampler sampler(graph_, {{3, 3, 3, 3}});
+  Rng mask_rng(8);
+  const SampledBatch batch = sampler.SampleBlocks(
+      {0, 5, 9, 14, 20, 33}, 17,
+      MakeSampledSkipMaskFn(graph_, config, 4, mask_rng));
+  ASSERT_FALSE(batch.layers[1].skip_mask.empty());
+  ASSERT_FALSE(batch.layers[2].skip_mask.empty());
+  Rng before = rng_;
+  StrategyContext ctx(graph_, batch, config, rng_);
+
+  Tape tape;
+  EXPECT_EQ(ctx.Features(tape).rows(),
+            static_cast<int>(batch.input_nodes.size()));
+  for (int l = 0; l < 4; ++l) {
+    EXPECT_EQ(ctx.LayerAdjacency(l).get(), batch.layers[l].block.get());
+  }
+  // pre is all ones, conv (and the h that PropagateMiddle convolves) all
+  // zeros, so row r of a combine is 1 exactly when the mask skips it.
+  const auto pre = [&](int layer) {
+    const Matrix ones = Matrix::Ones(batch.layers[layer].num_src(), 2);
+    return ctx.OutputRows(tape, layer, tape.Constant(ones));
+  };
+  const auto expect_mask = [](const Var& out,
+                              const std::vector<uint8_t>& mask) {
+    ASSERT_EQ(out.rows(), static_cast<int>(mask.size()));
+    for (int r = 0; r < out.rows(); ++r) {
+      EXPECT_EQ(out.value()(r, 0), mask[static_cast<size_t>(r)] ? 1.0f : 0.0f)
+          << "row " << r;
+    }
+  };
+  expect_mask(ctx.TransformMiddle(
+                  tape, pre(1),
+                  tape.Constant(Matrix(batch.layers[1].num_dst(), 2))),
+              batch.layers[1].skip_mask);
+  expect_mask(ctx.PropagateMiddle(
+                  tape, 2, pre(2),
+                  tape.Constant(Matrix(batch.layers[2].num_src(), 2))),
+              batch.layers[2].skip_mask);
+  EXPECT_EQ(ctx.middle_calls(), 2);
+  EXPECT_EQ(rng_.Next(), before.Next());  // No draw from the pass's Rng.
+}
+
 }  // namespace
 }  // namespace skipnode

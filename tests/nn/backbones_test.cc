@@ -42,7 +42,7 @@ Matrix EvalForward(Model& model, const StrategyConfig& strategy) {
   Rng rng(3);
   Tape tape;
   StrategyContext ctx(TestGraph(), strategy, /*training=*/false, rng);
-  return model.Forward(tape, TestGraph(), ctx, /*training=*/false, rng)
+  return model.Forward(tape, ctx, /*training=*/false, rng)
       .value();
 }
 
@@ -200,7 +200,7 @@ TEST(GrandBackboneTest, ConsistencyLossIsNonNegativeAndWeighted) {
   GrandModel model(config, rng);
   Tape tape;
   StrategyContext ctx(graph, StrategyConfig::None(), true, rng);
-  model.Forward(tape, graph, ctx, true, rng);
+  model.Forward(tape, ctx, true, rng);
   Var aux = model.AuxiliaryLoss(tape);
   ASSERT_TRUE(aux.valid());
   EXPECT_GE(aux.value()(0, 0), 0.0f);

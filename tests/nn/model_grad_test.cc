@@ -59,7 +59,7 @@ void CheckModelGradients(Model& model, const Graph& graph,
     Rng rng(555);
     Tape tape;
     StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-    Var logits = model.Forward(tape, graph, ctx, /*training=*/false, rng);
+    Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
     return tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes)
         .value()(0, 0);
   };
@@ -69,7 +69,7 @@ void CheckModelGradients(Model& model, const Graph& graph,
     Rng rng(555);
     Tape tape;
     StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-    Var logits = model.Forward(tape, graph, ctx, /*training=*/false, rng);
+    Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
     Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes);
     Optimizer::ZeroGrad(model.Parameters());
     tape.Backward(loss);

@@ -13,6 +13,7 @@
 #include "graph/datasets.h"
 #include "nn/incepgcn.h"
 #include "nn/model_factory.h"
+#include "tensor/ops.h"
 #include "train/optimizer.h"
 
 namespace skipnode {
@@ -59,7 +60,7 @@ TEST_P(ModelStrategyTest, ForwardShapeAndFiniteness) {
   for (const bool training : {true, false}) {
     Tape tape;
     StrategyContext ctx(graph, param.strategy, training, rng);
-    Var logits = model->Forward(tape, graph, ctx, training, rng);
+    Var logits = model->Forward(tape, ctx, training, rng);
     ASSERT_EQ(logits.rows(), graph.num_nodes());
     ASSERT_EQ(logits.cols(), graph.num_classes());
     for (int64_t i = 0; i < logits.value().size(); ++i) {
@@ -89,7 +90,7 @@ TEST_P(ModelStrategyTest, FewStepsReduceTrainingLoss) {
   for (int step = 0; step < kSteps; ++step) {
     Tape tape;
     StrategyContext ctx(graph, param.strategy, /*training=*/true, rng);
-    Var logits = model->Forward(tape, graph, ctx, /*training=*/true, rng);
+    Var logits = model->Forward(tape, ctx, /*training=*/true, rng);
     Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes);
     Var aux = model->AuxiliaryLoss(tape);
     if (aux.valid()) loss = tape.Add(loss, aux);
@@ -151,8 +152,8 @@ TEST(ModelDeterminismTest, SameSeedSameLogits) {
                           fwd_a);
     StrategyContext ctx_b(graph, StrategyConfig::SkipNodeU(0.5f), true,
                           fwd_b);
-    Var la = model_a->Forward(tape_a, graph, ctx_a, true, fwd_a);
-    Var lb = model_b->Forward(tape_b, graph, ctx_b, true, fwd_b);
+    Var la = model_a->Forward(tape_a, ctx_a, true, fwd_a);
+    Var lb = model_b->Forward(tape_b, ctx_b, true, fwd_b);
     float max_diff = 0.0f;
     for (int64_t i = 0; i < la.value().size(); ++i) {
       max_diff = std::max(
@@ -171,7 +172,7 @@ TEST(ModelDepthTest, DeepModelsBuildAndRun) {
     auto model = MakeModel(name, config, rng);
     Tape tape;
     StrategyContext ctx(graph, StrategyConfig::SkipNodeU(0.5f), true, rng);
-    Var logits = model->Forward(tape, graph, ctx, true, rng);
+    Var logits = model->Forward(tape, ctx, true, rng);
     EXPECT_EQ(logits.cols(), graph.num_classes()) << name;
   }
 }
@@ -191,13 +192,64 @@ TEST(GrandTest, AuxiliaryLossPresentOnlyWhenTraining) {
 
   Tape train_tape;
   StrategyContext train_ctx(graph, StrategyConfig::None(), true, rng);
-  model->Forward(train_tape, graph, train_ctx, true, rng);
+  model->Forward(train_tape, train_ctx, true, rng);
   EXPECT_TRUE(model->AuxiliaryLoss(train_tape).valid());
 
   Tape eval_tape;
   StrategyContext eval_ctx(graph, StrategyConfig::None(), false, rng);
-  model->Forward(eval_tape, graph, eval_ctx, false, rng);
+  model->Forward(eval_tape, eval_ctx, false, rng);
   EXPECT_FALSE(model->AuxiliaryLoss(eval_tape).valid());
+}
+
+// Over an unmasked batch whose fanout covers every neighborhood, the blocks
+// are exact slices of A_hat, so a batch forward reproduces the full-graph
+// eval logits on the seed rows. Not bitwise: a block row stores its self
+// entry first, so the SpMM sums in a different order.
+TEST(BatchForwardTest, FullFanoutBatchMatchesFullGraphOnSeeds) {
+  Graph& graph = TestGraph();
+  const ModelConfig config = SmallConfig(graph);
+  const std::vector<int> seeds = {3, 0, 17, 42, 8, 29};
+  for (const std::string name : {"GCN", "ResGCN"}) {
+    Rng rng(4);
+    auto model = MakeModel(name, config, rng);
+    Tape full_tape;
+    StrategyContext full_ctx(graph, StrategyConfig::None(), false, rng);
+    const Matrix full =
+        model->Forward(full_tape, full_ctx, false, rng).value();
+
+    NeighborSampler sampler(
+        graph, {std::vector<int>(static_cast<size_t>(config.num_layers),
+                                 graph.num_nodes())});
+    const SampledBatch batch = sampler.SampleBlocks(seeds, 5, nullptr);
+    Tape tape;
+    StrategyContext ctx(graph, batch, StrategyConfig::None(), rng);
+    const Matrix sampled = model->Forward(tape, ctx, false, rng).value();
+    EXPECT_LT(MaxAbsDiff(sampled, GatherRows(full, seeds)), 1e-5f) << name;
+  }
+}
+
+// Penultimate() is the full-graph representation the smoothness metrics
+// and the serving tables read; a minibatch pass must not overwrite it.
+TEST(BatchForwardTest, BatchForwardLeavesPenultimateUntouched) {
+  Graph& graph = TestGraph();
+  const ModelConfig config = SmallConfig(graph);
+  const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
+  Rng rng(5);
+  auto model = MakeModel("GCN", config, rng);
+  Tape full_tape;
+  StrategyContext full_ctx(graph, strategy, false, rng);
+  model->Forward(full_tape, full_ctx, false, rng);
+  const Matrix penultimate = model->Penultimate();
+
+  NeighborSampler sampler(graph, {{3, 3, 3, 3}});
+  const SampledBatch batch = sampler.SampleBlocks(
+      {1, 2, 3}, 6,
+      MakeSampledSkipMaskFn(graph, strategy, config.num_layers, rng));
+  Tape tape;
+  StrategyContext ctx(graph, batch, strategy, rng);
+  EXPECT_EQ(model->Forward(tape, ctx, true, rng).rows(), 3);
+  ASSERT_EQ(model->Penultimate().rows(), penultimate.rows());
+  EXPECT_EQ(MaxAbsDiff(model->Penultimate(), penultimate), 0.0f);
 }
 
 }  // namespace

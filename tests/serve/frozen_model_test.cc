@@ -154,14 +154,16 @@ TEST(FrozenModelTest, CheckpointRoundTripIsBitwise) {
   ASSERT_TRUE(SaveModelParameters(*model, dir));
   const FrozenModel live =
       FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
-  const FrozenModel restored = FrozenModel::FromCheckpoint(
-      dir, "GCNII", SmallConfig(), TestGraph(), StrategyConfig::None());
-  EXPECT_EQ(MaxAbsDiff(restored.full_logits(), live.full_logits()), 0.0f);
-  EXPECT_EQ(MaxAbsDiff(restored.embedding_table(), live.embedding_table()),
+  const std::unique_ptr<FrozenModel> restored = FrozenModel::TryFromCheckpoint(
+      dir, "GCNII", SmallConfig(), TestGraph(), StrategyConfig::None(),
+      nullptr);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(MaxAbsDiff(restored->full_logits(), live.full_logits()), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(restored->embedding_table(), live.embedding_table()),
             0.0f);
-  EXPECT_TRUE(restored.has_linear_head());
+  EXPECT_TRUE(restored->has_linear_head());
   const std::vector<int> ids = SomeIds(live.num_nodes());
-  EXPECT_EQ(MaxAbsDiff(restored.Logits(ids), live.Logits(ids)), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(restored->Logits(ids), live.Logits(ids)), 0.0f);
 }
 
 TEST(FrozenModelTest, TryFromCheckpointLoadsBitwiseAndRejectsWithErrors) {
@@ -171,7 +173,7 @@ TEST(FrozenModelTest, TryFromCheckpointLoadsBitwiseAndRejectsWithErrors) {
   const FrozenModel live =
       FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
 
-  // Success path: bitwise the FromCheckpoint result, no error written.
+  // Success path: bitwise the live freeze, no error written.
   std::string error = "unchanged";
   std::unique_ptr<FrozenModel> restored = FrozenModel::TryFromCheckpoint(
       dir, "GCN", SmallConfig(), TestGraph(), StrategyConfig::None(), &error);
@@ -199,32 +201,35 @@ TEST(FrozenModelTest, TryFromCheckpointLoadsBitwiseAndRejectsWithErrors) {
             nullptr);
 }
 
-TEST(FrozenModelDeathTest, MismatchedArchitectureDiesWithClearMessage) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+TEST(FrozenModelTest, MismatchedArchitectureIsRejectedWithClearMessage) {
   const std::string dir = ::testing::TempDir() + "frozen_arch_mismatch";
   auto model = TrainedModel("GCN");
   ASSERT_TRUE(SaveModelParameters(*model, dir));
+  const auto rejection = [&](const std::string& from,
+                             const ModelConfig& config) {
+    std::string error;
+    EXPECT_EQ(FrozenModel::TryFromCheckpoint(from, "GCN", config, TestGraph(),
+                                             StrategyConfig::None(), &error),
+              nullptr);
+    return error;
+  };
 
   // Same backbone, different depth: parameter set disagrees.
   ModelConfig deeper = SmallConfig();
   deeper.num_layers = 5;
-  EXPECT_DEATH(FrozenModel::FromCheckpoint(dir, "GCN", deeper, TestGraph(),
-                                           StrategyConfig::None()),
-               "different architecture");
+  EXPECT_NE(rejection(dir, deeper).find("different architecture"),
+            std::string::npos);
 
   // Same depth, different hidden width: shapes disagree.
   ModelConfig wider = SmallConfig();
   wider.hidden_dim = 16;
-  EXPECT_DEATH(FrozenModel::FromCheckpoint(dir, "GCN", wider, TestGraph(),
-                                           StrategyConfig::None()),
-               "ModelConfig needs");
+  EXPECT_NE(rejection(dir, wider).find("ModelConfig needs"),
+            std::string::npos);
 
   // No checkpoint at all.
-  EXPECT_DEATH(
-      FrozenModel::FromCheckpoint(::testing::TempDir() + "frozen_nowhere",
-                                  "GCN", SmallConfig(), TestGraph(),
-                                  StrategyConfig::None()),
-      "no readable checkpoint manifest");
+  EXPECT_NE(rejection(::testing::TempDir() + "frozen_nowhere", SmallConfig())
+                .find("no readable checkpoint manifest"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(ServeCliTest, ServesFromTrainCliCheckpoint) {
 
 // The serve CLI shares the model/data flags and their checks with
 // skipnode_train: out-of-range values exit 1 with a message instead of
-// aborting inside the trainer or the dropout op.
+// aborting inside the trainer, the dropout op or a model constructor.
 TEST(ServeCliTest, RejectsOutOfRangeModelFlags) {
   CliResult result = RunTool({"--epochs", "-1"});
   EXPECT_EQ(result.exit_code, 1);
@@ -109,6 +109,53 @@ TEST(ServeCliTest, RejectsOutOfRangeModelFlags) {
                                "got 'abc'"),
             std::string::npos)
       << result.output;
+  for (const char* layers : {"0", "1"}) {
+    result = RunTool({"--model", "GCN", "--layers", layers});
+    EXPECT_EQ(result.exit_code, 1);
+    EXPECT_NE(result.output.find("error: --layers must be >= 2"),
+              std::string::npos)
+        << result.output;
+  }
+}
+
+// The ServeOptions values the InferenceServer constructor CHECKs exit 1
+// with an error line instead of aborting the process.
+TEST(ServeCliTest, RejectsOutOfRangeServerFlags) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--workers", "0"}, "error: --workers/--batch-rows must be >= 1"},
+       {{"--batch-rows", "0"}, "error: --workers/--batch-rows must be >= 1"},
+       {{"--window-us", "-1"},
+        "error: --window-us/--queue-cap/--deadline-us must be >= 0"},
+       {{"--queue-cap", "-1"},
+        "error: --window-us/--queue-cap/--deadline-us must be >= 0"},
+       {{"--deadline-us", "-1"},
+        "error: --window-us/--queue-cap/--deadline-us must be >= 0"}};
+  for (const auto& [flags, message] : cases) {
+    const CliResult result = RunTool(flags);
+    EXPECT_EQ(result.exit_code, 1) << flags[0];
+    EXPECT_NE(result.output.find(message), std::string::npos)
+        << result.output;
+  }
+}
+
+// A --load-dir that holds no usable checkpoint is reported, not aborted on.
+TEST(ServeCliTest, LoadDirWithoutValidCheckpointFailsWithError) {
+  const std::string missing = ::testing::TempDir() + "/serve_cli_no_ckpt";
+  const std::string corrupt = ::testing::TempDir() + "/serve_cli_bad_ckpt";
+  std::ignore = std::system(("mkdir -p " + corrupt).c_str());
+  {
+    std::ofstream manifest(corrupt + "/manifest.txt");
+    manifest << "not a checkpoint\n";
+  }
+  for (const std::string& dir : {missing, corrupt}) {
+    const CliResult result = RunTool({"--dataset", "cornell_like", "--model",
+                                      "GCN", "--load-dir", dir});
+    EXPECT_EQ(result.exit_code, 1) << dir;
+    EXPECT_NE(result.output.find("error: serve: no readable checkpoint "
+                                 "manifest under '" + dir + "'"),
+              std::string::npos)
+        << result.output;
+  }
 }
 
 TEST(ServeCliTest, RejectsUnknownPolicyAndFaultSite) {

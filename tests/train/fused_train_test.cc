@@ -2,10 +2,11 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // End-to-end acceptance test for the fused propagation + workspace pool
-// (DESIGN §10): a whole training run with the fused masked kernel and the
-// pool enabled must produce bitwise-identical trained parameters to the
-// naive SpMM + RowSelect path with pooling disabled — at 1 and 4 threads,
-// for both SkipNode samplers.
+// (DESIGN §10): a whole training run through the fused masked kernel with
+// the pool enabled must produce bitwise-identical trained parameters to the
+// same run with pooling disabled — at 1 and 4 threads, for both SkipNode
+// samplers. The fused kernel itself is pinned bitwise against the naive
+// SpMM + RowSelect composition op by op (spmm_rowselect_test).
 
 #include <memory>
 #include <string>
@@ -53,9 +54,7 @@ struct TrainedRun {
 };
 
 TrainedRun Train(const Fixture& setup, const std::string& backbone,
-                 StrategyConfig strategy, bool fused, bool pooled,
-                 int threads) {
-  strategy.fuse_propagation = fused;
+                 const StrategyConfig& strategy, bool pooled, int threads) {
   SetMatrixPoolEnabled(pooled);
   SetParallelThreadCount(threads);
   Rng rng(12);
@@ -86,23 +85,20 @@ void ExpectBitwiseEqual(const TrainedRun& a, const TrainedRun& b,
 class FusedTrainTest
     : public ::testing::TestWithParam<std::pair<const char*, bool>> {};
 
-TEST_P(FusedTrainTest, FusedPooledTrainingIsBitwiseIdenticalToNaive) {
+TEST_P(FusedTrainTest, PooledTrainingIsBitwiseIdenticalToUnpooled) {
   const std::string backbone = GetParam().first;
   const bool biased = GetParam().second;
   const StrategyConfig strategy = biased ? StrategyConfig::SkipNodeB(0.5f)
                                          : StrategyConfig::SkipNodeU(0.5f);
   Fixture setup;
-  const TrainedRun naive =
-      Train(setup, backbone, strategy, /*fused=*/false, /*pooled=*/false,
-            /*threads=*/1);
-  const TrainedRun fused_1t =
-      Train(setup, backbone, strategy, /*fused=*/true, /*pooled=*/true,
-            /*threads=*/1);
-  const TrainedRun fused_4t =
-      Train(setup, backbone, strategy, /*fused=*/true, /*pooled=*/true,
-            /*threads=*/4);
-  ExpectBitwiseEqual(naive, fused_1t, backbone + " fused@1t");
-  ExpectBitwiseEqual(naive, fused_4t, backbone + " fused@4t");
+  const TrainedRun unpooled =
+      Train(setup, backbone, strategy, /*pooled=*/false, /*threads=*/1);
+  const TrainedRun pooled_1t =
+      Train(setup, backbone, strategy, /*pooled=*/true, /*threads=*/1);
+  const TrainedRun pooled_4t =
+      Train(setup, backbone, strategy, /*pooled=*/true, /*threads=*/4);
+  ExpectBitwiseEqual(unpooled, pooled_1t, backbone + " pooled@1t");
+  ExpectBitwiseEqual(unpooled, pooled_4t, backbone + " pooled@4t");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -115,33 +111,28 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.second ? "Biased" : "Uniform");
     });
 
-// The backward pass runs the parallel transposed-SpMM gather on every path,
-// fused or not — training the *naive* path at 1 and 4 threads pins that the
-// cached transpose plan and its thread-count-invariant partitioning leave
-// trained parameters bitwise unchanged end-to-end (DESIGN §7/§10).
-TEST(FusedTrainTest, NaiveTrainingIsThreadCountInvariant) {
+// The backward pass runs the parallel transposed-SpMM gather — training
+// without the pool at 1 and 4 threads pins that the cached transpose plan
+// and its thread-count-invariant partitioning leave trained parameters
+// bitwise unchanged end-to-end (DESIGN §7/§10).
+TEST(FusedTrainTest, UnpooledTrainingIsThreadCountInvariant) {
   Fixture setup;
   const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
-  const TrainedRun naive_1t =
-      Train(setup, "GCN", strategy, /*fused=*/false, /*pooled=*/false,
-            /*threads=*/1);
-  const TrainedRun naive_4t =
-      Train(setup, "GCN", strategy, /*fused=*/false, /*pooled=*/false,
-            /*threads=*/4);
-  ExpectBitwiseEqual(naive_1t, naive_4t, "naive 1t-vs-4t");
+  const TrainedRun unpooled_1t =
+      Train(setup, "GCN", strategy, /*pooled=*/false, /*threads=*/1);
+  const TrainedRun unpooled_4t =
+      Train(setup, "GCN", strategy, /*pooled=*/false, /*threads=*/4);
+  ExpectBitwiseEqual(unpooled_1t, unpooled_4t, "unpooled 1t-vs-4t");
 }
 
-// The fused path must actually help the model learn exactly what the naive
-// path learns — so a naive-vs-naive rerun must also agree with itself (the
-// harness is sound, not vacuously passing on e.g. NaN != NaN).
+// A rerun must agree with itself (the harness is sound, not vacuously
+// passing on e.g. NaN != NaN).
 TEST(FusedTrainTest, HarnessIsSelfConsistent) {
   Fixture setup;
   const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
-  const TrainedRun a =
-      Train(setup, "GCN", strategy, /*fused=*/false, /*pooled=*/false, 1);
-  const TrainedRun b =
-      Train(setup, "GCN", strategy, /*fused=*/false, /*pooled=*/false, 1);
-  ExpectBitwiseEqual(a, b, "naive rerun");
+  const TrainedRun a = Train(setup, "GCN", strategy, /*pooled=*/false, 1);
+  const TrainedRun b = Train(setup, "GCN", strategy, /*pooled=*/false, 1);
+  ExpectBitwiseEqual(a, b, "unpooled rerun");
   EXPECT_GT(a.result.final_train_loss, 0.0);
 }
 
@@ -154,13 +145,11 @@ TEST(FusedTrainTest, TrainingIsBitwiseIdenticalAcrossSimdSwitch) {
   const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
   const bool saved = simd::Enabled();
   simd::SetEnabled(true);
-  const TrainedRun vec =
-      Train(setup, "GCN", strategy, /*fused=*/true, /*pooled=*/true, 1);
+  const TrainedRun vec = Train(setup, "GCN", strategy, /*pooled=*/true, 1);
   simd::SetEnabled(false);
-  const TrainedRun scalar =
-      Train(setup, "GCN", strategy, /*fused=*/true, /*pooled=*/true, 1);
+  const TrainedRun scalar = Train(setup, "GCN", strategy, /*pooled=*/true, 1);
   const TrainedRun scalar_4t =
-      Train(setup, "GCN", strategy, /*fused=*/true, /*pooled=*/true, 4);
+      Train(setup, "GCN", strategy, /*pooled=*/true, 4);
   simd::SetEnabled(saved);
   ExpectBitwiseEqual(vec, scalar, "simd on-vs-off");
   ExpectBitwiseEqual(vec, scalar_4t, "simd on-vs-off@4t");

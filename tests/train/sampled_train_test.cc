@@ -3,8 +3,8 @@
 //
 // End-to-end acceptance for minibatch neighbor-sampled training
 // (DESIGN §15): a sampled run at a fixed seed must produce bitwise-identical
-// trained parameters at 1/4/8 threads and across the fused/naive sampled
-// propagation paths, must exercise the skip-aware frontier pruning whenever
+// trained parameters at 1/4/8 threads and with the workspace pool on or
+// off, must exercise the skip-aware frontier pruning whenever
 // rho > 0, and must land in the same accuracy band as the full-batch
 // reference.
 
@@ -61,12 +61,10 @@ struct TrainSetup {
   // Empty fanouts = full-batch reference run.
   std::vector<int> fanouts;
   int batch_size = 32;
-  bool fused = true;
   int threads = 1;
 };
 
-TrainedRun Train(const Fixture& fixture, TrainSetup setup) {
-  setup.strategy.fuse_propagation = setup.fused;
+TrainedRun Train(const Fixture& fixture, const TrainSetup& setup) {
   SetParallelThreadCount(setup.threads);
   Rng rng(12);
   auto model = MakeModel(setup.backbone, ConfigFor(fixture.graph, setup.layers),
@@ -131,24 +129,24 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.first) + "_" + info.param.second;
     });
 
-// The fused masked kernel on sampled blocks must match the naive
-// SpMM + RowSelect composition bit for bit, pooled or not.
-TEST(SampledTrainTest, FusedSampledPathMatchesNaiveBitwise) {
+// Sampled blocks recycle pool buffers across many more shapes than the full
+// graph does; the pooled run must match the unpooled one bit for bit. (The
+// fused masked kernel on block-shaped operands is pinned against the naive
+// composition in spmm_rowselect_test.)
+TEST(SampledTrainTest, PooledSampledTrainingMatchesUnpooledBitwise) {
   Fixture fixture;
-  TrainSetup fused;
-  fused.fanouts = {4, 4, 4};
-  TrainSetup naive = fused;
-  naive.fused = false;
+  TrainSetup setup;
+  setup.fanouts = {4, 4, 4};
 
   SetMatrixPoolEnabled(false);
-  const TrainedRun naive_run = Train(fixture, naive);
+  const TrainedRun unpooled = Train(fixture, setup);
   SetMatrixPoolEnabled(true);
-  const TrainedRun fused_run = Train(fixture, fused);
-  TrainSetup fused_4t = fused;
-  fused_4t.threads = 4;
-  const TrainedRun fused_run_4t = Train(fixture, fused_4t);
-  ExpectBitwiseEqual(naive_run, fused_run, "sampled fused-vs-naive");
-  ExpectBitwiseEqual(naive_run, fused_run_4t, "sampled fused-vs-naive@4t");
+  const TrainedRun pooled = Train(fixture, setup);
+  TrainSetup threaded = setup;
+  threaded.threads = 4;
+  const TrainedRun pooled_4t = Train(fixture, threaded);
+  ExpectBitwiseEqual(unpooled, pooled, "sampled pooled-vs-unpooled");
+  ExpectBitwiseEqual(unpooled, pooled_4t, "sampled pooled-vs-unpooled@4t");
 }
 
 // Sampling is a variance-reduction trade, not a different estimator: over

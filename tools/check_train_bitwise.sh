@@ -3,10 +3,13 @@
 # skipnode_train at git revision REF and in the working tree, trains a fixed
 # matrix of runs with each binary at 1 and 4 threads, and diffs the
 # --save-dir checkpoints and the --log-every 1 stdout byte for byte (only
-# the line naming the checkpoint path is left out). The matrix:
-#   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge;
-#   * neighbor-sampled: GCN and ResGCN, fanout 3, batch size 64,
-#     skipnode-u (3 batches per epoch);
+# the line naming the checkpoint path is left out). The matrix (28 cases):
+#   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge, and
+#     skipnode-u for each other backbone (GAT, JKNet, IncepGCN, GCNII,
+#     APPNP, GPRGNN, SGC), so every Forward is covered;
+#   * neighbor-sampled: GCN and ResGCN, fanout 3, batch size 64 (3 batches
+#     per epoch) x none / skipnode-u / skipnode-b — every sampled mask
+#     source;
 #   * the guardrails (--health) with an activation / gradient / update fault
 #     injected at epoch 5, full-batch and sampled.
 # REF's tree is exported with `git archive` into a temporary directory, so
@@ -53,9 +56,14 @@ for model in GCN ResGCN GRAND; do
     CASES+=("full-$model-$strategy|--model $model --strategy $strategy")
   done
 done
+for model in GAT JKNet IncepGCN GCNII APPNP GPRGNN SGC; do
+  CASES+=("full-$model-skipnode-u|--model $model --strategy skipnode-u")
+done
 for model in GCN ResGCN; do
-  CASES+=("sampled-$model-skipnode-u|--model $model --strategy skipnode-u \
+  for strategy in none skipnode-u skipnode-b; do
+    CASES+=("sampled-$model-$strategy|--model $model --strategy $strategy \
 $SAMPLED")
+  done
 done
 for site in activation gradient update; do
   CASES+=("full-inject-$site|$INJECT $site")

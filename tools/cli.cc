@@ -206,10 +206,6 @@ int RunCli(int argc, const char* const* argv, std::FILE* out) {
                  options.md.model.c_str());
     return 1;
   }
-  if (options.md.layers < 2) {
-    std::fprintf(out, "error: --layers must be >= 2\n");
-    return 1;
-  }
   StrategyConfig strategy;
   if (!MakeStrategyFromName(options.md.strategy, options.md.rate, &strategy,
                             out)) {

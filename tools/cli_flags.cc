@@ -133,6 +133,10 @@ void ModelDataFlags::RegisterOn(FlagParser* parser) {
 }
 
 bool ModelDataFlags::Validate(std::FILE* out) const {
+  if (layers < 2) {
+    std::fprintf(out, "error: --layers must be >= 2\n");
+    return false;
+  }
   if (hidden < 1) {
     std::fprintf(out, "error: --hidden must be >= 1\n");
     return false;

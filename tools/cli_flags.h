@@ -83,9 +83,9 @@ struct ModelDataFlags {
   // --strategy --rate --epochs --nodes --avg-degree on `parser`.
   void RegisterOn(FlagParser* parser);
 
-  // Rejects the values the model and trainer would abort on: --hidden < 1,
-  // --epochs < 0, --dropout outside [0, 1). False, with an error line on
-  // `out`; both CLIs call it right after parsing.
+  // Rejects the values the model and trainer would abort on: --layers < 2,
+  // --hidden < 1, --epochs < 0, --dropout outside [0, 1). False, with an
+  // error line on `out`; both CLIs call it right after parsing.
   bool Validate(std::FILE* out) const;
 
   // Resolves `dataset` (name or name@SIZE; an explicit --nodes beats the

@@ -119,6 +119,16 @@ bool ParseFlags(int argc, const char* const* argv, ServeCliOptions* options,
     std::fprintf(out, "error: --clients/--requests/--batch-ids must be >= 1\n");
     return false;
   }
+  if (options->workers < 1 || options->batch_rows < 1) {
+    std::fprintf(out, "error: --workers/--batch-rows must be >= 1\n");
+    return false;
+  }
+  if (options->window_us < 0 || options->queue_cap < 0 ||
+      options->deadline_us < 0) {
+    std::fprintf(out,
+                 "error: --window-us/--queue-cap/--deadline-us must be >= 0\n");
+    return false;
+  }
   return true;
 }
 
@@ -180,8 +190,13 @@ int RunServeCli(int argc, const char* const* argv, std::FILE* out) {
 
   std::shared_ptr<FrozenModel> frozen;
   if (!options.load_dir.empty()) {
-    frozen = std::make_shared<FrozenModel>(FrozenModel::FromCheckpoint(
-        options.load_dir, options.md.model, config, graph, strategy));
+    std::string error;
+    frozen = FrozenModel::TryFromCheckpoint(options.load_dir, options.md.model,
+                                            config, graph, strategy, &error);
+    if (frozen == nullptr) {
+      std::fprintf(out, "error: %s\n", error.c_str());
+      return 1;
+    }
     std::fprintf(out, "frozen %s from checkpoint %s\n",
                  frozen->model_name().c_str(), options.load_dir.c_str());
   } else {
