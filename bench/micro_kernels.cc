@@ -93,7 +93,7 @@ void BM_DropEdgeRenormalize(benchmark::State& state) {
   Rng rng(3);
   for (auto _ : state) {
     CsrMatrix sampled =
-        DropEdgeAdjacency(graph.num_nodes(), graph.edges(), 0.3, rng);
+        DropEdgeAdjacency(*graph.normalized_adjacency(), 0.3, rng);
     benchmark::DoNotOptimize(sampled.nnz());
   }
 }
@@ -104,7 +104,7 @@ void BM_DropNodeRenormalize(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) {
     CsrMatrix sampled =
-        DropNodeAdjacency(graph.num_nodes(), graph.edges(), 0.3, rng);
+        DropNodeAdjacency(*graph.normalized_adjacency(), 0.3, rng);
     benchmark::DoNotOptimize(sampled.nnz());
   }
 }
@@ -132,8 +132,9 @@ BENCHMARK(BM_SkipMaskBiased);
 
 void BM_NormalizedAdjacency(benchmark::State& state) {
   Graph graph = BuildDatasetByName("cora_like", 1.0, 1);
+  const EdgeList edges = UndirectedEdges(*graph.normalized_adjacency());
   for (auto _ : state) {
-    CsrMatrix a_hat = NormalizedAdjacency(graph.num_nodes(), graph.edges());
+    CsrMatrix a_hat = NormalizedAdjacency(graph.num_nodes(), edges);
     benchmark::DoNotOptimize(a_hat.nnz());
   }
 }

@@ -28,7 +28,8 @@ int main() {
   //    the plain-text formats (edge list / CSV features / label file).
   {
     Graph source = BuildDatasetByName("citeseer_like", 0.2, 42);
-    SaveEdgeList(dir + "/edges.txt", source.edges());
+    SaveEdgeList(dir + "/edges.txt",
+                 UndirectedEdges(*source.normalized_adjacency()));
     SaveMatrixCsv(dir + "/features.csv", source.features());
     SaveLabels(dir + "/labels.txt", source.labels());
     std::printf("exported %d nodes / %d edges to %s\n", source.num_nodes(),

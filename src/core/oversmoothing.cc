@@ -10,37 +10,13 @@
 #include "tensor/ops.h"
 
 namespace skipnode {
-namespace {
-
-// Visits each undirected edge once as (u, v). Edge-list graphs walk the
-// list (the historical order, so existing results stay bitwise identical);
-// CSR-backed graphs walk the upper triangle of the A_hat pattern, which
-// enumerates the same simple edges.
-template <typename Fn>
-void ForEachEdge(const Graph& graph, Fn&& fn) {
-  if (!graph.csr_backed()) {
-    for (const auto& [u, v] : graph.edges()) fn(u, v);
-    return;
-  }
-  const CsrMatrix& a = *graph.normalized_adjacency();
-  const std::vector<int>& cols = a.col_idx();
-  for (int u = 0; u < a.rows(); ++u) {
-    const int64_t end = a.RowEnd(u);
-    for (int64_t e = a.RowBegin(u); e < end; ++e) {
-      const int v = cols[static_cast<size_t>(e)];
-      if (v > u) fn(u, v);
-    }
-  }
-}
-
-}  // namespace
 
 float MeanAverageDistance(const Graph& graph, const Matrix& x) {
   SKIPNODE_CHECK(x.rows() == graph.num_nodes());
   const int n = graph.num_nodes();
   std::vector<double> distance_sum(n, 0.0);
   std::vector<int> neighbor_count(n, 0);
-  ForEachEdge(graph, [&](int u, int v) {
+  ForEachEdge(*graph.normalized_adjacency(), [&](int u, int v) {
     const float cos = CosineSimilarity(x.row(u), x.row(v), x.cols());
     const double dist = 1.0 - cos;
     distance_sum[u] += dist;
@@ -63,7 +39,7 @@ float DirichletEnergy(const Graph& graph, const Matrix& x) {
   SKIPNODE_CHECK(x.rows() == graph.num_nodes());
   const std::vector<int>& degree = graph.degrees();
   double energy = 0.0;
-  ForEachEdge(graph, [&](int u, int v) {
+  ForEachEdge(*graph.normalized_adjacency(), [&](int u, int v) {
     const float inv_u = 1.0f / std::sqrt(1.0f + degree[u]);
     const float inv_v = 1.0f / std::sqrt(1.0f + degree[v]);
     const float* xu = x.row(u);

@@ -60,7 +60,7 @@ StrategyContext::StrategyContext(const Graph& graph,
     // One sampled topology per pass; the renormalisation here is DropEdge's
     // per-epoch cost.
     shared_adjacency_ = std::make_shared<const CsrMatrix>(DropEdgeAdjacency(
-        graph_.num_nodes(), graph_.edges(), config_.rate, rng_));
+        *graph_.normalized_adjacency(), config_.rate, rng_));
   } else {
     shared_adjacency_ = graph_.normalized_adjacency();
   }
@@ -102,7 +102,7 @@ std::shared_ptr<const CsrMatrix> StrategyContext::LayerAdjacency(int layer) {
       config_.rate > 0.0f) {
     // DropNode re-samples nodes and renormalises at every layer.
     return std::make_shared<const CsrMatrix>(DropNodeAdjacency(
-        graph_.num_nodes(), graph_.edges(), config_.rate, rng_));
+        *graph_.normalized_adjacency(), config_.rate, rng_));
   }
   return shared_adjacency_;
 }

@@ -273,7 +273,7 @@ DatasetRegistry& DatasetRegistry::Global() {
       });
     }
     r->Register("synth",
-                SpecSummary(SynthSpec()) + " (streaming-only, CSR-backed)",
+                SpecSummary(SynthSpec()) + " (streaming-only)",
                 [](const DatasetRequest& req) {
                   return BuildStreamingDataset(SynthSpec(), req);
                 });

@@ -57,7 +57,7 @@ Graph BuildDatasetByName(const std::string& name, double scale = 1.0,
 // classic dataset builds through the legacy edge-list path, bit for bit the
 // same graph as BuildDatasetByName(name, scale, seed). Any override — or a
 // streaming-only dataset like "synth" — switches to the streaming DC-SBM
-// path, which generates straight into CSR and returns a CSR-backed Graph.
+// path, which generates straight into a pre-normalised A_hat.
 struct DatasetRequest {
   std::string name;
   double scale = 1.0;
@@ -109,7 +109,7 @@ class DatasetRegistry {
 // Streaming DC-SBM instantiation of `spec` at an explicit size: generates
 // the edge stream twice through a pattern-mode CsrBuilder (count, fill),
 // normalises in place from the post-deduplication degrees, and returns a
-// CSR-backed Graph. Never materialises an edge list or COO vector.
+// Graph adopting that A_hat. Never materialises an edge list or COO vector.
 Graph BuildStreamingDataset(const DatasetSpec& spec,
                             const DatasetRequest& request);
 

@@ -13,6 +13,7 @@ Graph::Graph(std::string name, int num_nodes, EdgeList edges, Matrix features,
              std::vector<int> labels, int num_classes)
     : name_(std::move(name)),
       num_nodes_(num_nodes),
+      num_edges_(static_cast<int64_t>(edges.size())),
       edges_(std::move(edges)),
       features_(std::move(features)),
       labels_(std::move(labels)),
@@ -38,7 +39,6 @@ Graph::Graph(std::string name, int num_nodes,
              Matrix features, std::vector<int> labels, int num_classes)
     : name_(std::move(name)),
       num_nodes_(num_nodes),
-      csr_backed_(true),
       num_edges_(num_undirected_edges),
       features_(std::move(features)),
       labels_(std::move(labels)),
@@ -60,14 +60,6 @@ Graph::Graph(std::string name, int num_nodes,
   }
 }
 
-const EdgeList& Graph::edges() const {
-  SKIPNODE_CHECK_MSG(!csr_backed_,
-                     "Graph::edges(): CSR-backed graph has no edge list "
-                     "(topology resampling and link splits are unsupported "
-                     "at streaming scale)");
-  return edges_;
-}
-
 void Graph::set_years(std::vector<int> years) {
   SKIPNODE_CHECK(static_cast<int>(years.size()) == num_nodes_);
   years_ = std::move(years);
@@ -76,7 +68,13 @@ void Graph::set_years(std::vector<int> years) {
 std::shared_ptr<const CsrMatrix> Graph::normalized_adjacency() const {
   if (normalized_adjacency_ == nullptr) {
     normalized_adjacency_ = std::make_shared<const CsrMatrix>(
-        NormalizedAdjacency(num_nodes_, edges_, /*add_self_loops=*/true));
+        NormalizedAdjacency(num_nodes_, edges_));
+    // Duplicates merge in A_hat, so its pattern would disagree with
+    // num_edges().
+    SKIPNODE_CHECK_MSG(
+        normalized_adjacency_->nnz() == num_nodes_ + 2 * num_edges_,
+        "Graph '%s': an edge is listed twice", name_.c_str());
+    EdgeList().swap(edges_);
   }
   return normalized_adjacency_;
 }
@@ -91,9 +89,7 @@ const std::vector<double>& Graph::degree_weights() const {
 
 const std::vector<int>& Graph::components() const {
   if (!components_computed_) {
-    components_ = csr_backed_
-                      ? ConnectedComponentsCsr(*normalized_adjacency_)
-                      : ConnectedComponents(num_nodes_, edges_);
+    components_ = ConnectedComponents(*normalized_adjacency());
     components_computed_ = true;
   }
   return components_;
@@ -101,32 +97,14 @@ const std::vector<int>& Graph::components() const {
 
 double Graph::EdgeHomophily() const {
   SKIPNODE_CHECK(has_labels());
-  if (csr_backed_) {
-    // Walk the A_hat pattern instead of the (absent) edge list; every
-    // undirected edge appears as both off-diagonal entries, so the ratio is
-    // unchanged, and the +I diagonal is skipped.
-    const CsrMatrix& a = *normalized_adjacency_;
-    const std::vector<int>& cols = a.col_idx();
-    int64_t same = 0;
-    int64_t total = 0;
-    for (int u = 0; u < num_nodes_; ++u) {
-      const int64_t end = a.RowEnd(u);
-      for (int64_t e = a.RowBegin(u); e < end; ++e) {
-        const int v = cols[static_cast<size_t>(e)];
-        if (v == u) continue;
-        ++total;
-        if (labels_[u] == labels_[v]) ++same;
-      }
-    }
-    if (total == 0) return 0.0;
-    return static_cast<double>(same) / static_cast<double>(total);
-  }
-  if (edges_.empty()) return 0.0;
-  int same = 0;
-  for (const auto& [u, v] : edges_) {
+  int64_t same = 0;
+  int64_t total = 0;
+  ForEachEdge(*normalized_adjacency(), [&](int u, int v) {
+    ++total;
     if (labels_[u] == labels_[v]) ++same;
-  }
-  return static_cast<double>(same) / static_cast<double>(edges_.size());
+  });
+  if (total == 0) return 0.0;
+  return static_cast<double>(same) / static_cast<double>(total);
 }
 
 int64_t Graph::MemoryFootprintBytes() const {

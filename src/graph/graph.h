@@ -3,7 +3,8 @@
 //
 // An attributed, undirected graph: the dataset object every experiment
 // consumes. Holds node features, optional labels, optional per-node year
-// (for temporal splits), and caches the GCN-normalised adjacency.
+// (for temporal splits), and the GCN-normalised adjacency, whose pattern is
+// the graph's one topology.
 
 #ifndef SKIPNODE_GRAPH_GRAPH_H_
 #define SKIPNODE_GRAPH_GRAPH_H_
@@ -17,26 +18,28 @@
 
 namespace skipnode {
 
-// Immutable after construction (strategies that resample the topology build
-// fresh adjacency matrices from edges() instead of mutating the graph).
-//
-// Two backings (DESIGN §13):
-//   * Edge-list-backed — the classic constructor; edges() is the source of
-//     truth and A_hat is normalised lazily from it. Supports every topology
-//     resampler (DropEdge/DropNode, link splits).
-//   * CSR-backed — the streaming-generator path for 100k–1M+ node graphs:
-//     adopts a pre-normalised A_hat and per-node degrees, and the undirected
-//     edge list is never materialised. edges() aborts with a clear message;
-//     components()/EdgeHomophily() walk the CSR pattern instead.
+// Immutable after construction. The pattern of normalized_adjacency() is the
+// only topology a Graph exposes (DESIGN §13): components(), EdgeHomophily(),
+// the over-smoothing metrics, the DropEdge/DropNode resamplers and link
+// splits all read it (edge walks go through ForEachEdge / UndirectedEdges in
+// sparse/graph_ops.h).
+// Two constructors feed it:
+//   * from an edge list (loaders, the classic generators): the list is held
+//     privately until A_hat is first needed, normalised, then freed. A_hat
+//     stays lazy so building a dataset does not pay for it;
+//   * from a pre-normalised A_hat (the streaming generator for 100k–1M+
+//     node graphs), adopted as is.
 class Graph {
  public:
-  // Validates that edges reference valid nodes, features have num_nodes
-  // rows, and labels (if any) are within [0, num_classes).
+  // `edges` must describe a simple graph: valid node ids and u != v
+  // (checked here), and no edge listed twice in either orientation (checked
+  // when A_hat is built). Features have num_nodes rows, and labels (if any)
+  // are within [0, num_classes).
   Graph(std::string name, int num_nodes, EdgeList edges, Matrix features,
         std::vector<int> labels, int num_classes);
 
-  // CSR-backed constructor: adopts a pre-normalised A_hat (pattern = A+I),
-  // simple-graph degrees, and the undirected edge count. No edge list.
+  // Adopts a pre-normalised A_hat (pattern = A+I), its simple-graph degrees,
+  // and its undirected edge count.
   Graph(std::string name, int num_nodes,
         std::shared_ptr<const CsrMatrix> normalized_adjacency,
         std::vector<int> degrees, int64_t num_undirected_edges,
@@ -44,20 +47,10 @@ class Graph {
 
   const std::string& name() const { return name_; }
   int num_nodes() const { return num_nodes_; }
-  int num_edges() const {
-    return csr_backed_ ? static_cast<int>(num_edges_)
-                       : static_cast<int>(edges_.size());
-  }
+  int num_edges() const { return static_cast<int>(num_edges_); }
   int num_classes() const { return num_classes_; }
   int feature_dim() const { return features_.cols(); }
 
-  // True when the graph adopted a pre-built A_hat and has no edge list.
-  bool csr_backed() const { return csr_backed_; }
-
-  // Aborts on CSR-backed graphs: the edge list was never materialised, so
-  // edge-list consumers (DropEdge/DropNode, link splits) are unsupported at
-  // streaming scale.
-  const EdgeList& edges() const;
   const Matrix& features() const { return features_; }
   const std::vector<int>& labels() const { return labels_; }
   bool has_labels() const { return !labels_.empty(); }
@@ -77,6 +70,7 @@ class Graph {
 
   // Cached A_hat = (D+I)^{-1/2}(A+I)(D+I)^{-1/2} as a shared_ptr so sampled
   // per-epoch variants and the cached one flow through the same SpMM API.
+  // Built on first use for edge-list graphs, which then free their list.
   std::shared_ptr<const CsrMatrix> normalized_adjacency() const;
 
   // Connected component id per node (cached).
@@ -86,17 +80,18 @@ class Graph {
   // Requires labels.
   double EdgeHomophily() const;
 
-  // Resident bytes of the dataset: A_hat (if built), features, and the
-  // per-node / per-edge side vectors. The denominator of the bench/scale
-  // peak-RSS budget (DESIGN §13).
+  // Resident bytes of the dataset: A_hat (if built), the edge list (until
+  // A_hat is built), features, and the per-node side vectors. The
+  // denominator of the bench/scale peak-RSS budget (DESIGN §13).
   int64_t MemoryFootprintBytes() const;
 
  private:
   std::string name_;
   int num_nodes_;
-  bool csr_backed_ = false;
-  int64_t num_edges_ = 0;  // Undirected edge count (CSR-backed only).
-  EdgeList edges_;
+  int64_t num_edges_;  // Undirected edge count.
+  // Construction input of the edge-list constructor; emptied once A_hat is
+  // built from it.
+  mutable EdgeList edges_;
   Matrix features_;
   std::vector<int> labels_;
   int num_classes_;

@@ -35,6 +35,8 @@ bool LoadEdgeList(const std::string& path, EdgeList* edges, int* num_nodes,
   std::ifstream in(path);
   if (!in) return false;
   edges->clear();
+  // INT_MAX is no valid id: the node count max_id + 1 must fit an int.
+  constexpr int kMaxId = std::numeric_limits<int>::max() - 1;
   int max_id = min_num_nodes - 1;
   std::set<std::pair<int, int>> seen;
   std::string line;
@@ -46,7 +48,7 @@ bool LoadEdgeList(const std::string& path, EdgeList* edges, int* num_nodes,
     // operator>> sets failbit on non-numeric tokens and on values that
     // overflow int, so both malformations land on the same return.
     if (!(tokens >> u >> v) || !RemainderIsBlank(tokens)) return false;
-    if (u < 0 || v < 0) return false;
+    if (u < 0 || v < 0 || u > kMaxId || v > kMaxId) return false;
     max_id = std::max({max_id, u, v});
     if (u == v) continue;  // Self-loops are re-added by normalisation.
     const auto key = std::minmax(u, v);
@@ -160,7 +162,8 @@ bool LoadGraph(const std::string& name, const std::string& edge_path,
     if (!LoadLabels(label_path, &labels)) return false;
     if (static_cast<int>(labels.size()) != num_nodes) return false;
     for (const int label : labels) {
-      if (label < 0) return false;
+      // A label past the node count would claim more classes than nodes.
+      if (label < 0 || label >= num_nodes) return false;
       num_classes = std::max(num_classes, label + 1);
     }
   }

@@ -25,7 +25,8 @@ namespace skipnode {
 
 // Reads an undirected edge list. Self-loops and duplicate edges are
 // dropped (the normalisation adds self-loops itself). `num_nodes` is
-// inferred as max id + 1 unless `min_num_nodes` is larger.
+// inferred as max id + 1 unless `min_num_nodes` is larger; an id of INT_MAX
+// fails the load, since that count would not fit an int.
 bool LoadEdgeList(const std::string& path, EdgeList* edges, int* num_nodes,
                   int min_num_nodes = 0);
 
@@ -47,8 +48,8 @@ bool SaveMatrixCsv(const std::string& path, const Matrix& matrix);
 
 // Convenience: assembles a Graph from the three files above. The label file
 // may be empty-string for unlabeled graphs (num_classes inferred as
-// max label + 1 otherwise). Returns false on any load failure or shape
-// mismatch.
+// max label + 1 otherwise). Returns false on any load failure, shape
+// mismatch, or a label >= the node count (more classes than nodes).
 bool LoadGraph(const std::string& name, const std::string& edge_path,
                const std::string& feature_csv_path,
                const std::string& label_path, std::unique_ptr<Graph>* graph);

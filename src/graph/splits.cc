@@ -10,15 +10,16 @@
 
 namespace skipnode {
 
-Split PublicSplit(const Graph& graph, int per_class, int num_val,
-                  int num_test, Rng& rng) {
+bool TryPublicSplit(const Graph& graph, int per_class, int num_val,
+                    int num_test, Rng& rng, Split* out) {
   SKIPNODE_CHECK(graph.has_labels());
   const int n = graph.num_nodes();
   std::vector<int> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(order);
 
-  Split split;
+  Split& split = *out;
+  split = Split();
   std::vector<int> taken_per_class(graph.num_classes(), 0);
   std::vector<int> remainder;
   remainder.reserve(n);
@@ -40,8 +41,18 @@ Split PublicSplit(const Graph& graph, int per_class, int num_val,
   const int test_count = std::min(num_test, remaining - val_count);
   split.test.assign(remainder.begin() + val_count,
                     remainder.begin() + val_count + test_count);
-  SKIPNODE_CHECK(!split.train.empty() && !split.val.empty() &&
-                 !split.test.empty());
+  return !split.train.empty() && !split.val.empty() && !split.test.empty();
+}
+
+Split PublicSplit(const Graph& graph, int per_class, int num_val,
+                  int num_test, Rng& rng) {
+  Split split;
+  const bool filled =
+      TryPublicSplit(graph, per_class, num_val, num_test, rng, &split);
+  SKIPNODE_CHECK_MSG(filled,
+                     "PublicSplit: graph '%s' leaves a train/val/test pool "
+                     "empty",
+                     graph.name().c_str());
   return split;
 }
 
@@ -100,8 +111,8 @@ LinkSplit MakeLinkSplit(const Graph& graph, double val_fraction,
                         Rng& rng) {
   SKIPNODE_CHECK(val_fraction >= 0.0 && test_fraction > 0.0);
   SKIPNODE_CHECK(val_fraction + test_fraction < 1.0);
-  const EdgeList& edges = graph.edges();
-  const int e = graph.num_edges();
+  const EdgeList edges = UndirectedEdges(*graph.normalized_adjacency());
+  const int e = static_cast<int>(edges.size());
 
   std::vector<int> order(e);
   for (int i = 0; i < e; ++i) order[i] = i;

@@ -25,7 +25,13 @@ struct Split {
 
 // Public semi-supervised protocol: `per_class` training nodes per class,
 // then `num_val` validation and `num_test` test nodes from the remainder.
-// Counts are clamped to what the graph can supply.
+// Counts are clamped to what the graph can supply. Fills *out, and returns
+// false when a pool is still empty (too few nodes past the per-class
+// quota); the Rng draws are the same either way.
+bool TryPublicSplit(const Graph& graph, int per_class, int num_val,
+                    int num_test, Rng& rng, Split* out);
+
+// TryPublicSplit for graphs known to be large enough; aborts otherwise.
 Split PublicSplit(const Graph& graph, int per_class, int num_val,
                   int num_test, Rng& rng);
 

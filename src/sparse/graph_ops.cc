@@ -14,9 +14,10 @@
 namespace skipnode {
 namespace {
 
-// Builds (D+I)^{-1/2}(A+I)(D+I)^{-1/2} (or D^{-1/2} A D^{-1/2}) over the
-// subgraph induced by `keep_node` (nullptr keeps everything). Nodes outside
-// the subgraph get all-zero rows and columns.
+// Builds (D+I)^{-1/2}(A+I)(D+I)^{-1/2} over the subgraph induced by
+// `keep_node` (nullptr keeps everything). Nodes outside the subgraph get
+// all-zero rows and columns. `for_each_edge(fn)` streams the undirected
+// edges as fn(u, v) and must replay the same sequence when called again.
 //
 // Streams both directions of every kept edge through CsrBuilder twice (count
 // then fill) instead of materialising the symmetric COO triplet vector; the
@@ -24,19 +25,19 @@ namespace {
 // counts (duplicate edges counted), inv_sqrt is computed per node once, and
 // each entry's value is the same two-factor product — so the result is
 // bitwise identical.
-CsrMatrix NormalizeImpl(int num_nodes, const EdgeList& edges,
-                        bool add_self_loops,
+template <typename EdgeStream>
+CsrMatrix NormalizeImpl(int num_nodes, const EdgeStream& for_each_edge,
                         const std::vector<bool>* keep_node) {
   const ScopedTimer timer("sparse.adjacency_normalize", /*items=*/num_nodes);
   CsrBuilder builder(num_nodes, num_nodes);
-  const auto edge_kept = [&](int u, int v) {
-    return keep_node == nullptr || ((*keep_node)[u] && (*keep_node)[v]);
+  const auto node_kept = [keep_node](int64_t i) {
+    return keep_node == nullptr || (*keep_node)[static_cast<size_t>(i)];
   };
-  for (const auto& [u, v] : edges) {
-    if (!edge_kept(u, v)) continue;
+  for_each_edge([&](int u, int v) {
+    if (!node_kept(u) || !node_kept(v)) return;
     builder.CountEntry(u);
     builder.CountEntry(v);
-  }
+  });
 
   // Degrees of the (possibly sub-sampled) simple graph, read from the raw
   // counts before the self-loop entries join them. Per-node map with no
@@ -47,33 +48,26 @@ CsrMatrix NormalizeImpl(int num_nodes, const EdgeList& edges,
       0, num_nodes,
       [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
-          const bool node_kept = keep_node == nullptr || (*keep_node)[i];
-          const int64_t d = builder.RowCount(i) + (add_self_loops ? 1 : 0);
-          if (node_kept && d > 0) {
+          if (node_kept(i)) {
+            const int64_t d = builder.RowCount(static_cast<int>(i)) + 1;
             inv_sqrt[i] = 1.0f / std::sqrt(static_cast<float>(d));
           }
         }
       },
       /*min_per_thread=*/1 << 13);
 
-  if (add_self_loops) {
-    for (int i = 0; i < num_nodes; ++i) {
-      if (keep_node == nullptr || (*keep_node)[i]) builder.CountEntry(i);
-    }
+  for (int i = 0; i < num_nodes; ++i) {
+    if (node_kept(i)) builder.CountEntry(i);
   }
   builder.FinishCounting();
 
-  for (const auto& [u, v] : edges) {
-    if (!edge_kept(u, v)) continue;
+  for_each_edge([&](int u, int v) {
+    if (!node_kept(u) || !node_kept(v)) return;
     builder.AddEntry(u, v, inv_sqrt[u] * inv_sqrt[v]);
     builder.AddEntry(v, u, inv_sqrt[v] * inv_sqrt[u]);
-  }
-  if (add_self_loops) {
-    for (int i = 0; i < num_nodes; ++i) {
-      if (keep_node == nullptr || (*keep_node)[i]) {
-        builder.AddEntry(i, i, inv_sqrt[i] * inv_sqrt[i]);
-      }
-    }
+  });
+  for (int i = 0; i < num_nodes; ++i) {
+    if (node_kept(i)) builder.AddEntry(i, i, inv_sqrt[i] * inv_sqrt[i]);
   }
   return builder.Build();
 }
@@ -90,109 +84,43 @@ std::vector<int> Degrees(int num_nodes, const EdgeList& edges) {
   return degree;
 }
 
-CsrMatrix BuildAdjacency(int num_nodes, const EdgeList& edges) {
-  CsrBuilder builder(num_nodes, num_nodes);
-  for (const auto& [u, v] : edges) {
-    builder.CountEntry(u);
-    builder.CountEntry(v);
-  }
-  builder.FinishCounting();
-  for (const auto& [u, v] : edges) {
-    builder.AddEntry(u, v, 1.0f);
-    builder.AddEntry(v, u, 1.0f);
-  }
-  return builder.Build();
+CsrMatrix NormalizedAdjacency(int num_nodes, const EdgeList& edges) {
+  const auto walk = [&edges](auto&& fn) {
+    for (const auto& [u, v] : edges) fn(u, v);
+  };
+  return NormalizeImpl(num_nodes, walk, nullptr);
 }
 
-CsrMatrix NormalizedAdjacency(int num_nodes, const EdgeList& edges,
-                              bool add_self_loops) {
-  return NormalizeImpl(num_nodes, edges, add_self_loops, nullptr);
+EdgeList UndirectedEdges(const CsrMatrix& pattern) {
+  EdgeList edges;
+  ForEachEdge(pattern, [&](int u, int v) { edges.emplace_back(u, v); });
+  return edges;
 }
 
-CsrMatrix RandomWalkAdjacency(int num_nodes, const EdgeList& edges,
-                              bool add_self_loops) {
-  const ScopedTimer timer("sparse.adjacency_random_walk", /*items=*/num_nodes);
-  CsrBuilder builder(num_nodes, num_nodes);
-  for (const auto& [u, v] : edges) {
-    builder.CountEntry(u);
-    builder.CountEntry(v);
-  }
-  // Every entry in row i carries the same 1/(d_i + loops) weight, so the
-  // per-coordinate division of the COO path folds into one per-node map.
-  std::vector<float> inv_deg(num_nodes, 0.0f);
-  ParallelFor(
-      0, num_nodes,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int64_t d = builder.RowCount(i) + (add_self_loops ? 1 : 0);
-          inv_deg[i] = d > 0 ? 1.0f / static_cast<float>(d) : 0.0f;
-        }
-      },
-      /*min_per_thread=*/1 << 13);
-  if (add_self_loops) {
-    for (int i = 0; i < num_nodes; ++i) builder.CountEntry(i);
-  }
-  builder.FinishCounting();
-  for (const auto& [u, v] : edges) {
-    builder.AddEntry(u, v, inv_deg[u]);
-    builder.AddEntry(v, u, inv_deg[v]);
-  }
-  if (add_self_loops) {
-    for (int i = 0; i < num_nodes; ++i) builder.AddEntry(i, i, inv_deg[i]);
-  }
-  return builder.Build();
-}
-
-CsrMatrix DropEdgeAdjacency(int num_nodes, const EdgeList& edges,
-                            double drop_rate, Rng& rng) {
+CsrMatrix DropEdgeAdjacency(const CsrMatrix& a_hat, double drop_rate,
+                            Rng& rng) {
   SKIPNODE_CHECK(drop_rate >= 0.0 && drop_rate < 1.0);
   EdgeList kept;
-  kept.reserve(edges.size());
-  for (const auto& edge : edges) {
-    if (!rng.Bernoulli(drop_rate)) kept.push_back(edge);
-  }
-  return NormalizeImpl(num_nodes, kept, /*add_self_loops=*/true, nullptr);
+  kept.reserve(static_cast<size_t>(a_hat.nnz() / 2));
+  ForEachEdge(a_hat, [&](int u, int v) {
+    if (!rng.Bernoulli(drop_rate)) kept.emplace_back(u, v);
+  });
+  return NormalizedAdjacency(a_hat.rows(), kept);
 }
 
-CsrMatrix DropNodeAdjacency(int num_nodes, const EdgeList& edges,
-                            double drop_rate, Rng& rng) {
+CsrMatrix DropNodeAdjacency(const CsrMatrix& a_hat, double drop_rate,
+                            Rng& rng) {
   SKIPNODE_CHECK(drop_rate >= 0.0 && drop_rate < 1.0);
-  std::vector<bool> keep(num_nodes, true);
-  for (int i = 0; i < num_nodes; ++i) {
+  const int n = a_hat.rows();
+  std::vector<bool> keep(n, true);
+  for (int i = 0; i < n; ++i) {
     if (rng.Bernoulli(drop_rate)) keep[i] = false;
   }
-  return NormalizeImpl(num_nodes, edges, /*add_self_loops=*/true, &keep);
+  const auto walk = [&a_hat](auto&& fn) { ForEachEdge(a_hat, fn); };
+  return NormalizeImpl(n, walk, &keep);
 }
 
-std::vector<int> ConnectedComponents(int num_nodes, const EdgeList& edges) {
-  std::vector<std::vector<int>> neighbors(num_nodes);
-  for (const auto& [u, v] : edges) {
-    neighbors[u].push_back(v);
-    neighbors[v].push_back(u);
-  }
-  std::vector<int> component(num_nodes, -1);
-  int next_id = 0;
-  std::queue<int> frontier;
-  for (int start = 0; start < num_nodes; ++start) {
-    if (component[start] >= 0) continue;
-    component[start] = next_id;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      const int u = frontier.front();
-      frontier.pop();
-      for (const int v : neighbors[u]) {
-        if (component[v] < 0) {
-          component[v] = next_id;
-          frontier.push(v);
-        }
-      }
-    }
-    ++next_id;
-  }
-  return component;
-}
-
-std::vector<int> ConnectedComponentsCsr(const CsrMatrix& adjacency) {
+std::vector<int> ConnectedComponents(const CsrMatrix& adjacency) {
   const int n = adjacency.rows();
   SKIPNODE_CHECK(adjacency.cols() == n);
   const std::vector<int>& cols = adjacency.col_idx();

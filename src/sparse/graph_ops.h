@@ -2,14 +2,17 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Graph-structure operators: adjacency normalisation (the GCN re-normalisation
-// trick), per-epoch edge sampling (DropEdge) and node down-sampling (DropNode),
-// degree computation, and connected components. Graphs are represented here by
-// an undirected edge list {u, v} with u != v; each listed edge stands for both
-// directions.
+// trick), the undirected edge walk over an A_hat pattern, per-epoch edge
+// sampling (DropEdge) and node down-sampling (DropNode), degree computation,
+// and connected components. The pattern of A_hat is the one topology every
+// Graph exposes (DESIGN §13); an undirected edge list {u, v} with u != v
+// (each listed edge standing for both directions) is only construction input
+// for NormalizedAdjacency and Degrees.
 
 #ifndef SKIPNODE_SPARSE_GRAPH_OPS_H_
 #define SKIPNODE_SPARSE_GRAPH_OPS_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -24,43 +27,48 @@ using EdgeList = std::vector<std::pair<int, int>>;
 // (self-loops excluded; the normalisation adds them separately).
 std::vector<int> Degrees(int num_nodes, const EdgeList& edges);
 
-// Builds the symmetric binary adjacency A (no self-loops) from an undirected
-// edge list. Duplicate listed edges sum their unit weights (the COO-era
-// semantics, preserved bit for bit by the streaming builder).
-CsrMatrix BuildAdjacency(int num_nodes, const EdgeList& edges);
-
 // GCN re-normalised adjacency: A_hat = (D+I)^{-1/2} (A+I) (D+I)^{-1/2}.
-// If `add_self_loops` is false, computes D^{-1/2} A D^{-1/2} instead
-// (isolated nodes contribute zero rows).
-CsrMatrix NormalizedAdjacency(int num_nodes, const EdgeList& edges,
-                              bool add_self_loops = true);
+// Duplicate listed edges count twice in D and sum in A (the COO-era
+// semantics, preserved bit for bit by the streaming builder).
+CsrMatrix NormalizedAdjacency(int num_nodes, const EdgeList& edges);
 
-// Random-walk normalisation (D+I)^{-1} (A+I): row-stochastic, used by
-// GRAND-style mean propagation. Not symmetric in general.
-CsrMatrix RandomWalkAdjacency(int num_nodes, const EdgeList& edges,
-                              bool add_self_loops = true);
+// Visits each undirected edge of a symmetric pattern (any A_hat) once as
+// fn(u, v) with u < v, in row-major order; the diagonal is skipped.
+template <typename Fn>
+void ForEachEdge(const CsrMatrix& pattern, Fn&& fn) {
+  const std::vector<int>& cols = pattern.col_idx();
+  for (int u = 0; u < pattern.rows(); ++u) {
+    const int64_t end = pattern.RowEnd(u);
+    for (int64_t e = pattern.RowBegin(u); e < end; ++e) {
+      const int v = cols[static_cast<size_t>(e)];
+      if (v > u) fn(u, v);
+    }
+  }
+}
 
-// DropEdge: keeps each undirected edge independently with probability
-// (1 - drop_rate) and returns the re-normalised adjacency of the sampled
-// graph — the per-epoch renormalisation is exactly the cost Table 8 measures.
-CsrMatrix DropEdgeAdjacency(int num_nodes, const EdgeList& edges,
-                            double drop_rate, Rng& rng);
+// The ForEachEdge walk as a list, for callers that index edges.
+EdgeList UndirectedEdges(const CsrMatrix& pattern);
 
-// DropNode (Do et al. 2021 variant): removes `drop_rate * N` nodes uniformly;
-// removed nodes lose all incident edges *and* their self-loop, then the
-// remaining subgraph is re-normalised. Removed node rows of A_hat are all
-// zero, so their features vanish after propagation — matching the
-// instability of DropNode in deep stacks observed in the paper (Table 7).
-CsrMatrix DropNodeAdjacency(int num_nodes, const EdgeList& edges,
-                            double drop_rate, Rng& rng);
+// DropEdge: keeps each undirected edge of `a_hat`'s pattern independently
+// with probability (1 - drop_rate), one Bernoulli draw per edge in ForEachEdge
+// order, and returns the re-normalised adjacency of the sampled graph — the
+// per-epoch renormalisation is exactly the cost Table 8 measures.
+CsrMatrix DropEdgeAdjacency(const CsrMatrix& a_hat, double drop_rate,
+                            Rng& rng);
 
-// Connected components via BFS; returns per-node component id in [0, k).
-std::vector<int> ConnectedComponents(int num_nodes, const EdgeList& edges);
+// DropNode (Do et al. 2021 variant): removes `drop_rate * N` nodes uniformly
+// (one draw per node); removed nodes lose all incident edges *and* their
+// self-loop, then the remaining subgraph of `a_hat`'s pattern is
+// re-normalised. Removed node rows of A_hat are all zero, so their features
+// vanish after propagation — matching the instability of DropNode in deep
+// stacks observed in the paper (Table 7).
+CsrMatrix DropNodeAdjacency(const CsrMatrix& a_hat, double drop_rate,
+                            Rng& rng);
 
-// Connected components over a CSR adjacency pattern (values and self-loops
-// are irrelevant to connectivity). The edge-list-free variant for CSR-backed
-// graphs whose edge list was never materialised (DESIGN §13).
-std::vector<int> ConnectedComponentsCsr(const CsrMatrix& adjacency);
+// Connected components via BFS over an adjacency pattern (values and
+// self-loops are irrelevant to connectivity); returns per-node component id
+// in [0, k), numbered in order of each component's smallest node.
+std::vector<int> ConnectedComponents(const CsrMatrix& adjacency);
 
 }  // namespace skipnode
 

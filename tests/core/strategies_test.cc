@@ -4,10 +4,13 @@
 #include "core/strategies.h"
 
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "graph/datasets.h"
+#include "graph/splits.h"
 #include "tensor/ops.h"
 
 namespace skipnode {
@@ -204,6 +207,53 @@ TEST_F(StrategiesTest, BatchContextServesBlocksAndPreDrawnMasks) {
               batch.layers[2].skip_mask);
   EXPECT_EQ(ctx.middle_calls(), 2);
   EXPECT_EQ(rng_.Next(), before.Next());  // No draw from the pass's Rng.
+}
+
+// A streamed graph adopts a pre-built A_hat and never holds an edge list;
+// DropEdge, DropNode and link splits walk its pattern like on any graph.
+TEST(StreamedGraphStrategiesTest, DropEdgeDropNodeAndLinkSplitRun) {
+  DatasetRequest request;
+  ASSERT_TRUE(ParseDatasetRequest("synth@2k", &request));
+  const Graph graph = DatasetRegistry::Global().Build(request);
+  const int n = graph.num_nodes();
+  const double m = graph.num_edges();
+  Rng rng(9);
+
+  StrategyContext drop_edge(graph, StrategyConfig::DropEdge(0.5f),
+                            /*training=*/true, rng);
+  const auto edge_sampled = drop_edge.LayerAdjacency(0);
+  EXPECT_TRUE(edge_sampled->IsSymmetric());
+  EXPECT_EQ(edge_sampled->rows(), n);
+  EXPECT_NEAR((edge_sampled->nnz() - n) / 2 / m, 0.5, 0.05);
+
+  StrategyContext drop_node(graph, StrategyConfig::DropNode(0.5f),
+                            /*training=*/true, rng);
+  const auto node_sampled = drop_node.LayerAdjacency(0);
+  EXPECT_TRUE(node_sampled->IsSymmetric());
+  int dropped = 0;
+  for (int r = 0; r < n; ++r) {
+    bool self_loop = false;
+    for (int64_t e = node_sampled->RowBegin(r); e < node_sampled->RowEnd(r);
+         ++e) {
+      self_loop |= node_sampled->col_idx()[static_cast<size_t>(e)] == r;
+    }
+    if (self_loop) continue;
+    // A dropped node loses its self-loop and every incident edge.
+    EXPECT_EQ(node_sampled->RowNnz(r), 0) << "row " << r;
+    ++dropped;
+  }
+  EXPECT_NEAR(static_cast<double>(dropped) / n, 0.5, 0.05);
+
+  const LinkSplit split = MakeLinkSplit(graph, 0.1, 0.2, 200, rng);
+  std::set<std::pair<int, int>> held;
+  for (const EdgeList* part :
+       {&split.train_edges, &split.val_pos, &split.test_pos}) {
+    for (const auto& edge : *part) EXPECT_TRUE(held.insert(edge).second);
+  }
+  EXPECT_EQ(static_cast<int>(held.size()), graph.num_edges());
+  const EdgeList pattern = UndirectedEdges(*graph.normalized_adjacency());
+  const std::set<std::pair<int, int>> edges(pattern.begin(), pattern.end());
+  EXPECT_EQ(held, edges);
 }
 
 }  // namespace

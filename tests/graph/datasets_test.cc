@@ -65,14 +65,16 @@ TEST(DatasetsTest, DeterministicForSameSeed) {
   Graph a = BuildDatasetByName("cora_like", 0.2, 7);
   Graph b = BuildDatasetByName("cora_like", 0.2, 7);
   ASSERT_EQ(a.num_edges(), b.num_edges());
-  EXPECT_EQ(a.edges(), b.edges());
+  EXPECT_EQ(UndirectedEdges(*a.normalized_adjacency()),
+            UndirectedEdges(*b.normalized_adjacency()));
   EXPECT_EQ(a.labels(), b.labels());
 }
 
 TEST(DatasetsTest, DifferentSeedsDiffer) {
   Graph a = BuildDatasetByName("cora_like", 0.2, 7);
   Graph b = BuildDatasetByName("cora_like", 0.2, 8);
-  EXPECT_NE(a.edges(), b.edges());
+  EXPECT_NE(UndirectedEdges(*a.normalized_adjacency()),
+            UndirectedEdges(*b.normalized_adjacency()));
 }
 
 TEST(DatasetsTest, ArxivYearsSupportTemporalProtocol) {
@@ -108,37 +110,6 @@ TEST(DatasetsTest, HomophilicDatasetsAreHomophilic) {
   }
 }
 
-// The retired COO-era normalisation, reimplemented verbatim as the
-// reference: symmetric-entry degree counting (duplicates counted), +1 for
-// the self-loop, inv_sqrt in float, entries streamed edges-then-loops
-// through a COO list. The streaming CsrBuilder path must reproduce it bit for
-// bit on every dataset (DESIGN §13).
-CsrMatrix CooReferenceNormalized(int n, const EdgeList& edges) {
-  std::vector<int64_t> degree(n, 0);
-  for (const auto& [u, v] : edges) {
-    ++degree[u];
-    ++degree[v];
-  }
-  std::vector<float> inv_sqrt(n);
-  for (int i = 0; i < n; ++i) {
-    inv_sqrt[i] =
-        1.0f / std::sqrt(static_cast<float>(degree[i] + 1));
-  }
-  std::vector<std::pair<int, int>> coords;
-  std::vector<float> values;
-  for (const auto& [u, v] : edges) {
-    coords.push_back({u, v});
-    values.push_back(inv_sqrt[u] * inv_sqrt[v]);
-    coords.push_back({v, u});
-    values.push_back(inv_sqrt[v] * inv_sqrt[u]);
-  }
-  for (int i = 0; i < n; ++i) {
-    coords.push_back({i, i});
-    values.push_back(inv_sqrt[i] * inv_sqrt[i]);
-  }
-  return testing::CsrFromCoo(n, n, std::move(coords), std::move(values));
-}
-
 void ExpectIdenticalCsr(const CsrMatrix& a, const CsrMatrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -155,17 +126,23 @@ void ExpectIdenticalCsr(const CsrMatrix& a, const CsrMatrix& b) {
   }
 }
 
+// Each Graph builds A_hat from its generator's edge list on first use; the
+// reference is built from the edges its pattern walk reports, which must be
+// the same simple edges (same count, same degrees).
 TEST(DatasetsTest, StreamingNormalizationBitwiseMatchesCooOnEveryDataset) {
   for (const DatasetSpec& spec : AllDatasetSpecs()) {
     const double scale = spec.num_nodes > 3000 ? 0.15 : 0.3;
-    Graph graph = BuildDataset(spec, scale, /*seed=*/3);
-    const CsrMatrix reference =
-        CooReferenceNormalized(graph.num_nodes(), graph.edges());
     for (const int threads : {1, 4, 8}) {
       SetParallelThreadCount(threads);
-      const CsrMatrix streamed =
-          NormalizedAdjacency(graph.num_nodes(), graph.edges());
-      ExpectIdenticalCsr(reference, streamed);
+      Graph graph = BuildDataset(spec, scale, /*seed=*/3);
+      const int n = graph.num_nodes();
+      const CsrMatrix& lazy = *graph.normalized_adjacency();
+      const EdgeList edges = UndirectedEdges(lazy);
+      ASSERT_EQ(static_cast<int>(edges.size()), graph.num_edges());
+      ASSERT_EQ(Degrees(n, edges), graph.degrees());
+      const CsrMatrix reference = testing::CooReferenceNormalized(n, edges);
+      ExpectIdenticalCsr(reference, lazy);
+      ExpectIdenticalCsr(reference, NormalizedAdjacency(n, edges));
     }
     SetParallelThreadCount(0);
   }
@@ -217,9 +194,9 @@ TEST(DatasetsTest, RegistryUnmodifiedRequestIsLegacyPath) {
   request.seed = 7;
   Graph via_registry = DatasetRegistry::Global().Build(request);
   Graph direct = BuildDatasetByName("cora_like", 0.2, 7);
-  EXPECT_FALSE(via_registry.csr_backed());
   ASSERT_EQ(via_registry.num_edges(), direct.num_edges());
-  EXPECT_EQ(via_registry.edges(), direct.edges());
+  ExpectIdenticalCsr(*via_registry.normalized_adjacency(),
+                     *direct.normalized_adjacency());
   EXPECT_EQ(via_registry.labels(), direct.labels());
 }
 
@@ -229,7 +206,6 @@ TEST(DatasetsTest, NodeOverrideStreamsClassicSpecIntoCsr) {
   request.seed = 7;
   request.nodes = 5000;
   Graph graph = DatasetRegistry::Global().Build(request);
-  EXPECT_TRUE(graph.csr_backed());
   EXPECT_EQ(graph.num_nodes(), 5000);
   EXPECT_EQ(graph.num_classes(), 7);
   EXPECT_GT(graph.num_edges(), 0);
@@ -250,6 +226,17 @@ TEST(DatasetsTest, MemoryFootprintCountsLazyDegreeWeightCache) {
                 static_cast<int64_t>(sizeof(double)));
 }
 
+TEST(DatasetsTest, EdgeListIsFreedOnceAdjacencyIsBuilt) {
+  // A_hat stays lazy (building a dataset does not pay for it); once built,
+  // its pattern replaces the edge list the constructor held.
+  Graph graph = BuildDatasetByName("cora_like", 0.2, 3);
+  const int64_t before = graph.MemoryFootprintBytes();
+  const int64_t a_hat_bytes = graph.normalized_adjacency()->MemoryBytes();
+  const int64_t edge_bytes = static_cast<int64_t>(graph.num_edges()) *
+                             static_cast<int64_t>(sizeof(std::pair<int, int>));
+  EXPECT_EQ(graph.MemoryFootprintBytes() - before, a_hat_bytes - edge_bytes);
+}
+
 TEST(DatasetsTest, StreamingSynthIsDeterministicAndHomophilous) {
   DatasetRequest request;
   request.name = "synth";
@@ -257,7 +244,6 @@ TEST(DatasetsTest, StreamingSynthIsDeterministicAndHomophilous) {
   request.nodes = 20000;
   Graph a = DatasetRegistry::Global().Build(request);
   Graph b = DatasetRegistry::Global().Build(request);
-  EXPECT_TRUE(a.csr_backed());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   EXPECT_EQ(a.labels(), b.labels());
   ExpectIdenticalCsr(*a.normalized_adjacency(), *b.normalized_adjacency());
@@ -271,8 +257,8 @@ TEST(DatasetsTest, StreamingSynthIsDeterministicAndHomophilous) {
   EXPECT_NEAR(avg_degree, 10.0, 1.0);
   EXPECT_NEAR(a.EdgeHomophily(), 0.80, 0.10);
 
-  // The edge list is gone at streaming scale: components and MAD-style
-  // walks go through the CSR pattern instead.
+  // No edge list ever exists at streaming scale; components walk the
+  // pattern like on every other graph.
   const std::vector<int>& comp = a.components();
   EXPECT_EQ(static_cast<int>(comp.size()), a.num_nodes());
 
@@ -282,16 +268,6 @@ TEST(DatasetsTest, StreamingSynthIsDeterministicAndHomophilous) {
   const double dense_degree =
       2.0 * dense.num_edges() / static_cast<double>(dense.num_nodes());
   EXPECT_NEAR(dense_degree, 30.0, 3.0);
-}
-
-TEST(GraphTest, CsrBackedGraphRefusesEdgeList) {
-  DatasetRequest request;
-  request.name = "synth";
-  request.seed = 5;
-  request.nodes = 2000;
-  Graph graph = DatasetRegistry::Global().Build(request);
-  ASSERT_TRUE(graph.csr_backed());
-  EXPECT_DEATH(graph.edges(), "CSR-backed");
 }
 
 TEST(GraphTest, NormalizedAdjacencyIsCachedAndShared) {

@@ -103,7 +103,8 @@ TEST(IoTest, LoadGraphAssemblesAllPieces) {
   // Export a synthetic graph and re-import it.
   Graph original = BuildDatasetByName("cornell_like", 1.0, 5);
   const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(SaveEdgeList(dir + "/g_edges.txt", original.edges()));
+  ASSERT_TRUE(SaveEdgeList(dir + "/g_edges.txt",
+                           UndirectedEdges(*original.normalized_adjacency())));
   ASSERT_TRUE(SaveMatrixCsv(dir + "/g_feats.csv", original.features()));
   ASSERT_TRUE(SaveLabels(dir + "/g_labels.txt", original.labels()));
 

@@ -111,8 +111,8 @@ TEST(LinkSplitTest, PartitionsEdgesAndSamplesNegatives) {
   EXPECT_EQ(split.eval_neg.size(), 500u);
 
   // Negatives are not real edges and contain no duplicates.
-  std::set<std::pair<int, int>> edges(graph.edges().begin(),
-                                      graph.edges().end());
+  const EdgeList pattern = UndirectedEdges(*graph.normalized_adjacency());
+  std::set<std::pair<int, int>> edges(pattern.begin(), pattern.end());
   std::set<std::pair<int, int>> negatives;
   for (auto [u, v] : split.eval_neg) {
     if (u > v) std::swap(u, v);

@@ -4,11 +4,13 @@
 #include "sparse/graph_ops.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "tensor/ops.h"
+#include "testing/coo_matrix.h"
 
 namespace skipnode {
 namespace {
@@ -16,18 +18,19 @@ namespace {
 // Path graph 0-1-2-3.
 EdgeList PathEdges() { return {{0, 1}, {1, 2}, {2, 3}}; }
 
+void ExpectIdenticalCsr(const CsrMatrix& a, const CsrMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.nnz(), b.nnz());
+  for (int r = 0; r < a.rows(); ++r) {
+    ASSERT_EQ(a.RowBegin(r), b.RowBegin(r)) << "row " << r;
+  }
+  EXPECT_EQ(a.col_idx(), b.col_idx());
+  EXPECT_EQ(a.values(), b.values());  // Exact float equality.
+}
+
 TEST(GraphOpsTest, Degrees) {
   const std::vector<int> degree = Degrees(4, PathEdges());
   EXPECT_EQ(degree, (std::vector<int>{1, 2, 2, 1}));
-}
-
-TEST(GraphOpsTest, BuildAdjacencyIsSymmetricBinary) {
-  CsrMatrix a = BuildAdjacency(4, PathEdges());
-  EXPECT_TRUE(a.IsSymmetric());
-  EXPECT_EQ(a.nnz(), 6);  // Three undirected edges, both directions.
-  Matrix dense = a.ToDense();
-  EXPECT_FLOAT_EQ(dense.at(0, 1), 1.0f);
-  EXPECT_FLOAT_EQ(dense.at(0, 0), 0.0f);  // No self loops.
 }
 
 TEST(GraphOpsTest, NormalizedAdjacencyValues) {
@@ -67,29 +70,35 @@ TEST(GraphOpsTest, NormalizedAdjacencySpectralRadiusAtMostOne) {
   }
 }
 
-TEST(GraphOpsTest, NormalizedWithoutSelfLoops) {
-  CsrMatrix a_hat =
-      NormalizedAdjacency(4, PathEdges(), /*add_self_loops=*/false);
-  Matrix dense = a_hat.ToDense();
-  EXPECT_FLOAT_EQ(dense.at(0, 0), 0.0f);
-  EXPECT_NEAR(dense.at(0, 1), 1.0f / std::sqrt(2.0f), 1e-6f);
+TEST(GraphOpsTest, ForEachEdgeWalksUpperTriangleRowMajor) {
+  // Listed out of order and partly reversed; the walk reports each edge
+  // once as (u, v) with u < v, row by row, and never the diagonal.
+  const CsrMatrix a_hat =
+      NormalizedAdjacency(4, {{2, 3}, {1, 0}, {2, 1}, {3, 0}});
+  EXPECT_EQ(UndirectedEdges(a_hat),
+            (EdgeList{{0, 1}, {0, 3}, {1, 2}, {2, 3}}));
+  // ErdosRenyi lists its edges in exactly that order.
+  Rng rng(8);
+  const EdgeList edges = ErdosRenyi(50, 0.2, rng);
+  EXPECT_EQ(UndirectedEdges(NormalizedAdjacency(50, edges)), edges);
 }
 
 TEST(GraphOpsTest, DropEdgeZeroRateKeepsEverything) {
   Rng rng(3);
   CsrMatrix full = NormalizedAdjacency(4, PathEdges());
-  CsrMatrix sampled = DropEdgeAdjacency(4, PathEdges(), 0.0, rng);
-  EXPECT_LT(MaxAbsDiff(full.ToDense(), sampled.ToDense()), 1e-6f);
+  CsrMatrix sampled = DropEdgeAdjacency(full, 0.0, rng);
+  ExpectIdenticalCsr(full, sampled);
 }
 
 TEST(GraphOpsTest, DropEdgeRemovesRoughlyRate) {
   Rng rng(4);
   const EdgeList edges = ErdosRenyi(60, 0.3, rng);
+  const CsrMatrix a_hat = NormalizedAdjacency(60, edges);
   const double kRate = 0.5;
   double kept_total = 0.0;
   const int kTrials = 30;
   for (int t = 0; t < kTrials; ++t) {
-    CsrMatrix sampled = DropEdgeAdjacency(60, edges, kRate, rng);
+    CsrMatrix sampled = DropEdgeAdjacency(a_hat, kRate, rng);
     // nnz = 2 * kept_edges + 60 self loops.
     kept_total += (sampled.nnz() - 60) / 2.0;
   }
@@ -100,7 +109,8 @@ TEST(GraphOpsTest, DropEdgeRemovesRoughlyRate) {
 TEST(GraphOpsTest, DropEdgeResultIsRenormalized) {
   Rng rng(5);
   const EdgeList edges = ErdosRenyi(40, 0.2, rng);
-  CsrMatrix sampled = DropEdgeAdjacency(40, edges, 0.4, rng);
+  CsrMatrix sampled =
+      DropEdgeAdjacency(NormalizedAdjacency(40, edges), 0.4, rng);
   EXPECT_TRUE(sampled.IsSymmetric());
   // Every kept node has its self-loop, so all diagonal entries are positive
   // and the eigenvalue-1 property holds on the sampled graph.
@@ -111,7 +121,8 @@ TEST(GraphOpsTest, DropEdgeResultIsRenormalized) {
 TEST(GraphOpsTest, DropNodeIsolatesDroppedNodes) {
   Rng rng(6);
   const EdgeList edges = ErdosRenyi(50, 0.2, rng);
-  CsrMatrix sampled = DropNodeAdjacency(50, edges, 0.5, rng);
+  CsrMatrix sampled =
+      DropNodeAdjacency(NormalizedAdjacency(50, edges), 0.5, rng);
   Matrix dense = sampled.ToDense();
   int zero_rows = 0;
   for (int i = 0; i < 50; ++i) {
@@ -125,34 +136,58 @@ TEST(GraphOpsTest, DropNodeIsolatesDroppedNodes) {
   EXPECT_TRUE(sampled.IsSymmetric());
 }
 
-TEST(GraphOpsTest, RandomWalkAdjacencyIsRowStochastic) {
-  Rng rng(7);
-  const EdgeList edges = ErdosRenyi(40, 0.15, rng);
-  CsrMatrix walk = RandomWalkAdjacency(40, edges);
-  Matrix sums = walk.RowSums();
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_NEAR(sums.at(i, 0), 1.0f, 1e-5f);  // Self-loop guarantees mass.
+// DropEdge pairs its draws with the edges in row-major order (ErdosRenyi's
+// own order) and renormalises what it keeps: both pinned bit for bit against
+// the test's own draws and the COO reference normalisation.
+TEST(GraphOpsTest, DropEdgeMatchesCooReferenceBitwise) {
+  const int n = 80;
+  for (const uint64_t seed : {11u, 12u, 13u}) {
+    Rng graph_rng(seed);
+    const EdgeList edges = ErdosRenyi(n, 0.1, graph_rng);
+    Rng rng(seed + 100);
+    const CsrMatrix sampled =
+        DropEdgeAdjacency(NormalizedAdjacency(n, edges), 0.3, rng);
+
+    Rng draws(seed + 100);
+    EdgeList kept;
+    for (const auto& edge : edges) {
+      if (!draws.Bernoulli(0.3)) kept.push_back(edge);
+    }
+    ExpectIdenticalCsr(sampled, testing::CooReferenceNormalized(n, kept));
+    EXPECT_EQ(rng.Next(), draws.Next()) << "one draw per edge";
   }
-  // Constant vectors are fixed points of a row-stochastic operator.
-  Matrix ones = Matrix::Ones(40, 2);
-  EXPECT_LT(MaxAbsDiff(walk.Multiply(ones), ones), 1e-5f);
 }
 
-TEST(GraphOpsTest, RandomWalkWithoutSelfLoops) {
-  CsrMatrix walk =
-      RandomWalkAdjacency(4, PathEdges(), /*add_self_loops=*/false);
-  Matrix dense = walk.ToDense();
-  EXPECT_FLOAT_EQ(dense.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(dense.at(0, 1), 1.0f);        // Degree-1 endpoint.
-  EXPECT_FLOAT_EQ(dense.at(1, 0), 0.5f);        // Degree-2 middle node.
-  EXPECT_FLOAT_EQ(dense.at(1, 2), 0.5f);
+// DropNode draws once per node and renormalises the induced subgraph of the
+// pattern, pinned the same way.
+TEST(GraphOpsTest, DropNodeMatchesCooReferenceBitwise) {
+  const int n = 80;
+  for (const uint64_t seed : {21u, 22u, 23u}) {
+    Rng graph_rng(seed);
+    const EdgeList edges = ErdosRenyi(n, 0.1, graph_rng);
+    Rng rng(seed + 100);
+    const CsrMatrix sampled =
+        DropNodeAdjacency(NormalizedAdjacency(n, edges), 0.4, rng);
+
+    Rng draws(seed + 100);
+    std::vector<bool> keep(n);
+    for (int i = 0; i < n; ++i) keep[i] = !draws.Bernoulli(0.4);
+    EdgeList kept;
+    for (const auto& [u, v] : edges) {
+      if (keep[u] && keep[v]) kept.emplace_back(u, v);
+    }
+    ExpectIdenticalCsr(sampled,
+                       testing::CooReferenceNormalized(n, kept, &keep));
+    EXPECT_EQ(rng.Next(), draws.Next()) << "one draw per node";
+  }
 }
 
 TEST(GraphOpsTest, ConnectedComponentsPathPlusIsolated) {
   // Path 0-1-2-3 plus isolated node 4 and pair 5-6.
   EdgeList edges = PathEdges();
   edges.emplace_back(5, 6);
-  const std::vector<int> comp = ConnectedComponents(7, edges);
+  const std::vector<int> comp =
+      ConnectedComponents(NormalizedAdjacency(7, edges));
   EXPECT_EQ(comp[0], comp[1]);
   EXPECT_EQ(comp[1], comp[2]);
   EXPECT_EQ(comp[2], comp[3]);

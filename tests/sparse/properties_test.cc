@@ -92,7 +92,7 @@ TEST_P(NormalizedAdjacencySweep, SpectralRadiusIsOne) {
 }
 
 TEST_P(NormalizedAdjacencySweep, LambdaBelowOneAndContraction) {
-  const std::vector<int> comp = ConnectedComponents(n_, edges_);
+  const std::vector<int> comp = ConnectedComponents(a_hat_);
   Matrix basis = TopEigenvectors(comp, Degrees(n_, edges_));
   const float lambda = SecondLargestEigenvalueMagnitude(a_hat_, basis);
   EXPECT_GE(lambda, 0.0f);
@@ -107,7 +107,7 @@ TEST_P(NormalizedAdjacencySweep, LambdaBelowOneAndContraction) {
 
 TEST_P(NormalizedAdjacencySweep, DropEdgePreservesInvariants) {
   Rng rng(GetParam().seed + 3);
-  CsrMatrix sampled = DropEdgeAdjacency(n_, edges_, 0.4, rng);
+  CsrMatrix sampled = DropEdgeAdjacency(a_hat_, 0.4, rng);
   EXPECT_TRUE(sampled.IsSymmetric());
   EXPECT_LE(sampled.nnz(), a_hat_.nnz());
   for (const float v : sampled.values()) {

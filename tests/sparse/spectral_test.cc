@@ -24,8 +24,8 @@ struct SpectralFixture {
     Rng rng(seed);
     edges = ErdosRenyi(n, p, rng);
     degrees = Degrees(n, edges);
-    components = ConnectedComponents(n, edges);
     a_hat = NormalizedAdjacency(n, edges);
+    components = ConnectedComponents(a_hat);
     basis = TopEigenvectors(components, degrees);
   }
 };
@@ -45,7 +45,8 @@ TEST(SpectralTest, TopEigenvectorsAreFixedByAHat) {
 TEST(SpectralTest, OneColumnPerComponent) {
   // Two disjoint triangles -> two components -> two basis columns.
   EdgeList edges = {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}};
-  const std::vector<int> comp = ConnectedComponents(6, edges);
+  const std::vector<int> comp =
+      ConnectedComponents(NormalizedAdjacency(6, edges));
   Matrix basis = TopEigenvectors(comp, Degrees(6, edges));
   EXPECT_EQ(basis.cols(), 2);
 }
@@ -103,7 +104,7 @@ TEST(SpectralTest, LambdaMatchesDensePowerIterationOnTinyGraph) {
   EdgeList edges = {{0, 1}, {1, 2}};
   CsrMatrix a_hat = NormalizedAdjacency(3, edges);
   Matrix basis =
-      TopEigenvectors(ConnectedComponents(3, edges), Degrees(3, edges));
+      TopEigenvectors(ConnectedComponents(a_hat), Degrees(3, edges));
   const float lambda = SecondLargestEigenvalueMagnitude(a_hat, basis);
   // Dense check: deflate and run many exact dense multiplications.
   Matrix dense = a_hat.ToDense();

@@ -82,7 +82,8 @@ TEST(CliTest, TrainsOnUserFilesAndSavesCheckpoint) {
   // Export a graph to files, then train from them via the CLI.
   const std::string dir = ::testing::TempDir();
   Graph graph = BuildDatasetByName("texas_like", 1.0, 9);
-  ASSERT_TRUE(SaveEdgeList(dir + "/cli_edges.txt", graph.edges()));
+  ASSERT_TRUE(SaveEdgeList(dir + "/cli_edges.txt",
+                           UndirectedEdges(*graph.normalized_adjacency())));
   ASSERT_TRUE(SaveMatrixCsv(dir + "/cli_feats.csv", graph.features()));
   ASSERT_TRUE(SaveLabels(dir + "/cli_labels.txt", graph.labels()));
 
@@ -200,7 +201,9 @@ TEST(CliTest, RejectsOutOfRangeModelFlags) {
        {{"--dropout", "1"}, "error: --dropout must be in [0, 1)"},
        {{"--dropout", "-0.1"}, "error: --dropout must be in [0, 1)"},
        {{"--strategy", "dropedge", "--rate", "1"},
-        "error: --rate must be < 1 for strategy 'dropedge'"}};
+        "error: --rate must be < 1 for strategy 'dropedge'"},
+       {{"--model", "GAT", "--hidden", "30"},
+        "error: --hidden must be a multiple of 4 for GAT"}};
   for (const auto& [flags, message] : cases) {
     std::vector<std::string> args = {"--dataset", "cornell_like"};
     args.insert(args.end(), flags.begin(), flags.end());
@@ -209,6 +212,67 @@ TEST(CliTest, RejectsOutOfRangeModelFlags) {
     EXPECT_NE(result.output.find(message), std::string::npos)
         << result.output;
   }
+}
+
+// DropEdge and DropNode resample the A_hat pattern, so they run on graphs
+// the streaming generator builds without an edge list.
+TEST(CliTest, TopologyStrategiesTrainOnStreamingDataset) {
+  for (const char* strategy : {"dropedge", "dropnode"}) {
+    const CliResult result =
+        RunTool({"--dataset", "synth@2k", "--strategy", strategy, "--layers",
+                 "3", "--hidden", "8", "--epochs", "3", "--split", "random"});
+    EXPECT_EQ(result.exit_code, 0) << strategy << "\n" << result.output;
+    EXPECT_NE(result.output.find("test accuracy"), std::string::npos);
+  }
+}
+
+// Graphs too small for the public split's 20-per-class quota exit 1 instead
+// of aborting in PublicSplit: 60 user nodes in 3 classes of 20, and a
+// built-in shrunk to 40 nodes.
+TEST(CliTest, RejectsGraphTooSmallForPublicSplit) {
+  const std::string dir = ::testing::TempDir();
+  EdgeList ring;
+  std::vector<int> labels;
+  for (int i = 0; i < 60; ++i) {
+    ring.emplace_back(i, (i + 1) % 60);
+    labels.push_back(i % 3);
+  }
+  ASSERT_TRUE(SaveEdgeList(dir + "/small_edges.txt", ring));
+  ASSERT_TRUE(SaveMatrixCsv(dir + "/small_feats.csv", Matrix::Ones(60, 4)));
+  ASSERT_TRUE(SaveLabels(dir + "/small_labels.txt", labels));
+  CliResult result =
+      RunTool({"--edges", dir + "/small_edges.txt", "--features",
+               dir + "/small_feats.csv", "--labels",
+               dir + "/small_labels.txt", "--epochs", "1"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: 60 nodes are too few for the public "
+                               "split"),
+            std::string::npos)
+      << result.output;
+
+  result = RunTool({"--dataset", "cornell_like", "--scale", "0.01"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: 40 nodes are too few"),
+            std::string::npos)
+      << result.output;
+}
+
+// An id of INT_MAX would overflow the node count; the loader refuses it.
+TEST(CliTest, RejectsEdgeFileNamingIntMaxNode) {
+  const std::string dir = ::testing::TempDir();
+  {
+    std::ofstream edges(dir + "/max_edges.txt");
+    edges << "0 1\n1 2147483647\n";
+  }
+  ASSERT_TRUE(SaveMatrixCsv(dir + "/max_feats.csv", Matrix::Ones(3, 2)));
+  ASSERT_TRUE(SaveLabels(dir + "/max_labels.txt", {0, 1, 0}));
+  const CliResult result =
+      RunTool({"--edges", dir + "/max_edges.txt", "--features",
+               dir + "/max_feats.csv", "--labels", dir + "/max_labels.txt"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: failed to load graph files"),
+            std::string::npos)
+      << result.output;
 }
 
 TEST(CliTest, RejectsBadScaleAndLayers) {

@@ -118,6 +118,23 @@ TEST(ServeCliTest, RejectsOutOfRangeModelFlags) {
   }
 }
 
+// A GAT width the heads cannot split and a graph too small for the public
+// split exit 1 with an error line instead of aborting.
+TEST(ServeCliTest, RejectsGatWidthAndGraphTooSmallForSplit) {
+  CliResult result = RunTool({"--model", "GAT", "--hidden", "30"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: --hidden must be a multiple of 4 for "
+                               "GAT"),
+            std::string::npos)
+      << result.output;
+  result = RunTool({"--dataset", "cornell_like", "--scale", "0.01"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("error: 40 nodes are too few for the public "
+                               "split"),
+            std::string::npos)
+      << result.output;
+}
+
 // The ServeOptions values the InferenceServer constructor CHECKs exit 1
 // with an error line instead of aborting the process.
 TEST(ServeCliTest, RejectsOutOfRangeServerFlags) {

@@ -3,10 +3,10 @@
 # skipnode_train at git revision REF and in the working tree, trains a fixed
 # matrix of runs with each binary at 1 and 4 threads, and diffs the
 # --save-dir checkpoints and the --log-every 1 stdout byte for byte (only
-# the line naming the checkpoint path is left out). The matrix (28 cases):
-#   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge, and
-#     skipnode-u for each other backbone (GAT, JKNet, IncepGCN, GCNII,
-#     APPNP, GPRGNN, SGC), so every Forward is covered;
+# the line naming the checkpoint path is left out). The matrix (31 cases):
+#   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge /
+#     dropnode, and skipnode-u for each other backbone (GAT, JKNet,
+#     IncepGCN, GCNII, APPNP, GPRGNN, SGC), so every Forward is covered;
 #   * neighbor-sampled: GCN and ResGCN, fanout 3, batch size 64 (3 batches
 #     per epoch) x none / skipnode-u / skipnode-b — every sampled mask
 #     source;
@@ -52,7 +52,7 @@ INJECT="--model GCN --strategy skipnode-u --health --inject-epoch 5 --inject"
 # One case per entry: "name|flags".
 CASES=()
 for model in GCN ResGCN GRAND; do
-  for strategy in none skipnode-u dropedge; do
+  for strategy in none skipnode-u dropedge dropnode; do
     CASES+=("full-$model-$strategy|--model $model --strategy $strategy")
   done
 done

@@ -191,12 +191,21 @@ int RunCli(int argc, const char* const* argv, std::FILE* out) {
   // --- Split --------------------------------------------------------------
   Rng split_rng(options.md.seed);
   Split split;
+  bool split_filled = false;
   if (options.split == "public") {
-    split = PublicSplit(*graph, 20, 500, 1000, split_rng);
+    split_filled = TryPublicSplit(*graph, 20, 500, 1000, split_rng, &split);
   } else if (options.split == "random") {
     split = RandomSplit(*graph, 0.6, 0.2, split_rng);
+    split_filled = !split.val.empty() && !split.test.empty();
   } else {
     std::fprintf(out, "error: unknown split '%s'\n", options.split.c_str());
+    return 1;
+  }
+  if (!split_filled) {
+    std::fprintf(out,
+                 "error: %d nodes are too few for the %s split (a "
+                 "train/val/test pool is empty)\n",
+                 graph->num_nodes(), options.split.c_str());
     return 1;
   }
 

@@ -141,6 +141,14 @@ bool ModelDataFlags::Validate(std::FILE* out) const {
     std::fprintf(out, "error: --hidden must be >= 1\n");
     return false;
   }
+  const int gat_heads = ModelConfig{}.gat_heads;
+  if (model == "GAT" && hidden % gat_heads != 0) {
+    std::fprintf(out,
+                 "error: --hidden must be a multiple of %d for GAT (one "
+                 "slice per attention head)\n",
+                 gat_heads);
+    return false;
+  }
   if (epochs < 0) {
     std::fprintf(out, "error: --epochs must be >= 0\n");
     return false;

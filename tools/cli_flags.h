@@ -84,8 +84,9 @@ struct ModelDataFlags {
   void RegisterOn(FlagParser* parser);
 
   // Rejects the values the model and trainer would abort on: --layers < 2,
-  // --hidden < 1, --epochs < 0, --dropout outside [0, 1). False, with an
-  // error line on `out`; both CLIs call it right after parsing.
+  // --hidden < 1 (or, for GAT, not a multiple of the head count), --epochs
+  // < 0, --dropout outside [0, 1). False, with an error line on `out`; both
+  // CLIs call it right after parsing.
   bool Validate(std::FILE* out) const;
 
   // Resolves `dataset` (name or name@SIZE; an explicit --nodes beats the

@@ -203,9 +203,16 @@ int RunServeCli(int argc, const char* const* argv, std::FILE* out) {
     Rng rng(options.md.seed);
     auto model = MakeModel(options.md.model, config, rng);
     Rng split_rng(options.md.seed);
-    const Split split = PublicSplit(
-        graph, 10, std::max(10, graph.num_nodes() / 10),
-        std::max(10, graph.num_nodes() / 10), split_rng);
+    Split split;
+    if (!TryPublicSplit(graph, 10, std::max(10, graph.num_nodes() / 10),
+                        std::max(10, graph.num_nodes() / 10), split_rng,
+                        &split)) {
+      std::fprintf(out,
+                   "error: %d nodes are too few for the public split (a "
+                   "train/val/test pool is empty)\n",
+                   graph.num_nodes());
+      return 1;
+    }
     const TrainResult trained = TrainNodeClassifier(
         *model, graph, split, strategy,
         {.options = {.epochs = options.md.epochs, .seed = options.md.seed}});
