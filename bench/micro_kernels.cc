@@ -329,9 +329,10 @@ void TransposedSweep() {
 // --- SIMD kernel sweep -------------------------------------------------------
 // Single-thread cost of the vectorized microkernels (DESIGN §14) against the
 // retained scalar references (simd_ref.cc, compiled with vectorization off),
-// toggled through the runtime kill-switch. Cells "simd_gemm" / "simd_axpby" /
-// "simd_adam" are the acceptance gates (validate_bench_jsonl.py requires the
-// simd=1 variant ≥ 1.5x the simd=0 one); "simd_spmm" and "simd_relu" are
+// toggled through the runtime kill-switch. Cells "simd_gemm" /
+// "simd_gemm_tb" / "simd_axpby" / "simd_adam" are the acceptance gates
+// (validate_bench_jsonl.py requires the simd=1 variant ≥ 1.5x the simd=0
+// one); "simd_spmm" and "simd_relu" are
 // informational (their inner loops are short at real-graph degrees, so the
 // win is workload-dependent). Exact-path kernels only — results are bitwise
 // identical across the toggle, so both variants do identical arithmetic.
@@ -363,6 +364,17 @@ void SimdSweep() {
     Matrix out(256, 256);
     SimdCell("simd_gemm", reps, [&]() {
       Gemm(a, b, out);
+      benchmark::DoNotOptimize(out.data());
+    });
+  }
+  {
+    // The deep_fullbatch backward's dX = dY * W^T: a 2708 x 32 gradient
+    // against a 32 x 32 hidden weight.
+    Matrix g = Matrix::Random(2708, 32, rng);
+    Matrix w = Matrix::Random(32, 32, rng);
+    Matrix out(2708, 32);
+    SimdCell("simd_gemm_tb", reps, [&]() {
+      Gemm(g, w, out, {.transpose_b = true});
       benchmark::DoNotOptimize(out.data());
     });
   }

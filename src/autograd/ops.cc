@@ -2,9 +2,10 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Implementations of every differentiable op on the Tape. Each op computes
-// its value eagerly and registers a closure that pushes the output gradient
-// into its parents.
+// its value eagerly and, when its output needs a gradient, registers a
+// closure that pushes the output gradient into the parents that need one.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -22,17 +23,23 @@ Var Tape::MatMul(Var a, Var b) {
   SKIPNODE_CHECK(a.tape_ == this && b.tape_ == this);
   Matrix value = AcquireOutput(a.rows(), b.cols());
   Gemm(a.value(), b.value(), value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {a, b});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi]() {
+  SetBackward(out, [tape, oi, ai, bi]() {
     const Matrix& g = tape->node(oi).grad;
-    // dA += g * B^T ; dB += A^T * g (both row-parallel through Gemm).
-    Gemm(g, tape->node(bi).value, tape->EnsureGrad(ai),
-         {.transpose_b = true, .accumulate = true});
-    Gemm(tape->node(ai).value, g, tape->EnsureGrad(bi),
-         {.transpose_a = true, .accumulate = true});
-  };
+    // dA += g * B^T ; dB += A^T * g (both row-parallel through Gemm). dA is
+    // skipped when A is an input with no Parameter behind it — on the first
+    // layer, the (dropped-out) feature matrix, the largest product here.
+    if (Matrix* ga = tape->GradIfNeeded(ai)) {
+      Gemm(g, tape->node(bi).value, *ga,
+           {.transpose_b = true, .accumulate = true});
+    }
+    if (Matrix* gb = tape->GradIfNeeded(bi)) {
+      Gemm(tape->node(ai).value, g, *gb,
+           {.transpose_a = true, .accumulate = true});
+    }
+  });
   return out;
 }
 
@@ -41,17 +48,17 @@ Var Tape::SpMM(std::shared_ptr<const CsrMatrix> a, Var x) {
   SKIPNODE_CHECK(x.tape_ == this);
   Matrix value = AcquireOutput(a->rows(), x.cols());
   a->MultiplyAccumulate(x.value(), value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {x});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  node(oi).backward = [tape, oi, xi, a = std::move(a)]() {
+  SetBackward(out, [tape, oi, xi, a = std::move(a)]() {
     // Labels the whole backward hop (parallel gather + accumulate) so the
     // per-op cost is separable from the raw sparse.spmm_t kernel timer.
     const ScopedTimer timer("autograd.spmm_backward", /*items=*/a->cols());
     const Matrix& g = tape->node(oi).grad;
     Matrix gx = a->MultiplyTransposed(g);
     AddScaled(gx, 1.0f, tape->EnsureGrad(xi));
-  };
+  });
   return out;
 }
 
@@ -67,23 +74,24 @@ Var Tape::SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
   Matrix value = AcquireOutput(a->rows(), x.cols());
   CopyRowsWhere(pre.value(), skip_mask, value);
   a->MultiplyAccumulateMasked(x.value(), skip_mask, value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {x, pre});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_, pi = pre.index_;
-  node(oi).backward = [tape, oi, xi, pi, a = std::move(a),
-                       mask = std::move(skip_mask)]() {
+  SetBackward(out, [tape, oi, xi, pi, a = std::move(a),
+                    mask = std::move(skip_mask)]() {
     const ScopedTimer timer("autograd.spmm_rowselect_backward",
                             /*items=*/a->cols());
     const Matrix& g = tape->node(oi).grad;
     // dX += A^T * (g with skipped rows zeroed): the masked transpose never
     // reads the skipped rows, matching the zero rows RowSelect's backward
     // would have left in the convolution gradient.
-    Matrix gx = a->MultiplyTransposedMasked(g, mask);
-    AddScaled(gx, 1.0f, tape->EnsureGrad(xi));
+    if (Matrix* gx = tape->GradIfNeeded(xi)) {
+      AddScaled(a->MultiplyTransposedMasked(g, mask), 1.0f, *gx);
+    }
     // Skipped rows bypass the convolution entirely — SkipNode's gradient
     // highway (Eq. 4).
-    AddRowsWhere(g, mask, tape->EnsureGrad(pi));
-  };
+    if (Matrix* gp = tape->GradIfNeeded(pi)) AddRowsWhere(g, mask, *gp);
+  });
   return out;
 }
 
@@ -101,21 +109,22 @@ Var Tape::AddRowBroadcast(Var x, Var bias) {
   for (int r = 0; r < value.rows(); ++r) {
     simd::Add(xv.row(r), bd, value.row(r), value.cols());
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {x, bias});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_, bi = bias.index_;
-  node(oi).backward = [tape, oi, xi, bi]() {
+  SetBackward(out, [tape, oi, xi, bi]() {
     const Matrix& g = tape->node(oi).grad;
-    AddScaled(g, 1.0f, tape->EnsureGrad(xi));
+    if (Matrix* gx = tape->GradIfNeeded(xi)) AddScaled(g, 1.0f, *gx);
     // Column accumulation: rows add into the bias gradient in ascending row
     // order (each element's sum order is fixed — vector lanes are distinct
     // columns), preserving the serial kernel's bits.
-    Matrix& gb = tape->EnsureGrad(bi);
-    float* gbd = gb.row(0);
-    for (int r = 0; r < g.rows(); ++r) {
-      simd::Accumulate(g.row(r), gbd, g.cols());
+    if (Matrix* gb = tape->GradIfNeeded(bi)) {
+      float* gbd = gb->row(0);
+      for (int r = 0; r < g.rows(); ++r) {
+        simd::Accumulate(g.row(r), gbd, g.cols());
+      }
     }
-  };
+  });
   return out;
 }
 
@@ -124,25 +133,25 @@ Var Tape::Axpby(Var a, Var b, float alpha, float beta) {
   SKIPNODE_CHECK(a.value().SameShape(b.value()));
   Matrix value = AcquireOutput(a.rows(), a.cols());
   AxpbyInto(a.value(), b.value(), alpha, beta, value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {a, b});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi, alpha, beta]() {
+  SetBackward(out, [tape, oi, ai, bi, alpha, beta]() {
     const Matrix& g = tape->node(oi).grad;
-    AddScaled(g, alpha, tape->EnsureGrad(ai));
-    AddScaled(g, beta, tape->EnsureGrad(bi));
-  };
+    if (Matrix* ga = tape->GradIfNeeded(ai)) AddScaled(g, alpha, *ga);
+    if (Matrix* gb = tape->GradIfNeeded(bi)) AddScaled(g, beta, *gb);
+  });
   return out;
 }
 
 Var Tape::Scale(Var a, float s) {
   SKIPNODE_CHECK(a.tape_ == this);
-  Var out = Emplace(skipnode::Scale(a.value(), s));
+  Var out = Emplace(skipnode::Scale(a.value(), s), {a});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  node(oi).backward = [tape, oi, ai, s]() {
+  SetBackward(out, [tape, oi, ai, s]() {
     AddScaled(tape->node(oi).grad, s, tape->EnsureGrad(ai));
-  };
+  });
   return out;
 }
 
@@ -150,14 +159,14 @@ Var Tape::Relu(Var a) {
   SKIPNODE_CHECK(a.tape_ == this);
   Matrix value = AcquireOutput(a.rows(), a.cols());
   ReluInto(a.value(), value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {a});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  node(oi).backward = [tape, oi, ai]() {
+  SetBackward(out, [tape, oi, ai]() {
     // Pass-through where the *input* was positive.
     Matrix masked = ReluBackward(tape->node(ai).value, tape->node(oi).grad);
     AddScaled(masked, 1.0f, tape->EnsureGrad(ai));
-  };
+  });
   return out;
 }
 
@@ -166,19 +175,26 @@ Var Tape::Dropout(Var a, float rate, bool training, Rng& rng) {
   SKIPNODE_CHECK(rate >= 0.0f && rate < 1.0f);
   if (!training || rate == 0.0f) return a;
   const float keep_scale = 1.0f / (1.0f - rate);
+  // The draws of one Bernoulli(rate) call per element, in element order,
+  // made a chunk at a time.
   Matrix mask(a.rows(), a.cols());
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    mask.data()[i] = rng.Bernoulli(rate) ? 0.0f : keep_scale;
+  constexpr int64_t kChunk = 4096;
+  uint8_t dropped[kChunk];
+  for (int64_t begin = 0; begin < mask.size(); begin += kChunk) {
+    const int64_t len = std::min(kChunk, mask.size() - begin);
+    rng.BernoulliFill(rate, dropped, len);
+    float* m = mask.data() + begin;
+    for (int64_t i = 0; i < len; ++i) m[i] = dropped[i] ? 0.0f : keep_scale;
   }
   Matrix value = AcquireOutput(a.rows(), a.cols());
   HadamardInto(a.value(), mask, value);
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {a});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_;
-  node(oi).backward = [tape, oi, ai, mask = std::move(mask)]() {
+  SetBackward(out, [tape, oi, ai, mask = std::move(mask)]() {
     Matrix ga = Hadamard(tape->node(oi).grad, mask);
     AddScaled(ga, 1.0f, tape->EnsureGrad(ai));
-  };
+  });
   return out;
 }
 
@@ -192,22 +208,22 @@ Var Tape::ConcatCols(const std::vector<Var>& parts) {
     values.push_back(&part.value());
     indices.push_back(part.index_);
   }
-  Var out = Emplace(skipnode::ConcatCols(values));
+  Var out = Emplace(skipnode::ConcatCols(values), parts);
   Tape* tape = this;
   const int oi = out.index_;
-  node(oi).backward = [tape, oi, indices = std::move(indices)]() {
+  SetBackward(out, [tape, oi, indices = std::move(indices)]() {
     const Matrix& g = tape->node(oi).grad;
     int col_offset = 0;
     for (const int pi : indices) {
-      Matrix& gp = tape->EnsureGrad(pi);
-      for (int r = 0; r < gp.rows(); ++r) {
-        const float* src = g.row(r) + col_offset;
-        float* dst = gp.row(r);
-        simd::Accumulate(src, dst, gp.cols());
+      const int cols = tape->node(pi).value.cols();
+      if (Matrix* gp = tape->GradIfNeeded(pi)) {
+        for (int r = 0; r < gp->rows(); ++r) {
+          simd::Accumulate(g.row(r) + col_offset, gp->row(r), cols);
+        }
       }
-      col_offset += gp.cols();
+      col_offset += cols;
     }
-  };
+  });
   return out;
 }
 
@@ -225,36 +241,40 @@ Var Tape::LinearCombination(const std::vector<Var>& parts, Var coefficients) {
     AddScaled(parts[k].value(), coeff(0, static_cast<int>(k)), value);
     indices.push_back(parts[k].index_);
   }
-  Var out = Emplace(std::move(value));
+  std::vector<Var> inputs = parts;
+  inputs.push_back(coefficients);
+  Var out = Emplace(std::move(value), inputs);
   Tape* tape = this;
   const int oi = out.index_, ci = coefficients.index_;
-  node(oi).backward = [tape, oi, ci, indices = std::move(indices)]() {
+  SetBackward(out, [tape, oi, ci, indices = std::move(indices)]() {
     const Matrix& g = tape->node(oi).grad;
     const Matrix& coeff = tape->node(ci).value;
-    Matrix& gc = tape->EnsureGrad(ci);
+    Matrix* gc = tape->GradIfNeeded(ci);
     for (size_t k = 0; k < indices.size(); ++k) {
       const Matrix& xk = tape->node(indices[k]).value;
-      AddScaled(g, coeff(0, static_cast<int>(k)),
-                tape->EnsureGrad(indices[k]));
+      if (Matrix* gk = tape->GradIfNeeded(indices[k])) {
+        AddScaled(g, coeff(0, static_cast<int>(k)), *gk);
+      }
+      if (gc == nullptr) continue;
       // d/dc_k = <g, X_k>.
       double dot = 0.0;
       for (int64_t i = 0; i < g.size(); ++i) {
         dot += static_cast<double>(g.data()[i]) * xk.data()[i];
       }
-      gc(0, static_cast<int>(k)) += static_cast<float>(dot);
+      (*gc)(0, static_cast<int>(k)) += static_cast<float>(dot);
     }
-  };
+  });
   return out;
 }
 
 Var Tape::GatherRows(Var x, std::vector<int> rows) {
   SKIPNODE_CHECK(x.tape_ == this);
-  Var out = Emplace(skipnode::GatherRows(x.value(), rows));
+  Var out = Emplace(skipnode::GatherRows(x.value(), rows), {x});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  node(oi).backward = [tape, oi, xi, rows = std::move(rows)]() {
+  SetBackward(out, [tape, oi, xi, rows = std::move(rows)]() {
     ScatterAddRows(tape->node(oi).grad, rows, tape->EnsureGrad(xi));
-  };
+  });
   return out;
 }
 
@@ -308,19 +328,19 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
       }
     }
   });
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {h, score_src, score_dst});
 
   Tape* tape = this;
   const int oi = out.index_, hi = h.index_;
   const int si = score_src.index_, di = score_dst.index_;
-  node(oi).backward = [tape, oi, hi, si, di, leaky_slope,
-                       pattern = std::move(pattern), raw = std::move(raw),
-                       alpha = std::move(alpha)]() {
+  SetBackward(out, [tape, oi, hi, si, di, leaky_slope,
+                    pattern = std::move(pattern), raw = std::move(raw),
+                    alpha = std::move(alpha)]() {
     const Matrix& g = tape->node(oi).grad;
     const Matrix& hv = tape->node(hi).value;
-    Matrix& gh = tape->EnsureGrad(hi);
-    Matrix& gs = tape->EnsureGrad(si);
-    Matrix& gd = tape->EnsureGrad(di);
+    Matrix* gh = tape->GradIfNeeded(hi);
+    Matrix* gs = tape->GradIfNeeded(si);
+    Matrix* gd = tape->GradIfNeeded(di);
     const std::vector<int>& col_idx = pattern->col_idx();
     const int n = hv.rows(), d = hv.cols();
     std::vector<float> dalpha(col_idx.size());
@@ -328,18 +348,17 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
       for (int i = 0; i < n; ++i) {
         const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
         const float* gi = g.row(i);
-        // d out_i / d h_j = alpha_ij; d out_i / d alpha_ij = h_j. The fused
-        // dual loop stays a serial scalar kernel: the double-precision dot
-        // is an order-sensitive reduction.
+        // d out_i / d h_j = alpha_ij; d out_i / d alpha_ij = h_j. The dot
+        // stays a serial scalar loop: the double-precision dot is an
+        // order-sensitive reduction.
         double weighted = 0.0;  // sum_k alpha_ik * dalpha_ik (softmax term).
         for (int64_t e = begin; e < end; ++e) {
           const size_t se = static_cast<size_t>(e);
           const int j = col_idx[se];
           const float* hj = hv.row(j);
-          float* ghj = gh.row(j);
+          if (gh != nullptr) simd::Axpy(alpha[se], gi, gh->row(j), d);
           double dot = 0.0;
           for (int c = 0; c < d; ++c) {
-            ghj[c] += alpha[se] * gi[c];
             dot += static_cast<double>(gi[c]) * hj[c];
           }
           dalpha[se] = static_cast<float>(dot);
@@ -350,34 +369,32 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
           // Softmax backward, then the LeakyReLU slope.
           float de = alpha[se] * (dalpha[se] - static_cast<float>(weighted));
           if (raw[se] <= 0.0f) de *= leaky_slope;
-          gs(i, 0) += de;
-          gd(col_idx[se], 0) += de;
+          if (gs != nullptr) (*gs)(i, 0) += de;
+          if (gd != nullptr) (*gd)(col_idx[se], 0) += de;
         }
       }
     });
-  };
+  });
   return out;
 }
 
 Var Tape::RowDots(Var a, Var b) {
   SKIPNODE_CHECK(a.tape_ == this && b.tape_ == this);
-  Var out = Emplace(skipnode::RowDots(a.value(), b.value()));
+  Var out = Emplace(skipnode::RowDots(a.value(), b.value()), {a, b});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi]() {
+  SetBackward(out, [tape, oi, ai, bi]() {
     const Matrix& g = tape->node(oi).grad;  // N x 1
     const Matrix& av = tape->node(ai).value;
     const Matrix& bv = tape->node(bi).value;
-    Matrix& ga = tape->EnsureGrad(ai);
-    Matrix& gb = tape->EnsureGrad(bi);
+    Matrix* ga = tape->GradIfNeeded(ai);
+    Matrix* gb = tape->GradIfNeeded(bi);
     for (int r = 0; r < av.rows(); ++r) {
       const float gr = g(r, 0);
-      const float* ar = av.row(r);
-      const float* br = bv.row(r);
-      simd::Axpy(gr, br, ga.row(r), av.cols());
-      simd::Axpy(gr, ar, gb.row(r), av.cols());
+      if (ga != nullptr) simd::Axpy(gr, bv.row(r), ga->row(r), av.cols());
+      if (gb != nullptr) simd::Axpy(gr, av.row(r), gb->row(r), av.cols());
     }
-  };
+  });
   return out;
 }
 
@@ -393,19 +410,18 @@ Var Tape::RowSelect(const std::vector<uint8_t>& skip_mask, Var skipped,
       std::copy(sv.row(r), sv.row(r) + sv.cols(), value.row(r));
     }
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {skipped, convolved});
   Tape* tape = this;
   const int oi = out.index_, si = skipped.index_, ci = convolved.index_;
-  node(oi).backward = [tape, oi, si, ci, mask = skip_mask]() {
+  SetBackward(out, [tape, oi, si, ci, mask = skip_mask]() {
     const Matrix& g = tape->node(oi).grad;
-    Matrix& gs = tape->EnsureGrad(si);
-    Matrix& gc = tape->EnsureGrad(ci);
+    Matrix* gs = tape->GradIfNeeded(si);
+    Matrix* gc = tape->GradIfNeeded(ci);
     for (int r = 0; r < g.rows(); ++r) {
-      const float* gr = g.row(r);
-      float* dst = mask[r] ? gs.row(r) : gc.row(r);
-      simd::Accumulate(gr, dst, g.cols());
+      Matrix* dst = mask[r] ? gs : gc;
+      if (dst != nullptr) simd::Accumulate(g.row(r), dst->row(r), g.cols());
     }
-  };
+  });
   return out;
 }
 
@@ -419,11 +435,11 @@ Var Tape::PairNorm(Var x, float scale, float epsilon) {
     const float inv = scale / std::max(norms(r, 0), epsilon);
     simd::ScaleInPlace(value.row(r), inv, value.cols());
   }
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {x});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  node(oi).backward = [tape, oi, xi, centered = std::move(centered),
-                       norms = std::move(norms), scale, epsilon]() {
+  SetBackward(out, [tape, oi, xi, centered = std::move(centered),
+                    norms = std::move(norms), scale, epsilon]() {
     const Matrix& g = tape->node(oi).grad;
     const int n = g.rows(), d = g.cols();
     // d/dc of out = s*c/r:  dc = s/r * (g - c * (c.g)/r^2).
@@ -444,7 +460,7 @@ Var Tape::PairNorm(Var x, float scale, float epsilon) {
     // Centering backward: dx = dc - column_mean(dc).
     Matrix dx = SubtractRowVector(dc, ColumnMeans(dc));
     AddScaled(dx, 1.0f, tape->EnsureGrad(xi));
-  };
+  });
   return out;
 }
 
@@ -478,12 +494,12 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const std::vector<int>& labels,
   }
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(loss / static_cast<double>(nodes.size()));
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {logits});
 
   Tape* tape = this;
   const int oi = out.index_, li = logits.index_;
-  node(oi).backward = [tape, oi, li, probs = std::move(probs),
-                       nodes = nodes, labels = labels]() mutable {
+  SetBackward(out, [tape, oi, li, probs = std::move(probs), nodes = nodes,
+                    labels = labels]() mutable {
     const float g = tape->node(oi).grad(0, 0);
     const float inv_batch = 1.0f / static_cast<float>(nodes.size());
     // coef * (pr[c] - indicator) with coef = g * inv_batch, restructured as
@@ -499,7 +515,7 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const std::vector<int>& labels,
       pr[label] -= 1.0f;
       simd::Axpy(coef, pr, gl.row(node_id), gl.cols());
     }
-  };
+  });
   return out;
 }
 
@@ -516,10 +532,10 @@ Var Tape::BceWithLogits(Var logits, const std::vector<float>& targets) {
   }
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(loss / z.rows());
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {logits});
   Tape* tape = this;
   const int oi = out.index_, li = logits.index_;
-  node(oi).backward = [tape, oi, li, targets = targets]() {
+  SetBackward(out, [tape, oi, li, targets = targets]() {
     const float g = tape->node(oi).grad(0, 0);
     const Matrix& z = tape->node(li).value;
     Matrix& gl = tape->EnsureGrad(li);
@@ -528,7 +544,7 @@ Var Tape::BceWithLogits(Var logits, const std::vector<float>& targets) {
       const float sigmoid = 1.0f / (1.0f + std::exp(-z(r, 0)));
       gl(r, 0) += g * inv_n * (sigmoid - targets[r]);
     }
-  };
+  });
   return out;
 }
 
@@ -538,15 +554,15 @@ Var Tape::MseLoss(Var a, Var b) {
   const Matrix diff = skipnode::Sub(a.value(), b.value());
   Matrix value(1, 1);
   value(0, 0) = diff.SquaredNorm() / static_cast<float>(diff.size());
-  Var out = Emplace(std::move(value));
+  Var out = Emplace(std::move(value), {a, b});
   Tape* tape = this;
   const int oi = out.index_, ai = a.index_, bi = b.index_;
-  node(oi).backward = [tape, oi, ai, bi, diff = std::move(diff)]() {
+  SetBackward(out, [tape, oi, ai, bi, diff = std::move(diff)]() {
     const float g = tape->node(oi).grad(0, 0);
     const float factor = 2.0f * g / static_cast<float>(diff.size());
-    AddScaled(diff, factor, tape->EnsureGrad(ai));
-    AddScaled(diff, -factor, tape->EnsureGrad(bi));
-  };
+    if (Matrix* ga = tape->GradIfNeeded(ai)) AddScaled(diff, factor, *ga);
+    if (Matrix* gb = tape->GradIfNeeded(bi)) AddScaled(diff, -factor, *gb);
+  });
   return out;
 }
 

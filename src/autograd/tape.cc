@@ -34,11 +34,19 @@ const Matrix& Var::grad() const {
   return tape_->EnsureGrad(index_);
 }
 
-Var Tape::Emplace(Matrix value) {
-  auto node = std::make_unique<Node>();
-  node->value = std::move(value);
-  nodes_.push_back(std::move(node));
+Var Tape::Emplace(Matrix value, std::span<const Var> inputs) {
+  auto fresh = std::make_unique<Node>();
+  fresh->value = std::move(value);
+  for (const Var& input : inputs) {
+    SKIPNODE_CHECK(input.tape_ == this);
+    if (node(input.index_).needs_grad) fresh->needs_grad = true;
+  }
+  nodes_.push_back(std::move(fresh));
   return Var(this, static_cast<int>(nodes_.size()) - 1);
+}
+
+Matrix* Tape::GradIfNeeded(int index) {
+  return node(index).needs_grad ? &EnsureGrad(index) : nullptr;
 }
 
 Matrix& Tape::EnsureGrad(int index) {
@@ -55,8 +63,9 @@ Matrix Tape::AcquireOutput(int rows, int cols) {
 }
 
 Var Tape::Leaf(Parameter& parameter) {
-  Var v = Emplace(parameter.value);
+  Var v = Emplace(parameter.value, {});
   Node& n = node(v.index_);
+  n.needs_grad = true;
   Parameter* param = &parameter;
   Tape* tape = this;
   const int index = v.index_;
@@ -71,10 +80,10 @@ Var Tape::Leaf(Parameter& parameter) {
 Var Tape::Constant(const Matrix& value) {
   Matrix copy = AcquireOutput(value.rows(), value.cols());
   std::copy_n(value.data(), value.size(), copy.data());
-  return Emplace(std::move(copy));
+  return Emplace(std::move(copy), {});
 }
 
-Var Tape::Constant(Matrix&& value) { return Emplace(std::move(value)); }
+Var Tape::Constant(Matrix&& value) { return Emplace(std::move(value), {}); }
 
 Matrix& Tape::MutableValue(Var v) {
   SKIPNODE_CHECK(v.tape_ == this);

@@ -23,8 +23,11 @@
 #define SKIPNODE_AUTOGRAD_TAPE_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -188,14 +191,37 @@ class Tape {
     Matrix value;
     Matrix grad;        // Allocated lazily by EnsureGrad().
     bool grad_ready = false;
+    // Whether a Parameter leaf feeds this node, i.e. whether Backward() can
+    // reach a Parameter through it. Nothing reads the gradient of a node
+    // that does not, so it records no closure and its parents' closures
+    // skip it.
+    bool needs_grad = false;
     // Propagates this node's grad into its parents' grads (and Parameter
-    // grads for leaves). Null for constants.
+    // grads for leaves). Null for constants and for nodes that need no
+    // gradient.
     std::function<void()> backward;
   };
 
   Node& node(int index) { return *nodes_[index]; }
   const Node& node(int index) const { return *nodes_[index]; }
-  Var Emplace(Matrix value);
+  // Appends a node holding `value`. It needs a gradient iff one of `inputs`
+  // does: the one place an op's needs_grad is decided.
+  Var Emplace(Matrix value, std::span<const Var> inputs);
+  Var Emplace(Matrix value, std::initializer_list<Var> inputs) {
+    return Emplace(std::move(value),
+                   std::span<const Var>(inputs.begin(), inputs.size()));
+  }
+  // Sets `out`'s backward closure, or drops it (and whatever it captured)
+  // when `out` needs no gradient.
+  template <typename Fn>
+  void SetBackward(Var out, Fn&& backward) {
+    Node& n = node(out.index_);
+    if (n.needs_grad) n.backward = std::forward<Fn>(backward);
+  }
+  // The grad buffer of a parent a closure writes into (allocated zeroed on
+  // first use), or nullptr when that parent needs no gradient — then the
+  // closure skips the kernel that would have produced it.
+  Matrix* GradIfNeeded(int index);
   // Ensures `grad` is allocated (zeroed) and returns it.
   Matrix& EnsureGrad(int index);
   // Zeroed rows x cols output buffer, drawn from the workspace pool.

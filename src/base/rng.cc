@@ -118,4 +118,34 @@ void Rng::Shuffle(std::vector<int>& values) {
   }
 }
 
+void Rng::BernoulliFill(double p, uint8_t* hit, int64_t n) {
+  // Uniform() < p  <=>  (Next() >> 11) < p * 2^53, because Uniform() is that
+  // 53-bit integer scaled by 2^-53 and scaling by a power of two is exact.
+  // For an integer left side the bound is ceil(p * 2^53). p <= 0 and NaN
+  // never hit; p >= 1 always hits (every draw is below 2^53).
+  uint64_t threshold = 0;
+  if (p >= 1.0) {
+    threshold = uint64_t{1} << 53;
+  } else if (p > 0.0) {
+    threshold = static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
+  // Next(), step for step, on a local copy of the state.
+  uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t result = Rotl(s1 * 5, 7) * 9;
+    const uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = Rotl(s3, 45);
+    hit[i] = (result >> 11) < threshold ? 1 : 0;
+  }
+  state_[0] = s0;
+  state_[1] = s1;
+  state_[2] = s2;
+  state_[3] = s3;
+}
+
 }  // namespace skipnode

@@ -38,6 +38,11 @@ class Rng {
   // Bernoulli(p).
   bool Bernoulli(double p);
 
+  // Writes n Bernoulli(p) draws to hit[0, n) (1 = hit): the same draws, and
+  // the same end state, as n calls to Bernoulli(p), at a fraction of the
+  // cost (the state stays in registers and each test is an integer compare).
+  void BernoulliFill(double p, uint8_t* hit, int64_t n);
+
   // Returns `k` distinct indices sampled uniformly from [0, n) without
   // replacement (partial Fisher-Yates). Requires k <= n.
   std::vector<int> SampleWithoutReplacement(int n, int k);

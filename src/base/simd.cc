@@ -26,4 +26,20 @@ void SetEnabled(bool enabled) { detail::enabled = enabled; }
 
 const char* CompiledMode() { return "portable"; }
 
+int64_t GemmTbPanelsSize(int n, int k) {
+  const int64_t panels = (static_cast<int64_t>(n) + kLanes - 1) / kLanes;
+  return panels * kLanes * k;
+}
+
+void PackGemmTbPanels(const float* b, int64_t ldb, int n, int k,
+                      double* panels) {
+  for (int p = 0; p < n; p += kLanes) {
+    for (int j = 0; j < k; ++j, panels += kLanes) {
+      for (int l = 0; l < kLanes; ++l) {
+        panels[l] = p + l < n ? b[static_cast<int64_t>(p + l) * ldb + j] : 0.0;
+      }
+    }
+  }
+}
+
 }  // namespace skipnode::simd

@@ -97,6 +97,23 @@ struct AdamConstants {
 void AdamStepRef(float* value, const float* grad, float* m, float* v,
                  int64_t n, const AdamConstants& k);
 
+// One output row of A·Bᵀ (Gemm's transpose_b path), B an n x k row-major
+// matrix with row stride ldb:
+//   out[p] += float(sum over ascending j < k of double(a[j]) * double(b_p[j]))
+// for every p < n. A float x float product is exact in double, so each
+// output's bits are fixed by its own ascending-j sum alone.
+void GemmTbRowRef(const float* a, const float* b, int64_t ldb, int n, int k,
+                  float* out);
+
+// The layout GemmTbRow reads B in: ceil(n / kLanes) panels of k x kLanes
+// doubles, panel q holding rows [q * kLanes, q * kLanes + kLanes) of B
+// transposed (element (j, l) = B[q * kLanes + l][j]), zero past row n.
+// GemmTbPanelsSize is the element count; pack once per B, then serve every
+// row of A from it.
+int64_t GemmTbPanelsSize(int n, int k);
+void PackGemmTbPanels(const float* b, int64_t ldb, int n, int k,
+                      double* panels);
+
 // --- Kernels ----------------------------------------------------------------
 // Each is the Ref loop stripmined into kLanes independent lanes — same
 // per-element expression, so bitwise identical — with a scalar tail for
@@ -258,6 +275,26 @@ inline void AdamStep(float* value, const float* grad, float* m, float* v,
       value[i] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
       value[i] -= k.lr_weight_decay * value[i];
     }
+  }
+}
+
+// GemmTbRowRef vectorized across outputs: each pass computes kLanes outputs
+// from one panel, lane l owning output p + l and its ascending-j sum, so the
+// lanes reorder nothing (DESIGN §14). The zero-padded lanes of the last panel
+// are computed and dropped. `b` is read only by the reference path.
+inline void GemmTbRow(const float* __restrict a, const float* b, int64_t ldb,
+                      const double* __restrict panels, int n, int k,
+                      float* __restrict out) {
+  if (!Enabled()) return GemmTbRowRef(a, b, ldb, n, k, out);
+  for (int p = 0; p < n; p += kLanes) {
+    const double* __restrict panel = panels + static_cast<int64_t>(p) * k;
+    double acc[kLanes] = {};
+    for (int j = 0; j < k; ++j, panel += kLanes) {
+      const double aj = a[j];
+      for (int l = 0; l < kLanes; ++l) acc[l] += aj * panel[l];
+    }
+    const int lanes = n - p < kLanes ? n - p : kLanes;
+    for (int l = 0; l < lanes; ++l) out[p + l] += static_cast<float>(acc[l]);
   }
 }
 

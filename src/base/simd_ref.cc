@@ -80,4 +80,16 @@ void AdamStepRef(float* value, const float* grad, float* m, float* v,
   }
 }
 
+void GemmTbRowRef(const float* a, const float* b, int64_t ldb, int n, int k,
+                  float* out) {
+  for (int p = 0; p < n; ++p) {
+    const float* bp = b + static_cast<int64_t>(p) * ldb;
+    double dot = 0.0;
+    for (int j = 0; j < k; ++j) {
+      dot += static_cast<double>(a[j]) * bp[j];
+    }
+    out[p] += static_cast<float>(dot);
+  }
+}
+
 }  // namespace skipnode::simd

@@ -107,23 +107,20 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
         },
         min_rows);
   } else {
-    // A * B^T: row-by-row dot products, each accumulated in double in
-    // ascending k — the serial kernel's exact order.
+    // A * B^T: per output a dot product accumulated in double in ascending
+    // k — the serial kernel's exact order — computed kLanes outputs at a time
+    // from B^T packed into double panels once per call.
+    std::vector<double> panels(
+        static_cast<size_t>(simd::GemmTbPanelsSize(n, k)));
+    simd::PackGemmTbPanels(b.data(), b.cols(), n, k, panels.data());
     ParallelFor(
         0, m,
         [&](int64_t row_begin, int64_t row_end) {
           for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
-            const float* __restrict ai = a.row(i);
-            float* __restrict oi = out.row(i);
+            float* oi = out.row(i);
             if (!accumulate) std::fill(oi, oi + n, 0.0f);
-            for (int p = 0; p < n; ++p) {
-              const float* __restrict bp = b.row(p);
-              double dot = 0.0;
-              for (int j = 0; j < k; ++j) {
-                dot += static_cast<double>(ai[j]) * bp[j];
-              }
-              oi[p] += static_cast<float>(dot);
-            }
+            simd::GemmTbRow(a.row(i), b.data(), b.cols(), panels.data(), n, k,
+                            oi);
           }
         },
         min_rows);

@@ -4,9 +4,11 @@
 #include "autograd/tape.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "base/telemetry.h"
 #include "tensor/ops.h"
 #include "testing/coo_matrix.h"
 
@@ -171,6 +173,74 @@ TEST(TapeTest, LinearCombinationValue) {
   Var b = tape.Constant(Matrix(1, 1, {8.0f}));
   Var out = tape.LinearCombination({a, b}, tape.Leaf(coeff));
   EXPECT_NEAR(out.value()(0, 0), 7.0f, 1e-6f);
+}
+
+// A Constant feeds no Parameter, so nothing differentiates into it: the
+// MatMul it reaches through Dropout skips dA = g * W^T (no tensor.gemm_tb
+// call in the backward), while W's gradient is bitwise the one the same
+// chain gives when the input is a differentiable Leaf.
+TEST(TapeTest, ConstantInputGetsNoGradientAndWeightsKeepTheirs) {
+  Rng init(5);
+  const Matrix x = Matrix::Random(37, 12, init);
+  const Matrix w0 = Matrix::Random(12, 9, init);
+  const Matrix y = Matrix::Random(37, 9, init);
+  struct Outcome {
+    int64_t gemm_tb_calls = 0;
+    Matrix w_grad;
+    Matrix input_grad;
+  };
+  const auto run = [&](bool input_is_leaf) {
+    Parameter w("w", w0);
+    Parameter input("x", x);  // Only bound when input_is_leaf.
+    Rng rng(6);
+    Tape tape;
+    Var in = input_is_leaf ? tape.Leaf(input) : tape.Constant(x);
+    Var h = tape.MatMul(tape.Dropout(in, 0.3f, /*training=*/true, rng),
+                        tape.Leaf(w));
+    Var loss = tape.MseLoss(h, tape.Constant(y));
+    w.ZeroGrad();
+    ResetTelemetry();
+    tape.Backward(loss);
+    Outcome out;
+    const TelemetrySnapshot snapshot = SnapshotTelemetry();
+    const MetricStat* stat = snapshot.Find("tensor.gemm_tb");
+    out.gemm_tb_calls = stat == nullptr ? 0 : stat->count;
+    out.w_grad = w.grad;
+    out.input_grad = in.grad();
+    return out;
+  };
+  const bool saved = TelemetryEnabled();
+  SetTelemetryEnabled(true);
+  const Outcome constant = run(/*input_is_leaf=*/false);
+  const Outcome leaf = run(/*input_is_leaf=*/true);
+  SetTelemetryEnabled(saved);
+
+  EXPECT_EQ(constant.gemm_tb_calls, 0);
+  EXPECT_EQ(leaf.gemm_tb_calls, 1);
+  ASSERT_TRUE(constant.w_grad.SameShape(leaf.w_grad));
+  EXPECT_EQ(std::memcmp(constant.w_grad.data(), leaf.w_grad.data(),
+                        sizeof(float) * constant.w_grad.size()),
+            0);
+  EXPECT_GT(constant.w_grad.SquaredNorm(), 0.0f);
+  // Var::grad() of a node that needs no gradient still reads as zeros.
+  EXPECT_EQ(constant.input_grad.SquaredNorm(), 0.0f);
+  EXPECT_GT(leaf.input_grad.SquaredNorm(), 0.0f);
+}
+
+// needs_grad is the OR over an op's inputs: a constant operand of a
+// two-input op gets no gradient, the Parameter operand gets the usual one.
+TEST(TapeTest, MixedInputsRouteGradientToTheParameterOnly) {
+  Parameter w("w", Matrix(1, 2, {1.0f, -2.0f}));
+  Tape tape;
+  Var c = tape.Constant(Matrix(1, 2, {3.0f, 5.0f}));
+  Var sum = tape.Add(c, tape.Leaf(w));
+  Var loss = tape.MseLoss(sum, tape.Constant(Matrix(1, 2)));
+  w.ZeroGrad();
+  tape.Backward(loss);
+  // d/dw mean((c + w)^2) = (c + w).
+  EXPECT_NEAR(w.grad.at(0, 0), 4.0f, 1e-6f);
+  EXPECT_NEAR(w.grad.at(0, 1), 3.0f, 1e-6f);
+  EXPECT_EQ(c.grad().SquaredNorm(), 0.0f);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -78,6 +79,51 @@ TEST(RngTest, BernoulliMatchesRate) {
   const int draws = 20000;
   for (int i = 0; i < draws; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / draws, 0.3, 0.02);
+}
+
+// BernoulliFill is n calls to Bernoulli(p) in one pass: the same draws and
+// the same end state, for every p — including the ones its integer threshold
+// special-cases (p <= 0, NaN, p >= 1) and a p with no dyadic representation.
+TEST(RngTest, BernoulliFillMatchesRepeatedBernoulli) {
+  const double ps[] = {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                       0.0,  std::ldexp(1.0, -60),
+                       0.1,  0.3,
+                       0.5,  0.7,
+                       1.0 - std::ldexp(1.0, -53),
+                       1.0,  1.5};
+  const int64_t ns[] = {0, 1, 9, 100003};
+  for (const double p : ps) {
+    for (const int64_t n : ns) {
+      Rng calls(31), fill(31);
+      std::vector<uint8_t> hits(static_cast<size_t>(n), 7);
+      fill.BernoulliFill(p, hits.data(), n);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[static_cast<size_t>(i)], calls.Bernoulli(p) ? 1 : 0)
+            << "p=" << p << " n=" << n << " draw " << i;
+      }
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(fill.Next(), calls.Next()) << "p=" << p << " n=" << n;
+      }
+    }
+  }
+}
+
+// The integer threshold is exact at the boundary: a draw u hits iff
+// u * 2^-53 < p, so p equal to the drawn value misses and the next double
+// above it hits.
+TEST(RngTest, BernoulliFillThresholdIsExactAtTheDraw) {
+  for (const uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    Rng probe(seed);
+    const double drawn = probe.Uniform();
+    for (const double p : {drawn, std::nextafter(drawn, 1.0),
+                           std::nextafter(drawn, 0.0)}) {
+      Rng calls(seed), fill(seed);
+      uint8_t hit = 7;
+      fill.BernoulliFill(p, &hit, 1);
+      EXPECT_EQ(hit, calls.Bernoulli(p) ? 1 : 0) << "p=" << p;
+      EXPECT_EQ(hit, drawn < p ? 1 : 0) << "p=" << p;
+    }
+  }
 }
 
 TEST(RngTest, SampleWithoutReplacementIsDistinctAndInRange) {

@@ -204,6 +204,47 @@ TEST(SimdTest, AdamStepMatchesRefBitwiseCoupledAndDecoupled) {
   }
 }
 
+// One row of the exact A·Bᵀ: the packed, lane-per-output kernel against the
+// retired per-output dot product, over k values below, at and past a strip,
+// output counts that leave a panel tail, a strided B, and special values in
+// both operands. NaN appears with one sign only: which payload survives
+// NaN + NaN is left open by IEEE 754 and by the compiler's operand order.
+TEST(SimdTest, GemmTbRowMatchesRefBitwise) {
+  const SimdOn simd_on;
+  Rng rng(7);
+  const float specials[] = {0.0f, -0.0f, 1e-40f, -3e-42f, 1e-30f};
+  const float nan = std::nanf("");
+  for (const int k : {0, 1, 7, 8, 33}) {
+    for (const int n : {1, 3, 8, 9, 13, 16, 21}) {
+      const int ldb = k + 3;
+      std::vector<float> b = RandomVec(static_cast<int64_t>(n) * ldb, rng);
+      for (size_t e = 1; e < b.size(); e += 4) b[e] = specials[e % 5];
+      // Output 2's row of B carries a NaN: only that output goes NaN.
+      if (n > 2 && k > 0) b[static_cast<size_t>(2 * ldb + k - 1)] = nan;
+      std::vector<double> panels(
+          static_cast<size_t>(GemmTbPanelsSize(n, k)));
+      PackGemmTbPanels(b.data(), ldb, n, k, panels.data());
+      // A random row with specials, an all-signed-zero row (every output is
+      // a sum of zeros), a denormal row, and a row with a NaN.
+      std::vector<std::vector<float>> rows = {RandomVec(k, rng),
+                                              std::vector<float>(k, -0.0f),
+                                              std::vector<float>(k, 1e-41f),
+                                              RandomVec(k, rng)};
+      for (int j = 0; j < k; j += 3) rows[0][j] = specials[j % 5];
+      if (k > 0) rows[3][k / 2] = nan;
+      for (const std::vector<float>& a : rows) {
+        std::vector<float> out_vec = RandomVec(n, rng);
+        out_vec[0] = -0.0f;
+        std::vector<float> out_ref = out_vec;
+        GemmTbRow(a.data(), b.data(), ldb, panels.data(), n, k,
+                  out_vec.data());
+        GemmTbRowRef(a.data(), b.data(), ldb, n, k, out_ref.data());
+        EXPECT_BITWISE_EQ(out_vec, out_ref, n);
+      }
+    }
+  }
+}
+
 TEST(SimdTest, ParseEnabledEnvAcceptsOnOffAndDefaultsOn) {
   EXPECT_TRUE(ParseEnabledEnv(nullptr));
   EXPECT_TRUE(ParseEnabledEnv("1"));

@@ -15,9 +15,12 @@
 #include "base/rng.h"
 #include "graph/datasets.h"
 #include "graph/io.h"
+#include "testing/mutation.h"
 
 namespace skipnode {
 namespace {
+
+using testing::Mutated;
 
 // Writes `contents` to a fresh temp file and returns its path.
 std::string WriteTempFile(const std::string& tag,
@@ -141,45 +144,6 @@ TEST(IoMalformedTest, LoadGraphFailsCleanlyOnAnyBadPiece) {
         << labels;
     EXPECT_EQ(graph, nullptr);
   }
-}
-
-// One random edit of `text`: a flipped bit, an inserted run of digits, a
-// truncation, or a duplicated line.
-void MutateOnce(std::string* text, Rng& rng) {
-  const auto position = [&] {
-    return static_cast<size_t>(rng.UniformInt(text->size() + 1));
-  };
-  switch (rng.UniformInt(4)) {
-    case 0:
-      if (!text->empty()) {
-        (*text)[rng.UniformInt(text->size())] ^=
-            static_cast<char>(1u << rng.UniformInt(8));
-      }
-      break;
-    case 1: {
-      std::string digits(1 + rng.UniformInt(12), '0');
-      for (char& digit : digits) digit += static_cast<char>(rng.UniformInt(10));
-      text->insert(position(), digits);
-      break;
-    }
-    case 2:
-      text->resize(position());
-      break;
-    default: {
-      const size_t begin = text->rfind('\n', position());
-      const size_t start = begin == std::string::npos ? 0 : begin + 1;
-      size_t end = text->find('\n', start);
-      end = end == std::string::npos ? text->size() : end + 1;
-      text->insert(end, text->substr(start, end - start));
-      break;
-    }
-  }
-}
-
-std::string Mutated(std::string text, Rng& rng) {
-  const uint64_t edits = 1 + rng.UniformInt(3);
-  for (uint64_t i = 0; i < edits; ++i) MutateOnce(&text, rng);
-  return text;
 }
 
 // Seeded mutation pass over the fixtures above and the dataset-spec parser:

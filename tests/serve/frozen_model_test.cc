@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/parallel.h"
@@ -19,6 +23,7 @@
 #include "nn/checkpoint.h"
 #include "nn/model_factory.h"
 #include "tensor/ops.h"
+#include "testing/mutation.h"
 #include "train/trainer.h"
 
 namespace skipnode {
@@ -230,6 +235,60 @@ TEST(FrozenModelTest, MismatchedArchitectureIsRejectedWithClearMessage) {
   EXPECT_NE(rejection(::testing::TempDir() + "frozen_nowhere", SmallConfig())
                 .find("no readable checkpoint manifest"),
             std::string::npos);
+}
+
+// Seeded mutation pass over a --save-dir checkpoint: each round copies the
+// checkpoint with one of its files (the manifest or a parameter CSV) edited
+// by testing::Mutated, then loads it. TryFromCheckpoint must return a model
+// or nullptr with a message — an abort fails the whole binary.
+TEST(FrozenModelTest, SeededCheckpointMutationsNeverAbort) {
+  namespace fs = std::filesystem;
+  const fs::path source = ::testing::TempDir() + "frozen_mutation_source";
+  fs::remove_all(source);
+  auto model = TrainedModel("GCN");
+  ASSERT_TRUE(SaveModelParameters(*model, source.string()));
+  std::vector<std::pair<fs::path, std::string>> files;  // relative path, text
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(source)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files.emplace_back(fs::relative(entry.path(), source),
+                       std::string(std::istreambuf_iterator<char>(in), {}));
+  }
+  // The manifest plus one CSV per parameter (3 layers x weight and bias).
+  ASSERT_EQ(files.size(), 7u);
+
+  const fs::path mutant = ::testing::TempDir() + "frozen_mutation_mutant";
+  constexpr int kIterations = 280;
+  Rng rng(29);
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    fs::remove_all(mutant);
+    const size_t target = static_cast<size_t>(i) % files.size();
+    for (size_t f = 0; f < files.size(); ++f) {
+      const fs::path path = mutant / files[f].first;
+      fs::create_directories(path.parent_path());
+      std::ofstream out(path, std::ios::binary);
+      out << (f == target ? testing::Mutated(files[f].second, rng)
+                          : files[f].second);
+    }
+    std::string error;
+    const std::unique_ptr<FrozenModel> restored =
+        FrozenModel::TryFromCheckpoint(mutant.string(), "GCN", SmallConfig(),
+                                       TestGraph(), StrategyConfig::None(),
+                                       &error);
+    if (restored != nullptr) {
+      ++accepted;
+      EXPECT_EQ(restored->num_nodes(), TestGraph().num_nodes());
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "round " << i;
+    }
+  }
+  // Both outcomes occur: the pass reaches the accepting path (edits inside
+  // a number) as well as every kind of rejection.
+  EXPECT_GT(accepted, kIterations / 20);
+  EXPECT_GT(rejected, kIterations / 20);
 }
 
 }  // namespace

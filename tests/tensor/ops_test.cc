@@ -281,6 +281,19 @@ TEST(OpsTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
     SetParallelThreadCount(0);
     ExpectBitwiseEqual(serial, threaded);
   }
+  // A * B^T at an output width that leaves a partial panel (61 = 7 * 8 + 5).
+  const Matrix b_narrow = Matrix::Random(61, 96, rng);
+  for (const bool accumulate : {false, true}) {
+    const GemmOptions options{.transpose_b = true, .accumulate = accumulate};
+    SetParallelThreadCount(1);
+    Matrix serial = Matrix::Ones(192, 61);
+    Gemm(a, b_narrow, serial, options);
+    SetParallelThreadCount(4);
+    Matrix threaded = Matrix::Ones(192, 61);
+    Gemm(a, b_narrow, threaded, options);
+    SetParallelThreadCount(0);
+    ExpectBitwiseEqual(serial, threaded);
+  }
 }
 
 TEST(OpsTest, RowOpsAreBitwiseIdenticalAcrossThreadCounts) {
@@ -399,6 +412,11 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
   const Matrix x = Matrix::Random(m, n, rng);
   const Matrix y = Matrix::Random(m, n, rng);
   const Matrix v = Matrix::Random(1, n, rng);
+  // An A * B^T large enough to fan out over threads, accumulating into a
+  // random output whose width (45) leaves a partial panel.
+  const Matrix wide_a = Matrix::Random(160, 33, rng);
+  const Matrix wide_bt = Matrix::Random(45, 33, rng);
+  const Matrix wide_init = Matrix::Random(160, 45, rng);
 
   auto run_all = [&]() {
     std::vector<Matrix> outs;
@@ -409,6 +427,9 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
     outs.push_back(std::move(nn));
     outs.push_back(std::move(tn));
     outs.push_back(std::move(tb));
+    Matrix wide_tb = wide_init;
+    Gemm(wide_a, wide_bt, wide_tb, {.transpose_b = true, .accumulate = true});
+    outs.push_back(std::move(wide_tb));
     outs.push_back(Add(x, y));
     outs.push_back(Sub(x, y));
     outs.push_back(Hadamard(x, y));

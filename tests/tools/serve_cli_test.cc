@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "tools/cli.h"
 
 namespace skipnode {
@@ -24,15 +25,18 @@ struct CliResult {
   std::string output;
 };
 
-CliResult RunTool(const std::vector<std::string>& args) {
+using CliMain = int (*)(int, const char* const*, std::FILE*);
+
+// Runs skipnode_serve (or, with main = RunCli, skipnode_train) in process.
+CliResult RunTool(const std::vector<std::string>& args,
+                  CliMain main = RunServeCli) {
   std::vector<const char*> argv = {"skipnode_serve"};
   for (const std::string& arg : args) argv.push_back(arg.c_str());
 
   const std::string path = ::testing::TempDir() + "/serve_cli_output.txt";
   std::FILE* out = std::fopen(path.c_str(), "w");
   EXPECT_NE(out, nullptr);
-  const int code =
-      RunServeCli(static_cast<int>(argv.size()), argv.data(), out);
+  const int code = main(static_cast<int>(argv.size()), argv.data(), out);
   std::fclose(out);
 
   std::ifstream in(path);
@@ -67,18 +71,11 @@ TEST(ServeCliTest, ServesFromTrainCliCheckpoint) {
   // End-to-end interop: skipnode_train --save-dir, then skipnode_serve
   // --load-dir with a matching architecture.
   const std::string dir = ::testing::TempDir() + "/serve_cli_ckpt";
-  std::vector<const char*> train_argv = {
-      "skipnode_train", "--dataset", "cornell_like", "--model", "GCN",
-      "--layers",       "3",         "--epochs",     "3",       "--save-dir",
-      dir.c_str()};
-  const std::string train_out_path =
-      ::testing::TempDir() + "/serve_cli_train_output.txt";
-  std::FILE* train_out = std::fopen(train_out_path.c_str(), "w");
-  ASSERT_NE(train_out, nullptr);
-  const int train_code = RunCli(static_cast<int>(train_argv.size()),
-                                train_argv.data(), train_out);
-  std::fclose(train_out);
-  ASSERT_EQ(train_code, 0);
+  ASSERT_EQ(RunTool({"--dataset", "cornell_like", "--model", "GCN",
+                     "--layers", "3", "--epochs", "3", "--save-dir", dir},
+                    RunCli)
+                .exit_code,
+            0);
 
   const CliResult result = RunTool(
       {"--dataset", "cornell_like", "--model", "GCN", "--layers", "3",
@@ -155,6 +152,115 @@ TEST(ServeCliTest, RejectsOutOfRangeServerFlags) {
   }
 }
 
+// The upper bounds: a well-formed but absurd size exits 1 with an error
+// instead of overflowing a count, exhausting the allocator or hanging.
+TEST(ServeCliTest, RejectsSizesPastTheirBounds) {
+  struct Case {
+    std::vector<std::string> flags;
+    std::string message;
+    bool serve_only;
+  };
+  const std::vector<Case> cases = {
+      {{"--clients", "2147483647"}, "error: --clients/--workers must be <=",
+       true},
+      {{"--workers", "1025"}, "error: --clients/--workers must be <=", true},
+      {{"--requests", "2147483647"},
+       "error: --clients x --requests x --batch-ids must be <=", true},
+      {{"--batch-ids", "2147483647"},
+       "error: --clients x --requests x --batch-ids must be <=", true},
+      {{"--window-us", "2147483647"},
+       "error: --window-us/--inject-stall-us must be <=", true},
+      {{"--inject-stall-us", "10000001"},
+       "error: --window-us/--inject-stall-us must be <=", true},
+      {{"--layers", "2147483647"}, "error: --layers must be <= 1024", false},
+      {{"--hidden", "16385"}, "--hidden <= 16384", false},
+      {{"--epochs", "1000001"}, "--epochs <= 1000000", false},
+      {{"--nodes", "99999999999"},
+       "error: the node count (--nodes or @SIZE) must be <=", false},
+      {{"--avg-degree", "2147483647"}, "and --avg-degree <= 200", false},
+      {{"--dataset", "synth@2000m"},
+       "error: the node count (--nodes or @SIZE) must be <=", false}};
+  for (const Case& c : cases) {
+    std::vector<std::string> args = {"--dataset", "cora_like", "--scale",
+                                     "0.1", "--epochs", "1"};
+    args.insert(args.end(), c.flags.begin(), c.flags.end());
+    for (const CliMain main : {RunServeCli, RunCli}) {
+      if (c.serve_only && main == RunCli) continue;
+      const CliResult result = RunTool(args, main);
+      EXPECT_EQ(result.exit_code, 1) << c.flags[0];
+      EXPECT_NE(result.output.find(c.message), std::string::npos)
+          << result.output;
+    }
+  }
+}
+
+// Seeded argument vectors through both CLIs, the pattern of
+// IoMalformedTest.SeededMutationsNeverAbort applied to argv: a cora_like
+// --scale 0.1 --epochs 1 run plus one to three flags drawn from the
+// parsers, with hostile values (negative, non-finite, past int range, not a
+// number, empty) and a few valid names. Every vector must exit 0 or 1; an
+// abort fails the whole binary.
+TEST(ServeCliTest, SeededArgumentVectorsNeverAbort) {
+  const std::vector<std::string> shared = {
+      "--dataset", "--scale",    "--seed",   "--model",
+      "--layers",  "--hidden",   "--dropout", "--strategy",
+      "--rate",    "--epochs",   "--nodes",  "--avg-degree"};
+  const std::vector<std::string> train_only = {
+      "--edges",       "--features",      "--labels",      "--lr",
+      "--weight-decay", "--log-every",    "--metrics-out", "--split",
+      "--save-dir",    "--load-dir",      "--check-every", "--max-rollbacks",
+      "--lr-backoff",  "--grad-clip",     "--inject",      "--inject-epoch",
+      "--inject-kind", "--sample-fanout", "--batch-size"};
+  const std::vector<std::string> serve_only = {
+      "--load-dir",   "--clients",      "--requests",     "--batch-ids",
+      "--workers",    "--window-us",    "--batch-rows",   "--queue-cap",
+      "--policy",     "--deadline-us",  "--swap-dir",     "--inject",
+      "--inject-batch", "--inject-stall-us"};
+  const std::vector<std::string> values = {
+      "-1",         "nan",        "inf",        "2147483647", "99999999999",
+      "abc",        "",           "0",          "1",          "2",
+      "0.5",        "-0",         "1e-30",      "GCN",        "GAT",
+      "SGC",        "skipnode-u", "dropedge",   "random",     "activation",
+      "shed-newest", "serve-worker-stall", "synth@1k"};
+  // Flags that write get a scratch path or an unusable one, never a bare
+  // value: "--save-dir abc" would create ./abc.
+  const std::vector<std::string> write_paths = {
+      ::testing::TempDir() + "/serve_cli_argv_out", "",
+      "/nonexistent-dir/out"};
+
+  constexpr int kIterations = 400;
+  Rng rng(37);
+  int succeeded = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const bool serve = i % 2 == 1;
+    std::vector<std::string> pool = shared;
+    const std::vector<std::string>& own = serve ? serve_only : train_only;
+    pool.insert(pool.end(), own.begin(), own.end());
+    std::vector<std::string> args = {"--dataset", "cora_like", "--scale",
+                                     "0.1", "--epochs", "1"};
+    const uint64_t flags = 1 + rng.UniformInt(3);
+    for (uint64_t f = 0; f < flags; ++f) {
+      if (rng.Bernoulli(0.1)) {
+        args.push_back(serve ? "--burst" : "--health");
+        continue;
+      }
+      const std::string& flag = pool[rng.UniformInt(pool.size())];
+      const bool writes = flag == "--metrics-out" || flag == "--save-dir";
+      args.push_back(flag);
+      args.push_back(writes ? write_paths[rng.UniformInt(write_paths.size())]
+                            : values[rng.UniformInt(values.size())]);
+    }
+    const CliResult result = RunTool(args, serve ? RunServeCli : RunCli);
+    std::string joined;
+    for (const std::string& arg : args) joined += " '" + arg + "'";
+    EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 1)
+        << (serve ? "skipnode_serve" : "skipnode_train") << joined;
+    if (result.exit_code == 0) ++succeeded;
+  }
+  // The pass reaches training and serving, not only the flag errors.
+  EXPECT_GT(succeeded, kIterations / 10);
+}
+
 // A --load-dir that holds no usable checkpoint is reported, not aborted on.
 TEST(ServeCliTest, LoadDirWithoutValidCheckpointFailsWithError) {
   const std::string missing = ::testing::TempDir() + "/serve_cli_no_ckpt";
@@ -214,20 +320,14 @@ TEST(ServeCliTest, StallInjectionWithDeadlinesExpiresRequests) {
 TEST(ServeCliTest, HotSwapFromCheckpointMidTraffic) {
   const std::string dir_a = ::testing::TempDir() + "/serve_cli_swap_a";
   const std::string dir_b = ::testing::TempDir() + "/serve_cli_swap_b";
-  const std::string train_out_path =
-      ::testing::TempDir() + "/serve_cli_swap_train.txt";
   for (const auto& [dir, seed] :
        {std::make_pair(dir_a, "1"), std::make_pair(dir_b, "9")}) {
-    std::vector<const char*> train_argv = {
-        "skipnode_train", "--dataset", "cornell_like", "--model",   "GCN",
-        "--layers",       "3",         "--epochs",     "3",         "--seed",
-        seed,             "--save-dir", dir.c_str()};
-    std::FILE* train_out = std::fopen(train_out_path.c_str(), "w");
-    ASSERT_NE(train_out, nullptr);
-    const int train_code = RunCli(static_cast<int>(train_argv.size()),
-                                  train_argv.data(), train_out);
-    std::fclose(train_out);
-    ASSERT_EQ(train_code, 0);
+    ASSERT_EQ(RunTool({"--dataset", "cornell_like", "--model", "GCN",
+                       "--layers", "3", "--epochs", "3", "--seed", seed,
+                       "--save-dir", dir},
+                      RunCli)
+                  .exit_code,
+              0);
   }
 
   const CliResult result = RunTool(
@@ -244,18 +344,11 @@ TEST(ServeCliTest, HotSwapFromCheckpointMidTraffic) {
 
 TEST(ServeCliTest, HotSwapRejectsCorruptCandidateWithoutDowntime) {
   const std::string good = ::testing::TempDir() + "/serve_cli_swap_good";
-  std::vector<const char*> train_argv = {
-      "skipnode_train", "--dataset", "cornell_like", "--model", "GCN",
-      "--layers",       "3",         "--epochs",     "3",       "--save-dir",
-      good.c_str()};
-  const std::string train_out_path =
-      ::testing::TempDir() + "/serve_cli_swap_good_train.txt";
-  std::FILE* train_out = std::fopen(train_out_path.c_str(), "w");
-  ASSERT_NE(train_out, nullptr);
-  ASSERT_EQ(RunCli(static_cast<int>(train_argv.size()), train_argv.data(),
-                   train_out),
+  ASSERT_EQ(RunTool({"--dataset", "cornell_like", "--model", "GCN",
+                     "--layers", "3", "--epochs", "3", "--save-dir", good},
+                    RunCli)
+                .exit_code,
             0);
-  std::fclose(train_out);
 
   // The candidate directory holds garbage instead of a checkpoint.
   const std::string corrupt = ::testing::TempDir() + "/serve_cli_swap_corrupt";

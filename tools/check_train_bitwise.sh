@@ -3,7 +3,7 @@
 # skipnode_train at git revision REF and in the working tree, trains a fixed
 # matrix of runs with each binary at 1 and 4 threads, and diffs the
 # --save-dir checkpoints and the --log-every 1 stdout byte for byte (only
-# the line naming the checkpoint path is left out). The matrix (31 cases):
+# the line naming the checkpoint path is left out). The matrix (33 cases):
 #   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge /
 #     dropnode, and skipnode-u for each other backbone (GAT, JKNet,
 #     IncepGCN, GCNII, APPNP, GPRGNN, SGC), so every Forward is covered;
@@ -11,7 +11,9 @@
 #     per epoch) x none / skipnode-u / skipnode-b — every sampled mask
 #     source;
 #   * the guardrails (--health) with an activation / gradient / update fault
-#     injected at epoch 5, full-batch and sampled.
+#     injected at epoch 5, full-batch and sampled;
+#   * dropout 0.3 (every other case trains at the default 0.5, a dyadic
+#     rate), full-batch ResGCN and sampled GCN under skipnode-u.
 # REF's tree is exported with `git archive` into a temporary directory, so
 # the working tree and the repository metadata are left untouched.
 #
@@ -69,6 +71,10 @@ for site in activation gradient update; do
   CASES+=("full-inject-$site|$INJECT $site")
   CASES+=("sampled-inject-$site|$INJECT $site $SAMPLED")
 done
+CASES+=("full-ResGCN-skipnode-u-dropout-0.3|--model ResGCN \
+--strategy skipnode-u --dropout 0.3")
+CASES+=("sampled-GCN-skipnode-u-dropout-0.3|--model GCN --strategy skipnode-u \
+--dropout 0.3 $SAMPLED")
 
 # Trains one case with binary $1 into directory $2; the flags follow.
 train() {

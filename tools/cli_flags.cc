@@ -14,6 +14,18 @@
 namespace skipnode {
 namespace {
 
+// Upper bounds on the flags that size a run: far past any experiment in this
+// repo, and low enough that an accepted value cannot overflow the dataset
+// generator's int-sized node and edge counts (kMaxNodes * kMaxAvgDegree / 2
+// < 2^31) or ask for an allocation no machine can make. A typo like
+// --hidden 2147483647 exits 1 with an error instead of aborting in a check
+// or in operator new.
+constexpr int kMaxLayers = 1024;
+constexpr int kMaxHidden = 1 << 14;
+constexpr int kMaxEpochs = 1'000'000;
+constexpr int64_t kMaxNodes = int64_t{1} << 24;  // --nodes and @SIZE
+constexpr double kMaxAvgDegree = 200.0;
+
 // Parses all of `value` into `*target`: no leading whitespace or '+', no
 // trailing characters, nothing outside T's range, and (for floating point)
 // nothing non-finite. `*target` is untouched on failure.
@@ -153,6 +165,13 @@ bool ModelDataFlags::Validate(std::FILE* out) const {
     std::fprintf(out, "error: --epochs must be >= 0\n");
     return false;
   }
+  if (layers > kMaxLayers || hidden > kMaxHidden || epochs > kMaxEpochs) {
+    std::fprintf(out,
+                 "error: --layers must be <= %d, --hidden <= %d and --epochs "
+                 "<= %d\n",
+                 kMaxLayers, kMaxHidden, kMaxEpochs);
+    return false;
+  }
   if (!(dropout >= 0.0f && dropout < 1.0f)) {
     std::fprintf(out, "error: --dropout must be in [0, 1)\n");
     return false;
@@ -182,6 +201,13 @@ bool ModelDataFlags::BuildGraph(std::unique_ptr<Graph>* graph,
   }
   if (nodes < 0 || avg_degree < 0.0) {
     std::fprintf(out, "error: --nodes/--avg-degree must be >= 0\n");
+    return false;
+  }
+  if (request.nodes > kMaxNodes || avg_degree > kMaxAvgDegree) {
+    std::fprintf(out,
+                 "error: the node count (--nodes or @SIZE) must be <= %lld "
+                 "and --avg-degree <= %g\n",
+                 static_cast<long long>(kMaxNodes), kMaxAvgDegree);
     return false;
   }
   *graph = std::make_unique<Graph>(DatasetRegistry::Global().Build(request));

@@ -83,15 +83,17 @@ struct ModelDataFlags {
   // --strategy --rate --epochs --nodes --avg-degree on `parser`.
   void RegisterOn(FlagParser* parser);
 
-  // Rejects the values the model and trainer would abort on: --layers < 2,
-  // --hidden < 1 (or, for GAT, not a multiple of the head count), --epochs
-  // < 0, --dropout outside [0, 1). False, with an error line on `out`; both
-  // CLIs call it right after parsing.
+  // Rejects the values the model and trainer would abort on: --layers
+  // outside [2, 1024], --hidden outside [1, 16384] (or, for GAT, not a
+  // multiple of the head count), --epochs outside [0, 10^6], --dropout
+  // outside [0, 1). False, with an error line on `out`; both CLIs call it
+  // right after parsing.
   bool Validate(std::FILE* out) const;
 
   // Resolves `dataset` (name or name@SIZE; an explicit --nodes beats the
   // suffix) through DatasetRegistry::Global(). False, with the usual error
-  // message, on a malformed suffix, unknown name, or out-of-range --scale.
+  // message, on a malformed suffix, unknown name, out-of-range --scale, or a
+  // node count past 2^24 / --avg-degree past 200.
   bool BuildGraph(std::unique_ptr<Graph>* graph, std::FILE* out) const;
 };
 

@@ -129,6 +129,34 @@ bool ParseFlags(int argc, const char* const* argv, ServeCliOptions* options,
                  "error: --window-us/--queue-cap/--deadline-us must be >= 0\n");
     return false;
   }
+  // Upper bounds: every client and worker is a thread, the replay keeps
+  // every request's ids and response until it verifies them, and a window
+  // or stall is a sleep. Past these a typo would abort in the allocator or
+  // hang the process instead of exiting 1.
+  constexpr int kMaxThreads = 1024;
+  constexpr int64_t kMaxTrafficIds = int64_t{1} << 22;
+  constexpr int kMaxWaitUs = 10'000'000;
+  if (options->clients > kMaxThreads || options->workers > kMaxThreads) {
+    std::fprintf(out, "error: --clients/--workers must be <= %d\n",
+                 kMaxThreads);
+    return false;
+  }
+  // One factor at a time, so the product is formed only once it fits.
+  if (options->requests > kMaxTrafficIds / options->clients ||
+      options->batch_ids >
+          kMaxTrafficIds / (int64_t{options->clients} * options->requests)) {
+    std::fprintf(out,
+                 "error: --clients x --requests x --batch-ids must be <= "
+                 "%lld ids\n",
+                 static_cast<long long>(kMaxTrafficIds));
+    return false;
+  }
+  if (options->window_us > kMaxWaitUs ||
+      options->inject_stall_us > kMaxWaitUs) {
+    std::fprintf(out, "error: --window-us/--inject-stall-us must be <= %d\n",
+                 kMaxWaitUs);
+    return false;
+  }
   return true;
 }
 

@@ -15,9 +15,10 @@ DESIGN.md section 9, plus bench-specific invariants:
     unmasked one and spmm_t.rows_skipped > 0 at rho=0.5. Thread speedup is
     NOT hard-checked: CI hosts may be single-core.
   * micro must emit the SIMD sweep (DESIGN section 14): simd_gemm /
-    simd_axpby / simd_adam in both simd=0 and simd=1 variants, with the
-    vectorized variant >= 1.5x faster on each of those three cells
-    (simd_spmm / simd_relu are informational, presence-checked only).
+    simd_gemm_tb / simd_axpby / simd_adam in both simd=0 and simd=1
+    variants, with the vectorized variant >= 1.5x faster on each of those
+    four cells (simd_spmm / simd_relu are informational, presence-checked
+    only).
   * serve must show batched serving at 8 client threads reaching >= 2x the
     one-request-at-a-time EvaluateLogits baseline throughput, with p50/p99
     latency records present (the DESIGN section 11 acceptance signal).
@@ -176,7 +177,7 @@ def check_micro(path, records):
              f"spmm_t.rows_skipped telemetry")
 
     # SIMD sweep (DESIGN section 14): the vectorized microkernels must beat
-    # the retained scalar references by >= 1.5x single-threaded on the three
+    # the retained scalar references by >= 1.5x single-threaded on the four
     # gate cells. The margin is conservative — the portable build's
     # compiler-vectorized strips measure ~3-4x on a 4-lane SSE2 baseline.
     SIMD_SPEEDUP_FLOOR = 1.5
@@ -189,7 +190,7 @@ def check_micro(path, records):
         fail(f"{path}: micro emitted no {cell!r} ns_per_op record "
              f"at simd={simd_on}")
 
-    for cell in ("simd_gemm", "simd_axpby", "simd_adam"):
+    for cell in ("simd_gemm", "simd_gemm_tb", "simd_axpby", "simd_adam"):
         scalar = simd_cell(cell, 0)
         vector = simd_cell(cell, 1)
         if vector["value"] <= 0:
