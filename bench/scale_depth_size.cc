@@ -8,9 +8,12 @@
 //   * sampled_train — minibatch neighbor-sampled training (DESIGN §15) on
 //     the big graph: L=3 with fanout 4, batch 128, SkipNode-U rho=0.5 so the
 //     skip-aware frontier pruning fires. Records ms_per_epoch (one pass over
-//     the train split) and rss_over_footprint against the graph + sampler
-//     footprint; the validator's check_sampled rule holds the epoch time to
-//     <= 0.5x the full-batch stream_train cell and the RSS ratio to <= 2x.
+//     the train split), rss_over_footprint against the graph + sampler
+//     footprint, and pool_retained_growth — the workspace pool's retained
+//     bytes after the last evaluated epoch over those after the first. The
+//     validator's check_sampled rule holds the epoch time to <= 0.5x the
+//     full-batch stream_train cell, the RSS ratio to <= 2x and the pool
+//     growth to <= 2x; the cell trains 8 epochs so per-batch growth shows.
 //     The peak includes the trainer's full-graph evaluations at the first
 //     and last epoch. It runs FIRST: ru_maxrss is a process-lifetime
 //     high-water mark, so the sampled cell's peak is only attributable while
@@ -35,6 +38,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -70,13 +74,15 @@ ModelConfig ScaleConfig(const Graph& graph, int num_layers, int hidden) {
 // Trains a GCN for `epochs` epochs through TrainNodeClassifier — full-batch,
 // or minibatch neighbor-sampled (DESIGN §15) when `sampling` is enabled —
 // and returns its mean training time per epoch (ms), evaluation excluded.
-// Evaluation runs only at the first and last epoch.
+// Evaluation, and with it `on_epoch`, runs only at the first and last epoch.
 double TrainMsPerEpoch(const Graph& graph, const Split& split,
                        const StrategyConfig& strategy, int num_layers,
-                       int hidden, int epochs, SamplingOptions sampling = {}) {
+                       int hidden, int epochs, SamplingOptions sampling = {},
+                       EpochCallback on_epoch = {}) {
   Rng rng(3);
   auto model = MakeModel("GCN", ScaleConfig(graph, num_layers, hidden), rng);
   TrainRun run{.options = {.epochs = epochs, .eval_every = epochs, .seed = 3},
+               .on_epoch = std::move(on_epoch),
                .collect_metrics = true,
                .sampling = std::move(sampling)};
   run.health.enabled = bench::Config().guard;
@@ -101,7 +107,8 @@ void RecordRss(bench::CellRecorder& recorder, int64_t footprint_bytes,
 // outweigh the training working set (DESIGN §13 derives the bound). Scoped
 // in its own frame so the big graph is released before the mid-sized
 // panels run.
-void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs) {
+void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs,
+                      int sampled_epochs) {
   DatasetRequest request;
   request.name = "synth";
   request.seed = 12;
@@ -114,11 +121,12 @@ void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs) {
   Rng split_rng(12);
   Split split = PublicSplit(graph, 20, 300, 500, split_rng);
 
-  const auto stamp_graph = [&](bench::CellRecorder& recorder) -> auto& {
+  const auto stamp_graph = [&](bench::CellRecorder& recorder,
+                               int cell_epochs) -> auto& {
     return recorder.Param("nodes", big_nodes)
         .Param("avg_degree", big_degree)
         .Param("hidden", 8)
-        .Param("epochs", epochs)
+        .Param("epochs", cell_epochs)
         .Param("edges", static_cast<int64_t>(graph.num_edges()))
         .Param("index_width", graph.normalized_adjacency()->index_width());
   };
@@ -129,7 +137,7 @@ void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs) {
     const int batch_size = 128;
     const float rho = 0.5f;
     bench::CellRecorder recorder("sampled_train");
-    stamp_graph(recorder)
+    stamp_graph(recorder, sampled_epochs)
         .Param("layers", 3)
         .Param("fanout", fanout)
         .Param("batch_size", batch_size)
@@ -138,25 +146,37 @@ void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs) {
     // The trainer's own sampler holds the same per-node state as this one.
     const int64_t sampler_bytes =
         NeighborSampler(graph, {fanouts}).MemoryFootprintBytes();
+    // Pool bytes retained at each evaluated epoch (the first and last).
+    std::vector<int64_t> retained;
     const double ms = TrainMsPerEpoch(
         graph, split, StrategyConfig::SkipNodeU(rho), /*num_layers=*/3,
-        /*hidden=*/8, epochs,
-        {.fanouts = fanouts, .batch_size = batch_size});
+        /*hidden=*/8, sampled_epochs,
+        {.fanouts = fanouts, .batch_size = batch_size},
+        [&retained](int, double, double, double) {
+          retained.push_back(GlobalMatrixPool().bytes_retained());
+        });
     recorder.Record("ms_per_epoch", ms);
     double ratio = 0.0;
     RecordRss(recorder, graph.MemoryFootprintBytes() + sampler_bytes, &ratio);
+    const double growth =
+        static_cast<double>(retained.back()) /
+        static_cast<double>(std::max<int64_t>(retained.front(), 1));
+    recorder.Record("pool_retained_growth", growth);
     std::printf(
         "sampled_train: synth @ %lld nodes, L=3 fanout=%d batch=%d "
-        "rho=%.1f\n  %.1f ms/epoch, RSS ratio %.2f (budget 2.00)\n\n",
+        "rho=%.1f, %d epochs\n  %.1f ms/epoch, RSS ratio %.2f (budget "
+        "2.00), pool %.1f -> %.1f MB (x%.2f, budget 2.00)\n\n",
         static_cast<long long>(big_nodes), fanout, batch_size,
-        static_cast<double>(rho), ms, ratio);
+        static_cast<double>(rho), sampled_epochs, ms, ratio,
+        static_cast<double>(retained.front()) / 1e6,
+        static_cast<double>(retained.back()) / 1e6, growth);
   }
   GlobalMatrixPool().Trim();
 
   // stream_train — the full-batch headline cell on the same graph.
   {
     bench::CellRecorder recorder("stream_train");
-    stamp_graph(recorder).Param("layers", 2).Param("checked", 1);
+    stamp_graph(recorder, epochs).Param("layers", 2).Param("checked", 1);
     recorder.Record("build_ms", build_ms);
     const double ms = TrainMsPerEpoch(graph, split, StrategyConfig::None(),
                                       /*num_layers=*/2, /*hidden=*/8, epochs);
@@ -179,7 +199,7 @@ void Main() {
   const int64_t big_nodes = bench::Pick<int64_t>(100000, 1000000);
   const double big_degree = bench::Pick(150.0, 100.0);
   const int epochs = bench::Pick(2, 3);
-  RunBigGraphPanel(big_nodes, big_degree, epochs);
+  RunBigGraphPanel(big_nodes, big_degree, epochs, /*sampled_epochs=*/8);
 
   // --- Panel 2: depth x rho at a mid-sized graph (default degree 10).
   const int64_t sweep_nodes = bench::Pick<int64_t>(20000, 250000);

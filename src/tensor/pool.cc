@@ -3,10 +3,11 @@
 
 #include "tensor/pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "base/check.h"
 #include "base/telemetry.h"
@@ -19,6 +20,10 @@ std::atomic<bool> g_pool_enabled{[]() {
   const char* env = std::getenv("SKIPNODE_POOL");
   return env == nullptr || std::strcmp(env, "0") != 0;
 }()};
+
+int64_t CapacityBytes(int64_t capacity) {
+  return capacity * static_cast<int64_t>(sizeof(float));
+}
 
 }  // namespace
 
@@ -33,76 +38,97 @@ void SetMatrixPoolEnabled(bool enabled) {
 Matrix MatrixPool::Acquire(int rows, int cols) {
   SKIPNODE_CHECK(rows >= 0 && cols >= 0);
   const int64_t size = static_cast<int64_t>(rows) * cols;
-  const int64_t bytes = size * static_cast<int64_t>(sizeof(float));
-  if (MatrixPoolEnabled() && size > 0) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = buckets_.find({rows, cols});
-    if (it != buckets_.end() && !it->second.buffers.empty()) {
-      FloatBuffer storage = std::move(it->second.buffers.back());
-      it->second.buffers.pop_back();
-      it->second.bytes -= bytes;
-      bytes_retained_ -= bytes;
-      lock.unlock();
-      CountMetric("pool.hit", size);
-      CountMetric("pool.bytes_retained", -bytes);
-      // Zeroing keeps Acquire bit-for-bit equivalent to Matrix(rows, cols).
-      std::fill(storage.begin(), storage.end(), 0.0f);
-      return Matrix(rows, cols, std::move(storage));
+  if (!MatrixPoolEnabled() || size == 0) {
+    CountMetric("pool.miss", size);
+    return Matrix(rows, cols);
+  }
+  FloatBuffer storage;
+  int64_t recycled_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Buckets never sit empty, so the first one at or above `size` holds
+    // the best fit; it is taken only when at most a quarter larger.
+    const auto it = buckets_.lower_bound(size);
+    if (it != buckets_.end() && 4 * it->first <= 5 * size) {
+      storage = std::move(it->second.back());
+      it->second.pop_back();
+      if (it->second.empty()) buckets_.erase(it);
+      recycled_bytes = CapacityBytes(storage.capacity());
+      bytes_retained_ -= recycled_bytes;
+      handed_out_.insert(storage.data());
     }
   }
-  CountMetric("pool.miss", size);
-  return Matrix(rows, cols);
+  if (recycled_bytes == 0) {
+    CountMetric("pool.miss", size);
+    Matrix fresh(rows, cols);
+    std::lock_guard<std::mutex> lock(mutex_);
+    handed_out_.insert(fresh.data());
+    return fresh;
+  }
+  CountMetric("pool.hit", size);
+  CountMetric("pool.bytes_retained", -recycled_bytes);
+  // Zeroing exactly rows * cols elements keeps Acquire bit-for-bit
+  // equivalent to Matrix(rows, cols); assign stays within the capacity, so
+  // the storage handed out is the storage recorded.
+  storage.assign(size, 0.0f);
+  return Matrix(rows, cols, std::move(storage));
 }
 
 void MatrixPool::Release(Matrix m) {
-  if (!MatrixPoolEnabled() || m.size() == 0) return;
-  const std::pair<int, int> key{m.rows(), m.cols()};
-  const int64_t bytes = m.size() * static_cast<int64_t>(sizeof(float));
+  if (m.size() == 0) return;
   FloatBuffer storage = std::move(m).TakeStorage();
-  std::unique_lock<std::mutex> lock(mutex_);
-  Bucket& bucket = buckets_[key];
-  if (static_cast<int>(bucket.buffers.size()) >= kMaxBuffersPerBucket ||
-      bucket.bytes + bytes > kMaxBytesPerBucket) {
-    return;  // Either cap hit: the storage frees on scope exit.
+  const int64_t capacity = static_cast<int64_t>(storage.capacity());
+  const int64_t bytes = CapacityBytes(capacity);
+  bool kept = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // The record is dropped even while the pool is disabled.
+    if (handed_out_.erase(storage.data()) > 0 && MatrixPoolEnabled()) {
+      std::vector<FloatBuffer>& bucket = buckets_[capacity];
+      const int64_t held = static_cast<int64_t>(bucket.size());
+      kept = held < kMaxBuffersPerBucket &&
+             (held + 1) * bytes <= kMaxBytesPerBucket;
+      if (kept) {
+        bucket.push_back(std::move(storage));
+        bytes_retained_ += bytes;
+      } else if (bucket.empty()) {
+        buckets_.erase(capacity);
+      }
+    }
   }
-  bucket.buffers.push_back(std::move(storage));
-  bucket.bytes += bytes;
-  bytes_retained_ += bytes;
-  lock.unlock();
-  CountMetric("pool.bytes_retained", bytes);
+  if (kept) {
+    CountMetric("pool.bytes_retained", bytes);
+  } else {
+    CountMetric("pool.dropped", capacity);  // The storage frees on return.
+  }
 }
 
 int64_t MatrixPool::Trim(int64_t target_bytes) {
   SKIPNODE_CHECK(target_bytes >= 0);
-  std::unique_lock<std::mutex> lock(mutex_);
   int64_t freed = 0;
-  // Largest shapes live at the end of the (rows, cols)-ordered map; free
-  // those first so a small target keeps the cheap hot buckets.
-  for (auto it = buckets_.rbegin();
-       it != buckets_.rend() && bytes_retained_ > target_bytes; ++it) {
-    Bucket& bucket = it->second;
-    while (!bucket.buffers.empty() && bytes_retained_ > target_bytes) {
-      const int64_t bytes =
-          static_cast<int64_t>(bucket.buffers.back().size()) *
-          static_cast<int64_t>(sizeof(float));
-      bucket.buffers.pop_back();
-      bucket.bytes -= bytes;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Largest capacities live at the end of the capacity-ordered map; free
+    // those first so a small target keeps the cheap hot buckets.
+    while (bytes_retained_ > target_bytes && !buckets_.empty()) {
+      const auto last = std::prev(buckets_.end());
+      const int64_t bytes = CapacityBytes(last->first);
+      last->second.pop_back();
+      if (last->second.empty()) buckets_.erase(last);
       bytes_retained_ -= bytes;
       freed += bytes;
     }
   }
-  lock.unlock();
   if (freed > 0) CountMetric("pool.bytes_retained", -freed);
   return freed;
 }
 
 void MatrixPool::Clear() { Trim(0); }
 
-int MatrixPool::BucketSize(int rows, int cols) const {
+int MatrixPool::BucketSize(int64_t capacity) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = buckets_.find({rows, cols});
-  return it == buckets_.end() ? 0
-                              : static_cast<int>(it->second.buffers.size());
+  const auto it = buckets_.find(capacity);
+  return it == buckets_.end() ? 0 : static_cast<int>(it->second.size());
 }
 
 int64_t MatrixPool::bytes_retained() const {

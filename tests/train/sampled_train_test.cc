@@ -149,6 +149,37 @@ TEST(SampledTrainTest, PooledSampledTrainingMatchesUnpooledBitwise) {
   ExpectBitwiseEqual(unpooled, pooled_4t, "sampled pooled-vs-unpooled@4t");
 }
 
+// Every batch draws a new frontier, so its shapes differ from the last
+// batch's by a few percent, and each batch gathers a feature block the pool
+// never handed out. A pool that kept every shape, and took back that
+// foreign storage, grew without bound (66 -> 209 MB from epoch 10 to 40
+// here). Best fit by capacity and the ownership rule keep it to what later
+// batches reuse.
+TEST(SampledTrainTest, PoolRetentionStaysBoundedOverEpochs) {
+  const Graph graph = BuildDatasetByName("cora_like", 1.0, 1);
+  Rng split_rng(1);
+  const Split split = PublicSplit(graph, 20, 500, 1000, split_rng);
+  ModelConfig config = ConfigFor(graph, /*layers=*/3);
+  config.hidden_dim = 32;
+  Rng rng(12);
+  auto model = MakeModel("GCN", config, rng);
+  GlobalMatrixPool().Trim();
+  std::vector<int64_t> retained;
+  TrainNodeClassifier(
+      *model, graph, split, StrategyConfig::SkipNodeU(0.5f),
+      {.options = {.epochs = 40, .seed = 31},
+       .on_epoch =
+           [&retained](int, double, double, double) {
+             retained.push_back(GlobalMatrixPool().bytes_retained());
+           },
+       .sampling = {.fanouts = {5, 5, 5}, .batch_size = 32}});
+  ASSERT_EQ(retained.size(), 40u);
+  EXPECT_GT(retained[9], 0);
+  EXPECT_LE(retained[39], 2 * retained[9])
+      << "epoch 10: " << retained[9] << " B, epoch 40: " << retained[39]
+      << " B";
+}
+
 // Sampling is a variance-reduction trade, not a different estimator: over
 // enough epochs the sampled run must reach the full-batch band. (More
 // optimizer steps per epoch usually puts it slightly above.)

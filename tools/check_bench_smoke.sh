@@ -9,8 +9,9 @@
 # baseline throughput. scale must keep peak RSS within 2x of the resident
 # CSR+features footprint at its checked streaming cell, and its
 # sampled_train cell must hold the minibatch-sampling acceptance (epoch
-# wall <= 0.5x full-batch, RSS ratio <= 2x, pruning telemetry at rho > 0,
-# sampled accuracy within 0.15 of full).
+# wall <= 0.5x full-batch, RSS ratio <= 2x, workspace-pool growth <= 2x
+# over its 8 epochs, pruning telemetry at rho > 0, sampled accuracy within
+# 0.15 of full).
 # When tools/BENCH_baseline.jsonl exists each run is also diffed against it:
 # (cell, metric) pairs missing from the run (schema drift) or missing from
 # the baseline (unguarded cells) fail, slow cells only warn.

@@ -35,7 +35,9 @@ DESIGN.md section 9, plus bench-specific invariants:
   * scale must also pass the minibatch-sampling acceptance (DESIGN
     section 15): the sampled_train cell's ms_per_epoch <= 0.5x the
     full-batch stream_train cell on the same graph, its
-    rss_over_footprint <= 2.0 against the graph + sampler footprint,
+    rss_over_footprint <= 2.0 against the graph + sampler footprint, its
+    pool_retained_growth (workspace-pool bytes after the last evaluated
+    epoch over those after the first, over >= 6 epochs) <= 2.0,
     sampler.edges_pruned > 0 in its telemetry whenever rho > 0, and the
     sampled_accuracy val_accuracy within 0.15 of the full-batch run.
 
@@ -337,11 +339,17 @@ def check_sampled(path, records):
     """The minibatch-sampling acceptance check (DESIGN section 15): one
     sampled epoch (a pass over the train split) must cost at most half a
     full-batch epoch on the same graph, stay within the 2x RSS budget
-    against the graph + sampler footprint, actually prune expansion work
-    whenever rho > 0, and converge to within 0.15 of full-batch val
+    against the graph + sampler footprint, keep the workspace pool bounded
+    while every batch brings new frontier shapes, actually prune expansion
+    work whenever rho > 0, and converge to within 0.15 of full-batch val
     accuracy."""
     SAMPLED_EPOCH_FACTOR = 0.5
     RSS_BUDGET_FACTOR = 2.0
+    # A pool that keeps every batch's shapes grows with each batch (7.2x
+    # over the smoke cell's 8 epochs); one that keeps only what later
+    # batches reuse settles (1.6x). Fewer epochs could not tell them apart.
+    POOL_GROWTH_FACTOR = 2.0
+    MIN_POOL_EPOCHS = 6
     ACCURACY_TOLERANCE = 0.15
 
     def one(cell, metric, **params):
@@ -366,6 +374,17 @@ def check_sampled(path, records):
     if not 0 < ratio["value"] <= RSS_BUDGET_FACTOR:
         fail(f"{path}: sampled_train peak RSS is {ratio['value']:.2f}x the "
              f"graph + sampler footprint (budget {RSS_BUDGET_FACTOR:.1f}x)")
+
+    growth = one("sampled_train", "pool_retained_growth")
+    if growth["params"].get("epochs", 0) < MIN_POOL_EPOCHS:
+        fail(f"{path}: sampled_train ran {growth['params'].get('epochs')} "
+             f"epochs; the pool growth gate needs >= {MIN_POOL_EPOCHS} for "
+             f"per-batch growth to show")
+    if not 0 < growth["value"] <= POOL_GROWTH_FACTOR:
+        fail(f"{path}: sampled_train workspace pool retained "
+             f"{growth['value']:.2f}x its first evaluated epoch's bytes at "
+             f"the last (budget {POOL_GROWTH_FACTOR:.1f}x) — the pool keeps "
+             f"storage no later batch reuses")
 
     if sampled["params"].get("rho", 0) > 0:
         pruned = sampled["telemetry"].get("sampler.edges_pruned")
