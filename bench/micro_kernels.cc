@@ -7,9 +7,13 @@
 // SkipNode mask sampling (its claimed near-zero overhead). After the
 // google-benchmark report, a fused-vs-naive rho sweep prints the speedup of
 // the fused SkipNode propagation (DESIGN §10) and a transposed-SpMM sweep
-// times the backward gather (1-vs-4 threads, masked over rho); both record
-// one JSONL cell per configuration when SKIPNODE_BENCH_JSON is set.
+// times the backward gather (1-vs-4 threads, masked over rho), a SIMD sweep
+// times the vectorized microkernels against their scalar references, and a
+// CDF-lookup cell times the DC-SBM generator's propensity search; each
+// records one JSONL cell per configuration when SKIPNODE_BENCH_JSON is set.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -18,12 +22,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include "base/check.h"
 #include "base/parallel.h"
 #include "base/simd.h"
 #include "base/telemetry.h"
 #include "bench_common.h"
 #include "core/skipnode.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "sparse/graph_ops.h"
 #include "tensor/ops.h"
 #include "train/optimizer.h"
@@ -421,6 +427,64 @@ void SimdSweep() {
   simd::SetEnabled(saved_simd);
 }
 
+// --- Propensity-CDF lookup --------------------------------------------------
+// The DC-SBM generator's inner step (DESIGN §13): independent targets looked
+// up in a 200k-entry power-law propensity CDF — the size of the global table
+// behind the 200k-node streamed graphs — on one thread. Cell "cdf_lookup"
+// guided=0 is std::upper_bound, the reference whose index the guide table
+// must return for every target; guided=1 is the library's CdfTable. Both
+// must return the same index sum or the bench aborts;
+// validate_bench_jsonl.py requires guided=1 to be >= 3x faster.
+
+void CdfLookupSweep() {
+  SetParallelThreadCount(1);
+  PlantedPartitionConfig config;
+  config.num_nodes = 200000;
+  config.num_classes = 10;
+  Rng rng(21);
+  const CdfTable table = PlanDcSbm(config, rng).global;
+  const std::vector<double>& cdf = table.cdf();
+  std::vector<double> targets(4000000);
+  for (double& target : targets) target = rng.Uniform() * cdf.back();
+  const int reps = bench::Pick(1, 5);
+  const auto n = static_cast<int64_t>(targets.size());
+
+  std::printf("\nPropensity-CDF lookup, %zu entries, %lld targets, 1 thread, "
+              "%d reps (ns/lookup)\n", cdf.size(),
+              static_cast<long long>(n), reps);
+  int64_t sums[2] = {0, 0};
+  for (const int guided : {0, 1}) {
+    bench::CellRecorder cell("cdf_lookup");
+    cell.Param("guided", guided)
+        .Param("entries", static_cast<int64_t>(cdf.size()))
+        .Param("targets", n)
+        .Param("reps", reps);
+    const int64_t ns = TimeReps(reps, [&]() {
+      int64_t sum = 0;
+      if (guided) {
+        for (const double target : targets) sum += table.Find(target);
+      } else {
+        for (const double target : targets) {
+          const auto it = std::upper_bound(cdf.begin(), cdf.end(), target);
+          sum += std::min<int64_t>(it - cdf.begin(),
+                                   static_cast<int64_t>(cdf.size()) - 1);
+        }
+      }
+      benchmark::DoNotOptimize(sum);
+      sums[guided] = sum;
+    });
+    const double ns_per_lookup = static_cast<double>(ns) / n;
+    cell.Record("ns_per_op", ns_per_lookup);
+    std::printf("  guided=%d %10.2f   index sum %lld\n", guided, ns_per_lookup,
+                static_cast<long long>(sums[guided]));
+  }
+  SKIPNODE_CHECK_MSG(sums[0] == sums[1],
+                     "cdf_lookup: guide table index sum %lld != upper_bound "
+                     "%lld", static_cast<long long>(sums[1]),
+                     static_cast<long long>(sums[0]));
+  SetParallelThreadCount(0);
+}
+
 }  // namespace
 }  // namespace skipnode
 
@@ -454,6 +518,7 @@ int main(int argc, char** argv) {
   skipnode::FusedSweep();
   skipnode::TransposedSweep();
   skipnode::SimdSweep();
+  skipnode::CdfLookupSweep();
   if (skipnode::TelemetryEnabled()) {
     std::printf("telemetry: %s\n",
                 skipnode::SnapshotTelemetry().ToJson().c_str());

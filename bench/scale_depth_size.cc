@@ -34,7 +34,11 @@
 // which includes minibatch sampling, + backward + step, plus the health
 // scans under SKIPNODE_BENCH_GUARD) from TrainRun::collect_metrics;
 // evaluation is excluded. The workspace pool is trimmed between cells so
-// one cell's buffers don't count against the next cell's budget.
+// one cell's buffers don't count against the next cell's pool bytes. That
+// does not reset the RSS figures: Trim hands the storage to glibc, which
+// keeps it resident, and ru_maxrss is a process-lifetime high-water mark —
+// which is why only the first cell's peak is attributable, and why
+// sampled_train runs first.
 
 #include <sys/resource.h>
 

@@ -179,21 +179,27 @@ Graph BuildStreamingDataset(const DatasetSpec& spec,
   config.homophily = spec.homophily;
   config.power_law = spec.power_law;
   const DcSbmPlan plan = PlanDcSbm(config, rng);
+  // The edges draw from a fork seeded by one draw, so the caller's stream —
+  // the features come next — is independent of how many draws they take.
+  Rng edge_stream_rng(rng.Next());
+  EdgeList drawn = DrawDcSbmEdges(config, plan, edge_stream_rng);
 
-  // A+I pattern, streamed twice: count, then fill; duplicates from the
-  // set-free edge stream collapse in FinalizePattern.
+  // A+I pattern from the drawn list: count, then fill; duplicate draws
+  // collapse in FinalizePattern. The list is freed before the merge, which
+  // holds the builder's buffer and the final columns together.
   CsrBuilder builder(n, n);
-  StreamDcSbmEdges(config, plan, [&](int u, int v) {
+  for (const auto& [u, v] : drawn) {
     builder.CountEntry(u);
     builder.CountEntry(v);
-  });
+  }
   for (int i = 0; i < n; ++i) builder.CountEntry(i);
   builder.FinishCounting();
-  StreamDcSbmEdges(config, plan, [&](int u, int v) {
+  for (const auto& [u, v] : drawn) {
     builder.AddPatternEntry(u, v);
     builder.AddPatternEntry(v, u);
-  });
+  }
   for (int i = 0; i < n; ++i) builder.AddPatternEntry(i, i);
+  EdgeList().swap(drawn);
   builder.FinalizePattern();
 
   // Simple-graph degrees from the deduplicated pattern (self-loop excluded);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -23,33 +25,51 @@ EdgeList ErdosRenyi(int num_nodes, double p, Rng& rng) {
   return edges;
 }
 
-namespace {
-
-// Samples an index from the cumulative-weight table `cdf` (strictly
-// increasing, last entry = total mass).
-int SampleFromCdf(const std::vector<double>& cdf, Rng& rng) {
-  const double target = rng.Uniform() * cdf.back();
-  const auto it = std::upper_bound(cdf.begin(), cdf.end(), target);
-  return static_cast<int>(std::min<size_t>(it - cdf.begin(), cdf.size() - 1));
+CdfTable::CdfTable(std::vector<double> cdf) : cdf_(std::move(cdf)) {
+  const size_t n = cdf_.size();
+  if (n == 0) return;
+  SKIPNODE_CHECK(n <= static_cast<size_t>(std::numeric_limits<int>::max()));
+  SKIPNODE_CHECK(cdf_.back() > 0.0);
+  width_ = cdf_.back() / static_cast<double>(n);
+  // One merge walk: the bounds j·w rise with j, so each guide entry resumes
+  // the scan where the previous one stopped.
+  guide_.resize(n + 1);
+  size_t i = 0;
+  for (size_t j = 0; j <= n; ++j) {
+    const double bound = static_cast<double>(j) * width_;
+    while (i < n && cdf_[i] <= bound) ++i;
+    guide_[j] = static_cast<int>(i);
+  }
 }
 
-}  // namespace
+int CdfTable::Find(double target) const {
+  const size_t n = cdf_.size();
+  const double bucket = target / width_;
+  size_t j = bucket >= static_cast<double>(n) ? n
+             : bucket > 0.0                   ? static_cast<size_t>(bucket)
+                                              : 0;
+  // floor(x / w) can round up past x's bucket; the bound test is the build's
+  // own expression, so after it j·w <= x and guide[j] <= upper_bound(x).
+  while (j > 0 && static_cast<double>(j) * width_ > target) --j;
+  size_t i = static_cast<size_t>(guide_[j]);
+  while (i < n && cdf_[i] <= target) ++i;
+  return static_cast<int>(std::min(i, n - 1));
+}
 
-PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
-                                       Rng& rng) {
+DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng) {
   SKIPNODE_CHECK(config.num_nodes > 0);
   SKIPNODE_CHECK(config.num_classes > 0);
   SKIPNODE_CHECK(config.homophily >= 0.0 && config.homophily <= 1.0);
   const int n = config.num_nodes;
   const int k = config.num_classes;
 
-  PlantedPartitionGraph graph;
+  DcSbmPlan plan;
   // Balanced classes, randomly assigned.
-  graph.labels.resize(n);
+  plan.labels.resize(n);
   std::vector<int> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(order);
-  for (int i = 0; i < n; ++i) graph.labels[order[i]] = i % k;
+  for (int i = 0; i < n; ++i) plan.labels[order[i]] = i % k;
 
   // Degree propensities.
   std::vector<double> theta(n, 1.0);
@@ -63,135 +83,57 @@ PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
   }
 
   // Cumulative propensity tables: global and per class.
-  std::vector<std::vector<int>> class_members(k);
-  for (int i = 0; i < n; ++i) class_members[graph.labels[i]].push_back(i);
-  std::vector<double> global_cdf(n);
-  double running = 0.0;
-  for (int i = 0; i < n; ++i) {
-    running += theta[i];
-    global_cdf[i] = running;
-  }
-  std::vector<std::vector<double>> class_cdf(k);
-  for (int c = 0; c < k; ++c) {
-    running = 0.0;
-    class_cdf[c].reserve(class_members[c].size());
-    for (const int i : class_members[c]) {
-      running += theta[i];
-      class_cdf[c].push_back(running);
-    }
-  }
-
-  std::set<std::pair<int, int>> seen;
-  graph.edges.reserve(config.num_edges);
-  // Draw edges: pick u globally by propensity; pick v within u's class with
-  // probability `homophily`, otherwise globally (rejecting same-class hits to
-  // keep the homophily target tight).
-  const int max_attempts = config.num_edges * 30 + 1000;
-  int attempts = 0;
-  while (static_cast<int>(graph.edges.size()) < config.num_edges &&
-         attempts < max_attempts) {
-    ++attempts;
-    const int u = SampleFromCdf(global_cdf, rng);
-    int v;
-    if (rng.Bernoulli(config.homophily)) {
-      const int c = graph.labels[u];
-      v = class_members[c][SampleFromCdf(class_cdf[c], rng)];
-    } else {
-      // Cross-class edge: resample (not skip) same-class candidates, so the
-      // realised homophily matches the target instead of drifting upward.
-      v = -1;
-      for (int retry = 0; retry < 64; ++retry) {
-        const int candidate = SampleFromCdf(global_cdf, rng);
-        if (k == 1 || graph.labels[candidate] != graph.labels[u]) {
-          v = candidate;
-          break;
-        }
-      }
-      if (v < 0) continue;
-    }
-    if (u == v) continue;
-    const auto key = std::minmax(u, v);
-    if (!seen.insert({key.first, key.second}).second) continue;
-    graph.edges.emplace_back(key.first, key.second);
-  }
-  return graph;
-}
-
-DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng) {
-  SKIPNODE_CHECK(config.num_nodes > 0);
-  SKIPNODE_CHECK(config.num_classes > 0);
-  SKIPNODE_CHECK(config.homophily >= 0.0 && config.homophily <= 1.0);
-  const int n = config.num_nodes;
-  const int k = config.num_classes;
-
-  DcSbmPlan plan;
-  // Balanced classes, randomly assigned (same scheme as PlantedPartition).
-  plan.labels.resize(n);
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  rng.Shuffle(order);
-  for (int i = 0; i < n; ++i) plan.labels[order[i]] = i % k;
-
-  std::vector<double> theta(n, 1.0);
-  if (config.power_law > 0.0) {
-    for (int i = 0; i < n; ++i) {
-      double u = rng.Uniform();
-      while (u <= 1e-12) u = rng.Uniform();
-      theta[i] = std::min(std::pow(u, -1.0 / config.power_law),
-                          config.max_propensity);
-    }
-  }
-
   plan.class_members.resize(k);
   for (int i = 0; i < n; ++i) {
     plan.class_members[plan.labels[i]].push_back(i);
   }
-  plan.global_cdf.resize(n);
+  std::vector<double> cdf(n);
   double running = 0.0;
   for (int i = 0; i < n; ++i) {
     running += theta[i];
-    plan.global_cdf[i] = running;
+    cdf[i] = running;
   }
-  plan.class_cdf.resize(k);
+  plan.global = CdfTable(std::move(cdf));
+  plan.by_class.reserve(k);
   for (int c = 0; c < k; ++c) {
+    std::vector<double> class_cdf;
+    class_cdf.reserve(plan.class_members[c].size());
     running = 0.0;
-    plan.class_cdf[c].reserve(plan.class_members[c].size());
     for (const int i : plan.class_members[c]) {
       running += theta[i];
-      plan.class_cdf[c].push_back(running);
+      class_cdf.push_back(running);
     }
+    plan.by_class.emplace_back(std::move(class_cdf));
   }
-
-  plan.edge_stream_rng = Rng(rng.Next());
   return plan;
 }
 
-void StreamDcSbmEdges(const PlantedPartitionConfig& config,
-                      const DcSbmPlan& plan,
-                      const std::function<void(int, int)>& emit) {
+namespace {
+
+// The DC-SBM attempt loop both generators share. Each attempt draws u
+// globally by propensity, then v within u's class with probability
+// `homophily`, otherwise globally, resampling (not skipping) same-class
+// candidates so the realised homophily matches the target instead of
+// drifting upward. Self-pairs are rejected; every other pair goes to
+// keep(u, v) with u < v, which returns whether it counts toward num_edges.
+template <typename Keep>
+void DrawEdges(const PlantedPartitionConfig& config, const DcSbmPlan& plan,
+               Rng& rng, Keep keep) {
   const int k = config.num_classes;
-  // Copying the plan's Rng restarts the stream, so every call replays the
-  // identical draw sequence — the property both builder passes rely on.
-  Rng rng = plan.edge_stream_rng;
   const int64_t max_attempts =
       static_cast<int64_t>(config.num_edges) * 30 + 1000;
-  int64_t emitted = 0;
-  int64_t attempts = 0;
-  // Same acceptance logic as PlantedPartition, minus the std::set: u drawn
-  // globally by propensity, v within u's class with probability `homophily`,
-  // otherwise cross-class with bounded resampling. Duplicate pairs pass
-  // through; the consumer deduplicates.
-  while (emitted < config.num_edges && attempts < max_attempts) {
-    ++attempts;
-    const int u = SampleFromCdf(plan.global_cdf, rng);
+  int64_t kept = 0;
+  for (int64_t attempts = 0; kept < config.num_edges && attempts < max_attempts;
+       ++attempts) {
+    const int u = plan.global.Sample(rng);
     int v;
     if (rng.Bernoulli(config.homophily)) {
       const int c = plan.labels[u];
-      v = plan.class_members[c][SampleFromCdf(plan.class_cdf[c], rng)];
+      v = plan.class_members[c][plan.by_class[c].Sample(rng)];
     } else {
       v = -1;
       for (int retry = 0; retry < 64; ++retry) {
-        const int candidate = SampleFromCdf(plan.global_cdf, rng);
+        const int candidate = plan.global.Sample(rng);
         if (k == 1 || plan.labels[candidate] != plan.labels[u]) {
           v = candidate;
           break;
@@ -200,9 +142,36 @@ void StreamDcSbmEdges(const PlantedPartitionConfig& config,
       if (v < 0) continue;
     }
     if (u == v) continue;
-    emit(std::min(u, v), std::max(u, v));
-    ++emitted;
+    if (keep(std::min(u, v), std::max(u, v))) ++kept;
   }
+}
+
+}  // namespace
+
+PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
+                                       Rng& rng) {
+  DcSbmPlan plan = PlanDcSbm(config, rng);
+  PlantedPartitionGraph graph;
+  graph.edges.reserve(config.num_edges);
+  std::set<std::pair<int, int>> seen;
+  DrawEdges(config, plan, rng, [&](int u, int v) {
+    if (!seen.insert({u, v}).second) return false;
+    graph.edges.emplace_back(u, v);
+    return true;
+  });
+  graph.labels = std::move(plan.labels);
+  return graph;
+}
+
+EdgeList DrawDcSbmEdges(const PlantedPartitionConfig& config,
+                        const DcSbmPlan& plan, Rng& rng) {
+  EdgeList edges;
+  edges.reserve(config.num_edges);
+  DrawEdges(config, plan, rng, [&](int u, int v) {
+    edges.emplace_back(u, v);
+    return true;
+  });
+  return edges;
 }
 
 Matrix MakeClassFeatures(const std::vector<int>& labels, int num_classes,

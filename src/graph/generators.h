@@ -10,7 +10,6 @@
 #ifndef SKIPNODE_GRAPH_GENERATORS_H_
 #define SKIPNODE_GRAPH_GENERATORS_H_
 
-#include <functional>
 #include <vector>
 
 #include "base/rng.h"
@@ -49,30 +48,55 @@ struct PlantedPartitionGraph {
 PlantedPartitionGraph PlantedPartition(const PlantedPartitionConfig& config,
                                        Rng& rng);
 
-// Precomputed sampling state for a *streamed* DC-SBM draw (DESIGN §13): the
-// label assignment and cumulative propensity tables — the same planning math
-// as PlantedPartition — plus a forked edge-stream Rng so the accepted edge
-// sequence can be replayed (once to count, once to fill a CsrBuilder)
-// without ever materialising the edge list. The fork is seeded by a single
-// draw from `rng`, so the caller's stream stays independent of how many
-// draws the edge stream ends up making.
+// Inverse-CDF sampler over a cumulative-weight table, with an exact O(1)
+// guide-table search (Chen & Asau's "indexed search"; DESIGN §13). With n
+// entries, total T and bucket width w = T / n, guide[j] is the first index
+// whose cumulative weight exceeds the bound j·w, for j in [0, n]. A lookup
+// starts from the bucket floor(x / w), steps down while its bound (the same
+// j·w expression the build used) exceeds x, then scans up with
+// upper_bound's own `<=` test — so it returns upper_bound's index for every
+// target, just without the binary search.
+class CdfTable {
+ public:
+  CdfTable() = default;
+  // `cdf` must be non-decreasing with a positive last entry (the total);
+  // an empty table may be built but never searched.
+  explicit CdfTable(std::vector<double> cdf);
+
+  // min(upper_bound(cdf, target) - cdf.begin(), cdf.size() - 1), for
+  // target >= 0.
+  int Find(double target) const;
+  // Draws an index with probability proportional to its weight: one
+  // Uniform() draw, scaled by the total.
+  int Sample(Rng& rng) const { return Find(rng.Uniform() * cdf_.back()); }
+
+  const std::vector<double>& cdf() const { return cdf_; }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<int> guide_;
+  double width_ = 0.0;
+};
+
+// Sampling state for a DC-SBM draw (DESIGN §13): balanced random labels, the
+// degree propensities as one global and one per-class CdfTable, and each
+// class's member list (the per-class table indexes into it).
 struct DcSbmPlan {
   std::vector<int> labels;
   std::vector<std::vector<int>> class_members;
-  std::vector<double> global_cdf;
-  std::vector<std::vector<double>> class_cdf;
-  Rng edge_stream_rng;
+  CdfTable global;
+  std::vector<CdfTable> by_class;
 };
 
 DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng);
 
-// Replays the plan's edge stream, calling emit(u, v) with u < v for every
-// accepted draw (u != v; duplicates are NOT filtered here — the pattern-mode
-// CsrBuilder collapses them, where PlantedPartition used a std::set).
-// Deterministic: every call over the same plan emits the identical sequence.
-void StreamDcSbmEdges(const PlantedPartitionConfig& config,
-                      const DcSbmPlan& plan,
-                      const std::function<void(int, int)>& emit);
+// Draws the plan's degree-corrected edges from `rng`: (u, v) with u < v for
+// every accepted draw, in draw order, until config.num_edges are accepted
+// or the attempt budget runs out. Duplicates are NOT filtered — the
+// pattern-mode CsrBuilder collapses them, where PlantedPartition keeps a
+// std::set — so the list holds at most num_edges pairs (8 bytes each).
+EdgeList DrawDcSbmEdges(const PlantedPartitionConfig& config,
+                        const DcSbmPlan& plan, Rng& rng);
 
 // Class-conditional sparse binary "bag-of-words" features.
 struct FeatureConfig {

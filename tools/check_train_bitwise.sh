@@ -3,7 +3,7 @@
 # skipnode_train at git revision REF and in the working tree, trains a fixed
 # matrix of runs with each binary at 1 and 4 threads, and diffs the
 # --save-dir checkpoints and the --log-every 1 stdout byte for byte (only
-# the line naming the checkpoint path is left out). The matrix (33 cases):
+# the line naming the checkpoint path is left out). The matrix (35 cases):
 #   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge /
 #     dropnode, and skipnode-u for each other backbone (GAT, JKNet,
 #     IncepGCN, GCNII, APPNP, GPRGNN, SGC), so every Forward is covered;
@@ -13,7 +13,10 @@
 #   * the guardrails (--health) with an activation / gradient / update fault
 #     injected at epoch 5, full-batch and sampled;
 #   * dropout 0.3 (every other case trains at the default 0.5, a dyadic
-#     rate), full-batch ResGCN and sampled GCN under skipnode-u.
+#     rate), full-batch ResGCN and sampled GCN under skipnode-u;
+#   * the streamed generator: --nodes 6000 streams cora_like's spec through
+#     the DC-SBM edge draw into CSR (every other case builds the legacy
+#     edge-list graph), full-batch and sampled GCN under skipnode-u.
 # REF's tree is exported with `git archive` into a temporary directory, so
 # the working tree and the repository metadata are left untouched.
 #
@@ -75,6 +78,10 @@ CASES+=("full-ResGCN-skipnode-u-dropout-0.3|--model ResGCN \
 --strategy skipnode-u --dropout 0.3")
 CASES+=("sampled-GCN-skipnode-u-dropout-0.3|--model GCN --strategy skipnode-u \
 --dropout 0.3 $SAMPLED")
+CASES+=("full-GCN-skipnode-u-streamed|--model GCN --strategy skipnode-u \
+--nodes 6000")
+CASES+=("sampled-GCN-skipnode-u-streamed|--model GCN --strategy skipnode-u \
+--nodes 6000 $SAMPLED")
 
 # Trains one case with binary $1 into directory $2; the flags follow.
 train() {

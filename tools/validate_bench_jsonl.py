@@ -19,6 +19,9 @@ DESIGN.md section 9, plus bench-specific invariants:
     variants, with the vectorized variant >= 1.5x faster on each of those
     four cells (simd_spmm / simd_relu are informational, presence-checked
     only).
+  * micro must emit the cdf_lookup cell (DESIGN section 13) in both
+    guided=0 (std::upper_bound) and guided=1 (CdfTable) variants, with the
+    guide table >= 3x faster.
   * serve must show batched serving at 8 client threads reaching >= 2x the
     one-request-at-a-time EvaluateLogits baseline throughput, with p50/p99
     latency records present (the DESIGN section 11 acceptance signal).
@@ -206,6 +209,31 @@ def check_micro(path, records):
     for cell in ("simd_spmm", "simd_relu"):
         simd_cell(cell, 0)
         simd_cell(cell, 1)
+
+    # Guide-table CDF lookup (DESIGN section 13): the library's CdfTable must
+    # beat the std::upper_bound reference by >= 3x on the 200k-entry
+    # propensity table (~7-8x measured); the bench itself aborts unless both
+    # return the same index sum.
+    CDF_SPEEDUP_FLOOR = 3.0
+
+    def cdf_cell(guided):
+        for r in records:
+            if r["cell"] == "cdf_lookup" and r["metric"] == "ns_per_op" and \
+                    r["params"].get("guided") == guided:
+                return r
+        fail(f"{path}: micro emitted no 'cdf_lookup' ns_per_op record "
+             f"at guided={guided}")
+
+    search = cdf_cell(0)
+    guided = cdf_cell(1)
+    if guided["value"] <= 0:
+        fail(f"{path}: cdf_lookup guided=1 ns_per_op is not positive")
+    speedup = search["value"] / guided["value"]
+    if speedup < CDF_SPEEDUP_FLOOR:
+        fail(f"{path}: cdf_lookup guide-table speedup {speedup:.2f}x is "
+             f"below the {CDF_SPEEDUP_FLOOR}x floor "
+             f"({search['value']:.1f} ns upper_bound vs "
+             f"{guided['value']:.1f} ns guided)")
 
 
 def check_serve(path, records):
