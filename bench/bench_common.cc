@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "base/check.h"
 #include "base/json.h"
@@ -104,7 +106,10 @@ CellRecorder::CellRecorder(std::string cell) : cell_(std::move(cell)) {
 
 CellRecorder& CellRecorder::Param(const std::string& key,
                                   const std::string& value) {
-  params_.emplace_back(key, "\"" + JsonObject::Escape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += JsonObject::Escape(value);
+  quoted += '"';
+  params_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -85,7 +86,7 @@ void BM_SpMMMasked(benchmark::State& state) {
   const auto mask = SampleSkipMaskUniform(graph.num_nodes(), rho, mask_rng);
   Matrix y(graph.num_nodes(), 64);
   for (auto _ : state) {
-    a_hat->MultiplyAccumulateMasked(x, mask, y);
+    a_hat->MultiplyAccumulate(x, y, mask);
     benchmark::DoNotOptimize(y.data());
     y.SetZero();
   }
@@ -215,17 +216,37 @@ BENCHMARK(BM_SpMMTransposedThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // --- Fused SkipNode propagation sweep ---------------------------------------
 // Forward cost of one middle-layer SkipNode propagation, naive vs fused
-// (DESIGN §10), over rho. Naive pays the full SpMM and then overwrites the
-// skipped rows; fused copies the skipped rows and convolves only the rest,
-// so its time should fall as rho grows while naive stays flat. Each timing
-// is also recorded as a JSONL cell (cells "spmm_naive" / "spmm_fused",
-// metric ns_per_op) whose telemetry snapshot carries spmm.rows_skipped —
-// the acceptance signal that the fused kernel really skipped work.
+// (DESIGN §10), over rho, on one thread. Naive pays the full SpMM and then
+// overwrites the skipped rows; fused copies the skipped rows and convolves
+// only the rest, so its time should fall as rho grows while naive stays
+// flat. Both write into outputs allocated once, outside the timed loop, and
+// are sampled alternately kSamples times with telemetry off, so host noise
+// and timer overhead hit both alike; each records its median sample as a
+// JSONL cell (cells "spmm_naive" / "spmm_fused", metric ns_per_op). Each
+// cell's recorder then sees one more pass of its own op, so the fused
+// snapshot carries spmm.rows_skipped from the fused kernel alone — the
+// acceptance signal that it really skipped work.
+
+// Samples behind every timing of the fused and transposed sweeps; each
+// records the median.
+constexpr int kSamples = 7;
 
 int64_t TimeReps(int reps, const std::function<void()>& op) {
   const int64_t start = MonotonicNanos();
   for (int r = 0; r < reps; ++r) op();
   return (MonotonicNanos() - start) / reps;
+}
+
+int64_t Median(std::vector<int64_t> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// The median of kSamples timings of `reps` reps of op.
+int64_t MedianReps(int reps, const std::function<void()>& op) {
+  std::vector<int64_t> samples;
+  for (int s = 0; s < kSamples; ++s) samples.push_back(TimeReps(reps, op));
+  return Median(std::move(samples));
 }
 
 void FusedSweep() {
@@ -236,38 +257,54 @@ void FusedSweep() {
   const Matrix x = Matrix::Random(n, d, rng);
   const Matrix pre = Matrix::Random(n, d, rng);
   const int reps = bench::Pick(20, 200);
+  Matrix naive_out(n, d), fused_out(n, d);
+  SetParallelThreadCount(1);  // Time the kernels, not the pool wake-ups.
 
-  std::printf("\nFused SkipNode propagation, %d nodes x %d cols, %d reps "
-              "(ns/op)\n", n, d, reps);
+  std::printf("\nFused SkipNode propagation, %d nodes x %d cols, 1 thread, "
+              "median of %d alternating samples of %d reps (ns/op)\n", n, d,
+              kSamples, reps);
   std::printf("%6s %12s %12s %9s %14s\n", "rho", "naive", "fused", "speedup",
               "rows_skipped");
   for (const float rho : {0.0f, 0.25f, 0.5f, 0.75f, 1.0f}) {
     Rng mask_rng(7);
     const auto mask = SampleSkipMaskUniform(n, rho, mask_rng);
     const int skipped = CountSkipped(mask);
+    const std::function<void()> naive = [&]() {
+      naive_out.SetZero();
+      a_hat->MultiplyAccumulate(x, naive_out);
+      CopyRowsWhere(pre, mask, naive_out);
+      benchmark::DoNotOptimize(naive_out.data());
+    };
+    const std::function<void()> fused = [&]() {
+      fused_out.SetZero();
+      CopyRowsWhere(pre, mask, fused_out);
+      a_hat->MultiplyAccumulate(x, fused_out, mask);
+      benchmark::DoNotOptimize(fused_out.data());
+    };
 
-    bench::CellRecorder naive_cell("spmm_naive");
-    naive_cell.Param("rho", static_cast<double>(rho))
-        .Param("cols", d)
-        .Param("reps", reps);
-    const int64_t naive_ns = TimeReps(reps, [&]() {
-      Matrix y = a_hat->Multiply(x);
-      CopyRowsWhere(pre, mask, y);
-      benchmark::DoNotOptimize(y.data());
-    });
-    naive_cell.Record("ns_per_op", static_cast<double>(naive_ns));
+    const bool telemetry = TelemetryEnabled();
+    SetTelemetryEnabled(false);
+    std::vector<int64_t> naive_samples, fused_samples;
+    for (int s = 0; s < kSamples; ++s) {
+      naive_samples.push_back(TimeReps(reps, naive));
+      fused_samples.push_back(TimeReps(reps, fused));
+    }
+    SetTelemetryEnabled(telemetry);
 
-    bench::CellRecorder fused_cell("spmm_fused");
-    fused_cell.Param("rho", static_cast<double>(rho))
-        .Param("cols", d)
-        .Param("reps", reps);
-    const int64_t fused_ns = TimeReps(reps, [&]() {
-      Matrix y(n, d);
-      CopyRowsWhere(pre, mask, y);
-      a_hat->MultiplyAccumulateMasked(x, mask, y);
-      benchmark::DoNotOptimize(y.data());
-    });
-    fused_cell.Record("ns_per_op", static_cast<double>(fused_ns));
+    const auto record = [&](const char* name, const std::function<void()>& op,
+                            std::vector<int64_t> samples) {
+      bench::CellRecorder cell(name);
+      cell.Param("rho", static_cast<double>(rho))
+          .Param("cols", d)
+          .Param("reps", reps)
+          .Param("samples", kSamples);
+      TimeReps(reps, op);
+      const int64_t median = Median(std::move(samples));
+      cell.Record("ns_per_op", static_cast<double>(median));
+      return median;
+    };
+    const int64_t naive_ns = record("spmm_naive", naive, naive_samples);
+    const int64_t fused_ns = record("spmm_fused", fused, fused_samples);
 
     std::printf("%6.2f %12lld %12lld %8.2fx %14d\n", rho,
                 static_cast<long long>(naive_ns),
@@ -276,15 +313,17 @@ void FusedSweep() {
                     static_cast<double>(fused_ns > 0 ? fused_ns : 1),
                 skipped);
   }
+  SetParallelThreadCount(0);
 }
 
 // --- Transposed-SpMM sweep ---------------------------------------------------
 // Backward-pass cost Â^T · g over the cached transpose plan: the unmasked
 // gather at a pool width of 1 and 4 (cells "spmm_t"; the ratio is the
 // parallel speedup, flat on a single-core host), then the masked gather over
-// rho (cells "spmm_t_masked"; work drops with the skipped source rows —
-// near-total at rho=1.0, while rho=0.5 pays maximal skip-branch
-// misprediction and wins only modestly on one core). Each cell's telemetry
+// rho on one thread (cells "spmm_t_masked"; work drops with the skipped
+// source rows — near-total at rho=1.0, while rho=0.5 pays maximal
+// skip-branch misprediction and can lose to the unmasked gather). Every
+// cell records the median of kSamples samples. Each masked cell's telemetry
 // snapshot carries spmm_t.rows_skipped — the acceptance signal that the
 // masked gather really skipped its entries.
 
@@ -298,12 +337,13 @@ void TransposedSweep() {
   (void)a_hat->transpose_plan();  // Time the gathers, not the one-off build.
 
   std::printf("\nTransposed SpMM (backward gather), %d nodes x %d cols, "
-              "%d reps (ns/op)\n", n, d, reps);
+              "median of %d samples of %d reps (ns/op)\n", n, d, kSamples,
+              reps);
   for (const int threads : {1, 4}) {
     SetParallelThreadCount(threads);
     bench::CellRecorder cell("spmm_t");
-    cell.Param("cols", d).Param("reps", reps);
-    const int64_t ns = TimeReps(reps, [&]() {
+    cell.Param("cols", d).Param("reps", reps).Param("samples", kSamples);
+    const int64_t ns = MedianReps(reps, [&]() {
       Matrix dx = a_hat->MultiplyTransposed(g);
       benchmark::DoNotOptimize(dx.data());
     });
@@ -311,9 +351,10 @@ void TransposedSweep() {
     std::printf("  unmasked @ %d threads %12lld\n", threads,
                 static_cast<long long>(ns));
   }
-  SetParallelThreadCount(0);
 
-  std::printf("%6s %12s %14s\n", "rho", "masked", "rows_skipped");
+  SetParallelThreadCount(1);
+  std::printf("%6s %12s %14s   (1 thread)\n", "rho", "masked",
+              "rows_skipped");
   for (const float rho : {0.0f, 0.5f, 1.0f}) {
     Rng mask_rng(7);
     const auto mask = SampleSkipMaskUniform(n, rho, mask_rng);
@@ -321,15 +362,17 @@ void TransposedSweep() {
     bench::CellRecorder cell("spmm_t_masked");
     cell.Param("rho", static_cast<double>(rho))
         .Param("cols", d)
-        .Param("reps", reps);
-    const int64_t ns = TimeReps(reps, [&]() {
-      Matrix dx = a_hat->MultiplyTransposedMasked(g, mask);
+        .Param("reps", reps)
+        .Param("samples", kSamples);
+    const int64_t ns = MedianReps(reps, [&]() {
+      Matrix dx = a_hat->MultiplyTransposed(g, mask);
       benchmark::DoNotOptimize(dx.data());
     });
     cell.Record("ns_per_op", static_cast<double>(ns));
     std::printf("%6.2f %12lld %14d\n", rho, static_cast<long long>(ns),
                 skipped);
   }
+  SetParallelThreadCount(0);
 }
 
 // --- SIMD kernel sweep -------------------------------------------------------

@@ -240,11 +240,9 @@ void Main() {
       {.options = {.epochs = bench::Pick(10, 50), .seed = 21}});
   const FrozenModel frozen = FrozenModel::Freeze(*model, graph, strategy);
   std::printf("SGC on cora_like: %d nodes, %d classes, test acc %.1f%%, "
-              "%s path, %d ids/request\n\n",
+              "%d ids/request\n\n",
               frozen.num_nodes(), frozen.num_classes(),
-              100.0 * trained.test_accuracy,
-              frozen.has_linear_head() ? "linear-head" : "logit-gather",
-              kBatchIds);
+              100.0 * trained.test_accuracy, kBatchIds);
 
   ResultTable table(
       {"cell", "clients", "window_us", "req/s", "p50_us", "p99_us",

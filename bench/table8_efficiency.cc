@@ -45,18 +45,18 @@ double OverheadMillisPerEpoch(const Graph& graph,
     StrategyContext ctx(graph, strategy, /*training=*/true, rng);
     for (int l = 0; l < num_layers; ++l) {
       auto adjacency = ctx.LayerAdjacency(l);
-      sink += adjacency->nnz();
+      sink = sink + adjacency->nnz();
     }
     if (strategy.kind == StrategyKind::kSkipNodeUniform) {
       for (int l = 1; l < num_layers - 1; ++l) {
         auto mask =
             SampleSkipMaskUniform(graph.num_nodes(), strategy.rate, rng);
-        sink += mask.size();
+        sink = sink + mask.size();
       }
     } else if (strategy.kind == StrategyKind::kSkipNodeBiased) {
       for (int l = 1; l < num_layers - 1; ++l) {
         auto mask = SampleSkipMaskBiased(graph.degrees(), strategy.rate, rng);
-        sink += mask.size();
+        sink = sink + mask.size();
       }
     }
   }

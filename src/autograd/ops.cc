@@ -73,7 +73,7 @@ Var Tape::SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
   // irrelevant.
   Matrix value = AcquireOutput(a->rows(), x.cols());
   CopyRowsWhere(pre.value(), skip_mask, value);
-  a->MultiplyAccumulateMasked(x.value(), skip_mask, value);
+  a->MultiplyAccumulate(x.value(), value, skip_mask);
   Var out = Emplace(std::move(value), {x, pre});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_, pi = pre.index_;
@@ -86,7 +86,7 @@ Var Tape::SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
     // reads the skipped rows, matching the zero rows RowSelect's backward
     // would have left in the convolution gradient.
     if (Matrix* gx = tape->GradIfNeeded(xi)) {
-      AddScaled(a->MultiplyTransposedMasked(g, mask), 1.0f, *gx);
+      AddScaled(a->MultiplyTransposed(g, mask), 1.0f, *gx);
     }
     // Skipped rows bypass the convolution entirely — SkipNode's gradient
     // highway (Eq. 4).

@@ -74,8 +74,8 @@ void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
 // Grain for SpMM-shaped kernels partitioned with ParallelForBalanced over a
 // CSR row_ptr: every stored entry costs `cols` inner-loop float ops, and a
 // chunk should amortise roughly 2^14 of them so pool dispatch never
-// dominates skinny matrices. Shared by all four CsrMatrix SpMM variants
-// (it replaces the per-kernel `(1 << 14) / (avg_nnz * d + 1)` row grains).
+// dominates skinny matrices. The grain of the CsrMatrix row gather behind
+// every SpMM product.
 inline int64_t SpmmChunkCost(int64_t cols) {
   return std::max<int64_t>(1, (int64_t{1} << 14) / (cols + 1));
 }

@@ -66,15 +66,12 @@ void AccumulateRef(const float* x, float* out, int64_t n);
 void SubtractRef(const float* x, float* out, int64_t n);
 void ScaleRef(const float* x, float s, float* out, int64_t n);
 void ScaleInPlaceRef(float* x, float s, int64_t n);
-void AddScalarInPlaceRef(float* x, float b, int64_t n);
 void AddRef(const float* a, const float* b, float* out, int64_t n);
 void MulRef(const float* a, const float* b, float* out, int64_t n);
 void AxpbyRef(float alpha, const float* a, float beta, const float* b,
               float* out, int64_t n);
 void ReluRef(const float* x, float* out, int64_t n);
 void ReluGradInPlaceRef(const float* x, float* g, int64_t n);
-void SgdStepRef(float* value, const float* grad, int64_t n,
-                float learning_rate, float weight_decay);
 
 // Constants of one Adam step, precomputed outside the element loop. Every
 // field is derived so the per-element arithmetic matches the historical
@@ -89,9 +86,7 @@ struct AdamConstants {
   float bias2;  // 1 - beta2^t
   float learning_rate;
   float epsilon;
-  float weight_decay;     // coupled L2 term folded into the gradient
-  float lr_weight_decay;  // decoupled (AdamW) shrink factor: lr * wd
-  bool decoupled;
+  float weight_decay;  // coupled L2 term folded into the gradient
 };
 
 void AdamStepRef(float* value, const float* grad, float* m, float* v,
@@ -168,15 +163,6 @@ inline void ScaleInPlace(float* x, float s, int64_t n) {
   for (; i < n; ++i) x[i] *= s;
 }
 
-inline void AddScalarInPlace(float* x, float b, int64_t n) {
-  if (!Enabled()) return AddScalarInPlaceRef(x, b, n);
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (int l = 0; l < kLanes; ++l) x[i + l] += b;
-  }
-  for (; i < n; ++i) x[i] += b;
-}
-
 inline void Add(const float* __restrict a, const float* __restrict b,
                 float* __restrict out, int64_t n) {
   if (!Enabled()) return AddRef(a, b, out, n);
@@ -233,48 +219,19 @@ inline void ReluGradInPlace(const float* x, float* g, int64_t n) {
   for (; i < n; ++i) g[i] = x[i] <= 0.0f ? 0.0f : g[i];
 }
 
-inline void SgdStep(float* value, const float* grad, int64_t n,
-                    float learning_rate, float weight_decay) {
-  if (!Enabled()) {
-    return SgdStepRef(value, grad, n, learning_rate, weight_decay);
-  }
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (int l = 0; l < kLanes; ++l) {
-      value[i + l] -=
-          learning_rate * (grad[i + l] + weight_decay * value[i + l]);
-    }
-  }
-  for (; i < n; ++i) {
-    value[i] -= learning_rate * (grad[i] + weight_decay * value[i]);
-  }
-}
-
-// Hoisting the coupled/decoupled branch gives the compiler two straight-line
-// loops it can vectorize (vsqrtps/vdivps are correctly rounded per IEEE 754,
-// so the vector forms are bitwise identical to the scalar ones).
+// Adam's per-element recurrence with the L2 decay folded into the gradient.
+// vsqrtps/vdivps are correctly rounded per IEEE 754, so the vector form is
+// bitwise identical to the scalar one.
 inline void AdamStep(float* value, const float* grad, float* m, float* v,
                      int64_t n, const AdamConstants& k) {
   if (!Enabled()) return AdamStepRef(value, grad, m, v, n, k);
-  if (!k.decoupled) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float g = grad[i] + k.weight_decay * value[i];
-      m[i] = k.beta1 * m[i] + k.one_minus_beta1 * g;
-      v[i] = k.beta2 * v[i] + k.one_minus_beta2 * g * g;
-      const float m_hat = m[i] / k.bias1;
-      const float v_hat = v[i] / k.bias2;
-      value[i] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
-    }
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      const float g = grad[i] + 0.0f;
-      m[i] = k.beta1 * m[i] + k.one_minus_beta1 * g;
-      v[i] = k.beta2 * v[i] + k.one_minus_beta2 * g * g;
-      const float m_hat = m[i] / k.bias1;
-      const float v_hat = v[i] / k.bias2;
-      value[i] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
-      value[i] -= k.lr_weight_decay * value[i];
-    }
+  for (int64_t i = 0; i < n; ++i) {
+    const float g = grad[i] + k.weight_decay * value[i];
+    m[i] = k.beta1 * m[i] + k.one_minus_beta1 * g;
+    v[i] = k.beta2 * v[i] + k.one_minus_beta2 * g * g;
+    const float m_hat = m[i] / k.bias1;
+    const float v_hat = v[i] / k.bias2;
+    value[i] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
   }
 }
 

@@ -32,10 +32,6 @@ void ScaleInPlaceRef(float* x, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] *= s;
 }
 
-void AddScalarInPlaceRef(float* x, float b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) x[i] += b;
-}
-
 void AddRef(const float* a, const float* b, float* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
@@ -59,24 +55,15 @@ void ReluGradInPlaceRef(const float* x, float* g, int64_t n) {
   }
 }
 
-void SgdStepRef(float* value, const float* grad, int64_t n,
-                float learning_rate, float weight_decay) {
-  for (int64_t i = 0; i < n; ++i) {
-    value[i] -= learning_rate * (grad[i] + weight_decay * value[i]);
-  }
-}
-
 void AdamStepRef(float* value, const float* grad, float* m, float* v,
                  int64_t n, const AdamConstants& k) {
   for (int64_t i = 0; i < n; ++i) {
-    const float g =
-        grad[i] + (k.decoupled ? 0.0f : k.weight_decay * value[i]);
+    const float g = grad[i] + k.weight_decay * value[i];
     m[i] = k.beta1 * m[i] + k.one_minus_beta1 * g;
     v[i] = k.beta2 * v[i] + k.one_minus_beta2 * g * g;
     const float m_hat = m[i] / k.bias1;
     const float v_hat = v[i] / k.bias2;
     value[i] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
-    if (k.decoupled) value[i] -= k.lr_weight_decay * value[i];
   }
 }
 

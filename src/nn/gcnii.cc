@@ -61,11 +61,4 @@ std::vector<Parameter*> GcniiModel::Parameters() {
   return params;
 }
 
-bool GcniiModel::ExportServingHead(ServingHead* head) {
-  head->weight = output_proj_->weight().value;
-  head->bias =
-      output_proj_->has_bias() ? output_proj_->bias().value : Matrix();
-  return true;
-}
-
 }  // namespace skipnode

@@ -53,10 +53,4 @@ std::vector<Parameter*> JkNetModel::Parameters() {
   return params;
 }
 
-bool JkNetModel::ExportServingHead(ServingHead* head) {
-  head->weight = head_->weight().value;
-  head->bias = head_->has_bias() ? head_->bias().value : Matrix();
-  return true;
-}
-
 }  // namespace skipnode

@@ -25,7 +25,6 @@ class JkNetModel : public Model {
               Rng& rng) override;
   std::vector<Parameter*> Parameters() override;
   const std::string& name() const override { return name_; }
-  bool ExportServingHead(ServingHead* head) override;
 
  private:
   std::string name_ = "JKNet";

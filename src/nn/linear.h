@@ -27,12 +27,6 @@ class Linear {
 
   void CollectParameters(std::vector<Parameter*>& out);
 
-  Parameter& weight() { return weight_; }
-  const Parameter& weight() const { return weight_; }
-  bool has_bias() const { return with_bias_; }
-  // Requires has_bias().
-  const Parameter& bias() const { return bias_; }
-
  private:
   Parameter weight_;
   bool with_bias_;

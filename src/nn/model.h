@@ -41,17 +41,6 @@ struct ModelConfig {
   float grand_consistency = 1.0f;
 };
 
-// A frozen classification head exported for serving (serve/frozen_model.h):
-// eval-mode logits of the exporting model are exactly
-//   Penultimate() * weight (+ bias broadcast over rows),
-// so an inference service can recompute any logit row from the cached
-// penultimate table in O(batch) with the parallel Gemm kernel instead of
-// storing or re-deriving the full logits matrix.
-struct ServingHead {
-  Matrix weight;  // embedding_dim x num_classes
-  Matrix bias;    // 1 x num_classes; empty when the head has no bias term
-};
-
 class Model {
  public:
   virtual ~Model() = default;
@@ -87,22 +76,11 @@ class Model {
 
   // The representation feeding the final classification layer, stashed as an
   // owned copy by the latest Forward(). The paper's smoothness metrics
-  // (Figure 2a, Figure 5b) and the serving layer's embedding table are
-  // computed on this tensor. Models that have no distinguished penultimate
-  // representation leave it as the logits. Safe to read at any time — the
-  // copy outlives the Tape of the Forward() that produced it; empty (0x0)
-  // before the first Forward().
+  // (Figure 2a, Figure 5b) are computed on this tensor. Models that have no
+  // distinguished penultimate representation leave it as the logits. Safe to
+  // read at any time — the copy outlives the Tape of the Forward() that
+  // produced it; empty (0x0) before the first Forward().
   const Matrix& Penultimate() const { return penultimate_; }
-
-  // Copies the frozen classification head into `head` and returns true for
-  // models whose eval-mode logits are exactly one Linear applied to
-  // Penultimate() (SGC, JKNet, GCNII — eval-mode Dropout between the two is
-  // the identity). Models with propagation or mixing after the penultimate
-  // representation return false and leave `head` untouched.
-  virtual bool ExportServingHead(ServingHead* head) {
-    (void)head;
-    return false;
-  }
 
  protected:
   // Called by backbones at the penultimate point of Forward(); copies the

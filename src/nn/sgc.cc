@@ -34,10 +34,4 @@ std::vector<Parameter*> SgcModel::Parameters() {
   return params;
 }
 
-bool SgcModel::ExportServingHead(ServingHead* head) {
-  head->weight = classifier_->weight().value;
-  head->bias = classifier_->has_bias() ? classifier_->bias().value : Matrix();
-  return true;
-}
-
 }  // namespace skipnode

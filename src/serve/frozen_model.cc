@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "autograd/tape.h"
-#include "base/check.h"
 #include "base/telemetry.h"
 #include "nn/checkpoint.h"
 #include "nn/model_factory.h"
@@ -31,13 +30,6 @@ FrozenModel FrozenModel::Freeze(Model& model, const Graph& graph,
   FrozenModel frozen;
   frozen.model_name_ = model.name();
   frozen.logits_ = logits.value();
-  frozen.embeddings_ = model.Penultimate();
-  ServingHead head;
-  if (model.ExportServingHead(&head)) {
-    SKIPNODE_CHECK(head.weight.rows() == frozen.embeddings_.cols());
-    SKIPNODE_CHECK(head.weight.cols() == frozen.logits_.cols());
-    frozen.head_ = std::move(head);
-  }
   return frozen;
 }
 
@@ -113,19 +105,7 @@ std::unique_ptr<FrozenModel> FrozenModel::TryFromCheckpoint(
 }
 
 Matrix FrozenModel::Logits(const std::vector<int>& node_ids) const {
-  if (!has_linear_head()) return GatherRows(logits_, node_ids);
-  // Row-sliced recompute: per-output-row Gemm accumulation does not depend
-  // on which other rows are in the batch, and the bias add is one float add
-  // per element — both bitwise match the freeze-time full forward
-  // (tape.MatMul + tape.AddRowBroadcast).
-  Matrix out = MatMul(GatherRows(embeddings_, node_ids), head_.weight);
-  if (!head_.bias.empty()) {
-    for (int r = 0; r < out.rows(); ++r) {
-      float* row = out.row(r);
-      for (int c = 0; c < out.cols(); ++c) row[c] += head_.bias(0, c);
-    }
-  }
-  return out;
+  return GatherRows(logits_, node_ids);
 }
 
 std::vector<int> FrozenModel::Predict(const std::vector<int>& node_ids) const {
@@ -140,10 +120,6 @@ std::vector<int> FrozenModel::Predict(const std::vector<int>& node_ids) const {
     classes[static_cast<size_t>(r)] = best;
   }
   return classes;
-}
-
-Matrix FrozenModel::Embeddings(const std::vector<int>& node_ids) const {
-  return GatherRows(embeddings_, node_ids);
 }
 
 }  // namespace skipnode

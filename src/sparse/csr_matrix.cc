@@ -4,9 +4,12 @@
 #include "sparse/csr_matrix.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <mutex>
+#include <span>
+#include <type_traits>
 
 #include "base/check.h"
 #include "base/parallel.h"
@@ -31,98 +34,12 @@ int64_t CsrMatrix::MemoryBytes() const {
          static_cast<int64_t>(values_.size()) * sizeof(float);
 }
 
-void CsrMatrix::MultiplyAccumulate(const Matrix& dense, Matrix& out) const {
-  const ScopedTimer timer("sparse.spmm", /*items=*/rows_);
-  SKIPNODE_CHECK(dense.rows() == cols_);
-  SKIPNODE_CHECK(out.rows() == rows_ && out.cols() == dense.cols());
-  const int d = dense.cols();
-  // Row-parallel: each thread owns a contiguous block of output rows, and a
-  // row's neighbours accumulate in CSR order whatever the thread count, so
-  // the SpMM is bitwise reproducible across SKIPNODE_NUM_THREADS settings.
-  // Chunks are balanced by nnz (row_ptr_ is the cost prefix), so a hub row
-  // cannot serialise its whole chunk on power-law-ish graphs. The per-entry
-  // row update is the simd Axpy microkernel (vector lanes are independent
-  // output columns, so vectorizing reorders nothing — DESIGN §14).
-  WithOffsets(row_ptr_, [&](const auto* rp) {
-    ParallelForBalanced(
-        rows_, rp,
-        [&](int64_t row_begin, int64_t row_end) {
-          for (int r = static_cast<int>(row_begin); r < row_end; ++r) {
-            float* __restrict or_ = out.row(r);
-            for (int64_t e = rp[r]; e < rp[r + 1]; ++e) {
-              const float w = values_[static_cast<size_t>(e)];
-              const float* __restrict src =
-                  dense.row(col_idx_[static_cast<size_t>(e)]);
-              simd::Axpy(w, src, or_, d);
-            }
-          }
-        },
-        SpmmChunkCost(d));
-  });
-}
-
-Matrix CsrMatrix::Multiply(const Matrix& dense) const {
-  Matrix out(rows_, dense.cols());
-  MultiplyAccumulate(dense, out);
-  return out;
-}
-
-void CsrMatrix::MultiplyAccumulateMasked(const Matrix& dense,
-                                         const std::vector<uint8_t>& skip_rows,
-                                         Matrix& out) const {
-  const ScopedTimer timer("sparse.spmm_masked", /*items=*/rows_);
-  SKIPNODE_CHECK(dense.rows() == cols_);
-  SKIPNODE_CHECK(out.rows() == rows_ && out.cols() == dense.cols());
-  SKIPNODE_CHECK(static_cast<int>(skip_rows.size()) == rows_);
-  const int d = dense.cols();
-  // Same row-ownership partition as MultiplyAccumulate; a computed row's
-  // neighbour sum never depends on which rows were skipped, so kept rows are
-  // bitwise identical to the full multiply. Skipped rows are counted inside
-  // the existing row loop (no extra O(rows) telemetry pass); the relaxed
-  // atomic merge is integer-only, so it stays off the numeric path.
-  const bool count_skips = TelemetryEnabled();
-  std::atomic<int64_t> skipped{0};
-  WithOffsets(row_ptr_, [&](const auto* rp) {
-    ParallelForBalanced(
-        rows_, rp,
-        [&](int64_t row_begin, int64_t row_end) {
-          int64_t chunk_skipped = 0;
-          for (int r = static_cast<int>(row_begin); r < row_end; ++r) {
-            if (skip_rows[r]) {
-              ++chunk_skipped;
-              continue;
-            }
-            float* __restrict or_ = out.row(r);
-            for (int64_t e = rp[r]; e < rp[r + 1]; ++e) {
-              const float w = values_[static_cast<size_t>(e)];
-              const float* __restrict src =
-                  dense.row(col_idx_[static_cast<size_t>(e)]);
-              simd::Axpy(w, src, or_, d);
-            }
-          }
-          if (count_skips) {
-            skipped.fetch_add(chunk_skipped, std::memory_order_relaxed);
-          }
-        },
-        SpmmChunkCost(d));
-  });
-  if (count_skips) {
-    CountMetric("spmm.rows_skipped", skipped.load(std::memory_order_relaxed));
-  }
-}
-
-const CsrMatrix::TransposePlan& CsrMatrix::transpose_plan() const {
-  PlanCache* cache = plan_cache_.get();
-  std::call_once(cache->once, [&] { BuildTransposePlan(&cache->plan); });
-  return cache->plan;
-}
-
 namespace {
 
 // Counting sort by column at the given offset width. Walking rows in
 // ascending order fills each transposed row with its source rows ascending —
-// the order the serial scatter accumulated them, which the gather kernels
-// rely on.
+// the order the serial scatter accumulated them, which the gather relies
+// on.
 template <typename Offset>
 void BuildPlanArrays(int rows, int cols, const Offset* row_ptr,
                      const std::vector<int>& col_idx,
@@ -146,7 +63,123 @@ void BuildPlanArrays(int rows, int cols, const Offset* row_ptr,
   }
 }
 
+// Which rows a product leaves out (DESIGN §10).
+enum class Skip {
+  kNone,
+  // Output rows the mask names are neither computed nor written: the
+  // SkipNode forward (Eq. 4).
+  kOutputRows,
+  // Rows of `dense` the mask names are never read: the fused backward.
+  // Dropping an entry is bitwise the same as multiplying its zeroed row
+  // through: the addend would be w * 0.0f = +0.0f, and the accumulators can
+  // never hold -0.0 (they start at +0.0 and IEEE round-to-nearest sums of
+  // finite values only produce -0.0 from two -0.0 addends), so x += +0.0f
+  // leaves every accumulator bit unchanged.
+  kSourceRows,
+};
+
+// The one sparse gather behind every CsrMatrix product: output row i adds
+// values[perm ? perm[e] : e] * dense.row(src[e]) over its entries
+// [ptr[i], ptr[i + 1]), in entry order. Each output row is owned by exactly
+// one thread and the order of its entries never depends on the thread count
+// or on which other rows are skipped, so every product is bitwise
+// reproducible at any SKIPNODE_NUM_THREADS (DESIGN §7). Chunks are balanced
+// by entry count (`ptr` is the cost prefix), so a hub row cannot serialise
+// its chunk on power-law graphs. The per-entry update is the simd Axpy
+// microkernel; its lanes are independent output columns, so vectorizing
+// reorders nothing (DESIGN §14). The skip mode and the permutation (`Perm`
+// is std::nullptr_t without one) are template parameters, so an unmasked
+// product tests nothing per entry.
+template <Skip kSkip, typename Offset, typename Perm>
+void RowGather(const Offset* ptr, const int* src, Perm perm,
+               const float* values, const uint8_t* skip, const Matrix& dense,
+               Matrix& out) {
+  const int d = dense.cols();
+  ParallelForBalanced(
+      out.rows(), ptr,
+      [&](int64_t row_begin, int64_t row_end) {
+        for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
+          if constexpr (kSkip == Skip::kOutputRows) {
+            if (skip[i]) continue;
+          }
+          float* __restrict out_row = out.row(i);
+          for (int64_t e = ptr[i]; e < ptr[i + 1]; ++e) {
+            const int s = src[e];
+            if constexpr (kSkip == Skip::kSourceRows) {
+              if (skip[s]) continue;
+            }
+            int64_t k = e;  // index of the entry's weight in `values`
+            if constexpr (!std::is_null_pointer_v<Perm>) k = perm[e];
+            simd::Axpy(values[k], dense.row(s), out_row, d);
+          }
+        }
+      },
+      SpmmChunkCost(d));
+}
+
+// Binds one product's runtime choices to RowGather's template parameters,
+// once per call and outside every loop: the offset width of `ptr` (which
+// `perm`, when non-null, shares), whether there is a permutation, and
+// whether the mask is empty (every row computed) or leaves out `kMasked`
+// rows.
+template <Skip kMasked>
+void Gather(const OffsetVec& ptr, const int* src, const OffsetVec* perm,
+            const float* values, std::span<const uint8_t> skip_rows,
+            const Matrix& dense, Matrix& out) {
+  WithOffsets(ptr, [&](const auto* p) {
+    const auto run = [&](auto q) {
+      if (skip_rows.empty()) {
+        RowGather<Skip::kNone>(p, src, q, values, nullptr, dense, out);
+      } else {
+        RowGather<kMasked>(p, src, q, values, skip_rows.data(), dense, out);
+      }
+    };
+    if (perm == nullptr) {
+      run(nullptr);
+    } else if constexpr (sizeof(*p) == sizeof(int64_t)) {
+      run(perm->data64());
+    } else {
+      run(perm->data32());
+    }
+  });
+}
+
+// Telemetry only: the number of masked rows, counted in one integer pass
+// off the numeric path.
+void CountSkippedRows(const char* counter,
+                      std::span<const uint8_t> skip_rows) {
+  if (skip_rows.empty() || !TelemetryEnabled()) return;
+  int64_t skipped = 0;
+  for (const uint8_t skip : skip_rows) skipped += skip != 0;
+  CountMetric(counter, skipped);
+}
+
 }  // namespace
+
+void CsrMatrix::MultiplyAccumulate(const Matrix& dense, Matrix& out,
+                                   std::span<const uint8_t> skip_rows) const {
+  const bool masked = !skip_rows.empty();
+  const ScopedTimer timer(masked ? "sparse.spmm_masked" : "sparse.spmm",
+                          /*items=*/rows_);
+  SKIPNODE_CHECK(dense.rows() == cols_);
+  SKIPNODE_CHECK(out.rows() == rows_ && out.cols() == dense.cols());
+  SKIPNODE_CHECK(!masked || std::ssize(skip_rows) == rows_);
+  CountSkippedRows("spmm.rows_skipped", skip_rows);
+  Gather<Skip::kOutputRows>(row_ptr_, col_idx_.data(), /*perm=*/nullptr,
+                            values_.data(), skip_rows, dense, out);
+}
+
+Matrix CsrMatrix::Multiply(const Matrix& dense) const {
+  Matrix out(rows_, dense.cols());
+  MultiplyAccumulate(dense, out);
+  return out;
+}
+
+const CsrMatrix::TransposePlan& CsrMatrix::transpose_plan() const {
+  PlanCache* cache = plan_cache_.get();
+  std::call_once(cache->once, [&] { BuildTransposePlan(&cache->plan); });
+  return cache->plan;
+}
 
 void CsrMatrix::BuildTransposePlan(TransposePlan* plan) const {
   const ScopedTimer timer("sparse.transpose_plan.build", /*items=*/nnz());
@@ -177,105 +210,26 @@ void CsrMatrix::BuildTransposePlan(TransposePlan* plan) const {
   }
 }
 
-Matrix CsrMatrix::MultiplyTransposed(const Matrix& dense) const {
-  const ScopedTimer timer("sparse.spmm_t", /*items=*/cols_);
+Matrix CsrMatrix::MultiplyTransposed(
+    const Matrix& dense, std::span<const uint8_t> skip_rows) const {
+  const bool masked = !skip_rows.empty();
+  const ScopedTimer timer(masked ? "sparse.spmm_t_masked" : "sparse.spmm_t",
+                          /*items=*/cols_);
   SKIPNODE_CHECK(dense.rows() == rows_);
+  SKIPNODE_CHECK(!masked || std::ssize(skip_rows) == rows_);
+  CountSkippedRows("spmm_t.rows_skipped", skip_rows);
   Matrix out(cols_, dense.cols());
-  const int d = dense.cols();
+  // Output row c gathers column c's entries in increasing source-row order —
+  // the order the serial scatter wrote them. A symmetric matrix is its own
+  // transposed view.
   const TransposePlan& plan = transpose_plan();
-  // Row-owned gather over the transpose plan: output row c is written by
-  // exactly one thread and accumulates column c's entries in increasing
-  // source-row order — the order the serial scatter wrote them — so the
-  // result is bitwise identical at any thread count (DESIGN §7).
-  // t_val == nullptr means "the plan is the matrix itself" (symmetric alias).
-  const auto run = [&](const auto* t_ptr, const int* t_src,
-                       const auto* t_val) {
-    ParallelForBalanced(
-        cols_, t_ptr,
-        [&](int64_t col_begin, int64_t col_end) {
-          for (int c = static_cast<int>(col_begin); c < col_end; ++c) {
-            float* __restrict or_ = out.row(c);
-            for (int64_t e = t_ptr[c]; e < t_ptr[c + 1]; ++e) {
-              const float w = values_[static_cast<size_t>(
-                  t_val != nullptr ? t_val[e] : e)];
-              const float* __restrict src =
-                  dense.row(t_src[static_cast<size_t>(e)]);
-              simd::Axpy(w, src, or_, d);
-            }
-          }
-        },
-        SpmmChunkCost(d));
-  };
   if (plan.symmetric_alias) {
-    if (row_ptr_.wide()) {
-      run(row_ptr_.data64(), col_idx_.data(),
-          static_cast<const int64_t*>(nullptr));
-    } else {
-      run(row_ptr_.data32(), col_idx_.data(),
-          static_cast<const int*>(nullptr));
-    }
-  } else if (plan.row_ptr.wide()) {
-    run(plan.row_ptr.data64(), plan.src_row.data(), plan.value_perm.data64());
+    Gather<Skip::kSourceRows>(row_ptr_, col_idx_.data(), /*perm=*/nullptr,
+                              values_.data(), skip_rows, dense, out);
   } else {
-    run(plan.row_ptr.data32(), plan.src_row.data(), plan.value_perm.data32());
-  }
-  return out;
-}
-
-// Same gather as MultiplyTransposed, dropping entries whose source row is
-// skipped — those rows of `dense` are never even read. Skipping an entry is
-// bitwise equivalent to multiplying the zeroed row through: the dropped
-// addend would be w * 0.0f = +0.0f, and the accumulators can never hold
-// -0.0 (they start at +0.0 and IEEE round-to-nearest sums of finite values
-// only produce -0.0 from two -0.0 addends), so x += +0.0f leaves every
-// accumulator bit unchanged.
-Matrix CsrMatrix::MultiplyTransposedMasked(
-    const Matrix& dense, const std::vector<uint8_t>& skip_rows) const {
-  const ScopedTimer timer("sparse.spmm_t_masked", /*items=*/cols_);
-  SKIPNODE_CHECK(dense.rows() == rows_);
-  SKIPNODE_CHECK(static_cast<int>(skip_rows.size()) == rows_);
-  if (TelemetryEnabled()) {
-    // The gather never iterates source rows, so the skipped-row count (items
-    // = rows of `dense` masked off) takes one O(rows) pass — telemetry-gated
-    // and integer-only, off the numeric path.
-    int64_t skipped = 0;
-    for (const uint8_t skip : skip_rows) skipped += skip != 0;
-    CountMetric("spmm_t.rows_skipped", skipped);
-  }
-  Matrix out(cols_, dense.cols());
-  const int d = dense.cols();
-  const TransposePlan& plan = transpose_plan();
-  const auto run = [&](const auto* t_ptr, const int* t_src,
-                       const auto* t_val) {
-    ParallelForBalanced(
-        cols_, t_ptr,
-        [&](int64_t col_begin, int64_t col_end) {
-          for (int c = static_cast<int>(col_begin); c < col_end; ++c) {
-            float* __restrict or_ = out.row(c);
-            for (int64_t e = t_ptr[c]; e < t_ptr[c + 1]; ++e) {
-              const int r = t_src[static_cast<size_t>(e)];
-              if (skip_rows[r]) continue;
-              const float w = values_[static_cast<size_t>(
-                  t_val != nullptr ? t_val[e] : e)];
-              const float* __restrict src = dense.row(r);
-              simd::Axpy(w, src, or_, d);
-            }
-          }
-        },
-        SpmmChunkCost(d));
-  };
-  if (plan.symmetric_alias) {
-    if (row_ptr_.wide()) {
-      run(row_ptr_.data64(), col_idx_.data(),
-          static_cast<const int64_t*>(nullptr));
-    } else {
-      run(row_ptr_.data32(), col_idx_.data(),
-          static_cast<const int*>(nullptr));
-    }
-  } else if (plan.row_ptr.wide()) {
-    run(plan.row_ptr.data64(), plan.src_row.data(), plan.value_perm.data64());
-  } else {
-    run(plan.row_ptr.data32(), plan.src_row.data(), plan.value_perm.data32());
+    Gather<Skip::kSourceRows>(plan.row_ptr, plan.src_row.data(),
+                              &plan.value_perm, values_.data(), skip_rows,
+                              dense, out);
   }
   return out;
 }

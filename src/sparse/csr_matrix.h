@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,15 +35,15 @@ class CsrMatrix {
  public:
   // Transposed-CSR view of the matrix: row c of the plan enumerates the
   // stored entries of column c in increasing source-row order — exactly the
-  // order the serial scatter kernel visits them — which is what lets the
-  // MultiplyTransposed* gathers run row-parallel (DESIGN §7) while staying
-  // bitwise identical to the old serial scatters at any thread count.
+  // order the serial scatter kernel visits them — which is what lets
+  // MultiplyTransposed run as a row-parallel gather (DESIGN §7) while
+  // staying bitwise identical to the old serial scatter at any thread count.
   struct TransposePlan {
     // True when the matrix is *exactly* symmetric (same sparsity pattern,
-    // float-equal mirrored values): the forward row_ptr()/col_idx()/values()
-    // arrays double as the transposed view, the vectors below stay empty,
-    // and no second index set is materialised. Normalised adjacencies
-    // Â = (D+I)^{-1/2}(A+I)(D+I)^{-1/2} always hit this path.
+    // float-equal mirrored values): the forward row_offsets()/col_idx()/
+    // values() arrays double as the transposed view, the vectors below stay
+    // empty, and no second index set is materialised. Normalised
+    // adjacencies Â = (D+I)^{-1/2}(A+I)(D+I)^{-1/2} always hit this path.
     bool symmetric_alias = false;
     // cols() + 1 offsets into the arrays below; same width as the matrix.
     OffsetVec row_ptr;
@@ -84,42 +85,34 @@ class CsrMatrix {
   // Returns this * dense. dense is cols() x d.
   Matrix Multiply(const Matrix& dense) const;
 
-  // out += this * dense.
-  void MultiplyAccumulate(const Matrix& dense, Matrix& out) const;
-
-  // out.row(r) += (this * dense).row(r) for every row with skip_rows[r] == 0;
-  // rows with skip_rows[r] != 0 are not touched at all — the SkipNode fused
-  // forward (DESIGN §10). Computed rows accumulate in exactly the same order
-  // as MultiplyAccumulate, so the kept rows are bitwise identical to a full
-  // multiply at any thread count. Bumps the spmm.rows_skipped counter.
-  void MultiplyAccumulateMasked(const Matrix& dense,
-                                const std::vector<uint8_t>& skip_rows,
-                                Matrix& out) const;
+  // out += this * dense. Rows r with skip_rows[r] != 0 are not touched at
+  // all — the SkipNode fused forward (DESIGN §10); an empty span skips
+  // nothing. A computed row accumulates in the same order whatever the mask,
+  // so kept rows are bitwise identical to a full multiply at any thread
+  // count. A masked call bumps the spmm.rows_skipped counter.
+  void MultiplyAccumulate(const Matrix& dense, Matrix& out,
+                          std::span<const uint8_t> skip_rows = {}) const;
 
   // Returns this^T * dense, as a row-parallel gather over the cached
   // transpose plan (no dense transpose materialised). Bitwise identical to
   // the serial scatter formulation at any thread count: output row c
   // accumulates its contributions in increasing source-row order either way.
-  Matrix MultiplyTransposed(const Matrix& dense) const;
-
-  // this^T * dense with rows of `dense` where skip_rows[r] != 0 treated as
-  // zero (they are never read — the gather skips their plan entries
-  // outright). Bitwise identical to MultiplyTransposed on a copy of `dense`
-  // with those rows zeroed — the SkipNode fused backward, where the output
-  // gradient of a skipped row must not reach the convolution input. Bumps
-  // the spmm_t.rows_skipped counter.
-  Matrix MultiplyTransposedMasked(const Matrix& dense,
-                                  const std::vector<uint8_t>& skip_rows) const;
+  // Rows r of `dense` with skip_rows[r] != 0 are never read, which is
+  // bitwise the same as multiplying a copy with those rows zeroed — the
+  // SkipNode fused backward, where the output gradient of a skipped row must
+  // not reach the convolution input. An empty span skips nothing; a masked
+  // call bumps the spmm_t.rows_skipped counter.
+  Matrix MultiplyTransposed(const Matrix& dense,
+                            std::span<const uint8_t> skip_rows = {}) const;
 
   // The cached transpose plan, built on first use (thread-safe via
   // std::call_once; one build per matrix, shared by copies).
   const TransposePlan& transpose_plan() const;
 
-  // Sum of stored values in each row (rows x 1). Contract: each row
-  // accumulates in double and rounds to float once at the end — this feeds
-  // the degree terms of adjacency normalisation, so the extra precision (and
-  // its independence from entry count) is load-bearing for bitwise
-  // reproducibility of every Â downstream. Pinned by csr_matrix_test.
+  // Sum of stored values in each row (rows x 1), for tests and checks.
+  // Contract: each row accumulates in double and rounds to float once at
+  // the end, so a sum does not depend on how many entries it adds up.
+  // Pinned by csr_matrix_test.
   Matrix RowSums() const;
 
   // Dense copy (tests / tiny matrices only).

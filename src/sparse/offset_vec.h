@@ -58,20 +58,6 @@ class OffsetVec {
     return v64_.data();
   }
 
-  // Narrow-only vector view for legacy callers (autograd's GAT pattern walk,
-  // tests). Wide matrices have no int vector to hand out; callers on the
-  // wide path must go through WithOffsets instead.
-  const std::vector<int>& narrow_vector() const {
-    SKIPNODE_CHECK(!wide_);
-    return v32_;
-  }
-
-  // Width-erased copy for tests and diagnostics (never on a hot path).
-  std::vector<int64_t> ToVector() const {
-    if (wide_) return v64_;
-    return std::vector<int64_t>(v32_.begin(), v32_.end());
-  }
-
  private:
   bool wide_ = false;
   std::vector<int> v32_;

@@ -94,7 +94,6 @@ class Matrix {
 
   // Factory helpers -------------------------------------------------------
 
-  static Matrix Zeros(int rows, int cols) { return Matrix(rows, cols); }
   static Matrix Ones(int rows, int cols);
   static Matrix Identity(int n);
   // Entries ~ Uniform(lo, hi).

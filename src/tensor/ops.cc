@@ -368,54 +368,6 @@ Matrix SubtractRowVector(const Matrix& x, const Matrix& v) {
   return out;
 }
 
-Matrix RowSoftmax(const Matrix& x) {
-  const ScopedTimer timer("tensor.row_softmax", /*items=*/x.rows());
-  Matrix out = x;
-  ParallelFor(
-      0, out.rows(),
-      [&](int64_t lo, int64_t hi) {
-        for (int i = static_cast<int>(lo); i < hi; ++i) {
-          float* oi = out.row(i);
-          // The max and exp/total reductions stay serial scalar loops: the
-          // running max and double sum are order-sensitive.
-          float max_v = oi[0];
-          for (int j = 1; j < out.cols(); ++j) max_v = std::max(max_v, oi[j]);
-          double total = 0.0;
-          for (int j = 0; j < out.cols(); ++j) {
-            oi[j] = std::exp(oi[j] - max_v);
-            total += oi[j];
-          }
-          const float inv = static_cast<float>(1.0 / total);
-          simd::ScaleInPlace(oi, inv, out.cols());
-        }
-      },
-      MinRowsPerThread(4 * out.cols()));
-  return out;
-}
-
-Matrix RowLogSoftmax(const Matrix& x) {
-  const ScopedTimer timer("tensor.row_log_softmax", /*items=*/x.rows());
-  Matrix out = x;
-  ParallelFor(
-      0, out.rows(),
-      [&](int64_t lo, int64_t hi) {
-        for (int i = static_cast<int>(lo); i < hi; ++i) {
-          float* oi = out.row(i);
-          float max_v = oi[0];
-          for (int j = 1; j < out.cols(); ++j) max_v = std::max(max_v, oi[j]);
-          double total = 0.0;
-          for (int j = 0; j < out.cols(); ++j) {
-            total += std::exp(oi[j] - max_v);
-          }
-          const float log_z = max_v + static_cast<float>(std::log(total));
-          // x - log_z == x + (-log_z) exactly (negation is a sign flip).
-          simd::AddScalarInPlace(oi, -log_z, out.cols());
-        }
-      },
-      MinRowsPerThread(4 * out.cols()));
-  return out;
-}
-
 Matrix RowNorms(const Matrix& x) {
   const ScopedTimer timer("tensor.row_norms", /*items=*/x.rows());
   Matrix out(x.rows(), 1);
@@ -494,28 +446,6 @@ bool HasNonFinite(const Matrix& x) {
     if (flag) return true;
   }
   return false;
-}
-
-int64_t CountNonFinite(const Matrix& x) {
-  // Per-row counts in parallel (each row owned by one thread), summed
-  // serially — integer sums are exact, but the contract is uniform.
-  std::vector<int64_t> row_counts(x.rows(), 0);
-  ParallelFor(
-      0, x.rows(),
-      [&](int64_t lo, int64_t hi) {
-        for (int i = static_cast<int>(lo); i < hi; ++i) {
-          const float* xi = x.row(i);
-          int64_t count = 0;
-          for (int j = 0; j < x.cols(); ++j) {
-            count += !std::isfinite(xi[j]);
-          }
-          row_counts[i] = count;
-        }
-      },
-      MinRowsPerThread(x.cols()));
-  int64_t total = 0;
-  for (const int64_t count : row_counts) total += count;
-  return total;
 }
 
 float MaxRowNorm(const Matrix& x) {

@@ -107,12 +107,6 @@ Matrix ColumnMeans(const Matrix& x);
 // x minus a 1 x cols row vector broadcast over rows.
 Matrix SubtractRowVector(const Matrix& x, const Matrix& v);
 
-// Numerically-stable row-wise softmax.
-Matrix RowSoftmax(const Matrix& x);
-
-// Numerically-stable row-wise log-softmax.
-Matrix RowLogSoftmax(const Matrix& x);
-
 // L2 norm of each row (rows x 1).
 Matrix RowNorms(const Matrix& x);
 
@@ -133,9 +127,6 @@ std::vector<uint8_t> RowNonFiniteFlags(const Matrix& x);
 
 // True iff any element of x is NaN or Inf.
 bool HasNonFinite(const Matrix& x);
-
-// Number of NaN / Inf elements in x.
-int64_t CountNonFinite(const Matrix& x);
 
 // Largest row L2 norm (0 for empty matrices) — an overflow tripwire that
 // trips before values actually reach Inf.

@@ -69,7 +69,7 @@ LinkResult TrainLinkPredictor(Model& encoder, const Graph& message_graph,
       Var scores = tape.RowDots(tape.GatherRows(z, std::move(heads)),
                                 tape.GatherRows(z, std::move(tails)));
       Var loss = tape.BceWithLogits(scores, targets);
-      Optimizer::ZeroGrad(parameters);
+      ZeroGrad(parameters);
       tape.Backward(loss);
       optimizer.Step(parameters);
     }

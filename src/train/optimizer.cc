@@ -12,33 +12,18 @@
 namespace skipnode {
 namespace {
 
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
 // Parameter matrices are a few thousand elements; only fan out when the
 // per-thread slice carries enough work to hide the pool wake-up.
 constexpr int64_t kMinUpdateElementsPerThread = 1 << 13;
 
 }  // namespace
 
-void Optimizer::ZeroGrad(const std::vector<Parameter*>& parameters) {
+void ZeroGrad(const std::vector<Parameter*>& parameters) {
   for (Parameter* p : parameters) p->ZeroGrad();
-}
-
-void Sgd::Step(const std::vector<Parameter*>& parameters) {
-  int64_t total_elements = 0;
-  for (const Parameter* p : parameters) total_elements += p->value.size();
-  const ScopedTimer timer("train.sgd_step", /*items=*/total_elements);
-  for (Parameter* p : parameters) {
-    float* value = p->value.data();
-    const float* grad = p->grad.data();
-    // Element-parallel: every weight updates independently, so chunking the
-    // range cannot change any result bit.
-    ParallelFor(
-        0, p->value.size(),
-        [&](int64_t lo, int64_t hi) {
-          simd::SgdStep(value + lo, grad + lo, hi - lo, learning_rate_,
-                        weight_decay_);
-        },
-        kMinUpdateElementsPerThread);
-  }
 }
 
 void Adam::Step(const std::vector<Parameter*>& parameters) {
@@ -46,25 +31,22 @@ void Adam::Step(const std::vector<Parameter*>& parameters) {
   for (const Parameter* p : parameters) total_elements += p->value.size();
   const ScopedTimer timer("train.adam_step", /*items=*/total_elements);
   ++step_count_;
-  const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_count_));
-  const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+  const float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(step_count_));
+  const float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(step_count_));
   // Every constant of the per-element recurrence, precomputed once. The
   // derived fields reproduce the exact floats the historical inline loop
-  // computed per element (e.g. 1.0f - beta1_), so the microkernel is bitwise
-  // identical to it. Coupled (classic L2) folds decay into the gradient;
-  // decoupled (AdamW) shrinks the weights after the update.
+  // computed per element (e.g. 1.0f - beta1), so the microkernel is bitwise
+  // identical to it.
   const simd::AdamConstants constants = {
-      .beta1 = beta1_,
-      .one_minus_beta1 = 1.0f - beta1_,
-      .beta2 = beta2_,
-      .one_minus_beta2 = 1.0f - beta2_,
+      .beta1 = kBeta1,
+      .one_minus_beta1 = 1.0f - kBeta1,
+      .beta2 = kBeta2,
+      .one_minus_beta2 = 1.0f - kBeta2,
       .bias1 = bias1,
       .bias2 = bias2,
       .learning_rate = learning_rate_,
-      .epsilon = epsilon_,
+      .epsilon = kEpsilon,
       .weight_decay = weight_decay_,
-      .lr_weight_decay = learning_rate_ * weight_decay_,
-      .decoupled = decoupled_,
   };
   for (Parameter* p : parameters) {
     Moments& moments = moments_[p];
@@ -76,8 +58,9 @@ void Adam::Step(const std::vector<Parameter*>& parameters) {
     const float* grad = p->grad.data();
     float* m = moments.m.data();
     float* v = moments.v.data();
-    // Element-parallel (see Sgd::Step); the moment updates touch only
-    // element i, so each thread's slice is fully independent.
+    // Element-parallel: the moment updates touch only element i, so each
+    // thread's slice is fully independent and chunking the range cannot
+    // change any result bit.
     ParallelFor(
         0, p->value.size(),
         [&](int64_t lo, int64_t hi) {

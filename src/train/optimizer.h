@@ -1,8 +1,8 @@
 // Copyright 2026 The SkipNode Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// First-order optimisers. Weight decay is *coupled* (added to the gradient,
-// i.e. classic L2 regularisation): the paper's weight-over-decaying analysis
+// The optimizer: Adam with *coupled* weight decay (added to the gradient,
+// i.e. classic L2 regularisation). The paper's weight-over-decaying analysis
 // (Section 4.2) depends on the regulariser dominating when the
 // classification gradient vanishes, which is exactly this formulation.
 
@@ -16,47 +16,19 @@
 
 namespace skipnode {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  // Applies one update from the accumulated gradients (incl. weight decay).
-  virtual void Step(const std::vector<Parameter*>& parameters) = 0;
-
-  static void ZeroGrad(const std::vector<Parameter*>& parameters);
-};
-
-// Plain SGD: w -= lr * (grad + weight_decay * w).
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float learning_rate, float weight_decay = 0.0f)
-      : learning_rate_(learning_rate), weight_decay_(weight_decay) {}
-
-  void Step(const std::vector<Parameter*>& parameters) override;
-
- private:
-  float learning_rate_;
-  float weight_decay_;
-};
+// Clears the accumulated gradient of every parameter.
+void ZeroGrad(const std::vector<Parameter*>& parameters);
 
 // Adam (Kingma & Ba 2015) with L2-coupled weight decay, the configuration
-// used throughout the paper's experiments. `decoupled` switches to AdamW
-// (Loshchilov & Hutter 2019): decay is applied directly to the weights
-// instead of entering the moment estimates. The distinction matters for the
-// paper's Section 4.2: coupled decay is the regulariser whose dominance
-// causes weight over-decaying once the classification gradient vanishes.
-class Adam : public Optimizer {
+// used throughout the paper's experiments: beta1 = 0.9, beta2 = 0.999,
+// epsilon = 1e-8.
+class Adam {
  public:
-  Adam(float learning_rate, float weight_decay = 0.0f, float beta1 = 0.9f,
-       float beta2 = 0.999f, float epsilon = 1e-8f, bool decoupled = false)
-      : learning_rate_(learning_rate),
-        weight_decay_(weight_decay),
-        beta1_(beta1),
-        beta2_(beta2),
-        epsilon_(epsilon),
-        decoupled_(decoupled) {}
+  explicit Adam(float learning_rate, float weight_decay = 0.0f)
+      : learning_rate_(learning_rate), weight_decay_(weight_decay) {}
 
-  void Step(const std::vector<Parameter*>& parameters) override;
+  // Applies one update from the accumulated gradients (incl. weight decay).
+  void Step(const std::vector<Parameter*>& parameters);
 
  private:
   struct Moments {
@@ -66,20 +38,8 @@ class Adam : public Optimizer {
 
   float learning_rate_;
   float weight_decay_;
-  float beta1_;
-  float beta2_;
-  float epsilon_;
-  bool decoupled_;
   int step_count_ = 0;
   std::unordered_map<Parameter*, Moments> moments_;
-};
-
-// AdamW: Adam with decoupled weight decay.
-class AdamW : public Adam {
- public:
-  AdamW(float learning_rate, float weight_decay = 0.0f)
-      : Adam(learning_rate, weight_decay, 0.9f, 0.999f, 1e-8f,
-             /*decoupled=*/true) {}
 };
 
 }  // namespace skipnode

@@ -246,7 +246,7 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
         return rollback(epoch) ? StepStatus::kRolledBack : StepStatus::kHalt;
       }
       const int64_t backward_start = now();
-      Optimizer::ZeroGrad(parameters);
+      ZeroGrad(parameters);
       tape.Backward(loss);
       if (logit_grad_probe) logit_grad_probe(logits.grad(), loss_rows);
       if (fault_parameter != nullptr) {
@@ -420,9 +420,8 @@ DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
 
 Matrix EvaluateLogits(Model& model, const Graph& graph,
                       const StrategyConfig& strategy) {
-  // Routed through the serving layer so there is exactly one eval-mode
-  // forward in the codebase: FrozenModel::Freeze runs the pass this
-  // function used to run inline (frozen_model_test pins the two bitwise).
+  // The serving layer's freeze is this pass, so a served logit is this
+  // function's row bit for bit (frozen_model_test pins the two).
   return FrozenModel::Freeze(model, graph, strategy).full_logits();
 }
 

@@ -19,6 +19,7 @@
 #include "autograd/grad_check.h"
 #include "autograd/tape.h"
 #include "base/parallel.h"
+#include "base/telemetry.h"
 #include "core/skipnode.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/ops.h"
@@ -230,7 +231,7 @@ TEST(BiasedSamplerCacheTest, WeightsOverloadMatchesDegreesOverload) {
 
 // Masked kernels in isolation: skipped rows of the masked SpMM output are
 // left untouched, and the masked transpose ignores masked rows of g.
-TEST(MaskedKernelTest, MultiplyAccumulateMaskedSkipsExactlyMaskedRows) {
+TEST(MaskedKernelTest, MaskedForwardSkipsExactlyMaskedRows) {
   auto a = SmallAdjacency();
   Rng rng(3);
   const Matrix x = Matrix::Random(4, 5, rng);
@@ -244,7 +245,7 @@ TEST(MaskedKernelTest, MultiplyAccumulateMaskedSkipsExactlyMaskedRows) {
     masked(1, j) = 123.0f;
     masked(3, j) = -7.0f;
   }
-  a->MultiplyAccumulateMasked(x, kMixedMask, masked);
+  a->MultiplyAccumulate(x, masked, kMixedMask);
   for (int j = 0; j < 5; ++j) {
     EXPECT_EQ(masked(0, j), full(0, j));
     EXPECT_EQ(masked(1, j), 123.0f);
@@ -253,7 +254,7 @@ TEST(MaskedKernelTest, MultiplyAccumulateMaskedSkipsExactlyMaskedRows) {
   }
 }
 
-TEST(MaskedKernelTest, MultiplyTransposedMaskedMatchesZeroedRows) {
+TEST(MaskedKernelTest, MaskedTransposeMatchesZeroedRows) {
   auto a = SmallAdjacency();
   Rng rng(4);
   const Matrix g = Matrix::Random(4, 5, rng);
@@ -264,8 +265,62 @@ TEST(MaskedKernelTest, MultiplyTransposedMaskedMatchesZeroedRows) {
     g_zeroed(3, j) = 0.0f;
   }
   const Matrix expect = a->MultiplyTransposed(g_zeroed);
-  const Matrix got = a->MultiplyTransposedMasked(g, kMixedMask);
+  const Matrix got = a->MultiplyTransposed(g, kMixedMask);
   EXPECT_EQ(MaxAbsDiff(expect, got), 0.0f);
+}
+
+// The SpMM telemetry the end-to-end benchmark reads: core.rows_skipped_share
+// is spmm.rows_skipped items over sparse.spmm_masked items. Every call fires
+// its own kernel timer once with items = output rows; a masked call also
+// counts the masked rows once, and an unmasked call counts nothing.
+TEST(MaskedKernelTest, TelemetryCountsOutputRowsAndSkippedRows) {
+  // 5 x 3, so the forward (5 output rows) and the transpose (3) differ.
+  const CsrMatrix a = testing::CsrFromCoo(
+      5, 3, {{0, 0}, {0, 2}, {1, 1}, {2, 0}, {3, 2}, {4, 1}, {4, 2}},
+      {0.5f, -1.0f, 2.0f, 1.5f, 0.25f, -0.75f, 1.0f});
+  const std::vector<uint8_t> mask = {0, 1, 0, 1, 1};
+  Rng rng(6);
+  const Matrix x = Matrix::Random(3, 4, rng);
+  const Matrix g = Matrix::Random(5, 4, rng);
+  const auto stat = [](const TelemetrySnapshot& snapshot, const char* name) {
+    const MetricStat* found = snapshot.Find(name);
+    return found != nullptr ? *found : MetricStat{};
+  };
+  const bool saved = TelemetryEnabled();
+  SetTelemetryEnabled(true);
+
+  ResetTelemetry();
+  Matrix out(5, 4);
+  a.MultiplyAccumulate(x, out);
+  (void)a.MultiplyTransposed(g);
+  const TelemetrySnapshot unmasked = SnapshotTelemetry();
+  EXPECT_EQ(stat(unmasked, "sparse.spmm").count, 1);
+  EXPECT_EQ(stat(unmasked, "sparse.spmm").items, 5);
+  EXPECT_EQ(stat(unmasked, "sparse.spmm_t").count, 1);
+  EXPECT_EQ(stat(unmasked, "sparse.spmm_t").items, 3);
+  for (const char* name : {"sparse.spmm_masked", "sparse.spmm_t_masked",
+                           "spmm.rows_skipped", "spmm_t.rows_skipped"}) {
+    EXPECT_EQ(unmasked.Find(name), nullptr) << name;
+  }
+
+  ResetTelemetry();
+  Matrix masked_out(5, 4);
+  a.MultiplyAccumulate(x, masked_out, mask);
+  (void)a.MultiplyTransposed(g, mask);
+  const TelemetrySnapshot masked = SnapshotTelemetry();
+  EXPECT_EQ(stat(masked, "sparse.spmm_masked").count, 1);
+  EXPECT_EQ(stat(masked, "sparse.spmm_masked").items, 5);
+  EXPECT_EQ(stat(masked, "sparse.spmm_t_masked").count, 1);
+  EXPECT_EQ(stat(masked, "sparse.spmm_t_masked").items, 3);
+  EXPECT_EQ(stat(masked, "spmm.rows_skipped").count, 1);
+  EXPECT_EQ(stat(masked, "spmm.rows_skipped").items, 3);
+  EXPECT_EQ(stat(masked, "spmm_t.rows_skipped").count, 1);
+  EXPECT_EQ(stat(masked, "spmm_t.rows_skipped").items, 3);
+  EXPECT_EQ(masked.Find("sparse.spmm"), nullptr);
+  EXPECT_EQ(masked.Find("sparse.spmm_t"), nullptr);
+
+  ResetTelemetry();
+  SetTelemetryEnabled(saved);
 }
 
 }  // namespace

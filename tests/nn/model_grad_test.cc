@@ -71,7 +71,7 @@ void CheckModelGradients(Model& model, const Graph& graph,
     StrategyContext ctx(graph, strategy, /*training=*/false, rng);
     Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
     Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes);
-    Optimizer::ZeroGrad(model.Parameters());
+    ZeroGrad(model.Parameters());
     tape.Backward(loss);
   }
 

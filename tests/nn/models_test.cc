@@ -95,7 +95,7 @@ TEST_P(ModelStrategyTest, FewStepsReduceTrainingLoss) {
     Var aux = model->AuxiliaryLoss(tape);
     if (aux.valid()) loss = tape.Add(loss, aux);
     losses.push_back(loss.value()(0, 0));
-    Optimizer::ZeroGrad(params);
+    ZeroGrad(params);
     tape.Backward(loss);
     optimizer.Step(params);
   }
@@ -168,7 +168,7 @@ TEST(ModelDepthTest, DeepModelsBuildAndRun) {
   ModelConfig config = SmallConfig(graph);
   config.num_layers = 16;
   Rng rng(5);
-  for (const std::string& name : {"GCN", "ResGCN", "JKNet", "GCNII"}) {
+  for (const char* name : {"GCN", "ResGCN", "JKNet", "GCNII"}) {
     auto model = MakeModel(name, config, rng);
     Tape tape;
     StrategyContext ctx(graph, StrategyConfig::SkipNodeU(0.5f), true, rng);

@@ -2,9 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // The FrozenModel bitwise contract: every serving read — full table,
-// row-sliced batch (gather path and linear-head Gemm path), argmax classes,
-// checkpoint restore — reproduces EvaluateLogits exactly, at any thread
-// count.
+// row-gathered batch, argmax classes, checkpoint restore — reproduces
+// EvaluateLogits exactly, at any thread count.
 
 #include "serve/frozen_model.h"
 
@@ -62,50 +61,19 @@ std::vector<int> SomeIds(int num_nodes) {
   return {num_nodes - 1, 0, 3, 3, num_nodes / 2, 1};
 }
 
-TEST(FrozenModelTest, HeadExportMatchesTheLinearHeadBackbones) {
+TEST(FrozenModelTest, LogitsAreBitwiseEvaluateLogitsRowsForEveryBackbone) {
   for (const std::string& name : AllModelNames()) {
-    Rng rng(5);
-    auto model = MakeModel(name, SmallConfig(), rng);
-    ServingHead head;
-    const bool exported = model->ExportServingHead(&head);
-    const bool expected =
-        name == "SGC" || name == "JKNet" || name == "GCNII";
-    EXPECT_EQ(exported, expected) << name;
-    if (exported) {
-      EXPECT_GT(head.weight.rows(), 0) << name;
-      EXPECT_EQ(head.weight.cols(), TestGraph().num_classes()) << name;
-    }
-  }
-}
-
-TEST(FrozenModelTest, GatherPathIsBitwiseEvaluateLogits) {
-  auto model = TrainedModel("GCN");
-  const Matrix reference =
-      EvaluateLogits(*model, TestGraph(), StrategyConfig::None());
-  const FrozenModel frozen =
-      FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
-  EXPECT_FALSE(frozen.has_linear_head());
-  EXPECT_EQ(MaxAbsDiff(frozen.full_logits(), reference), 0.0f);
-
-  const std::vector<int> ids = SomeIds(frozen.num_nodes());
-  EXPECT_EQ(MaxAbsDiff(frozen.Logits(ids), GatherRows(reference, ids)), 0.0f);
-}
-
-TEST(FrozenModelTest, LinearHeadPathIsBitwiseEvaluateLogitsAtAnyThreadCount) {
-  for (const std::string& name : {std::string("SGC"), std::string("GCNII"),
-                                  std::string("JKNet")}) {
     auto model = TrainedModel(name);
     const Matrix reference =
         EvaluateLogits(*model, TestGraph(), StrategyConfig::None());
-    const FrozenModel frozen =
-        FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
-    ASSERT_TRUE(frozen.has_linear_head()) << name;
-    EXPECT_EQ(MaxAbsDiff(frozen.full_logits(), reference), 0.0f) << name;
-
-    const std::vector<int> ids = SomeIds(frozen.num_nodes());
+    const std::vector<int> ids = SomeIds(reference.rows());
     const Matrix expected = GatherRows(reference, ids);
     for (const int threads : {1, 4, 8}) {
       SetParallelThreadCount(threads);
+      const FrozenModel frozen =
+          FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
+      EXPECT_EQ(MaxAbsDiff(frozen.full_logits(), reference), 0.0f)
+          << name << " @ " << threads << " threads";
       EXPECT_EQ(MaxAbsDiff(frozen.Logits(ids), expected), 0.0f)
           << name << " @ " << threads << " threads";
     }
@@ -142,17 +110,6 @@ TEST(FrozenModelTest, PredictIsArgmaxOfLogits) {
   }
 }
 
-TEST(FrozenModelTest, EmbeddingsComeFromThePenultimateTable) {
-  auto model = TrainedModel("GCN");
-  const FrozenModel frozen =
-      FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
-  EXPECT_EQ(MaxAbsDiff(frozen.embedding_table(), model->Penultimate()), 0.0f);
-  const std::vector<int> ids = SomeIds(frozen.num_nodes());
-  EXPECT_EQ(
-      MaxAbsDiff(frozen.Embeddings(ids), GatherRows(model->Penultimate(), ids)),
-      0.0f);
-}
-
 TEST(FrozenModelTest, CheckpointRoundTripIsBitwise) {
   const std::string dir = ::testing::TempDir() + "frozen_roundtrip";
   auto model = TrainedModel("GCNII");
@@ -164,9 +121,6 @@ TEST(FrozenModelTest, CheckpointRoundTripIsBitwise) {
       nullptr);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(MaxAbsDiff(restored->full_logits(), live.full_logits()), 0.0f);
-  EXPECT_EQ(MaxAbsDiff(restored->embedding_table(), live.embedding_table()),
-            0.0f);
-  EXPECT_TRUE(restored->has_linear_head());
   const std::vector<int> ids = SomeIds(live.num_nodes());
   EXPECT_EQ(MaxAbsDiff(restored->Logits(ids), live.Logits(ids)), 0.0f);
 }

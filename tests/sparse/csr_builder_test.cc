@@ -223,8 +223,8 @@ TEST_F(CsrBuilderTest, WideBuildBitwiseMatchesNarrowThroughEveryKernel) {
     EXPECT_EQ(MaxAbsDiff(narrow.Multiply(x), wide.Multiply(x)), 0.0f)
         << "threads=" << threads;
     Matrix acc_narrow(narrow.rows(), 6), acc_wide(narrow.rows(), 6);
-    narrow.MultiplyAccumulateMasked(x, row_mask, acc_narrow);
-    wide.MultiplyAccumulateMasked(x, row_mask, acc_wide);
+    narrow.MultiplyAccumulate(x, acc_narrow, row_mask);
+    wide.MultiplyAccumulate(x, acc_wide, row_mask);
     EXPECT_EQ(MaxAbsDiff(acc_narrow, acc_wide), 0.0f)
         << "masked threads=" << threads;
     // The transposed gathers exercise the plan's row_ptr/value_perm at both
@@ -233,8 +233,8 @@ TEST_F(CsrBuilderTest, WideBuildBitwiseMatchesNarrowThroughEveryKernel) {
         MaxAbsDiff(narrow.MultiplyTransposed(g), wide.MultiplyTransposed(g)),
         0.0f)
         << "transposed threads=" << threads;
-    EXPECT_EQ(MaxAbsDiff(narrow.MultiplyTransposedMasked(g, row_mask),
-                         wide.MultiplyTransposedMasked(g, row_mask)),
+    EXPECT_EQ(MaxAbsDiff(narrow.MultiplyTransposed(g, row_mask),
+                         wide.MultiplyTransposed(g, row_mask)),
               0.0f)
         << "transposed masked threads=" << threads;
   }

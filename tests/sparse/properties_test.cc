@@ -6,6 +6,7 @@
 // configuration, not just the hand-picked graphs of the unit tests.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -122,9 +123,12 @@ INSTANTIATE_TEST_SUITE_P(
                       GraphConfig{60, 0.05, 3}, GraphConfig{60, 0.30, 4},
                       GraphConfig{150, 0.03, 5}, GraphConfig{150, 0.15, 6}),
     [](const ::testing::TestParamInfo<GraphConfig>& info) {
-      return "n" + std::to_string(info.param.num_nodes) + "_p" +
-             std::to_string(
-                 static_cast<int>(info.param.edge_probability * 100));
+      std::string name = "n";
+      name += std::to_string(info.param.num_nodes);
+      name += "_p";
+      name += std::to_string(
+          static_cast<int>(info.param.edge_probability * 100));
+      return name;
     });
 
 }  // namespace

@@ -103,9 +103,9 @@ TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsWidthAndTails) {
       SetParallelThreadCount(1);
       const Matrix fwd = a.Multiply(x);
       Matrix fwd_masked(rows, d);
-      a.MultiplyAccumulateMasked(x, row_mask, fwd_masked);
+      a.MultiplyAccumulate(x, fwd_masked, row_mask);
       const Matrix bwd = a.MultiplyTransposed(g);
-      const Matrix bwd_masked = a.MultiplyTransposedMasked(g, row_mask);
+      const Matrix bwd_masked = a.MultiplyTransposed(g, row_mask);
 
       for (const bool vec : {false, true}) {
         simd::SetEnabled(vec);
@@ -113,10 +113,10 @@ TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsWidthAndTails) {
           SetParallelThreadCount(threads);
           ExpectBitwiseEq(a.Multiply(x), fwd, "forward");
           Matrix masked(rows, d);
-          a.MultiplyAccumulateMasked(x, row_mask, masked);
+          a.MultiplyAccumulate(x, masked, row_mask);
           ExpectBitwiseEq(masked, fwd_masked, "masked forward");
           ExpectBitwiseEq(a.MultiplyTransposed(g), bwd, "backward");
-          ExpectBitwiseEq(a.MultiplyTransposedMasked(g, row_mask), bwd_masked,
+          ExpectBitwiseEq(a.MultiplyTransposed(g, row_mask), bwd_masked,
                           "masked backward");
         }
       }

@@ -2,8 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // The parallel transposed-SpMM gathers (DESIGN §7/§10). Contract under test:
-// MultiplyTransposed / MultiplyTransposedMasked over the cached transpose
-// plan must be bitwise identical to the pre-plan *serial scatter* kernels —
+// MultiplyTransposed, unmasked and masked, over the cached transpose plan
+// must be bitwise identical to the pre-plan *serial scatter* kernels —
 // reimplemented verbatim below as the reference — at 1, 4, and 8 threads,
 // for asymmetric rectangular matrices (plan materialised) and for symmetric
 // normalised adjacencies (forward-CSR alias fast path).
@@ -108,7 +108,7 @@ class SpmmTransposedParallelTest : public ::testing::Test {
       // Bitwise: exact zero difference, not approximately zero.
       EXPECT_EQ(MaxAbsDiff(ref, a.MultiplyTransposed(g)), 0.0f)
           << "threads=" << threads;
-      EXPECT_EQ(MaxAbsDiff(ref_masked, a.MultiplyTransposedMasked(g, mask)),
+      EXPECT_EQ(MaxAbsDiff(ref_masked, a.MultiplyTransposed(g, mask)),
                 0.0f)
           << "masked threads=" << threads;
     }
@@ -166,7 +166,7 @@ TEST_F(SpmmTransposedParallelTest, MaskedMatchesZeroedRowsUnderThreads) {
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
     EXPECT_EQ(MaxAbsDiff(a.MultiplyTransposed(g_zeroed),
-                         a.MultiplyTransposedMasked(g, mask)),
+                         a.MultiplyTransposed(g, mask)),
               0.0f)
         << "threads=" << threads;
   }
@@ -179,7 +179,7 @@ TEST_F(SpmmTransposedParallelTest, EmptyAndAllSkippedEdgeCases) {
   const Matrix g = Matrix::Random(30, 4, data_rng);
   SetParallelThreadCount(4);
   const std::vector<uint8_t> all(30, 1);
-  EXPECT_EQ(MaxAbsDiff(a.MultiplyTransposedMasked(g, all), Matrix(12, 4)),
+  EXPECT_EQ(MaxAbsDiff(a.MultiplyTransposed(g, all), Matrix(12, 4)),
             0.0f);
   const CsrMatrix empty;
   const Matrix none = empty.MultiplyTransposed(Matrix(0, 4));

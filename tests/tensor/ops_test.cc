@@ -3,6 +3,7 @@
 
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -137,38 +138,6 @@ TEST(OpsTest, ColumnMeansAndSubtract) {
   EXPECT_LT(MaxAbsDiff(ColumnMeans(centered), Matrix(1, 2)), 1e-6f);
 }
 
-TEST(OpsTest, RowSoftmaxSumsToOne) {
-  Rng rng(7);
-  Matrix x = Matrix::Random(5, 6, rng, -3.0f, 3.0f);
-  Matrix p = RowSoftmax(x);
-  for (int r = 0; r < p.rows(); ++r) {
-    double total = 0.0;
-    for (int c = 0; c < p.cols(); ++c) {
-      EXPECT_GT(p(r, c), 0.0f);
-      total += p(r, c);
-    }
-    EXPECT_NEAR(total, 1.0, 1e-5);
-  }
-}
-
-TEST(OpsTest, LogSoftmaxMatchesSoftmax) {
-  Rng rng(8);
-  Matrix x = Matrix::Random(4, 5, rng, -2.0f, 2.0f);
-  Matrix p = RowSoftmax(x);
-  Matrix lp = RowLogSoftmax(x);
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 5; ++c) {
-      EXPECT_NEAR(std::exp(lp(r, c)), p(r, c), 1e-5f);
-    }
-  }
-}
-
-TEST(OpsTest, SoftmaxIsShiftInvariant) {
-  Matrix x(1, 3, {1, 2, 3});
-  Matrix shifted(1, 3, {1001, 1002, 1003});
-  EXPECT_LT(MaxAbsDiff(RowSoftmax(x), RowSoftmax(shifted)), 1e-5f);
-}
-
 TEST(OpsTest, RowNormsAndDots) {
   Matrix a(2, 2, {3, 4, 1, 0});
   Matrix norms = RowNorms(a);
@@ -300,14 +269,10 @@ TEST(OpsTest, RowOpsAreBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(14);
   Matrix x = Matrix::Random(512, 32, rng, -3.0f, 3.0f);
   SetParallelThreadCount(1);
-  Matrix soft1 = RowSoftmax(x), logsoft1 = RowLogSoftmax(x);
   Matrix norms1 = RowNorms(x), relu1 = Relu(x);
   SetParallelThreadCount(4);
-  Matrix soft4 = RowSoftmax(x), logsoft4 = RowLogSoftmax(x);
   Matrix norms4 = RowNorms(x), relu4 = Relu(x);
   SetParallelThreadCount(0);
-  ExpectBitwiseEqual(soft1, soft4);
-  ExpectBitwiseEqual(logsoft1, logsoft4);
   ExpectBitwiseEqual(norms1, norms4);
   ExpectBitwiseEqual(relu1, relu4);
 }
@@ -316,7 +281,6 @@ TEST(OpsTest, NonFiniteScansFindNothingInCleanMatrices) {
   Rng rng(21);
   Matrix x = Matrix::Random(64, 8, rng, -10.0f, 10.0f);
   EXPECT_FALSE(HasNonFinite(x));
-  EXPECT_EQ(CountNonFinite(x), 0);
   const std::vector<uint8_t> flags = RowNonFiniteFlags(x);
   for (const uint8_t flag : flags) EXPECT_EQ(flag, 0);
 }
@@ -327,7 +291,6 @@ TEST(OpsTest, NonFiniteScansFlagNanAndInfPerRow) {
   x(3, 0) = std::numeric_limits<float>::infinity();
   x(3, 3) = -std::numeric_limits<float>::infinity();
   EXPECT_TRUE(HasNonFinite(x));
-  EXPECT_EQ(CountNonFinite(x), 3);
   EXPECT_EQ(RowNonFiniteFlags(x),
             (std::vector<uint8_t>{0, 1, 0, 1, 0}));
 }
@@ -348,16 +311,13 @@ TEST(OpsTest, HealthScansAreBitwiseIdenticalAcrossThreadCounts) {
   x(600, 0) = std::numeric_limits<float>::infinity();
   SetParallelThreadCount(1);
   const std::vector<uint8_t> flags1 = RowNonFiniteFlags(x);
-  const int64_t count1 = CountNonFinite(x);
   const float norm1 = MaxRowNorm(x);
   SetParallelThreadCount(4);
   const std::vector<uint8_t> flags4 = RowNonFiniteFlags(x);
-  const int64_t count4 = CountNonFinite(x);
   const float norm4 = MaxRowNorm(x);
   SetParallelThreadCount(0);
   EXPECT_EQ(flags1, flags4);
-  EXPECT_EQ(count1, count4);
-  EXPECT_EQ(count1, 2);
+  EXPECT_EQ(std::count(flags1.begin(), flags1.end(), 1), 2);
   // NaN != NaN, so compare the bit patterns.
   EXPECT_EQ(std::memcmp(&norm1, &norm4, sizeof(norm1)), 0);
 }
@@ -440,8 +400,6 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
     outs.push_back(Relu(x));
     outs.push_back(ReluBackward(x, y));
     outs.push_back(SubtractRowVector(x, v));
-    outs.push_back(RowSoftmax(x));
-    outs.push_back(RowLogSoftmax(x));
     return outs;
   };
 

@@ -63,7 +63,6 @@ TEST(ServeCliTest, TrainFreezeServeVerifiesBitwise) {
       {"--dataset", "cornell_like", "--model", "SGC", "--epochs", "3",
        "--clients", "3", "--requests", "8", "--window-us", "300"});
   EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("linear-head path"), std::string::npos);
   EXPECT_NE(result.output.find("verification OK"), std::string::npos);
 }
 
@@ -82,7 +81,6 @@ TEST(ServeCliTest, ServesFromTrainCliCheckpoint) {
        "--load-dir", dir, "--clients", "2", "--requests", "4"});
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("from checkpoint"), std::string::npos);
-  EXPECT_NE(result.output.find("logit-gather path"), std::string::npos);
   EXPECT_NE(result.output.find("verification OK"), std::string::npos);
 }
 

@@ -250,9 +250,8 @@ int RunServeCli(int argc, const char* const* argv, std::FILE* out) {
                  frozen->model_name().c_str(), trained.epochs_run,
                  100.0 * trained.test_accuracy);
   }
-  std::fprintf(out, "frozen model: %d nodes, %d classes, %s path\n",
-               frozen->num_nodes(), frozen->num_classes(),
-               frozen->has_linear_head() ? "linear-head" : "logit-gather");
+  std::fprintf(out, "frozen model: %d nodes, %d classes\n",
+               frozen->num_nodes(), frozen->num_classes());
 
   ServeOptions serve_options{.workers = options.workers,
                              .max_batch_rows = options.batch_rows,
