@@ -7,10 +7,12 @@
 // SkipNode mask sampling (its claimed near-zero overhead). After the
 // google-benchmark report, a fused-vs-naive rho sweep prints the speedup of
 // the fused SkipNode propagation (DESIGN §10) and a transposed-SpMM sweep
-// times the backward gather (1-vs-4 threads, masked over rho), a SIMD sweep
-// times the vectorized microkernels against their scalar references, and a
-// CDF-lookup cell times the DC-SBM generator's propensity search; each
-// records one JSONL cell per configuration when SKIPNODE_BENCH_JSON is set.
+// times the backward gather (1-vs-4 threads, masked over rho), a gather
+// sweep times the prefetched row gather against the loop without it, a SIMD
+// sweep times the vectorized microkernels against their scalar references,
+// and a CDF-lookup cell times the DC-SBM generator's propensity search;
+// each records one JSONL cell per configuration when SKIPNODE_BENCH_JSON is
+// set.
 
 #include <algorithm>
 #include <cstdint>
@@ -375,6 +377,114 @@ void TransposedSweep() {
   SetParallelThreadCount(0);
 }
 
+// --- Prefetched sparse gather -----------------------------------------------
+// The CSR row gather behind every product prefetches every cache line of
+// the dense row it reads 16 entries ahead once the dense operand outgrows
+// L2 (DESIGN §7, §14).
+// Cell "spmm_gather" times the library's MultiplyAccumulate (library=1)
+// against a bench-local copy of the gather loop without the prefetch
+// (library=0), on one thread, alternating op by op over kSamples samples;
+// each cell records its median. On a 100k-row DC-SBM at d = 32 the operand
+// is 12.8 MB, so the library prefetches (validate_bench_jsonl.py requires
+// >= 1.3x); on cora_like at d = 32 it is 346 KB, below the threshold, so
+// both run the same loop (the library may be at most 1.05x slower). The two
+// outputs must be bit for bit equal, or the bench aborts.
+
+// The row gather without the prefetch: output row i adds values[e] *
+// dense.row(col_idx[e]) over its entries, in entry order.
+void ReferenceGather(const CsrMatrix& a, const Matrix& dense, Matrix& out) {
+  const int d = dense.cols();
+  const int* src = a.col_idx().data();
+  const float* values = a.values().data();
+  WithOffsets(a.row_offsets(), [&](const auto* ptr) {
+    ParallelForBalanced(
+        out.rows(), ptr,
+        [&](int64_t row_begin, int64_t row_end) {
+          for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
+            float* __restrict out_row = out.row(i);
+            for (int64_t e = ptr[i]; e < ptr[i + 1]; ++e) {
+              simd::Axpy(values[e], dense.row(src[e]), out_row, d);
+            }
+          }
+        },
+        SpmmChunkCost(d));
+  });
+}
+
+void GatherCell(const char* graph_name, const Graph& graph, int reps) {
+  const auto a_hat = graph.normalized_adjacency();
+  const int n = graph.num_nodes(), d = 32;
+  Rng rng(12);
+  const Matrix x = Matrix::Random(n, d, rng);
+  Matrix reference_out(n, d), library_out(n, d);
+  const std::function<void()> reference = [&]() {
+    reference_out.SetZero();
+    ReferenceGather(*a_hat, x, reference_out);
+    benchmark::DoNotOptimize(reference_out.data());
+  };
+  const std::function<void()> library = [&]() {
+    library_out.SetZero();
+    a_hat->MultiplyAccumulate(x, library_out);
+    benchmark::DoNotOptimize(library_out.data());
+  };
+  // The two variants alternate op by op inside every sample, so a burst of
+  // host noise lands on both alike.
+  const bool telemetry = TelemetryEnabled();
+  SetTelemetryEnabled(false);
+  std::vector<int64_t> samples[2];
+  for (int s = 0; s < kSamples; ++s) {
+    int64_t total[2] = {0, 0};
+    for (int r = 0; r < reps; ++r) {
+      total[0] += TimeReps(1, reference);
+      total[1] += TimeReps(1, library);
+    }
+    for (const int lib : {0, 1}) samples[lib].push_back(total[lib] / reps);
+  }
+  SetTelemetryEnabled(telemetry);
+  SKIPNODE_CHECK_MSG(
+      std::memcmp(reference_out.data(), library_out.data(),
+                  sizeof(float) * static_cast<size_t>(reference_out.size())) ==
+          0,
+      "spmm_gather: the library product differs from the reference loop on "
+      "%s", graph_name);
+  int64_t medians[2];
+  for (const int lib : {0, 1}) {
+    bench::CellRecorder cell("spmm_gather");
+    cell.Param("graph", graph_name)
+        .Param("library", lib)
+        .Param("rows", n)
+        .Param("cols", d)
+        .Param("reps", reps)
+        .Param("samples", kSamples);
+    // One more op inside the cell, so its snapshot carries the kernel.
+    (lib == 0 ? reference : library)();
+    medians[lib] = Median(std::move(samples[lib]));
+    cell.Record("ns_per_op", static_cast<double>(medians[lib]));
+  }
+  std::printf("%12s %8d rows %12lld %12lld %8.2fx\n", graph_name, n,
+              static_cast<long long>(medians[0]),
+              static_cast<long long>(medians[1]),
+              static_cast<double>(medians[0]) /
+                  static_cast<double>(medians[1] > 0 ? medians[1] : 1));
+}
+
+void GatherSweep() {
+  SetParallelThreadCount(1);  // Time the kernels, not the pool wake-ups.
+  std::printf("\nSparse gather, library vs the loop without the prefetch, "
+              "d=32, 1 thread, median of %d alternating samples (ns/op)\n",
+              kSamples);
+  std::printf("%12s %13s %12s %12s %9s\n", "graph", "", "reference",
+              "library", "speedup");
+  {
+    const Graph graph = DatasetRegistry::Global().Build(
+        {.name = "synth", .seed = 1, .nodes = 100000, .avg_degree = 20.0});
+    GatherCell("dcsbm_100k", graph, bench::Pick(3, 9));
+  }
+  GatherCell("cora_like", BuildDatasetByName("cora_like", 1.0, 1),
+             bench::Pick(200, 2000));
+  SetParallelThreadCount(0);
+}
+
 // --- SIMD kernel sweep -------------------------------------------------------
 // Single-thread cost of the vectorized microkernels (DESIGN §14) against the
 // retained scalar references (simd_ref.cc, compiled with vectorization off),
@@ -560,6 +670,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   skipnode::FusedSweep();
   skipnode::TransposedSweep();
+  skipnode::GatherSweep();
   skipnode::SimdSweep();
   skipnode::CdfLookupSweep();
   if (skipnode::TelemetryEnabled()) {

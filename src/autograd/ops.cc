@@ -32,31 +32,33 @@ Var Tape::MatMul(Var a, Var b) {
     // skipped when A is an input with no Parameter behind it — on the first
     // layer, the (dropped-out) feature matrix, the largest product here.
     if (Matrix* ga = tape->GradIfNeeded(ai)) {
-      Gemm(g, tape->node(bi).value, *ga,
+      Gemm(g, tape->node(bi).value(), *ga,
            {.transpose_b = true, .accumulate = true});
     }
     if (Matrix* gb = tape->GradIfNeeded(bi)) {
-      Gemm(tape->node(ai).value, g, *gb,
+      Gemm(tape->node(ai).value(), g, *gb,
            {.transpose_a = true, .accumulate = true});
     }
   });
   return out;
 }
 
-Var Tape::SpMM(std::shared_ptr<const CsrMatrix> a, Var x) {
+Var Tape::SpMM(std::shared_ptr<const CsrMatrix> a, Var x,
+                std::vector<uint8_t> unread_rows) {
   SKIPNODE_CHECK(a != nullptr);
   SKIPNODE_CHECK(x.tape_ == this);
   Matrix value = AcquireOutput(a->rows(), x.cols());
-  a->MultiplyAccumulate(x.value(), value);
+  a->MultiplyAccumulate(x.value(), value, unread_rows, SkipReason::kUnread);
   Var out = Emplace(std::move(value), {x});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_;
-  SetBackward(out, [tape, oi, xi, a = std::move(a)]() {
+  SetBackward(out, [tape, oi, xi, a = std::move(a),
+                    mask = std::move(unread_rows)]() {
     // Labels the whole backward hop (parallel gather + accumulate) so the
     // per-op cost is separable from the raw sparse.spmm_t kernel timer.
     const ScopedTimer timer("autograd.spmm_backward", /*items=*/a->cols());
     const Matrix& g = tape->node(oi).grad;
-    Matrix gx = a->MultiplyTransposed(g);
+    Matrix gx = a->MultiplyTransposed(g, mask, SkipReason::kUnread);
     AddScaled(gx, 1.0f, tape->EnsureGrad(xi));
   });
   return out;
@@ -103,12 +105,7 @@ Var Tape::AddRowBroadcast(Var x, Var bias) {
   SKIPNODE_CHECK(x.tape_ == this && bias.tape_ == this);
   SKIPNODE_CHECK(bias.rows() == 1 && bias.cols() == x.cols());
   Matrix value = AcquireOutput(x.rows(), x.cols());
-  const Matrix& xv = x.value();
-  const Matrix& bv = bias.value();
-  const float* bd = bv.row(0);
-  for (int r = 0; r < value.rows(); ++r) {
-    simd::Add(xv.row(r), bd, value.row(r), value.cols());
-  }
+  AddRowVectorInto(x.value(), bias.value(), value);
   Var out = Emplace(std::move(value), {x, bias});
   Tape* tape = this;
   const int oi = out.index_, xi = x.index_, bi = bias.index_;
@@ -164,7 +161,8 @@ Var Tape::Relu(Var a) {
   const int oi = out.index_, ai = a.index_;
   SetBackward(out, [tape, oi, ai]() {
     // Pass-through where the *input* was positive.
-    Matrix masked = ReluBackward(tape->node(ai).value, tape->node(oi).grad);
+    Matrix masked =
+        ReluBackward(tape->node(ai).value(), tape->node(oi).grad);
     AddScaled(masked, 1.0f, tape->EnsureGrad(ai));
   });
   return out;
@@ -215,7 +213,7 @@ Var Tape::ConcatCols(const std::vector<Var>& parts) {
     const Matrix& g = tape->node(oi).grad;
     int col_offset = 0;
     for (const int pi : indices) {
-      const int cols = tape->node(pi).value.cols();
+      const int cols = tape->node(pi).value().cols();
       if (Matrix* gp = tape->GradIfNeeded(pi)) {
         for (int r = 0; r < gp->rows(); ++r) {
           simd::Accumulate(g.row(r) + col_offset, gp->row(r), cols);
@@ -248,10 +246,10 @@ Var Tape::LinearCombination(const std::vector<Var>& parts, Var coefficients) {
   const int oi = out.index_, ci = coefficients.index_;
   SetBackward(out, [tape, oi, ci, indices = std::move(indices)]() {
     const Matrix& g = tape->node(oi).grad;
-    const Matrix& coeff = tape->node(ci).value;
+    const Matrix& coeff = tape->node(ci).value();
     Matrix* gc = tape->GradIfNeeded(ci);
     for (size_t k = 0; k < indices.size(); ++k) {
-      const Matrix& xk = tape->node(indices[k]).value;
+      const Matrix& xk = tape->node(indices[k]).value();
       if (Matrix* gk = tape->GradIfNeeded(indices[k])) {
         AddScaled(g, coeff(0, static_cast<int>(k)), *gk);
       }
@@ -337,7 +335,7 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
                     pattern = std::move(pattern), raw = std::move(raw),
                     alpha = std::move(alpha)]() {
     const Matrix& g = tape->node(oi).grad;
-    const Matrix& hv = tape->node(hi).value;
+    const Matrix& hv = tape->node(hi).value();
     Matrix* gh = tape->GradIfNeeded(hi);
     Matrix* gs = tape->GradIfNeeded(si);
     Matrix* gd = tape->GradIfNeeded(di);
@@ -385,8 +383,8 @@ Var Tape::RowDots(Var a, Var b) {
   const int oi = out.index_, ai = a.index_, bi = b.index_;
   SetBackward(out, [tape, oi, ai, bi]() {
     const Matrix& g = tape->node(oi).grad;  // N x 1
-    const Matrix& av = tape->node(ai).value;
-    const Matrix& bv = tape->node(bi).value;
+    const Matrix& av = tape->node(ai).value();
+    const Matrix& bv = tape->node(bi).value();
     Matrix* ga = tape->GradIfNeeded(ai);
     Matrix* gb = tape->GradIfNeeded(bi);
     for (int r = 0; r < av.rows(); ++r) {
@@ -537,7 +535,7 @@ Var Tape::BceWithLogits(Var logits, const std::vector<float>& targets) {
   const int oi = out.index_, li = logits.index_;
   SetBackward(out, [tape, oi, li, targets = targets]() {
     const float g = tape->node(oi).grad(0, 0);
-    const Matrix& z = tape->node(li).value;
+    const Matrix& z = tape->node(li).value();
     Matrix& gl = tape->EnsureGrad(li);
     const float inv_n = 1.0f / static_cast<float>(z.rows());
     for (int r = 0; r < z.rows(); ++r) {

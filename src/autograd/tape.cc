@@ -17,14 +17,14 @@ namespace skipnode {
 Tape::~Tape() {
   MatrixPool& pool = GlobalMatrixPool();
   for (auto& node : nodes_) {
-    pool.Release(std::move(node->value));
+    pool.Release(std::move(node->owned));
     if (node->grad_ready) pool.Release(std::move(node->grad));
   }
 }
 
 const Matrix& Var::value() const {
   SKIPNODE_CHECK(tape_ != nullptr);
-  return tape_->node(index_).value;
+  return tape_->node(index_).value();
 }
 
 const Matrix& Var::grad() const {
@@ -36,7 +36,7 @@ const Matrix& Var::grad() const {
 
 Var Tape::Emplace(Matrix value, std::span<const Var> inputs) {
   auto fresh = std::make_unique<Node>();
-  fresh->value = std::move(value);
+  fresh->owned = std::move(value);
   for (const Var& input : inputs) {
     SKIPNODE_CHECK(input.tape_ == this);
     if (node(input.index_).needs_grad) fresh->needs_grad = true;
@@ -52,7 +52,7 @@ Matrix* Tape::GradIfNeeded(int index) {
 Matrix& Tape::EnsureGrad(int index) {
   Node& n = node(index);
   if (!n.grad_ready) {
-    n.grad = GlobalMatrixPool().Acquire(n.value.rows(), n.value.cols());
+    n.grad = GlobalMatrixPool().Acquire(n.value().rows(), n.value().cols());
     n.grad_ready = true;
   }
   return n.grad;
@@ -85,9 +85,18 @@ Var Tape::Constant(const Matrix& value) {
 
 Var Tape::Constant(Matrix&& value) { return Emplace(std::move(value), {}); }
 
+Var Tape::BorrowConstant(const Matrix& value) {
+  Var v = Emplace(Matrix(), {});
+  node(v.index_).borrowed = &value;
+  return v;
+}
+
 Matrix& Tape::MutableValue(Var v) {
   SKIPNODE_CHECK(v.tape_ == this);
-  return node(v.index_).value;
+  Node& n = node(v.index_);
+  SKIPNODE_CHECK_MSG(n.borrowed == nullptr,
+                     "MutableValue on a BorrowConstant node");
+  return n.owned;
 }
 
 void Tape::Backward(Var loss) {

@@ -99,12 +99,22 @@ class Tape {
   // recycle it instead of re-allocating feature-sized matrices each epoch.
   Var Constant(const Matrix& value);
   Var Constant(Matrix&& value);
+  // Constant without the copy: the node reads `value` itself, so `value`
+  // must outlive the tape and stay unchanged while it lives. For inputs
+  // that outlive every forward over them, such as a graph's features.
+  Var BorrowConstant(const Matrix& value);
 
   // --- Core ops ------------------------------------------------------------
 
   Var MatMul(Var a, Var b);
-  // Sparse (adjacency) times dense. Gradient flows to `x` only.
-  Var SpMM(std::shared_ptr<const CsrMatrix> a, Var x);
+  // Sparse (adjacency) times dense. Gradient flows to `x` only. Rows r with
+  // unread_rows[r] != 0 are never computed and stay zero: the rows the eval
+  // row plan knows nothing downstream reads (DESIGN §10). A computed row is
+  // bitwise the full product's; an empty mask computes every row. Backward:
+  // dX += a^T * (g with the unread rows zeroed), which is exact for the
+  // constant-zero rows.
+  Var SpMM(std::shared_ptr<const CsrMatrix> a, Var x,
+           std::vector<uint8_t> unread_rows = {});
   // Fused SpMM + RowSelect (DESIGN §10): row r of the output is
   //   skip_mask[r] ? pre.row(r) : (a * x).row(r)          (Eq. 4)
   // and skipped rows of a*x are never computed — the work SkipNode's
@@ -181,14 +191,22 @@ class Tape {
   // Mutable access to a node's forward value, for the fault-injection layer
   // (base/fault.h): corrupting an activation *before* the ops consuming it
   // are recorded propagates the fault exactly as a kernel bug would. Not for
-  // normal modelling code — ops must build values through the tape.
+  // normal modelling code — ops must build values through the tape. Aborts
+  // on a BorrowConstant node: the fault sites corrupt logits, gradients and
+  // parameters, never the caller's inputs.
   Matrix& MutableValue(Var v);
 
  private:
   friend class Var;
 
   struct Node {
-    Matrix value;
+    // The forward value: the caller's matrix for a BorrowConstant node, the
+    // node's own buffer otherwise.
+    const Matrix& value() const {
+      return borrowed != nullptr ? *borrowed : owned;
+    }
+    Matrix owned;
+    const Matrix* borrowed = nullptr;
     Matrix grad;        // Allocated lazily by EnsureGrad().
     bool grad_ready = false;
     // Whether a Parameter leaf feeds this node, i.e. whether Backward() can

@@ -3,10 +3,13 @@
 
 #include "core/strategies.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "base/check.h"
+#include "base/telemetry.h"
 #include "core/skipnode.h"
+#include "sparse/offset_vec.h"
 #include "tensor/ops.h"
 
 namespace skipnode {
@@ -51,6 +54,55 @@ float ScheduledRho(const StrategyConfig& config, int middle_index) {
 
 }  // namespace
 
+EvalRowPlan::EvalRowPlan(const CsrMatrix& adjacency,
+                         std::span<const int> read_rows)
+    : first_read_(static_cast<size_t>(adjacency.rows()), kNeverRead) {
+  const ScopedTimer timer("core.eval_row_plan", /*items=*/adjacency.nnz());
+  SKIPNODE_CHECK(adjacency.rows() == adjacency.cols());
+  std::vector<int> frontier;
+  for (const int r : read_rows) {
+    SKIPNODE_CHECK(r >= 0 && r < adjacency.rows());
+    if (first_read_[static_cast<size_t>(r)] != kNeverRead) continue;
+    first_read_[static_cast<size_t>(r)] = 0;
+    frontier.push_back(r);
+  }
+  // Hop k + 1 reads the rows of hop k and their neighbours; only the rows
+  // hop k added can bring in a row not read before. An empty frontier is
+  // the fixed point. Walking each frontier in row order reads `col_idx`
+  // front to back instead of at random rows; the depths do not depend on
+  // the order.
+  const int* col_idx = adjacency.col_idx().data();
+  int* first_read = first_read_.data();
+  std::vector<int> added;
+  WithOffsets(adjacency.row_offsets(), [&](const auto* ptr) {
+    for (int depth = 0; !frontier.empty(); ++depth) {
+      added.clear();
+      std::sort(frontier.begin(), frontier.end());
+      for (const int r : frontier) {
+        for (auto e = ptr[r]; e < ptr[r + 1]; ++e) {
+          const int c = col_idx[e];
+          if (first_read[c] != kNeverRead) continue;
+          first_read[c] = depth + 1;
+          added.push_back(c);
+        }
+      }
+      frontier.swap(added);
+    }
+  });
+}
+
+std::vector<uint8_t> EvalRowPlan::UnreadRows(int depth) const {
+  SKIPNODE_CHECK(depth >= 0);
+  std::vector<uint8_t> unread(first_read_.size());
+  bool any_unread = false;
+  for (size_t r = 0; r < first_read_.size(); ++r) {
+    unread[r] = first_read_[r] > depth;
+    any_unread |= unread[r] != 0;
+  }
+  if (!any_unread) unread.clear();
+  return unread;
+}
+
 StrategyContext::StrategyContext(const Graph& graph,
                                  const StrategyConfig& config, bool training,
                                  Rng& rng)
@@ -78,8 +130,18 @@ StrategyContext::StrategyContext(const Graph& graph, const SampledBatch& batch,
       "sampled training supports only SkipNode-U/-B or none");
 }
 
+StrategyContext::StrategyContext(const Graph& graph,
+                                 const StrategyConfig& config,
+                                 const EvalRowPlan& plan, Rng& rng)
+    : StrategyContext(graph, config, /*training=*/false, rng) {
+  SKIPNODE_CHECK_MSG(config.kind != StrategyKind::kPairNorm,
+                     "PairNorm's row mean reads every row: no eval row plan");
+  SKIPNODE_CHECK(plan.num_rows() == graph.num_nodes());
+  row_plan_ = &plan;
+}
+
 Var StrategyContext::Features(Tape& tape) const {
-  if (batch_ == nullptr) return tape.Constant(graph_.features());
+  if (batch_ == nullptr) return tape.BorrowConstant(graph_.features());
   return tape.Constant(GatherRows(graph_.features(), batch_->input_nodes));
 }
 
@@ -140,13 +202,24 @@ Var StrategyContext::TransformMiddle(Tape& tape, Var pre, Var conv) {
   return Combine(tape, pre, conv);
 }
 
-Var StrategyContext::PropagateMiddle(Tape& tape, int layer, Var pre, Var h) {
+std::vector<uint8_t> StrategyContext::UnreadRows(int depth) const {
+  if (row_plan_ == nullptr || depth < 0) return {};
+  return row_plan_->UnreadRows(depth);
+}
+
+Var StrategyContext::Propagate(Tape& tape, int layer, Var h, int depth) {
+  return tape.SpMM(LayerAdjacency(layer), h, UnreadRows(depth));
+}
+
+Var StrategyContext::PropagateMiddle(Tape& tape, int layer, Var pre, Var h,
+                                     int depth) {
   std::shared_ptr<const CsrMatrix> adjacency = LayerAdjacency(layer);
   std::vector<uint8_t> mask = NextSkipMask();
   if (!mask.empty()) {
     return tape.SpMMRowSelect(std::move(adjacency), h, pre, std::move(mask));
   }
-  return Combine(tape, pre, tape.SpMM(std::move(adjacency), h));
+  return Combine(tape, pre,
+                 tape.SpMM(std::move(adjacency), h, UnreadRows(depth)));
 }
 
 Var StrategyContext::TransformBoundary(Tape& tape, Var conv) {

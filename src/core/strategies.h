@@ -14,7 +14,9 @@
 // A StrategyContext is created per forward pass and is the one object a
 // backbone gets its inputs from:
 //   1. Features(tape)         — the input rows;
-//   2. LayerAdjacency(layer)  — which adjacency operator to propagate with;
+//   2. LayerAdjacency(layer)  — which adjacency operator to propagate with
+//      (Propagate multiplies by it, computing only the rows an eval row
+//      plan reads);
 //   3. Transform*/Propagate*  — the post-convolution combine (identity for
 //      topology-level strategies).
 // It runs over either the full graph or one sampled minibatch (DESIGN §15),
@@ -23,8 +25,12 @@
 #ifndef SKIPNODE_CORE_STRATEGIES_H_
 #define SKIPNODE_CORE_STRATEGIES_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "autograd/tape.h"
 #include "base/rng.h"
@@ -80,6 +86,34 @@ struct StrategyConfig {
   }
 };
 
+// The eval row plan (DESIGN §10): which rows each propagation of an
+// evaluation pass computes, so that the rows the eval reports (val ∪ test)
+// come out bitwise as a full pass computes them while no other row pays
+// for a convolution. Built by walking back from `read_rows` over the
+// pattern of `adjacency` (the arXiv:1809.05343 layer-wise receptive field
+// with every neighbour kept): the rows read 0 hops below the output are
+// `read_rows`, and the rows read k + 1 hops below are those read k hops
+// below plus their neighbours — a propagated row reads its neighbours, and
+// a skip path or residual reads the row itself. The walk stops at a fixed
+// point, where no hop adds a row: rows that no read row reaches are never
+// read at any depth.
+class EvalRowPlan {
+ public:
+  EvalRowPlan(const CsrMatrix& adjacency, std::span<const int> read_rows);
+
+  // The skip mask of the rows nothing reads `depth` (>= 0) hops below the
+  // output: 1 = leave the row out. Empty once every row is read.
+  std::vector<uint8_t> UnreadRows(int depth) const;
+
+  int num_rows() const { return static_cast<int>(first_read_.size()); }
+
+ private:
+  static constexpr int kNeverRead = std::numeric_limits<int>::max();
+  // The first hop below the output at which each row is read, or
+  // kNeverRead.
+  std::vector<int> first_read_;
+};
+
 // Per-forward-pass strategy state. Construct once per training step (and per
 // evaluation pass); it samples whatever the strategy needs and hands
 // backbones the pieces. At evaluation time every strategy except PairNorm
@@ -96,9 +130,15 @@ class StrategyContext {
   // nothing here draws from `rng`. `config` must be kNone or SkipNode.
   StrategyContext(const Graph& graph, const SampledBatch& batch,
                   const StrategyConfig& config, Rng& rng);
+  // A full-graph evaluation pass whose propagations compute only the rows
+  // `plan` reads (Propagate). `plan` must outlive the context and be built
+  // over `graph`'s Â. PairNorm is refused: its row mean reads every row.
+  StrategyContext(const Graph& graph, const StrategyConfig& config,
+                  const EvalRowPlan& plan, Rng& rng);
 
-  // The input feature rows as a tape constant: all of them, or on a batch
-  // the bottom src frontier (SampledBatch::input_nodes).
+  // The input feature rows as a tape constant: all of them, borrowed from
+  // the graph without a copy, or on a batch the bottom src frontier
+  // (SampledBatch::input_nodes).
   Var Features(Tape& tape) const;
 
   // X^(l-1) restricted to the output rows of convolution layer `layer` —
@@ -111,6 +151,15 @@ class StrategyContext {
   // pass; DropNode resamples (and renormalises) per layer — the cost
   // difference Table 8 measures. On a batch it is batch.layers[layer].block.
   std::shared_ptr<const CsrMatrix> LayerAdjacency(int layer);
+
+  // tape.SpMM(LayerAdjacency(layer), h), where `depth` is the layer's
+  // distance below the output in hops (0 for the last layer). With an eval
+  // row plan, only the rows the plan reads at `depth` are computed and the
+  // rest stay zero (DESIGN §10); without one, or at a negative depth, every
+  // row is. Only a backbone whose every propagation is one hop, and whose
+  // rows above a propagation depend only on the same rows below, may pass a
+  // depth: GcnModel (GCN and ResGCN).
+  Var Propagate(Tape& tape, int layer, Var h, int depth);
 
   // Post-convolution combine for a *middle* layer, where input and output
   // widths match. `pre` is the layer input X^(l-1) (post-activation of the
@@ -131,8 +180,9 @@ class StrategyContext {
   // raw SpMM (residual adds, GCNII/APPNP mixes, GAT attention) keep calling
   // SpMM + TransformMiddle. Bitwise identical to the unfused form at any
   // thread count, rho, and mask kind (spmm_rowselect_test), and consumes
-  // the same mask.
-  Var PropagateMiddle(Tape& tape, int layer, Var pre, Var h);
+  // the same mask. Without a mask the SpMM is Propagate(tape, layer, h,
+  // depth); the default depth computes every row.
+  Var PropagateMiddle(Tape& tape, int layer, Var pre, Var h, int depth = -1);
 
   // Post-convolution hook for layers whose width changed (first/last):
   // only PairNorm applies; everything else is identity.
@@ -141,6 +191,9 @@ class StrategyContext {
   const StrategyConfig& config() const { return config_; }
   // The minibatch this pass runs over, or null on the full graph.
   const SampledBatch* batch() const { return batch_; }
+  // The eval row plan this pass computes over, or null when every row is
+  // computed.
+  const EvalRowPlan* row_plan() const { return row_plan_; }
   // Number of middle combines so far in this pass (the middle-layer index
   // used by the rho schedule).
   int middle_calls() const { return middle_calls_; }
@@ -153,11 +206,15 @@ class StrategyContext {
   std::vector<uint8_t> NextSkipMask();
   // The mask-free part of TransformMiddle.
   Var Combine(Tape& tape, Var pre, Var conv) const;
+  // The rows the eval row plan leaves out `depth` hops below the output;
+  // empty without a plan or at a negative depth.
+  std::vector<uint8_t> UnreadRows(int depth) const;
   // batch_->layers[layer], bounds-checked.
   const SampledLayer& BatchLayer(int layer) const;
 
   const Graph& graph_;
   const SampledBatch* batch_ = nullptr;
+  const EvalRowPlan* row_plan_ = nullptr;
   StrategyConfig config_;
   bool training_;
   Rng& rng_;

@@ -34,28 +34,35 @@ Var GcnModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
     // A_hat (X W): multiplying by W first keeps the SpMM at the narrow width.
     h = layers_[l]->Apply(tape, h);
 
+    // Every propagation is one hop and every other op here is row-wise, so
+    // layer l may compute only the rows an eval row plan reads
+    // num_layers - 1 - l hops below the output.
+    const int depth = num_layers - 1 - l;
     Var conv;
     if (l > 0 && l < num_layers - 1) {
       const Var pre = ctx.OutputRows(tape, l, x);  // X^(l-1), Eq. 4's skip.
       if (!residual_) {
         // Combine input is the raw convolution: eligible for the fused
         // masked-SpMM path.
-        conv = ctx.PropagateMiddle(tape, l, pre, h);
+        conv = ctx.PropagateMiddle(tape, l, pre, h, depth);
       } else {
         // The residual add sits between the SpMM and the combine, so ResGCN
         // keeps the unfused path.
-        conv = tape.Add(tape.SpMM(ctx.LayerAdjacency(l), h), pre);
+        conv = tape.Add(ctx.Propagate(tape, l, h, depth), pre);
         conv = ctx.TransformMiddle(tape, pre, conv);
       }
     } else {
-      conv = tape.SpMM(ctx.LayerAdjacency(l), h);
+      conv = ctx.Propagate(tape, l, h, depth);
       if (l == 0) conv = ctx.TransformBoundary(tape, conv);
     }
     if (l == num_layers - 1) {
       x = conv;
     } else {
       x = tape.Relu(conv);
-      if (l == num_layers - 2 && full_graph) StashPenultimate(x);
+      // A batch or planned pass computes only some rows.
+      if (l == num_layers - 2 && full_graph && ctx.row_plan() == nullptr) {
+        StashPenultimate(x);
+      }
     }
   }
   return x;

@@ -51,7 +51,11 @@ class Model {
   // or over one sampled minibatch; `training` toggles Dropout and per-step
   // strategy sampling. A full-graph pass returns N x num_classes logits and
   // refreshes Penultimate(); a batch pass returns |batch.seeds| x
-  // num_classes logits in seed order and leaves Penultimate() untouched.
+  // num_classes logits in seed order and leaves Penultimate() untouched. A
+  // planned evaluation pass (StrategyContext::row_plan(), DESIGN §10)
+  // returns N rows of which only the rows the plan reads are the full
+  // pass's bit for bit; a backbone that applies the plan (GcnModel) leaves
+  // Penultimate() untouched there too, and the others compute every row.
   virtual Var Forward(Tape& tape, StrategyContext& ctx, bool training,
                       Rng& rng) = 0;
 
@@ -79,7 +83,11 @@ class Model {
   // (Figure 2a, Figure 5b) are computed on this tensor. Models that have no
   // distinguished penultimate representation leave it as the logits. Safe to
   // read at any time — the copy outlives the Tape of the Forward() that
-  // produced it; empty (0x0) before the first Forward().
+  // produced it; empty (0x0) before the first full-graph Forward(). Batch
+  // passes and planned evaluation passes leave it as the last full pass
+  // stashed it, so the trainer's evaluations do not refresh it:
+  // TrainWithDynamics evaluates with the full pass, and FrozenModel::Freeze
+  // (EvaluateLogits) always runs one.
   const Matrix& Penultimate() const { return penultimate_; }
 
  protected:

@@ -28,6 +28,19 @@
 
 namespace skipnode {
 
+// Why a masked product leaves rows out. Only telemetry reads it (DESIGN
+// §9): a computed row's arithmetic is the same either way.
+enum class SkipReason {
+  // SkipNode's sampled rows (DESIGN §10): timed as sparse.spmm_masked /
+  // sparse.spmm_t_masked and counted in spmm.rows_skipped /
+  // spmm_t.rows_skipped.
+  kSkipNode,
+  // Rows nothing downstream reads (the eval row plan, DESIGN §10): timed as
+  // the unmasked sparse.spmm / sparse.spmm_t and counted in
+  // spmm.rows_unread / spmm_t.rows_unread.
+  kUnread,
+};
+
 // A weighted sparse matrix in CSR layout. Immutable after construction
 // (copies may share the lazily-built transpose plan below, which is safe
 // precisely because nothing ever mutates a built matrix).
@@ -86,12 +99,14 @@ class CsrMatrix {
   Matrix Multiply(const Matrix& dense) const;
 
   // out += this * dense. Rows r with skip_rows[r] != 0 are not touched at
-  // all — the SkipNode fused forward (DESIGN §10); an empty span skips
-  // nothing. A computed row accumulates in the same order whatever the mask,
-  // so kept rows are bitwise identical to a full multiply at any thread
-  // count. A masked call bumps the spmm.rows_skipped counter.
+  // all — the SkipNode fused forward and the eval row plan (DESIGN §10); an
+  // empty span skips nothing. A computed row accumulates in the same order
+  // whatever the mask, so kept rows are bitwise identical to a full
+  // multiply at any thread count. `reason` names the counter a masked call
+  // bumps.
   void MultiplyAccumulate(const Matrix& dense, Matrix& out,
-                          std::span<const uint8_t> skip_rows = {}) const;
+                          std::span<const uint8_t> skip_rows = {},
+                          SkipReason reason = SkipReason::kSkipNode) const;
 
   // Returns this^T * dense, as a row-parallel gather over the cached
   // transpose plan (no dense transpose materialised). Bitwise identical to
@@ -100,10 +115,11 @@ class CsrMatrix {
   // Rows r of `dense` with skip_rows[r] != 0 are never read, which is
   // bitwise the same as multiplying a copy with those rows zeroed — the
   // SkipNode fused backward, where the output gradient of a skipped row must
-  // not reach the convolution input. An empty span skips nothing; a masked
-  // call bumps the spmm_t.rows_skipped counter.
-  Matrix MultiplyTransposed(const Matrix& dense,
-                            std::span<const uint8_t> skip_rows = {}) const;
+  // not reach the convolution input. An empty span skips nothing; `reason`
+  // names the counter a masked call bumps.
+  Matrix MultiplyTransposed(
+      const Matrix& dense, std::span<const uint8_t> skip_rows = {},
+      SkipReason reason = SkipReason::kSkipNode) const;
 
   // The cached transpose plan, built on first use (thread-safe via
   // std::call_once; one build per matrix, shared by copies).

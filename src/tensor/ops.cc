@@ -215,6 +215,20 @@ void AxpbyInto(const Matrix& a, const Matrix& b, float alpha, float beta,
   });
 }
 
+void AddRowVectorInto(const Matrix& x, const Matrix& v, Matrix& out) {
+  SKIPNODE_CHECK(x.SameShape(out));
+  SKIPNODE_CHECK(v.rows() == 1 && v.cols() == x.cols());
+  const float* __restrict vd = v.row(0);
+  ParallelFor(
+      0, x.rows(),
+      [&](int64_t lo, int64_t hi) {
+        for (int r = static_cast<int>(lo); r < hi; ++r) {
+          simd::Add(x.row(r), vd, out.row(r), x.cols());
+        }
+      },
+      /*min_per_thread=*/kMinFlopsPerChunk);
+}
+
 Matrix Relu(const Matrix& x) {
   Matrix out(x.rows(), x.cols());
   ReluInto(x, out);

@@ -68,6 +68,12 @@ void ScaleInto(const Matrix& a, float s, Matrix& out);
 void AxpbyInto(const Matrix& a, const Matrix& b, float alpha, float beta,
                Matrix& out);
 
+// out = x + v, with the 1 x cols row vector v broadcast over rows (a
+// layer's bias add). Row-parallel at the elementwise grain counted in
+// rows, so a cora_like-sized call runs inline; rows are independent, so the
+// result is bitwise identical at any thread count.
+void AddRowVectorInto(const Matrix& x, const Matrix& v, Matrix& out);
+
 // ReLU(x) element-wise.
 Matrix Relu(const Matrix& x);
 void ReluInto(const Matrix& x, Matrix& out);

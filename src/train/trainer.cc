@@ -71,10 +71,13 @@ using LogitGradientProbe = std::function<void(
     const Matrix& logit_grad, const std::vector<int>& loss_rows)>;
 
 // The training loop behind TrainNodeClassifier and TrainWithDynamics;
-// `logit_grad_probe` may be empty.
+// `logit_grad_probe` may be empty. `full_eval` makes every evaluation
+// compute every row and refresh Penultimate(), for an observer that reads
+// it.
 TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
                       const StrategyConfig& strategy, const TrainRun& run,
-                      const LogitGradientProbe& logit_grad_probe) {
+                      const LogitGradientProbe& logit_grad_probe,
+                      bool full_eval) {
   const TrainOptions& options = run.options;
   const HealthOptions& health = run.health;
   SKIPNODE_CHECK(graph.has_labels());
@@ -306,6 +309,14 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
     if (run.collect_metrics) result.epoch_metrics.push_back(phase);
   };
 
+  // The eval row plan (DESIGN §10), built at the first evaluation: the
+  // eval reads only the val and test logits, so its propagations compute
+  // only the rows those read. PairNorm's row mean reads every row, so it
+  // keeps the full pass.
+  std::unique_ptr<EvalRowPlan> eval_plan;
+  const bool plan_eval =
+      !full_eval && strategy.kind != StrategyKind::kPairNorm;
+
   if (health.enabled) take_snapshot(-1);
 
   int epochs_since_best = 0;
@@ -334,8 +345,18 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
     bool out_of_patience = false;
     {
       const int64_t eval_start = now();
+      if (plan_eval && eval_plan == nullptr) {
+        std::vector<int> read_rows = split.val;
+        read_rows.insert(read_rows.end(), split.test.begin(),
+                         split.test.end());
+        eval_plan = std::make_unique<EvalRowPlan>(
+            *graph.normalized_adjacency(), read_rows);
+      }
       Tape tape;
-      StrategyContext ctx(graph, strategy, /*training=*/false, rng);
+      StrategyContext ctx =
+          plan_eval
+              ? StrategyContext(graph, strategy, *eval_plan, rng)
+              : StrategyContext(graph, strategy, /*training=*/false, rng);
       Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
       const double val_acc =
           Accuracy(logits.value(), graph.labels(), split.val);
@@ -368,7 +389,8 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
                                 const Split& split,
                                 const StrategyConfig& strategy,
                                 const TrainRun& run) {
-  return TrainLoop(model, graph, split, strategy, run, nullptr);
+  return TrainLoop(model, graph, split, strategy, run, nullptr,
+                   /*full_eval=*/false);
 }
 
 DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
@@ -398,8 +420,8 @@ DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
   run.options.eval_every = 1;
   run.options.patience = 0;
   // Runs after every epoch's evaluation pass. Parameter gradients survive
-  // until the next step's ZeroGrad, and the eval forward has just refreshed
-  // Penultimate().
+  // until the next step's ZeroGrad, and the eval forward — a full pass here,
+  // not a planned one — has just refreshed Penultimate().
   run.on_epoch = [&](int, double train_loss, double val_accuracy, double) {
     record.train_loss.push_back(static_cast<float>(train_loss));
     record.first_layer_gradient_norm.push_back(
@@ -414,7 +436,8 @@ DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
     record.mad.push_back(MeanAverageDistance(graph, penultimate));
     record.val_accuracy.push_back(static_cast<float>(val_accuracy));
   };
-  TrainLoop(model, graph, split, strategy, run, probe_logit_grad);
+  TrainLoop(model, graph, split, strategy, run, probe_logit_grad,
+            /*full_eval=*/true);
   return record;
 }
 

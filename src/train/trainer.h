@@ -159,7 +159,9 @@ struct TrainRun {
   // by tests and the CLI to prove the recovery path end to end.
   FaultPlan fault;
   // Invoked after every epoch where evaluation ran (per options.eval_every
-  // and always on the last epoch). Leave unset for silent training.
+  // and always on the last epoch). Leave unset for silent training. The
+  // evaluation computes only the rows its val/test logits read (DESIGN
+  // §10), so it need not refresh Model::Penultimate().
   EpochCallback on_epoch;
   // Optional external sink: when set, every HealthEvent is appended here as
   // it happens, in addition to TrainResult::health_log.

@@ -95,6 +95,10 @@ std::vector<OpCase> MakeOpCases() {
   cases.push_back({"SpMM", 3, 4, [sparse](Tape& t, Var leaf) {
                      return t.SpMM(sparse, leaf);
                    }});
+  // Row 1 is never computed and stays zero, so no gradient may leave it.
+  cases.push_back({"SpMMUnreadRows", 3, 4, [sparse](Tape& t, Var leaf) {
+                     return t.SpMM(sparse, leaf, {0, 1, 0});
+                   }});
   cases.push_back({"Add", 3, 4, [same_shape](Tape& t, Var leaf) {
                      return t.Add(leaf, t.Constant(same_shape));
                    }});

@@ -243,5 +243,37 @@ TEST(TapeTest, MixedInputsRouteGradientToTheParameterOnly) {
   EXPECT_EQ(c.grad().SquaredNorm(), 0.0f);
 }
 
+// BorrowConstant reads the caller's matrix in place: no copy, no gradient,
+// and the same weight gradient a copied Constant gives. Its value is never
+// a fault site, so MutableValue refuses it.
+TEST(TapeTest, BorrowConstantReadsTheCallersMatrixWithoutACopy) {
+  Rng init(8);
+  const Matrix x = Matrix::Random(6, 4, init);
+  const Matrix w0 = Matrix::Random(4, 3, init);
+  const Matrix y = Matrix::Random(6, 3, init);
+  const auto weight_grad = [&](bool borrow) {
+    Parameter w("w", w0);
+    Tape tape;
+    Var in = borrow ? tape.BorrowConstant(x) : tape.Constant(x);
+    if (borrow) {
+      EXPECT_EQ(in.value().data(), x.data());
+    }
+    Var loss = tape.MseLoss(tape.MatMul(in, tape.Leaf(w)), tape.Constant(y));
+    w.ZeroGrad();
+    tape.Backward(loss);
+    EXPECT_EQ(in.grad().SquaredNorm(), 0.0f);
+    return w.grad;
+  };
+  const Matrix borrowed = weight_grad(/*borrow=*/true);
+  const Matrix copied = weight_grad(/*borrow=*/false);
+  EXPECT_EQ(std::memcmp(borrowed.data(), copied.data(),
+                        sizeof(float) * borrowed.size()),
+            0);
+
+  Tape tape;
+  Var in = tape.BorrowConstant(x);
+  EXPECT_DEATH(tape.MutableValue(in), "BorrowConstant");
+}
+
 }  // namespace
 }  // namespace skipnode

@@ -3,8 +3,16 @@
 
 #include "sparse/csr_matrix.h"
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "base/parallel.h"
+#include "base/rng.h"
+#include "base/simd.h"
 #include "tensor/ops.h"
 #include "testing/coo_matrix.h"
 
@@ -168,6 +176,58 @@ TEST(CsrMatrixTest, SymmetryDetection) {
   CsrMatrix asym_values = testing::CsrFromCoo(2, 2, {{0, 1}, {1, 0}},
                                              {2, 3});
   EXPECT_FALSE(asym_values.IsSymmetric());
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+// A dense operand above the gather's 4 MB prefetch threshold: the
+// prefetching loop must leave every bit where the serial loop puts it —
+// forward and transposed, masked or not, at 1 and 4 threads.
+TEST(CsrMatrixTest, ProductsAboveThePrefetchThresholdMatchTheSerialLoop) {
+  const int n = 40000, d = 32;  // 40000 x 32 floats = 5.12 MB.
+  Rng rng(21);
+  std::vector<std::pair<int, int>> coords;
+  std::vector<float> values;
+  for (int r = 0; r < n; ++r) {
+    for (int k = 0; k < 6; ++k) {
+      coords.emplace_back(r, static_cast<int>(rng.UniformInt(n)));
+      values.push_back(static_cast<float>(rng.Uniform()) - 0.5f);
+    }
+  }
+  const CsrMatrix a = testing::CsrFromCoo(n, n, coords, values);
+  const Matrix x = Matrix::Random(n, d, rng);
+  std::vector<uint8_t> mask(n);
+  for (int r = 0; r < n; ++r) mask[r] = r % 3 == 0;
+
+  // Output row i adds its entries in entry order; the transposed product
+  // scatters source rows in ascending order, the order its gather keeps.
+  Matrix forward(n, d), forward_masked(n, d), transposed(n, d),
+      transposed_masked(n, d);
+  for (int r = 0; r < n; ++r) {
+    for (int64_t e = a.RowBegin(r); e < a.RowEnd(r); ++e) {
+      const int c = a.col_idx()[e];
+      const float w = a.values()[e];
+      simd::Axpy(w, x.row(c), forward.row(r), d);
+      if (!mask[r]) simd::Axpy(w, x.row(c), forward_masked.row(r), d);
+      simd::Axpy(w, x.row(r), transposed.row(c), d);
+      if (!mask[r]) simd::Axpy(w, x.row(r), transposed_masked.row(c), d);
+    }
+  }
+  for (const int threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    EXPECT_TRUE(SameBits(a.Multiply(x), forward)) << threads;
+    Matrix masked_out(n, d);
+    a.MultiplyAccumulate(x, masked_out, mask);
+    EXPECT_TRUE(SameBits(masked_out, forward_masked)) << threads;
+    EXPECT_TRUE(SameBits(a.MultiplyTransposed(x), transposed)) << threads;
+    EXPECT_TRUE(SameBits(a.MultiplyTransposed(x, mask), transposed_masked))
+        << threads;
+  }
+  SetParallelThreadCount(0);
 }
 
 TEST(CsrMatrixTest, EmptyMatrix) {

@@ -277,6 +277,25 @@ TEST(OpsTest, RowOpsAreBitwiseIdenticalAcrossThreadCounts) {
   ExpectBitwiseEqual(relu1, relu4);
 }
 
+// 100k rows fan out over the pool; every row must hold x.row + v exactly,
+// as the serial loop computed it, at any thread count.
+TEST(OpsTest, AddRowVectorIntoIsBitwiseAtAnyThreadCount) {
+  Rng rng(15);
+  const Matrix x = Matrix::Random(100000, 5, rng, -3.0f, 3.0f);
+  const Matrix v = Matrix::Random(1, 5, rng, -3.0f, 3.0f);
+  Matrix serial(x.rows(), x.cols());
+  for (int r = 0; r < x.rows(); ++r) {
+    simd::Add(x.row(r), v.row(0), serial.row(r), x.cols());
+  }
+  for (const int threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    Matrix out(x.rows(), x.cols());
+    AddRowVectorInto(x, v, out);
+    ExpectBitwiseEqual(out, serial);
+  }
+  SetParallelThreadCount(0);
+}
+
 TEST(OpsTest, NonFiniteScansFindNothingInCleanMatrices) {
   Rng rng(21);
   Matrix x = Matrix::Random(64, 8, rng, -10.0f, 10.0f);

@@ -14,6 +14,10 @@ DESIGN.md section 9, plus bench-specific invariants:
     spmm_t_masked over rho) with the rho=1.0 masked gather beating the
     unmasked one and spmm_t.rows_skipped > 0 at rho=0.5. Thread speedup is
     NOT hard-checked: CI hosts may be single-core.
+  * micro must emit the spmm_gather cells (DESIGN sections 7 and 14): on
+    the 100k-row DC-SBM the library's prefetched gather (library=1) must be
+    >= 1.3x faster than the loop without the prefetch (library=0); on
+    cora_like, below the prefetch threshold, at most 1.05x slower.
   * micro must emit the SIMD sweep (DESIGN section 14): simd_gemm /
     simd_gemm_tb / simd_axpby / simd_adam in both simd=0 and simd=1
     variants, with the vectorized variant >= 1.5x faster on each of those
@@ -180,6 +184,42 @@ def check_micro(path, records):
     if t_skipped is None or t_skipped["items"] <= 0:
         fail(f"{path}: spmm_t_masked rho=0.5 cell reports no "
              f"spmm_t.rows_skipped telemetry")
+
+    # Prefetched sparse gather (DESIGN sections 7 and 14). Both variants run
+    # one thread, alternating op by op inside each of 7 samples, and record
+    # the median sample; the bench aborts unless their outputs are bitwise
+    # equal. On the 100k-row DC-SBM the operand outgrows L2 and the prefetch
+    # must pay (1.6-2.0x measured); on cora_like it stays below the
+    # threshold, so both run the same loop and the library may not be more
+    # than 5 % slower (0.98-1.01x measured).
+    GATHER_SPEEDUP_FLOOR = 1.3
+    GATHER_SMALL_SLOWDOWN_CAP = 1.05
+
+    def gather_cell(graph, library):
+        for r in records:
+            if r["cell"] == "spmm_gather" and r["metric"] == "ns_per_op" and \
+                    r["params"].get("graph") == graph and \
+                    r["params"].get("library") == library:
+                return r
+        fail(f"{path}: micro emitted no 'spmm_gather' ns_per_op record "
+             f"for graph={graph} library={library}")
+
+    for graph in ("dcsbm_100k", "cora_like"):
+        reference = gather_cell(graph, 0)
+        library = gather_cell(graph, 1)
+        if reference["value"] <= 0 or library["value"] <= 0:
+            fail(f"{path}: spmm_gather {graph} ns_per_op is not positive")
+        speedup = reference["value"] / library["value"]
+        if graph == "dcsbm_100k" and speedup < GATHER_SPEEDUP_FLOOR:
+            fail(f"{path}: spmm_gather prefetch speedup {speedup:.2f}x on "
+                 f"{graph} is below the {GATHER_SPEEDUP_FLOOR}x floor "
+                 f"({reference['value']:.0f} ns without vs "
+                 f"{library['value']:.0f} ns with)")
+        if graph == "cora_like" and \
+                1 / speedup > GATHER_SMALL_SLOWDOWN_CAP:
+            fail(f"{path}: spmm_gather on {graph} is {1 / speedup:.3f}x "
+                 f"slower than the loop without the prefetch, above the "
+                 f"{GATHER_SMALL_SLOWDOWN_CAP}x cap")
 
     # SIMD sweep (DESIGN section 14): the vectorized microkernels must beat
     # the retained scalar references by >= 1.5x single-threaded on the four
