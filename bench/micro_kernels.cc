@@ -8,13 +8,15 @@
 // google-benchmark report, a fused-vs-naive rho sweep prints the speedup of
 // the fused SkipNode propagation (DESIGN §10) and a transposed-SpMM sweep
 // times the backward gather (1-vs-4 threads, masked over rho), a gather
-// sweep times the prefetched row gather against the loop without it, a SIMD
-// sweep times the vectorized microkernels against their scalar references,
-// and a CDF-lookup cell times the DC-SBM generator's propensity search;
-// each records one JSONL cell per configuration when SKIPNODE_BENCH_JSON is
-// set.
+// sweep times the prefetched row gather against the loop without it, a Gemm
+// row sweep times the register-tiled Gemm against the per-entry Axpy loop it
+// replaced, a SIMD sweep times the vectorized microkernels against their
+// scalar references, and a CDF-lookup cell times the DC-SBM generator's
+// propensity search; each records one JSONL cell per configuration when
+// SKIPNODE_BENCH_JSON is set.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -251,6 +253,34 @@ int64_t MedianReps(int reps, const std::function<void()>& op) {
   return Median(std::move(samples));
 }
 
+// Medians of kSamples samples of `reps` runs of each of two ops, one thread,
+// telemetry off. The ops alternate one by one inside every sample, so a
+// burst of host noise lands on both alike.
+std::array<int64_t, 2> AlternatingMedians(int reps,
+                                          const std::function<void()>& first,
+                                          const std::function<void()>& second) {
+  const bool telemetry = TelemetryEnabled();
+  SetTelemetryEnabled(false);
+  std::vector<int64_t> samples[2];
+  for (int s = 0; s < kSamples; ++s) {
+    int64_t total[2] = {0, 0};
+    for (int r = 0; r < reps; ++r) {
+      total[0] += TimeReps(1, first);
+      total[1] += TimeReps(1, second);
+    }
+    for (const int i : {0, 1}) samples[i].push_back(total[i] / reps);
+  }
+  SetTelemetryEnabled(telemetry);
+  return {Median(std::move(samples[0])), Median(std::move(samples[1]))};
+}
+
+// The 100k-row DC-SBM behind the gather and Gemm sweeps, built once.
+const Graph& Synth100k() {
+  static const Graph graph = DatasetRegistry::Global().Build(
+      {.name = "synth", .seed = 1, .nodes = 100000, .avg_degree = 20.0});
+  return graph;
+}
+
 void FusedSweep() {
   Graph graph = BuildDatasetByName("cora_like", 1.0, 1);
   const auto a_hat = graph.normalized_adjacency();
@@ -427,27 +457,14 @@ void GatherCell(const char* graph_name, const Graph& graph, int reps) {
     a_hat->MultiplyAccumulate(x, library_out);
     benchmark::DoNotOptimize(library_out.data());
   };
-  // The two variants alternate op by op inside every sample, so a burst of
-  // host noise lands on both alike.
-  const bool telemetry = TelemetryEnabled();
-  SetTelemetryEnabled(false);
-  std::vector<int64_t> samples[2];
-  for (int s = 0; s < kSamples; ++s) {
-    int64_t total[2] = {0, 0};
-    for (int r = 0; r < reps; ++r) {
-      total[0] += TimeReps(1, reference);
-      total[1] += TimeReps(1, library);
-    }
-    for (const int lib : {0, 1}) samples[lib].push_back(total[lib] / reps);
-  }
-  SetTelemetryEnabled(telemetry);
+  const std::array<int64_t, 2> medians =
+      AlternatingMedians(reps, reference, library);
   SKIPNODE_CHECK_MSG(
       std::memcmp(reference_out.data(), library_out.data(),
                   sizeof(float) * static_cast<size_t>(reference_out.size())) ==
           0,
       "spmm_gather: the library product differs from the reference loop on "
       "%s", graph_name);
-  int64_t medians[2];
   for (const int lib : {0, 1}) {
     bench::CellRecorder cell("spmm_gather");
     cell.Param("graph", graph_name)
@@ -458,7 +475,6 @@ void GatherCell(const char* graph_name, const Graph& graph, int reps) {
         .Param("samples", kSamples);
     // One more op inside the cell, so its snapshot carries the kernel.
     (lib == 0 ? reference : library)();
-    medians[lib] = Median(std::move(samples[lib]));
     cell.Record("ns_per_op", static_cast<double>(medians[lib]));
   }
   std::printf("%12s %8d rows %12lld %12lld %8.2fx\n", graph_name, n,
@@ -475,14 +491,140 @@ void GatherSweep() {
               kSamples);
   std::printf("%12s %13s %12s %12s %9s\n", "graph", "", "reference",
               "library", "speedup");
-  {
-    const Graph graph = DatasetRegistry::Global().Build(
-        {.name = "synth", .seed = 1, .nodes = 100000, .avg_degree = 20.0});
-    GatherCell("dcsbm_100k", graph, bench::Pick(3, 9));
-  }
+  GatherCell("dcsbm_100k", Synth100k(), bench::Pick(3, 9));
   GatherCell("cora_like", BuildDatasetByName("cora_like", 1.0, 1),
              bench::Pick(200, 2000));
   SetParallelThreadCount(0);
+}
+
+// --- Register-tiled Gemm row kernel -----------------------------------------
+// Gemm's A·B and Aᵀ·B paths run simd::GemmRow once per output row: the row's
+// nonzero entries of A compacted once, each 32/16/8/4-column block of the
+// output summed in registers and stored once (DESIGN §14). Cell "gemm_row"
+// times the library's Gemm (library=1) against a bench-local copy of the
+// loop it replaced, one simd::Axpy per nonzero entry of A (library=0), at
+// the workloads' shapes: cora_like's features times a 128 x 32 weight, a
+// hidden layer at 40 % nonzero (ReLU, then dropout) times a 32 x 32 weight,
+// the backward's Hᵀ·G, and the 100k-row synth features times a 32 x 32
+// weight. One thread, alternating op by op over kSamples samples; each cell
+// records its median, and the bench aborts unless the two outputs are bit
+// for bit equal. validate_bench_jsonl.py requires >= 2x on the A·B cells and
+// >= 1.5x on Hᵀ·G.
+
+// Gemm's A·B (or, with transpose_a, Aᵀ·B) loop before the row kernel, on
+// one thread: zero the output, then one Axpy per nonzero entry of A.
+void ReferenceGemm(const Matrix& a, const Matrix& b, Matrix& out,
+                   bool transpose_a) {
+  const int n = out.cols();
+  out.SetZero();
+  if (!transpose_a) {
+    for (int i = 0; i < a.rows(); ++i) {
+      const float* __restrict ai = a.row(i);
+      float* __restrict oi = out.row(i);
+      for (int p = 0; p < a.cols(); ++p) {
+        if (ai[p] == 0.0f) continue;
+        simd::Axpy(ai[p], b.row(p), oi, n);
+      }
+    }
+    return;
+  }
+  for (int i = 0; i < a.rows(); ++i) {
+    const float* __restrict ai = a.row(i);
+    const float* __restrict bi = b.row(i);
+    for (int p = 0; p < a.cols(); ++p) {
+      if (ai[p] == 0.0f) continue;
+      simd::Axpy(ai[p], bi, out.row(p), n);
+    }
+  }
+}
+
+// `m` with each entry zeroed independently with probability 1 - keep.
+Matrix Sparsify(Matrix m, float keep, Rng& rng) {
+  for (int64_t e = 0; e < m.size(); ++e) {
+    if (rng.Uniform() >= keep) m.data()[e] = 0.0f;
+  }
+  return m;
+}
+
+double NonzeroShare(const Matrix& m) {
+  int64_t nonzero = 0;
+  for (int64_t e = 0; e < m.size(); ++e) nonzero += m.data()[e] != 0.0f;
+  return static_cast<double>(nonzero) / static_cast<double>(m.size());
+}
+
+void GemmRowCell(const char* shape, const Matrix& a, const Matrix& b,
+                 bool transpose_a, int reps) {
+  const int m = transpose_a ? a.cols() : a.rows();
+  const int k = transpose_a ? a.rows() : a.cols();
+  Matrix reference_out(m, b.cols()), library_out(m, b.cols());
+  const std::function<void()> reference = [&]() {
+    ReferenceGemm(a, b, reference_out, transpose_a);
+    benchmark::DoNotOptimize(reference_out.data());
+  };
+  const std::function<void()> library = [&]() {
+    Gemm(a, b, library_out, {.transpose_a = transpose_a});
+    benchmark::DoNotOptimize(library_out.data());
+  };
+  const std::array<int64_t, 2> medians =
+      AlternatingMedians(reps, reference, library);
+  SKIPNODE_CHECK_MSG(
+      std::memcmp(reference_out.data(), library_out.data(),
+                  sizeof(float) * static_cast<size_t>(reference_out.size())) ==
+          0,
+      "gemm_row: the library Gemm differs from the Axpy loop on %s", shape);
+  const double nonzero = NonzeroShare(a);
+  for (const int lib : {0, 1}) {
+    bench::CellRecorder cell("gemm_row");
+    cell.Param("shape", shape)
+        .Param("library", lib)
+        .Param("rows", m)
+        .Param("inner", k)
+        .Param("cols", b.cols())
+        .Param("a_nonzero", nonzero)
+        .Param("reps", reps)
+        .Param("samples", kSamples);
+    // One more op inside the cell, so its snapshot carries the kernel.
+    (lib == 0 ? reference : library)();
+    cell.Record("ns_per_op", static_cast<double>(medians[lib]));
+  }
+  std::printf("%12s %6d x %4d x %3d  %4.0f%% %12lld %12lld %8.2fx\n", shape,
+              m, k, b.cols(), 100.0 * nonzero,
+              static_cast<long long>(medians[0]),
+              static_cast<long long>(medians[1]),
+              static_cast<double>(medians[0]) /
+                  static_cast<double>(medians[1] > 0 ? medians[1] : 1));
+}
+
+void GemmRowSweep() {
+  const bool saved_simd = simd::Enabled();
+  simd::SetEnabled(true);
+  SetParallelThreadCount(1);  // Time the kernels, not the pool wake-ups.
+  std::printf("\nGemm row kernel, library vs the per-entry Axpy loop, 1 "
+              "thread, median of %d alternating samples (ns/op)\n",
+              kSamples);
+  std::printf("%12s %20s %5s %12s %12s %9s\n", "shape", "m x k x n", "nnz",
+              "reference", "library", "speedup");
+  Rng rng(13);
+  const int reps = bench::Pick(20, 200);
+  {
+    const Graph graph = BuildDatasetByName("cora_like", 1.0, 1);
+    const Matrix w = Matrix::Random(graph.feature_dim(), 32, rng);
+    GemmRowCell("cora_x_w", graph.features(), w, false, reps);
+  }
+  {
+    const Matrix h = Sparsify(Matrix::Random(2708, 32, rng), 0.4f, rng);
+    const Matrix w = Matrix::Random(32, 32, rng);
+    const Matrix g = Matrix::Random(2708, 32, rng);
+    GemmRowCell("h_w", h, w, false, reps);
+    GemmRowCell("ht_g", h, g, true, reps);
+  }
+  {
+    const Matrix& x = Synth100k().features();
+    const Matrix w = Matrix::Random(x.cols(), 32, rng);
+    GemmRowCell("synth_x_w", x, w, false, bench::Pick(3, 9));
+  }
+  SetParallelThreadCount(0);
+  simd::SetEnabled(saved_simd);
 }
 
 // --- SIMD kernel sweep -------------------------------------------------------
@@ -671,6 +813,7 @@ int main(int argc, char** argv) {
   skipnode::FusedSweep();
   skipnode::TransposedSweep();
   skipnode::GatherSweep();
+  skipnode::GemmRowSweep();
   skipnode::SimdSweep();
   skipnode::CdfLookupSweep();
   if (skipnode::TelemetryEnabled()) {

@@ -67,6 +67,19 @@ void AdamStepRef(float* value, const float* grad, float* m, float* v,
   }
 }
 
+void GemmRowRef(const float* a, int k, const float* b, int n, bool accumulate,
+                float* out) {
+  if (!accumulate) {
+    for (int j = 0; j < n; ++j) out[j] = 0.0f;
+  }
+  for (int p = 0; p < k; ++p) {
+    const float ap = a[p];
+    if (ap == 0.0f) continue;
+    const float* bp = b + static_cast<int64_t>(p) * n;
+    for (int j = 0; j < n; ++j) out[j] += ap * bp[j];
+  }
+}
+
 void GemmTbRowRef(const float* a, const float* b, int64_t ldb, int n, int k,
                   float* out) {
   for (int p = 0; p < n; ++p) {

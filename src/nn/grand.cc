@@ -34,9 +34,7 @@ Var GrandModel::View(Tape& tape, StrategyContext& ctx, bool training,
   Var sum = x;
   Var power = x;
   for (int k = 0; k < config_.num_layers; ++k) {
-    const Var pre = power;
-    Var step = tape.SpMM(ctx.LayerAdjacency(k), power);
-    power = ctx.TransformMiddle(tape, pre, step);
+    power = ctx.PropagateMiddle(tape, k, power, power);
     sum = tape.Add(sum, power);
   }
   Var mean = tape.Scale(sum, 1.0f / static_cast<float>(config_.num_layers + 1));

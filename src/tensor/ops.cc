@@ -24,13 +24,16 @@ int64_t MinRowsPerThread(int64_t flops_per_row) {
                                                       1, flops_per_row));
 }
 
-// Column-block width of the i-p-j Gemm kernel: for wide outputs the k x jb
-// panel of B (at most 1 KB per row of the panel) stays cache-resident across
-// a thread's whole row block instead of being streamed once per output row.
-// Blocking only reorders whole (p, j-block) passes; for any fixed output
-// element the p-accumulation order is unchanged, so results stay bitwise
-// identical to the unblocked kernel (and across block widths).
-constexpr int kGemmColumnBlock = 256;
+// Rows of A that Gemm's Aᵀ·B path gathers per pass. It bounds the scratch
+// at 128 floats per output row of the chunk whatever A's height, and the
+// matching rows of B (16 KB at 32 columns) stay in L1 while every output
+// row of the chunk sweeps them.
+constexpr int kGemmTaGatherRows = 128;
+
+// Columns of A the gather copies per sweep down the rows: one 64-byte line
+// of each row, so the lines it reads and the scratch rows it writes stay in
+// L1 whatever A's row stride.
+constexpr int kGemmTaGatherCols = 16;
 
 }  // namespace
 
@@ -54,56 +57,52 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
   const bool accumulate = options.accumulate;
 
   if (!options.transpose_a && !options.transpose_b) {
-    // i-p-j loop order keeps the inner loop contiguous in both B and out so
-    // the compiler can vectorise it; this is the library's hottest kernel.
-    // Columns are processed in kGemmColumnBlock-wide panels (outermost per
-    // thread) so the touched slice of B fits in cache for the whole row
-    // block; per-element sums still run in ascending p order regardless of
-    // the block width, keeping the bitwise contract.
+    // One row kernel call per output row; the index scratch is per chunk.
     ParallelFor(
         0, m,
         [&](int64_t row_begin, int64_t row_end) {
-          for (int jb = 0; jb < n; jb += kGemmColumnBlock) {
-            const int je = std::min(n, jb + kGemmColumnBlock);
-            for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
-              const float* __restrict ai = a.row(i);
-              float* __restrict oi = out.row(i);
-              if (!accumulate) std::fill(oi + jb, oi + je, 0.0f);
-              for (int p = 0; p < k; ++p) {
-                const float aip = ai[p];
-                if (aip == 0.0f) continue;
-                const float* __restrict bp = b.row(p);
-                simd::Axpy(aip, bp + jb, oi + jb, je - jb);
-              }
-            }
+          std::vector<int> idx(static_cast<size_t>(k));
+          for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
+            simd::GemmRow(a.row(i), k, b.data(), n, accumulate, idx.data(),
+                          out.row(i));
           }
         },
         min_rows);
   } else if (options.transpose_a) {
-    // out rows are columns of A. Each thread walks all rows of A but writes
-    // only its own block of output rows, in the same i-ascending order the
-    // serial kernel used, so the sums are bit-for-bit unchanged.
+    // Output row p is column p of A. Each chunk gathers its own columns of
+    // A into rows, kGemmTaGatherRows rows of A at a time, and runs the row
+    // kernel on each gathered row against the matching rows of B. A later
+    // pass continues from the sums the earlier one stored, so every output
+    // still adds over ascending i from the same start: the serial order. The
+    // chunk reads A but writes only its own output rows (DESIGN §7).
     ParallelFor(
         0, m,
         [&](int64_t row_begin, int64_t row_end) {
           const int p0 = static_cast<int>(row_begin);
-          const int p1 = static_cast<int>(row_end);
-          if (!accumulate) {
-            for (int p = p0; p < p1; ++p) {
-              float* op = out.row(p);
-              std::fill(op, op + n, 0.0f);
+          const int rows = static_cast<int>(row_end - row_begin);
+          const int span = std::min(k, kGemmTaGatherRows);
+          std::vector<float> cols(static_cast<size_t>(rows) * span);
+          std::vector<int> idx(static_cast<size_t>(span));
+          int i0 = 0;
+          do {
+            const int len = std::min(k - i0, kGemmTaGatherRows);
+            for (int r0 = 0; r0 < rows; r0 += kGemmTaGatherCols) {
+              const int r1 = std::min(rows, r0 + kGemmTaGatherCols);
+              for (int i = 0; i < len; ++i) {
+                const float* __restrict ai = a.row(i0 + i) + p0;
+                for (int r = r0; r < r1; ++r) {
+                  cols[static_cast<size_t>(r) * len + i] = ai[r];
+                }
+              }
             }
-          }
-          for (int i = 0; i < a.rows(); ++i) {
-            const float* __restrict ai = a.row(i);
-            const float* __restrict bi = b.row(i);
-            for (int p = p0; p < p1; ++p) {
-              const float aip = ai[p];
-              if (aip == 0.0f) continue;
-              float* __restrict op = out.row(p);
-              simd::Axpy(aip, bi, op, n);
+            const float* bi = b.data() + static_cast<int64_t>(i0) * n;
+            for (int r = 0; r < rows; ++r) {
+              simd::GemmRow(cols.data() + static_cast<size_t>(r) * len, len,
+                            bi, n, accumulate || i0 > 0, idx.data(),
+                            out.row(p0 + r));
             }
-          }
+            i0 += len;
+          } while (i0 < k);
         },
         min_rows);
   } else {

@@ -11,6 +11,7 @@
 //      on square adjacencies as well as on sampled-block shapes.
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -214,6 +215,45 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BitwiseCase>& info) {
       return info.param.name;
     });
+
+// GRAND's random propagation (nn/grand.cc) passes one Var as both the
+// convolved input and the skipped passthrough, K times over, and sums the
+// powers. Its input is a tape constant, so the chain records no backward.
+// The fused chain must match the unfused SpMM + RowSelect chain bit for bit
+// at 1 and 4 threads, consuming the same masks.
+TEST(FusedChainTest, GrandPropagationMatchesNaiveBitwise) {
+  const int n = 64, d = 7, steps = 4;
+  Rng graph_rng(42);
+  const auto adjacency = MediumAdjacency(n, graph_rng);
+  Rng data_rng(5);
+  const Matrix x = Matrix::Random(n, d, data_rng, -1.0f, 1.0f);
+  Rng mask_rng(7);
+  std::vector<std::vector<uint8_t>> masks;
+  for (int k = 0; k < steps; ++k) {
+    masks.push_back(SampleSkipMaskUniform(n, 0.5f, mask_rng));
+  }
+  for (const int threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    Matrix sums[2];
+    for (int fused = 0; fused < 2; ++fused) {
+      Tape tape;
+      Var power = tape.Constant(x);
+      Var sum = power;
+      for (int k = 0; k < steps; ++k) {
+        power = fused ? tape.SpMMRowSelect(adjacency, power, power, masks[k])
+                      : tape.RowSelect(masks[k], power,
+                                       tape.SpMM(adjacency, power));
+        sum = tape.Add(sum, power);
+      }
+      sums[fused] = sum.value();
+    }
+    SetParallelThreadCount(0);
+    ASSERT_EQ(std::memcmp(sums[0].data(), sums[1].data(),
+                          sizeof(float) * static_cast<size_t>(sums[0].size())),
+              0)
+        << "threads=" << threads;
+  }
+}
 
 // The cached-weights biased sampler must be draw-for-draw identical to the
 // original int-degrees overload (the caching satellite must not change which

@@ -8,8 +8,10 @@
 
 #include "base/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -219,6 +221,99 @@ TEST(SimdTest, GemmTbRowMatchesRefBitwise) {
                   out_vec.data());
         GemmTbRowRef(a.data(), b.data(), ldb, n, k, out_ref.data());
         EXPECT_BITWISE_EQ(out_vec, out_ref, n);
+      }
+    }
+  }
+}
+
+// Gemm's A·B loop before the row kernel, for one output row: zero the row
+// unless accumulating, then one Axpy per entry of `a` that is not 0.0f.
+void AxpyLoopRow(const float* a, int k, const float* b, int n,
+                 bool accumulate, float* out) {
+  if (!accumulate) std::fill(out, out + n, 0.0f);
+  for (int p = 0; p < k; ++p) {
+    if (a[p] == 0.0f) continue;
+    Axpy(a[p], b + static_cast<int64_t>(p) * n, out, n);
+  }
+}
+
+// The register-tiled row of A·B against its scalar reference and against the
+// Axpy loop it replaced, bit for bit, at every block width and tail (n = 1..40,
+// 64, 600) and at k from empty to a cora_like column (2708). B's row 0 is all
+// NaN and its last row all +Inf; the a-rows put 0.0f / -0.0f in front of
+// them (nothing may leak), a nonzero in front of the NaN row (every output
+// goes NaN), NaN and ±Inf in a itself, and an all-zero row that must leave an
+// accumulated -0.0f alone. Each output meets at most one NaN source, so which
+// payload survives NaN + NaN never comes up.
+TEST(SimdTest, GemmRowMatchesRefAndTheAxpyLoopBitwise) {
+  const SimdOn simd_on;
+  Rng rng(8);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<int> widths = {64, 600};
+  for (int n = 1; n <= 40; ++n) widths.push_back(n);
+  for (const int k : {0, 1, 3, 31, 128, 2708}) {
+    // Zero entries of both signs between random ones.
+    std::vector<float> sparse = RandomVec(k, rng);
+    for (int p = 0; p < k; ++p) {
+      if (p % 3 == 0) sparse[p] = 0.0f;
+      if (p % 5 == 1) sparse[p] = -0.0f;
+    }
+    if (k > 0) {
+      sparse[0] = 0.0f;        // In front of B's NaN row.
+      sparse[k - 1] = -0.0f;   // In front of B's +Inf row.
+    }
+    std::vector<float> zeros(k);
+    for (int p = 0; p < k; ++p) zeros[p] = p % 2 ? -0.0f : 0.0f;
+    std::vector<float> specials = sparse;
+    if (k >= 4) {
+      specials[k / 4] = inf;
+      specials[k / 2] = nan;
+      specials[3 * k / 4] = -inf;
+    }
+    std::vector<float> nan_behind = sparse;
+    if (k > 0) nan_behind[0] = 0.75f;
+    const std::vector<float>* rows[] = {&sparse, &zeros, &specials,
+                                        &nan_behind};
+
+    for (const int n : widths) {
+      std::vector<float> b = RandomVec(static_cast<int64_t>(k) * n, rng);
+      if (k >= 2) std::fill(b.end() - n, b.end(), inf);
+      if (k >= 1) std::fill(b.begin(), b.begin() + n, nan);
+      std::vector<int> idx(static_cast<size_t>(k));
+      for (const std::vector<float>* a : rows) {
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> out_vec = RandomVec(n, rng);
+          for (int j = 0; j < n; j += 3) out_vec[j] = -0.0f;
+          std::vector<float> out_ref = out_vec;
+          std::vector<float> out_loop = out_vec;
+          GemmRow(a->data(), k, b.data(), n, accumulate, idx.data(),
+                  out_vec.data());
+          GemmRowRef(a->data(), k, b.data(), n, accumulate, out_ref.data());
+          AxpyLoopRow(a->data(), k, b.data(), n, accumulate,
+                      out_loop.data());
+          EXPECT_BITWISE_EQ(out_vec, out_ref, n);
+          EXPECT_BITWISE_EQ(out_vec, out_loop, n);
+          for (int j = 0; j < n; ++j) {
+            if (a == &sparse || a == &zeros) {
+              ASSERT_FALSE(std::isnan(out_vec[j]))
+                  << "NaN leaked through a zero entry: k=" << k << " n=" << n
+                  << " j=" << j;
+            }
+            if ((a == &nan_behind && k > 0) || (a == &specials && k >= 4)) {
+              ASSERT_TRUE(std::isnan(out_vec[j]))
+                  << "NaN did not propagate: k=" << k << " n=" << n
+                  << " j=" << j;
+            }
+          }
+          if (a == &zeros) {
+            // No entry survives the skip: +0 from scratch, or the
+            // accumulated value untouched, -0.0f included.
+            ASSERT_TRUE(accumulate ? std::signbit(out_vec[0])
+                                   : !std::signbit(out_vec[0]))
+                << "k=" << k << " n=" << n;
+          }
+        }
       }
     }
   }

@@ -159,11 +159,11 @@ TEST(OpsTest, CosineSimilarityBasics) {
   EXPECT_EQ(CosineSimilarity(a, zero, 2), 0.0f);
 }
 
-TEST(OpsTest, GemmColumnBlockingIsBitwiseExact) {
-  // The untransposed kernel walks the output in 256-column panels for
-  // locality; its contract is that each element is still accumulated in
-  // plain p-ascending float order. Cross several panel boundaries and
-  // check every element against that exact serial recurrence.
+TEST(OpsTest, GemmWideOutputsKeepTheSerialRecurrence) {
+  // The row kernel holds each 32-column block of an output row in registers
+  // across the whole reduction (600 = 18 x 32 + 16 + 8 columns); its
+  // contract is that each element is still accumulated in plain p-ascending
+  // float order. Check every element against that exact serial recurrence.
   Rng rng(31);
   const Matrix a = Matrix::Random(5, 37, rng);
   const Matrix b = Matrix::Random(37, 600, rng);
@@ -185,8 +185,8 @@ TEST(OpsTest, GemmColumnBlockingIsBitwiseExact) {
     }
   }
 
-  // And the panels must not interact with row sharding: 4 threads bitwise
-  // match 1 thread on a panel-crossing width.
+  // And the blocks must not interact with row sharding: 4 threads bitwise
+  // match 1 thread on a wide output.
   SetParallelThreadCount(1);
   Matrix serial(5, 600);
   Gemm(a, b, serial);
@@ -195,6 +195,99 @@ TEST(OpsTest, GemmColumnBlockingIsBitwiseExact) {
   Gemm(a, b, threaded);
   SetParallelThreadCount(0);
   EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0f);
+}
+
+// out (+)= op(A)·B by the serial recurrence Gemm's contract fixes: every
+// element starts at +0 (or at out) and adds a * b over ascending p, skipping
+// the entries of A that compare equal to 0.0f.
+Matrix SerialGemm(const Matrix& a, const Matrix& b, bool transpose_a,
+                  const Matrix& start, bool accumulate) {
+  Matrix out = start;
+  const int k = transpose_a ? a.rows() : a.cols();
+  for (int i = 0; i < out.rows(); ++i) {
+    for (int j = 0; j < out.cols(); ++j) {
+      float acc = accumulate ? start(i, j) : 0.0f;
+      for (int p = 0; p < k; ++p) {
+        const float aip = transpose_a ? a(p, i) : a(i, p);
+        if (aip == 0.0f) continue;
+        acc += aip * b(p, j);
+      }
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// Zero entries of both signs, NaN and ±Inf, through Gemm's A·B and Aᵀ·B at
+// 1 and 4 threads, from scratch and onto an output holding -0.0f. B's row 5
+// is NaN and its row 6 +Inf: the entries of A in front of them are zero
+// except in one row of op(A), whose outputs must all go NaN, as must those
+// of the row holding a NaN. Outputs of rows without NaN or Inf stay finite,
+// and every output equals the serial recurrence bit for bit. Each output
+// meets at most one NaN source.
+TEST(OpsTest, GemmSkipsExactlyTheZeroEntriesAtAnyThreadCount) {
+  Rng rng(41);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // k = 300 crosses the Aᵀ·B path's 128-row gather passes; 96 output rows
+  // fan out over 4 threads, and 37 columns run a 32- and a 4-column block
+  // and a 1-column scalar tail.
+  const int m = 96, k = 300, n = 37;
+  Matrix op_a = Matrix::Random(m, k, rng);
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      if ((i + p) % 3 == 0) op_a(i, p) = 0.0f;
+      if ((i + p) % 7 == 1) op_a(i, p) = -0.0f;
+    }
+    op_a(i, 5) = i % 2 ? -0.0f : 0.0f;
+    op_a(i, 6) = i % 2 ? 0.0f : -0.0f;
+  }
+  op_a(11, 5) = 2.0f;  // Lets B's NaN row through on output row 11.
+  op_a(20, 100) = nan;  // A NaN in A itself: output row 20 goes NaN.
+  op_a(30, 7) = inf;
+  op_a(30, 200) = -inf;
+  for (int p = 0; p < k; ++p) op_a(40, p) = p % 2 ? -0.0f : 0.0f;
+  Matrix b = Matrix::Random(k, n, rng);
+  for (int j = 0; j < n; ++j) {
+    b(5, j) = nan;
+    b(6, j) = inf;
+  }
+  const Matrix a_t = Transpose(op_a);  // Aᵀ·B reads op(A) = (a_t)ᵀ.
+  Matrix start = Matrix::Random(m, n, rng);
+  for (int i = 0; i < m; ++i) start(i, i % n) = -0.0f;
+
+  for (const bool transpose_a : {false, true}) {
+    const Matrix& a = transpose_a ? a_t : op_a;
+    for (const bool accumulate : {false, true}) {
+      const Matrix expected =
+          SerialGemm(a, b, transpose_a, start, accumulate);
+      for (const int threads : {1, 4}) {
+        SetParallelThreadCount(threads);
+        Matrix out = start;
+        Gemm(a, b, out,
+             {.transpose_a = transpose_a, .accumulate = accumulate});
+        SetParallelThreadCount(0);
+        ASSERT_EQ(std::memcmp(out.data(), expected.data(),
+                              sizeof(float) * static_cast<size_t>(out.size())),
+                  0)
+            << "transpose_a=" << transpose_a << " accumulate=" << accumulate
+            << " threads=" << threads;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            if (i == 11 || i == 20) {
+              ASSERT_TRUE(std::isnan(out(i, j))) << i << "," << j;
+            } else {
+              // Row 30 sums +Inf and -Inf products: Inf or NaN by sign.
+              ASSERT_EQ(std::isfinite(out(i, j)), i != 30) << i << "," << j;
+            }
+          }
+        }
+        // An all-zero row adds nothing: +0 from scratch, the accumulated
+        // -0.0f kept.
+        ASSERT_EQ(std::signbit(out(40, 40 % n)), accumulate);
+      }
+    }
+  }
 }
 
 TEST(OpsDeathTest, GemmRejectsBothTransposes) {

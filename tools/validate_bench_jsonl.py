@@ -18,6 +18,10 @@ DESIGN.md section 9, plus bench-specific invariants:
     the 100k-row DC-SBM the library's prefetched gather (library=1) must be
     >= 1.3x faster than the loop without the prefetch (library=0); on
     cora_like, below the prefetch threshold, at most 1.05x slower.
+  * micro must emit the gemm_row cells (DESIGN section 14) for shapes
+    cora_x_w, h_w, synth_x_w and ht_g in both library=0 (the per-entry
+    Axpy loop) and library=1 (Gemm's row kernel) variants, with the
+    library >= 2x faster on the three A·B shapes and >= 1.5x on ht_g.
   * micro must emit the SIMD sweep (DESIGN section 14): simd_gemm /
     simd_gemm_tb / simd_axpby / simd_adam in both simd=0 and simd=1
     variants, with the vectorized variant >= 1.5x faster on each of those
@@ -220,6 +224,35 @@ def check_micro(path, records):
             fail(f"{path}: spmm_gather on {graph} is {1 / speedup:.3f}x "
                  f"slower than the loop without the prefetch, above the "
                  f"{GATHER_SMALL_SLOWDOWN_CAP}x cap")
+
+    # Register-tiled Gemm row kernel (DESIGN section 14). The library Gemm
+    # and a bench-local copy of the per-entry Axpy loop it replaced run one
+    # thread, alternating op by op inside each of 7 samples, and record the
+    # median sample; the bench aborts unless their outputs are bitwise
+    # equal. The A·B cells must reach 2x (2.8-4.1x measured) and the
+    # backward's Hᵀ·G 1.5x (2.8-3.6x measured).
+    GEMM_ROW_FLOORS = {"cora_x_w": 2.0, "h_w": 2.0, "synth_x_w": 2.0,
+                       "ht_g": 1.5}
+
+    def gemm_row_cell(shape, library):
+        for r in records:
+            if r["cell"] == "gemm_row" and r["metric"] == "ns_per_op" and \
+                    r["params"].get("shape") == shape and \
+                    r["params"].get("library") == library:
+                return r
+        fail(f"{path}: micro emitted no 'gemm_row' ns_per_op record "
+             f"for shape={shape} library={library}")
+
+    for shape, floor in GEMM_ROW_FLOORS.items():
+        reference = gemm_row_cell(shape, 0)
+        library = gemm_row_cell(shape, 1)
+        if reference["value"] <= 0 or library["value"] <= 0:
+            fail(f"{path}: gemm_row {shape} ns_per_op is not positive")
+        speedup = reference["value"] / library["value"]
+        if speedup < floor:
+            fail(f"{path}: gemm_row speedup {speedup:.2f}x on {shape} is "
+                 f"below the {floor}x floor ({reference['value']:.0f} ns "
+                 f"for the Axpy loop vs {library['value']:.0f} ns)")
 
     # SIMD sweep (DESIGN section 14): the vectorized microkernels must beat
     # the retained scalar references by >= 1.5x single-threaded on the four
