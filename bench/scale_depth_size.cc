@@ -131,8 +131,7 @@ void RunBigGraphPanel(int64_t big_nodes, double big_degree, int epochs,
         .Param("avg_degree", big_degree)
         .Param("hidden", 8)
         .Param("epochs", cell_epochs)
-        .Param("edges", static_cast<int64_t>(graph.num_edges()))
-        .Param("index_width", graph.normalized_adjacency()->index_width());
+        .Param("edges", static_cast<int64_t>(graph.num_edges()));
   };
 
   // sampled_train runs FIRST (see file comment: RSS attribution).

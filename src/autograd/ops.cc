@@ -14,7 +14,6 @@
 #include "base/check.h"
 #include "base/simd.h"
 #include "base/telemetry.h"
-#include "sparse/offset_vec.h"
 #include "tensor/ops.h"
 
 namespace skipnode {
@@ -84,15 +83,17 @@ Var Tape::SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
     const ScopedTimer timer("autograd.spmm_rowselect_backward",
                             /*items=*/a->cols());
     const Matrix& g = tape->node(oi).grad;
+    // Skipped rows bypass the convolution entirely — SkipNode's gradient
+    // highway (Eq. 4). It is added first, as the unfused RowSelect's
+    // backward runs before the SpMM's: when `x` and `pre` are one node that
+    // already holds gradient, the order of the two adds decides the bits.
+    if (Matrix* gp = tape->GradIfNeeded(pi)) AddRowsWhere(g, mask, *gp);
     // dX += A^T * (g with skipped rows zeroed): the masked transpose never
     // reads the skipped rows, matching the zero rows RowSelect's backward
     // would have left in the convolution gradient.
     if (Matrix* gx = tape->GradIfNeeded(xi)) {
       AddScaled(a->MultiplyTransposed(g, mask), 1.0f, *gx);
     }
-    // Skipped rows bypass the convolution entirely — SkipNode's gradient
-    // highway (Eq. 4).
-    if (Matrix* gp = tape->GradIfNeeded(pi)) AddRowsWhere(g, mask, *gp);
   });
   return out;
 }
@@ -292,40 +293,38 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
   const Matrix& dst = score_dst.value();
 
   // Per-edge raw scores (pre-LeakyReLU sign decides the backward slope) and
-  // row-softmax attention weights, cached for the backward pass. Offsets
-  // resolve through WithOffsets so wide-offset patterns take the same path.
+  // row-softmax attention weights, cached for the backward pass.
   std::vector<float> raw(col_idx.size());
   std::vector<float> alpha(col_idx.size());
   Matrix value(n, hv.cols());
-  WithOffsets(pattern->row_offsets(), [&](const auto* row_ptr) {
-    for (int i = 0; i < n; ++i) {
-      const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
-      if (begin == end) continue;
-      float max_e = -std::numeric_limits<float>::infinity();
-      for (int64_t e = begin; e < end; ++e) {
-        const size_t se = static_cast<size_t>(e);
-        const float pre = src(i, 0) + dst(col_idx[se], 0);
-        raw[se] = pre;
-        const float activated = pre > 0.0f ? pre : leaky_slope * pre;
-        alpha[se] = activated;
-        max_e = std::max(max_e, activated);
-      }
-      double total = 0.0;
-      for (int64_t e = begin; e < end; ++e) {
-        const size_t se = static_cast<size_t>(e);
-        alpha[se] = std::exp(alpha[se] - max_e);
-        total += alpha[se];
-      }
-      const float inv = static_cast<float>(1.0 / total);
-      float* out_row = value.row(i);
-      for (int64_t e = begin; e < end; ++e) {
-        const size_t se = static_cast<size_t>(e);
-        alpha[se] *= inv;
-        const float* neighbor = hv.row(col_idx[se]);
-        simd::Axpy(alpha[se], neighbor, out_row, hv.cols());
-      }
+  const int64_t* row_ptr = pattern->row_offsets().data();
+  for (int i = 0; i < n; ++i) {
+    const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
+    if (begin == end) continue;
+    float max_e = -std::numeric_limits<float>::infinity();
+    for (int64_t e = begin; e < end; ++e) {
+      const size_t se = static_cast<size_t>(e);
+      const float pre = src(i, 0) + dst(col_idx[se], 0);
+      raw[se] = pre;
+      const float activated = pre > 0.0f ? pre : leaky_slope * pre;
+      alpha[se] = activated;
+      max_e = std::max(max_e, activated);
     }
-  });
+    double total = 0.0;
+    for (int64_t e = begin; e < end; ++e) {
+      const size_t se = static_cast<size_t>(e);
+      alpha[se] = std::exp(alpha[se] - max_e);
+      total += alpha[se];
+    }
+    const float inv = static_cast<float>(1.0 / total);
+    float* out_row = value.row(i);
+    for (int64_t e = begin; e < end; ++e) {
+      const size_t se = static_cast<size_t>(e);
+      alpha[se] *= inv;
+      const float* neighbor = hv.row(col_idx[se]);
+      simd::Axpy(alpha[se], neighbor, out_row, hv.cols());
+    }
+  }
   Var out = Emplace(std::move(value), {h, score_src, score_dst});
 
   Tape* tape = this;
@@ -342,36 +341,35 @@ Var Tape::GatAggregate(std::shared_ptr<const CsrMatrix> pattern, Var h,
     const std::vector<int>& col_idx = pattern->col_idx();
     const int n = hv.rows(), d = hv.cols();
     std::vector<float> dalpha(col_idx.size());
-    WithOffsets(pattern->row_offsets(), [&](const auto* row_ptr) {
-      for (int i = 0; i < n; ++i) {
-        const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
-        const float* gi = g.row(i);
-        // d out_i / d h_j = alpha_ij; d out_i / d alpha_ij = h_j. The dot
-        // stays a serial scalar loop: the double-precision dot is an
-        // order-sensitive reduction.
-        double weighted = 0.0;  // sum_k alpha_ik * dalpha_ik (softmax term).
-        for (int64_t e = begin; e < end; ++e) {
-          const size_t se = static_cast<size_t>(e);
-          const int j = col_idx[se];
-          const float* hj = hv.row(j);
-          if (gh != nullptr) simd::Axpy(alpha[se], gi, gh->row(j), d);
-          double dot = 0.0;
-          for (int c = 0; c < d; ++c) {
-            dot += static_cast<double>(gi[c]) * hj[c];
-          }
-          dalpha[se] = static_cast<float>(dot);
-          weighted += alpha[se] * dot;
+    const int64_t* row_ptr = pattern->row_offsets().data();
+    for (int i = 0; i < n; ++i) {
+      const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
+      const float* gi = g.row(i);
+      // d out_i / d h_j = alpha_ij; d out_i / d alpha_ij = h_j. The dot
+      // stays a serial scalar loop: the double-precision dot is an
+      // order-sensitive reduction.
+      double weighted = 0.0;  // sum_k alpha_ik * dalpha_ik (softmax term).
+      for (int64_t e = begin; e < end; ++e) {
+        const size_t se = static_cast<size_t>(e);
+        const int j = col_idx[se];
+        const float* hj = hv.row(j);
+        if (gh != nullptr) simd::Axpy(alpha[se], gi, gh->row(j), d);
+        double dot = 0.0;
+        for (int c = 0; c < d; ++c) {
+          dot += static_cast<double>(gi[c]) * hj[c];
         }
-        for (int64_t e = begin; e < end; ++e) {
-          const size_t se = static_cast<size_t>(e);
-          // Softmax backward, then the LeakyReLU slope.
-          float de = alpha[se] * (dalpha[se] - static_cast<float>(weighted));
-          if (raw[se] <= 0.0f) de *= leaky_slope;
-          if (gs != nullptr) (*gs)(i, 0) += de;
-          if (gd != nullptr) (*gd)(col_idx[se], 0) += de;
-        }
+        dalpha[se] = static_cast<float>(dot);
+        weighted += alpha[se] * dot;
       }
-    });
+      for (int64_t e = begin; e < end; ++e) {
+        const size_t se = static_cast<size_t>(e);
+        // Softmax backward, then the LeakyReLU slope.
+        float de = alpha[se] * (dalpha[se] - static_cast<float>(weighted));
+        if (raw[se] <= 0.0f) de *= leaky_slope;
+        if (gs != nullptr) (*gs)(i, 0) += de;
+        if (gd != nullptr) (*gd)(col_idx[se], 0) += de;
+      }
+    }
   });
   return out;
 }

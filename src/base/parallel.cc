@@ -208,20 +208,13 @@ void ParallelFor(int64_t begin, int64_t end,
   });
 }
 
-namespace {
-
-// Shared by the int and int64_t prefix overloads. All split arithmetic runs
-// in int64_t regardless of the stored prefix width, so a logical prefix
-// yields identical chunk boundaries through either entry point.
-template <typename Offset>
-void ParallelForBalancedImpl(int64_t n, const Offset* cost_prefix,
-                             const std::function<void(int64_t, int64_t)>& fn,
-                             int64_t min_cost_per_chunk) {
+void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
+                         const std::function<void(int64_t, int64_t)>& fn,
+                         int64_t min_cost_per_chunk) {
   SKIPNODE_CHECK(min_cost_per_chunk >= 1);
   if (n <= 0) return;
   SKIPNODE_CHECK(cost_prefix != nullptr);
-  const int64_t total =
-      static_cast<int64_t>(cost_prefix[n]) - cost_prefix[0];
+  const int64_t total = cost_prefix[n] - cost_prefix[0];
   const int threads = ParallelThreadCount();
   int64_t chunks = total / min_cost_per_chunk;
   if (chunks > threads) chunks = threads;
@@ -241,7 +234,7 @@ void ParallelForBalancedImpl(int64_t n, const Offset* cost_prefix,
     const int64_t target = cost_prefix[0] + total * k / chunks;
     bounds[static_cast<size_t>(k)] =
         std::lower_bound(cost_prefix + bounds[static_cast<size_t>(k - 1)],
-                         cost_prefix + n, static_cast<Offset>(target)) -
+                         cost_prefix + n, target) -
         cost_prefix;
   }
   RunPoolChunks(static_cast<int>(chunks), [&](int chunk) {
@@ -251,20 +244,6 @@ void ParallelForBalancedImpl(int64_t n, const Offset* cost_prefix,
     // chunks; they simply do nothing.
     if (lo < hi) fn(lo, hi);
   });
-}
-
-}  // namespace
-
-void ParallelForBalanced(int64_t n, const int* cost_prefix,
-                         const std::function<void(int64_t, int64_t)>& fn,
-                         int64_t min_cost_per_chunk) {
-  ParallelForBalancedImpl(n, cost_prefix, fn, min_cost_per_chunk);
-}
-
-void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
-                         const std::function<void(int64_t, int64_t)>& fn,
-                         int64_t min_cost_per_chunk) {
-  ParallelForBalancedImpl(n, cost_prefix, fn, min_cost_per_chunk);
 }
 
 }  // namespace skipnode

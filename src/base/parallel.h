@@ -58,15 +58,6 @@ void ParallelFor(int64_t begin, int64_t end,
 // array, n, and the thread count — never on timing — so element ownership
 // is deterministic and the DESIGN §7 bitwise contract holds unchanged. fn
 // is never invoked on an empty range; nested calls run inline.
-void ParallelForBalanced(int64_t n, const int* cost_prefix,
-                         const std::function<void(int64_t, int64_t)>& fn,
-                         int64_t min_cost_per_chunk = 1);
-
-// 64-bit-prefix overload for matrices whose offset arrays outgrow int (the
-// CsrMatrix wide-index path). Chunk boundaries for the same logical prefix
-// are identical across the two overloads — the split arithmetic is carried
-// out in int64_t either way — so a matrix produces the same row ownership
-// whether its offsets are stored narrow or wide.
 void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
                          const std::function<void(int64_t, int64_t)>& fn,
                          int64_t min_cost_per_chunk = 1);

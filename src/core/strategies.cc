@@ -9,7 +9,6 @@
 #include "base/check.h"
 #include "base/telemetry.h"
 #include "core/skipnode.h"
-#include "sparse/offset_vec.h"
 #include "tensor/ops.h"
 
 namespace skipnode {
@@ -71,24 +70,23 @@ EvalRowPlan::EvalRowPlan(const CsrMatrix& adjacency,
   // the fixed point. Walking each frontier in row order reads `col_idx`
   // front to back instead of at random rows; the depths do not depend on
   // the order.
+  const int64_t* ptr = adjacency.row_offsets().data();
   const int* col_idx = adjacency.col_idx().data();
   int* first_read = first_read_.data();
   std::vector<int> added;
-  WithOffsets(adjacency.row_offsets(), [&](const auto* ptr) {
-    for (int depth = 0; !frontier.empty(); ++depth) {
-      added.clear();
-      std::sort(frontier.begin(), frontier.end());
-      for (const int r : frontier) {
-        for (auto e = ptr[r]; e < ptr[r + 1]; ++e) {
-          const int c = col_idx[e];
-          if (first_read[c] != kNeverRead) continue;
-          first_read[c] = depth + 1;
-          added.push_back(c);
-        }
+  for (int depth = 0; !frontier.empty(); ++depth) {
+    added.clear();
+    std::sort(frontier.begin(), frontier.end());
+    for (const int r : frontier) {
+      for (int64_t e = ptr[r]; e < ptr[r + 1]; ++e) {
+        const int c = col_idx[e];
+        if (first_read[c] != kNeverRead) continue;
+        first_read[c] = depth + 1;
+        added.push_back(c);
       }
-      frontier.swap(added);
     }
-  });
+    frontier.swap(added);
+  }
 }
 
 std::vector<uint8_t> EvalRowPlan::UnreadRows(int depth) const {

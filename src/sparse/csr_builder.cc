@@ -4,7 +4,6 @@
 #include "sparse/csr_builder.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "base/parallel.h"
@@ -12,8 +11,7 @@
 
 namespace skipnode {
 
-CsrBuilder::CsrBuilder(int rows, int cols, Options options)
-    : rows_(rows), cols_(cols), options_(options) {
+CsrBuilder::CsrBuilder(int rows, int cols) : rows_(rows), cols_(cols) {
   SKIPNODE_CHECK(rows >= 0 && cols >= 0);
   counts_.assign(static_cast<size_t>(rows) + 1, 0);
 }
@@ -21,10 +19,6 @@ CsrBuilder::CsrBuilder(int rows, int cols, Options options)
 void CsrBuilder::FinishCounting() {
   SKIPNODE_CHECK(phase_ == Phase::kCounting);
   phase_ = Phase::kFilling;
-  wide_ = options_.force_wide_offsets ||
-          total_count_ > std::numeric_limits<int>::max();
-  // Raw offsets stay 64-bit internally whatever the final width; they exist
-  // only while the builder is alive.
   raw_offsets_.assign(static_cast<size_t>(rows_) + 1, 0);
   for (int r = 0; r < rows_; ++r) {
     raw_offsets_[static_cast<size_t>(r) + 1] =
@@ -160,45 +154,30 @@ void CsrBuilder::MergeRows(bool with_values) {
       },
       /*min_cost_per_chunk=*/1 << 12);
 
-  // Final offsets in the chosen width, then a row-parallel compaction into
-  // tight arrays (the raw buffers still hold per-row gaps).
-  final_nnz_ = 0;
-  for (int r = 0; r < rows_; ++r) final_nnz_ += counts_[static_cast<size_t>(r)];
-  if (wide_) {
-    std::vector<int64_t> offsets(static_cast<size_t>(rows_) + 1, 0);
-    for (int r = 0; r < rows_; ++r) {
-      offsets[static_cast<size_t>(r) + 1] =
-          offsets[static_cast<size_t>(r)] + counts_[static_cast<size_t>(r)];
-    }
-    offsets_ = OffsetVec::Wide(std::move(offsets));
-  } else {
-    std::vector<int> offsets(static_cast<size_t>(rows_) + 1, 0);
-    for (int r = 0; r < rows_; ++r) {
-      offsets[static_cast<size_t>(r) + 1] =
-          offsets[static_cast<size_t>(r)] +
-          static_cast<int>(counts_[static_cast<size_t>(r)]);
-    }
-    offsets_ = OffsetVec::Narrow(std::move(offsets));
+  // Final offsets, then a row-parallel compaction into tight arrays (the
+  // raw buffers still hold per-row gaps).
+  offsets_.assign(static_cast<size_t>(rows_) + 1, 0);
+  for (int r = 0; r < rows_; ++r) {
+    offsets_[static_cast<size_t>(r) + 1] =
+        offsets_[static_cast<size_t>(r)] + counts_[static_cast<size_t>(r)];
   }
+  final_nnz_ = offsets_.back();
   final_cols_.resize(static_cast<size_t>(final_nnz_));
   if (with_values) final_vals_.resize(static_cast<size_t>(final_nnz_));
-  WithOffsets(offsets_, [&](const auto* offsets) {
-    ParallelForBalanced(
-        rows_, offsets,
-        [&](int64_t row_begin, int64_t row_end) {
-          for (int64_t r = row_begin; r < row_end; ++r) {
-            const int64_t src = raw_offsets_[static_cast<size_t>(r)];
-            const int64_t dst = offsets[r];
-            const int64_t n = counts_[static_cast<size_t>(r)];
-            std::copy_n(cols_buf_.begin() + src, n, final_cols_.begin() + dst);
-            if (with_values) {
-              std::copy_n(vals_buf_.begin() + src, n,
-                          final_vals_.begin() + dst);
-            }
+  ParallelForBalanced(
+      rows_, offsets_.data(),
+      [&](int64_t row_begin, int64_t row_end) {
+        for (int64_t r = row_begin; r < row_end; ++r) {
+          const int64_t src = raw_offsets_[static_cast<size_t>(r)];
+          const int64_t dst = offsets_[static_cast<size_t>(r)];
+          const int64_t n = counts_[static_cast<size_t>(r)];
+          std::copy_n(cols_buf_.begin() + src, n, final_cols_.begin() + dst);
+          if (with_values) {
+            std::copy_n(vals_buf_.begin() + src, n, final_vals_.begin() + dst);
           }
-        },
-        /*min_cost_per_chunk=*/1 << 12);
-  });
+        }
+      },
+      /*min_cost_per_chunk=*/1 << 12);
   cols_buf_.clear();
   cols_buf_.shrink_to_fit();
   vals_buf_.clear();
@@ -240,19 +219,18 @@ CsrMatrix CsrBuilder::BuildWithValues(
   SKIPNODE_CHECK(phase_ == Phase::kPatternFinal);
   final_vals_.resize(static_cast<size_t>(final_nnz_));
   // Weights are a pure per-entry map — safe to fan out over rows.
-  WithOffsets(offsets_, [&](const auto* offsets) {
-    ParallelForBalanced(
-        rows_, offsets,
-        [&](int64_t row_begin, int64_t row_end) {
-          for (int64_t r = row_begin; r < row_end; ++r) {
-            for (int64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
-              final_vals_[static_cast<size_t>(e)] = value_fn(
-                  static_cast<int>(r), final_cols_[static_cast<size_t>(e)]);
-            }
+  ParallelForBalanced(
+      rows_, offsets_.data(),
+      [&](int64_t row_begin, int64_t row_end) {
+        for (int64_t r = row_begin; r < row_end; ++r) {
+          for (int64_t e = offsets_[static_cast<size_t>(r)];
+               e < offsets_[static_cast<size_t>(r) + 1]; ++e) {
+            final_vals_[static_cast<size_t>(e)] = value_fn(
+                static_cast<int>(r), final_cols_[static_cast<size_t>(e)]);
           }
-        },
-        /*min_cost_per_chunk=*/1 << 12);
-  });
+        }
+      },
+      /*min_cost_per_chunk=*/1 << 12);
   return TakeMatrix();
 }
 

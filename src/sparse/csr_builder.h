@@ -6,8 +6,7 @@
 // count per-row degrees, once to fill — and the builder lays the matrix out
 // directly in compact CSR form, so no intermediate COO triplet vector is
 // ever materialised (the retired FromCoo path peaked at ~3x the final
-// footprint at 10M edges). The offset width (32- vs 64-bit) is chosen once
-// when counting finishes and flows through CsrMatrix unchanged.
+// footprint at 10M edges).
 //
 // Two fill modes, chosen by which Add call the second pass uses:
 //   * Value mode  — AddEntry(r, c, v); Build() sorts each row by column and
@@ -37,20 +36,12 @@
 
 #include "base/check.h"
 #include "sparse/csr_matrix.h"
-#include "sparse/offset_vec.h"
 
 namespace skipnode {
 
 class CsrBuilder {
  public:
-  struct Options {
-    // Forces 64-bit offsets regardless of the entry count; tests use this to
-    // pin the wide kernels against the narrow ones on small matrices.
-    bool force_wide_offsets = false;
-  };
-
-  CsrBuilder(int rows, int cols) : CsrBuilder(rows, cols, Options()) {}
-  CsrBuilder(int rows, int cols, Options options);
+  CsrBuilder(int rows, int cols);
 
   // --- Pass 1: counting -----------------------------------------------
   void CountEntry(int row) {
@@ -69,8 +60,8 @@ class CsrBuilder {
   }
   int64_t total_count() const { return total_count_; }
 
-  // Freezes the counts: picks the offset width, prefix-sums the row
-  // pointers, and allocates the fill buffers.
+  // Freezes the counts: prefix-sums the row pointers and allocates the
+  // fill buffers.
   void FinishCounting();
 
   // --- Pass 2: filling ------------------------------------------------
@@ -110,8 +101,6 @@ class CsrBuilder {
   // consumed.
   CsrMatrix BuildWithValues(const std::function<float(int, int)>& value_fn);
 
-  bool wide_offsets() const { return wide_; }
-
  private:
   enum class Phase { kCounting, kFilling, kPatternFinal, kDone };
 
@@ -122,9 +111,7 @@ class CsrBuilder {
 
   int rows_;
   int cols_;
-  Options options_;
   Phase phase_ = Phase::kCounting;
-  bool wide_ = false;
   int64_t total_count_ = 0;
   int64_t added_ = 0;
   bool has_values_ = false;
@@ -142,7 +129,7 @@ class CsrBuilder {
   std::vector<float> vals_buf_;
 
   // Final CSR arrays (populated by MergeRows).
-  OffsetVec offsets_;
+  std::vector<int64_t> offsets_;
   std::vector<int> final_cols_;
   std::vector<float> final_vals_;
   int64_t final_nnz_ = 0;

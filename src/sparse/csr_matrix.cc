@@ -15,53 +15,16 @@
 #include "base/parallel.h"
 #include "base/simd.h"
 #include "base/telemetry.h"
-#include "sparse/csr_builder.h"
 
 namespace skipnode {
 
-CsrMatrix CsrMatrix::Identity(int n) {
-  CsrBuilder builder(n, n);
-  for (int i = 0; i < n; ++i) builder.CountEntry(i);
-  builder.FinishCounting();
-  for (int i = 0; i < n; ++i) builder.AddEntry(i, i, 1.0f);
-  return builder.Build();
-}
-
 int64_t CsrMatrix::MemoryBytes() const {
-  const int64_t offset_bytes =
-      static_cast<int64_t>(row_ptr_.size()) * (row_ptr_.wide() ? 8 : 4);
-  return offset_bytes + static_cast<int64_t>(col_idx_.size()) * sizeof(int) +
+  return static_cast<int64_t>(row_ptr_.size()) * sizeof(int64_t) +
+         static_cast<int64_t>(col_idx_.size()) * sizeof(int) +
          static_cast<int64_t>(values_.size()) * sizeof(float);
 }
 
 namespace {
-
-// Counting sort by column at the given offset width. Walking rows in
-// ascending order fills each transposed row with its source rows ascending —
-// the order the serial scatter accumulated them, which the gather relies
-// on.
-template <typename Offset>
-void BuildPlanArrays(int rows, int cols, const Offset* row_ptr,
-                     const std::vector<int>& col_idx,
-                     std::vector<Offset>* t_ptr, std::vector<int>* t_src,
-                     std::vector<Offset>* t_perm) {
-  t_ptr->assign(static_cast<size_t>(cols) + 1, 0);
-  t_src->resize(col_idx.size());
-  t_perm->resize(col_idx.size());
-  for (const int c : col_idx) (*t_ptr)[static_cast<size_t>(c) + 1] += 1;
-  for (int c = 0; c < cols; ++c) {
-    (*t_ptr)[static_cast<size_t>(c) + 1] += (*t_ptr)[static_cast<size_t>(c)];
-  }
-  std::vector<Offset> cursor(t_ptr->begin(), t_ptr->end() - 1);
-  for (int r = 0; r < rows; ++r) {
-    for (int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-      const Offset pos = cursor[static_cast<size_t>(
-          col_idx[static_cast<size_t>(e)])]++;
-      (*t_src)[static_cast<size_t>(pos)] = r;
-      (*t_perm)[static_cast<size_t>(pos)] = static_cast<Offset>(e);
-    }
-  }
-}
 
 // Which rows a product leaves out (DESIGN §10).
 enum class Skip {
@@ -102,8 +65,8 @@ constexpr int kFloatsPerCacheLine = 16;
 // permutation (`Perm` is std::nullptr_t without one) are template
 // parameters, so an unmasked product tests nothing per entry and a product
 // below kPrefetchMinBytes runs the loop without a prefetch in it.
-template <Skip kSkip, bool kPrefetch, typename Offset, typename Perm>
-void RowGather(const Offset* ptr, const int* src, Perm perm,
+template <Skip kSkip, bool kPrefetch, typename Perm>
+void RowGather(const int64_t* ptr, const int* src, Perm perm,
                const float* values, const uint8_t* skip, const Matrix& dense,
                Matrix& out) {
   const int d = dense.cols();
@@ -111,7 +74,7 @@ void RowGather(const Offset* ptr, const int* src, Perm perm,
       out.rows(), ptr,
       [&](int64_t row_begin, int64_t row_end) {
         // The chunk's last entry: a prefetch never reads `src` past it.
-        const int64_t last_entry = static_cast<int64_t>(ptr[row_end]) - 1;
+        const int64_t last_entry = ptr[row_end] - 1;
         for (int i = static_cast<int>(row_begin); i < row_end; ++i) {
           if constexpr (kSkip == Skip::kOutputRows) {
             if (skip[i]) continue;
@@ -139,42 +102,37 @@ void RowGather(const Offset* ptr, const int* src, Perm perm,
 }
 
 // Binds one product's runtime choices to RowGather's template parameters,
-// once per call and outside every loop: the offset width of `ptr` (which
-// `perm`, when non-null, shares), whether there is a permutation, whether
-// the mask is empty (every row computed) or leaves out `kMasked` rows, and
-// whether `dense` is large enough to prefetch.
+// once per call and outside every loop: whether there is a permutation,
+// whether the mask is empty (every row computed) or leaves out `kMasked`
+// rows, and whether `dense` is large enough to prefetch.
 template <Skip kMasked>
-void Gather(const OffsetVec& ptr, const int* src, const OffsetVec* perm,
+void Gather(const int64_t* ptr, const int* src, const int64_t* perm,
             const float* values, std::span<const uint8_t> skip_rows,
             const Matrix& dense, Matrix& out) {
   const bool prefetch = dense.size() * static_cast<int64_t>(sizeof(float)) >
                         kPrefetchMinBytes;
-  WithOffsets(ptr, [&](const auto* p) {
-    const auto run_with = [&](auto q, auto prefetch_tag) {
-      constexpr bool kPrefetch = decltype(prefetch_tag)::value;
-      if (skip_rows.empty()) {
-        RowGather<Skip::kNone, kPrefetch>(p, src, q, values, nullptr, dense,
-                                          out);
-      } else {
-        RowGather<kMasked, kPrefetch>(p, src, q, values, skip_rows.data(),
-                                      dense, out);
-      }
-    };
-    const auto run = [&](auto q) {
-      if (prefetch) {
-        run_with(q, std::true_type{});
-      } else {
-        run_with(q, std::false_type{});
-      }
-    };
-    if (perm == nullptr) {
-      run(nullptr);
-    } else if constexpr (sizeof(*p) == sizeof(int64_t)) {
-      run(perm->data64());
+  const auto run_with = [&](auto q, auto prefetch_tag) {
+    constexpr bool kPrefetch = decltype(prefetch_tag)::value;
+    if (skip_rows.empty()) {
+      RowGather<Skip::kNone, kPrefetch>(ptr, src, q, values, nullptr, dense,
+                                        out);
     } else {
-      run(perm->data32());
+      RowGather<kMasked, kPrefetch>(ptr, src, q, values, skip_rows.data(),
+                                    dense, out);
     }
-  });
+  };
+  const auto run = [&](auto q) {
+    if (prefetch) {
+      run_with(q, std::true_type{});
+    } else {
+      run_with(q, std::false_type{});
+    }
+  };
+  if (perm == nullptr) {
+    run(nullptr);
+  } else {
+    run(perm);
+  }
 }
 
 // Telemetry only: the number of masked rows, counted in one integer pass
@@ -201,8 +159,9 @@ void CsrMatrix::MultiplyAccumulate(const Matrix& dense, Matrix& out,
   SKIPNODE_CHECK(!masked || std::ssize(skip_rows) == rows_);
   CountSkippedRows(skipnode ? "spmm.rows_skipped" : "spmm.rows_unread",
                    skip_rows);
-  Gather<Skip::kOutputRows>(row_ptr_, col_idx_.data(), /*perm=*/nullptr,
-                            values_.data(), skip_rows, dense, out);
+  Gather<Skip::kOutputRows>(row_ptr_.data(), col_idx_.data(),
+                            /*perm=*/nullptr, values_.data(), skip_rows, dense,
+                            out);
 }
 
 Matrix CsrMatrix::Multiply(const Matrix& dense) const {
@@ -229,20 +188,25 @@ void CsrMatrix::BuildTransposePlan(TransposePlan* plan) const {
     plan->symmetric_alias = true;
     return;
   }
-  // The plan inherits the matrix's offset width: its row_ptr and value_perm
-  // also count stored entries.
-  if (row_ptr_.wide()) {
-    std::vector<int64_t> t_ptr, t_perm;
-    BuildPlanArrays(rows_, cols_, row_ptr_.data64(), col_idx_, &t_ptr,
-                    &plan->src_row, &t_perm);
-    plan->row_ptr = OffsetVec::Wide(std::move(t_ptr));
-    plan->value_perm = OffsetVec::Wide(std::move(t_perm));
-  } else {
-    std::vector<int> t_ptr, t_perm;
-    BuildPlanArrays(rows_, cols_, row_ptr_.data32(), col_idx_, &t_ptr,
-                    &plan->src_row, &t_perm);
-    plan->row_ptr = OffsetVec::Narrow(std::move(t_ptr));
-    plan->value_perm = OffsetVec::Narrow(std::move(t_perm));
+  // Counting sort by column. Walking rows in ascending order fills each
+  // transposed row with its source rows ascending — the order the serial
+  // scatter accumulated them, which the gather relies on.
+  plan->row_ptr.assign(static_cast<size_t>(cols_) + 1, 0);
+  plan->src_row.resize(col_idx_.size());
+  plan->value_perm.resize(col_idx_.size());
+  for (const int c : col_idx_) plan->row_ptr[static_cast<size_t>(c) + 1] += 1;
+  for (int c = 0; c < cols_; ++c) {
+    plan->row_ptr[static_cast<size_t>(c) + 1] +=
+        plan->row_ptr[static_cast<size_t>(c)];
+  }
+  std::vector<int64_t> cursor(plan->row_ptr.begin(), plan->row_ptr.end() - 1);
+  for (int r = 0; r < rows_; ++r) {
+    for (int64_t e = RowBegin(r); e < RowEnd(r); ++e) {
+      const int64_t pos =
+          cursor[static_cast<size_t>(col_idx_[static_cast<size_t>(e)])]++;
+      plan->src_row[static_cast<size_t>(pos)] = r;
+      plan->value_perm[static_cast<size_t>(pos)] = e;
+    }
   }
 }
 
@@ -263,12 +227,13 @@ Matrix CsrMatrix::MultiplyTransposed(const Matrix& dense,
   // transposed view.
   const TransposePlan& plan = transpose_plan();
   if (plan.symmetric_alias) {
-    Gather<Skip::kSourceRows>(row_ptr_, col_idx_.data(), /*perm=*/nullptr,
-                              values_.data(), skip_rows, dense, out);
-  } else {
-    Gather<Skip::kSourceRows>(plan.row_ptr, plan.src_row.data(),
-                              &plan.value_perm, values_.data(), skip_rows,
+    Gather<Skip::kSourceRows>(row_ptr_.data(), col_idx_.data(),
+                              /*perm=*/nullptr, values_.data(), skip_rows,
                               dense, out);
+  } else {
+    Gather<Skip::kSourceRows>(plan.row_ptr.data(), plan.src_row.data(),
+                              plan.value_perm.data(), values_.data(),
+                              skip_rows, dense, out);
   }
   return out;
 }

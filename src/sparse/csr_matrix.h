@@ -4,14 +4,11 @@
 // Compressed-sparse-row matrix used for graph adjacency operators. The GCN
 // forward pass is dominated by SpMM with these matrices.
 //
-// Index-width contract (DESIGN §13): row/column ids are always `int` (node
-// counts are ints everywhere), but the *offset* arrays — row_ptr and the
-// transpose plan's row_ptr/value_perm, which count stored entries — are
-// stored 32-bit while the entry count fits and 64-bit past INT32_MAX
-// entries. The width is fixed at construction by CsrBuilder and is purely a
-// storage choice: every kernel binds the raw offset pointer once per call
-// (WithOffsets) and runs the same loop body, so numeric results are bitwise
-// identical across widths (pinned by csr_builder_test).
+// Index contract (DESIGN §13): row/column ids are `int` (node counts are
+// ints everywhere), while the offset arrays — row_ptr and the transpose
+// plan's row_ptr/value_perm, which count stored entries — are `int64_t`, so
+// a matrix may hold more than INT32_MAX entries (the CLI's size bounds reach
+// ~3.4 B).
 
 #ifndef SKIPNODE_SPARSE_CSR_MATRIX_H_
 #define SKIPNODE_SPARSE_CSR_MATRIX_H_
@@ -23,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "sparse/offset_vec.h"
 #include "tensor/matrix.h"
 
 namespace skipnode {
@@ -58,33 +54,30 @@ class CsrMatrix {
     // empty, and no second index set is materialised. Normalised
     // adjacencies Â = (D+I)^{-1/2}(A+I)(D+I)^{-1/2} always hit this path.
     bool symmetric_alias = false;
-    // cols() + 1 offsets into the arrays below; same width as the matrix.
-    OffsetVec row_ptr;
-    std::vector<int> src_row;  // source row of each transposed entry
-    OffsetVec value_perm;  // index of the entry's weight in values()
+    // cols() + 1 offsets into the arrays below.
+    std::vector<int64_t> row_ptr;
+    // Source row of each transposed entry, and the index of its weight in
+    // values().
+    std::vector<int> src_row;
+    std::vector<int64_t> value_perm;
   };
 
   // Empty 0x0 matrix.
   CsrMatrix()
-      : rows_(0), cols_(0),
-        row_ptr_(OffsetVec::Narrow(std::vector<int>(1, 0))),
+      : rows_(0), cols_(0), row_ptr_(1, 0),
         plan_cache_(std::make_shared<PlanCache>()) {}
-
-  // Identity matrix of size n.
-  static CsrMatrix Identity(int n);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   int64_t nnz() const { return static_cast<int64_t>(col_idx_.size()); }
 
-  // 32 or 64: the stored offset width.
-  int index_width() const { return row_ptr_.wide() ? 64 : 32; }
-
-  const OffsetVec& row_offsets() const { return row_ptr_; }
+  // rows() + 1 offsets: row r's entries are [row_offsets()[r],
+  // row_offsets()[r + 1]).
+  const std::vector<int64_t>& row_offsets() const { return row_ptr_; }
   const std::vector<int>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
 
-  // Entry range of row r (width-erased; not for inner loops).
+  // Entry range of row r.
   int64_t RowBegin(int r) const { return row_ptr_[static_cast<size_t>(r)]; }
   int64_t RowEnd(int r) const { return row_ptr_[static_cast<size_t>(r) + 1]; }
 
@@ -153,7 +146,7 @@ class CsrMatrix {
 
   int rows_;
   int cols_;
-  OffsetVec row_ptr_;
+  std::vector<int64_t> row_ptr_;
   std::vector<int> col_idx_;
   std::vector<float> values_;
   std::shared_ptr<PlanCache> plan_cache_;

@@ -70,8 +70,4 @@ float Matrix::SquaredNorm() const {
 
 float Matrix::Norm() const { return std::sqrt(SquaredNorm()); }
 
-std::string Matrix::ShapeString() const {
-  return "Matrix(" + std::to_string(rows_) + "x" + std::to_string(cols_) + ")";
-}
-
 }  // namespace skipnode

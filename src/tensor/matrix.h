@@ -9,7 +9,6 @@
 #define SKIPNODE_TENSOR_MATRIX_H_
 
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "base/aligned.h"
@@ -113,9 +112,6 @@ class Matrix {
   // Frobenius norm.
   float Norm() const;
   float SquaredNorm() const;
-
-  // Debug-printable summary such as "Matrix(3x4)".
-  std::string ShapeString() const;
 
   // Moves the backing storage out, leaving a 0x0 matrix. Only the workspace
   // pool (tensor/pool.h) should need this.

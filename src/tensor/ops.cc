@@ -461,14 +461,6 @@ bool HasNonFinite(const Matrix& x) {
   return false;
 }
 
-float MaxRowNorm(const Matrix& x) {
-  if (x.rows() == 0) return 0.0f;
-  const Matrix norms = RowNorms(x);
-  float best = 0.0f;
-  for (int i = 0; i < norms.rows(); ++i) best = std::max(best, norms(i, 0));
-  return best;
-}
-
 float MaxSingularValue(const Matrix& w, int iterations, Rng* rng) {
   SKIPNODE_CHECK(w.rows() > 0 && w.cols() > 0);
   Rng local(12345);

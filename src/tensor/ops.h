@@ -134,10 +134,6 @@ std::vector<uint8_t> RowNonFiniteFlags(const Matrix& x);
 // True iff any element of x is NaN or Inf.
 bool HasNonFinite(const Matrix& x);
 
-// Largest row L2 norm (0 for empty matrices) — an overflow tripwire that
-// trips before values actually reach Inf.
-float MaxRowNorm(const Matrix& x);
-
 // --- Spectral helper ---------------------------------------------------------
 
 // Largest singular value of w via power iteration on w^T w.

@@ -255,6 +255,59 @@ TEST(FusedChainTest, GrandPropagationMatchesNaiveBitwise) {
   }
 }
 
+// GPRGNN's propagation (nn/gprgnn.cc) also passes one Var as both inputs,
+// but its hops are trainable and a later combination reads every one of
+// them. When a hop's backward runs, its input already holds the
+// combination's gradient, so the order in which the op adds its two
+// gradients into that one buffer decides the bits. The fused backward must
+// add in the unfused order (passthrough, then Â^T g) at 1 and 4 threads.
+TEST(FusedChainTest, AliasedChainWithLaterConsumersMatchesNaiveBitwise) {
+  const int n = 64, d = 7, steps = 4;
+  Rng graph_rng(42);
+  const auto adjacency = MediumAdjacency(n, graph_rng);
+  Rng data_rng(5);
+  Parameter x_param("x", Matrix::Random(n, d, data_rng, -1.0f, 1.0f));
+  Rng target_rng(11);
+  const Matrix target = Matrix::Random(n, d, target_rng);
+  Rng mask_rng(7);
+  std::vector<std::vector<uint8_t>> masks;
+  for (int k = 0; k < steps; ++k) {
+    masks.push_back(SampleSkipMaskUniform(n, 0.5f, mask_rng));
+  }
+  for (const int threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    Matrix grads[2];
+    for (int fused = 0; fused < 2; ++fused) {
+      Tape tape;
+      Var power = tape.Leaf(x_param);
+      std::vector<Var> hops = {power};
+      for (int k = 0; k < steps; ++k) {
+        power = fused ? tape.SpMMRowSelect(adjacency, power, power, masks[k])
+                      : tape.RowSelect(masks[k], power,
+                                       tape.SpMM(adjacency, power));
+        hops.push_back(power);
+      }
+      // Built after every hop, so its backward runs before theirs.
+      Var combined = hops[0];
+      float gamma = 1.0f;
+      for (int k = 1; k <= steps; ++k) {
+        gamma *= 0.7f;
+        combined = tape.Axpby(combined, hops[static_cast<size_t>(k)], 1.0f,
+                              gamma);
+      }
+      Var loss = tape.MseLoss(combined, tape.Constant(target));
+      x_param.ZeroGrad();
+      tape.Backward(loss);
+      grads[fused] = x_param.grad;
+    }
+    SetParallelThreadCount(0);
+    ASSERT_EQ(std::memcmp(grads[0].data(), grads[1].data(),
+                          sizeof(float) * static_cast<size_t>(grads[0].size())),
+              0)
+        << "threads=" << threads;
+  }
+}
+
 // The cached-weights biased sampler must be draw-for-draw identical to the
 // original int-degrees overload (the caching satellite must not change which
 // nodes are skipped).

@@ -138,7 +138,7 @@ TEST_F(ParallelTest, EnvOverrideIsHonoured) {
 
 TEST_F(ParallelTest, BalancedCoversRangeExactlyOnce) {
   // Uniform cost: behaves like ParallelFor.
-  std::vector<int> prefix(258);
+  std::vector<int64_t> prefix(258);
   for (int i = 0; i < 258; ++i) prefix[i] = i * 3;
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
@@ -157,7 +157,7 @@ TEST_F(ParallelTest, BalancedSplitsSkewedCostEvenly) {
   // One hub element carries ~all the cost (a high-degree CSR row); the
   // equal-cost-share boundary must isolate it rather than splitting the
   // element count in half.
-  std::vector<int> prefix = {0, 1000, 1001, 1002, 1003, 1004};
+  std::vector<int64_t> prefix = {0, 1000, 1001, 1002, 1003, 1004};
   std::mutex mu;
   std::vector<std::pair<int64_t, int64_t>> chunks;
   ParallelForBalanced(5, prefix.data(), [&](int64_t lo, int64_t hi) {
@@ -174,7 +174,7 @@ TEST_F(ParallelTest, BalancedSkipsEmptyChunksFromZeroCostRuns) {
   SetParallelThreadCount(4);
   // All cost sits in the last element; every interior boundary collapses
   // onto it, and fn must only ever see non-empty ranges that tile [0, n).
-  std::vector<int> prefix = {0, 0, 0, 0, 0, 0, 0, 0, 800};
+  std::vector<int64_t> prefix = {0, 0, 0, 0, 0, 0, 0, 0, 800};
   std::mutex mu;
   std::vector<std::pair<int64_t, int64_t>> chunks;
   ParallelForBalanced(8, prefix.data(), [&](int64_t lo, int64_t hi) {
@@ -193,10 +193,9 @@ TEST_F(ParallelTest, BalancedSkipsEmptyChunksFromZeroCostRuns) {
 
 TEST_F(ParallelTest, BalancedEmptyRangeAndMinCostCap) {
   SetParallelThreadCount(8);
-  std::vector<int> prefix = {0, 10, 20, 30, 40};
+  std::vector<int64_t> prefix = {0, 10, 20, 30, 40};
   int calls = 0;
-  ParallelForBalanced(0, static_cast<const int*>(nullptr),
-                      [&](int64_t, int64_t) { ++calls; });
+  ParallelForBalanced(0, nullptr, [&](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   // Total cost 40 at >= 25 per chunk allows at most one chunk.
   std::atomic<int> chunk_calls{0};
@@ -209,7 +208,7 @@ TEST_F(ParallelTest, BalancedEmptyRangeAndMinCostCap) {
 TEST_F(ParallelTest, BalancedBoundariesAreThreadCountDeterministic) {
   // Same prefix and thread count must always produce identical boundaries —
   // the DESIGN §7 contract that partitioning never depends on timing.
-  std::vector<int> prefix(101);
+  std::vector<int64_t> prefix(101);
   prefix[0] = 0;
   for (int i = 1; i <= 100; ++i) prefix[i] = prefix[i - 1] + (i * 7) % 13;
   SetParallelThreadCount(4);
@@ -227,41 +226,11 @@ TEST_F(ParallelTest, BalancedBoundariesAreThreadCountDeterministic) {
   for (int round = 0; round < 20; ++round) EXPECT_EQ(collect(), first);
 }
 
-TEST_F(ParallelTest, BalancedWideOffsetsMatchNarrowBoundariesExactly) {
-  // The int64_t cost-prefix overload (wide CSR offsets, and the sampler's
-  // per-row entry prefixes) must carve the exact same chunk boundaries as
-  // the int overload for equal costs — the two offset widths share one
-  // partitioning contract (DESIGN §13).
-  std::vector<int> narrow(201);
-  std::vector<int64_t> wide(201);
-  narrow[0] = 0;
-  wide[0] = 0;
-  for (int i = 1; i <= 200; ++i) {
-    const int cost = (i * 11) % 17;
-    narrow[i] = narrow[i - 1] + cost;
-    wide[i] = wide[i - 1] + cost;
-  }
-  for (const int threads : {1, 4, 8}) {
-    SetParallelThreadCount(threads);
-    auto collect = [&](auto* prefix) {
-      std::mutex mu;
-      std::vector<std::pair<int64_t, int64_t>> chunks;
-      ParallelForBalanced(200, prefix, [&](int64_t lo, int64_t hi) {
-        std::lock_guard<std::mutex> lock(mu);
-        chunks.emplace_back(lo, hi);
-      });
-      std::sort(chunks.begin(), chunks.end());
-      return chunks;
-    };
-    EXPECT_EQ(collect(narrow.data()), collect(wide.data()))
-        << "threads=" << threads;
-  }
-}
-
 TEST_F(ParallelTest, BalancedWideOffsetsHandleCostsBeyondInt32) {
   SetParallelThreadCount(4);
-  // Per-element costs of ~2^31 overflow an int prefix immediately; the wide
-  // overload must still tile the range exactly once with balanced chunks.
+  // Per-element costs of ~2^31 overflow an int prefix immediately (a CSR
+  // past INT32_MAX entries); the partition must still tile the range exactly
+  // once with balanced chunks.
   constexpr int64_t kBig = int64_t{1} << 31;
   std::vector<int64_t> prefix(9);
   for (int i = 0; i <= 8; ++i) prefix[i] = i * kBig;

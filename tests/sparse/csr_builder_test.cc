@@ -8,9 +8,6 @@
 //     count (the builder's per-row merge fans out).
 //   * Pattern mode collapses duplicates before weights exist, exposes the
 //     final degrees, and assigns fn(r, c) per surviving entry.
-//   * The forced-wide (64-bit offset) build is bitwise identical to the
-//     narrow build through every SpMM kernel and the transpose plan, so the
-//     index width is purely a storage choice.
 
 #include <cstdint>
 #include <utility>
@@ -22,7 +19,6 @@
 #include "base/rng.h"
 #include "sparse/csr_builder.h"
 #include "sparse/csr_matrix.h"
-#include "tensor/ops.h"
 #include "testing/coo_matrix.h"
 
 namespace skipnode {
@@ -59,10 +55,8 @@ Coo RandomCoo(int rows, int cols, uint64_t seed) {
   return coo;
 }
 
-CsrMatrix BuildStreaming(const Coo& coo, bool force_wide) {
-  CsrBuilder::Options options;
-  options.force_wide_offsets = force_wide;
-  CsrBuilder builder(coo.rows, coo.cols, options);
+CsrMatrix BuildStreaming(const Coo& coo) {
+  CsrBuilder builder(coo.rows, coo.cols);
   for (const auto& [r, c] : coo.coords) builder.CountEntry(r);
   builder.FinishCounting();
   for (size_t i = 0; i < coo.coords.size(); ++i) {
@@ -99,7 +93,7 @@ TEST_F(CsrBuilderTest, ValueModeMatchesCooReferenceAtAllThreadCounts) {
       testing::CsrFromCoo(coo.rows, coo.cols, coo.coords, coo.values);
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
-    ExpectIdenticalCsr(reference, BuildStreaming(coo, /*force_wide=*/false));
+    ExpectIdenticalCsr(reference, BuildStreaming(coo));
   }
 }
 
@@ -114,7 +108,7 @@ TEST_F(CsrBuilderTest, DuplicatesSumInPerRowInsertionOrder) {
   coo.values = {0.1f, 0.2f, 5.0f, 0.3f, -1.0f};
   const CsrMatrix reference =
       testing::CsrFromCoo(coo.rows, coo.cols, coo.coords, coo.values);
-  const CsrMatrix streamed = BuildStreaming(coo, /*force_wide=*/false);
+  const CsrMatrix streamed = BuildStreaming(coo);
   ExpectIdenticalCsr(reference, streamed);
   EXPECT_EQ(streamed.values()[0], (0.1f + 0.2f) + 0.3f);  // bitwise
   EXPECT_EQ(streamed.nnz(), 3);
@@ -125,7 +119,7 @@ TEST_F(CsrBuilderTest, RowOwnerFillMatchesSerialFillAtAllThreadCounts) {
   // issued from parallel code with row ownership. Must be bitwise identical
   // to the serial AddEntry path at any thread count.
   const Coo coo = RandomCoo(160, 80, /*seed=*/33);
-  const CsrMatrix reference = BuildStreaming(coo, /*force_wide=*/false);
+  const CsrMatrix reference = BuildStreaming(coo);
   // Group the COO stream by row, preserving per-row insertion order.
   std::vector<std::vector<int>> row_cols(static_cast<size_t>(coo.rows));
   std::vector<std::vector<float>> row_vals(static_cast<size_t>(coo.rows));
@@ -196,82 +190,6 @@ TEST_F(CsrBuilderTest, PatternModeCollapsesDuplicatesBeforeWeights) {
   EXPECT_EQ(m.values()[0], 1.0f);   // fn(0, 1)
   EXPECT_EQ(m.values()[1], 2.0f);   // fn(0, 2)
   EXPECT_EQ(m.values()[2], 20.0f);  // fn(2, 0)
-}
-
-TEST_F(CsrBuilderTest, NarrowWidthIsTheDefaultAndWideIsForced) {
-  const Coo coo = RandomCoo(50, 50, /*seed=*/3);
-  EXPECT_EQ(BuildStreaming(coo, /*force_wide=*/false).index_width(), 32);
-  EXPECT_EQ(BuildStreaming(coo, /*force_wide=*/true).index_width(), 64);
-}
-
-TEST_F(CsrBuilderTest, WideBuildBitwiseMatchesNarrowThroughEveryKernel) {
-  const Coo coo = RandomCoo(180, 77, /*seed=*/42);
-  const CsrMatrix narrow = BuildStreaming(coo, /*force_wide=*/false);
-  const CsrMatrix wide = BuildStreaming(coo, /*force_wide=*/true);
-  ASSERT_EQ(narrow.index_width(), 32);
-  ASSERT_EQ(wide.index_width(), 64);
-  ExpectIdenticalCsr(narrow, wide);
-
-  Rng data_rng(7);
-  const Matrix x = Matrix::Random(narrow.cols(), 6, data_rng);
-  const Matrix g = Matrix::Random(narrow.rows(), 6, data_rng);
-  std::vector<uint8_t> row_mask(narrow.rows(), 0);
-  for (int r = 0; r < narrow.rows(); ++r) row_mask[r] = (r % 3 == 0);
-
-  for (const int threads : {1, 4, 8}) {
-    SetParallelThreadCount(threads);
-    EXPECT_EQ(MaxAbsDiff(narrow.Multiply(x), wide.Multiply(x)), 0.0f)
-        << "threads=" << threads;
-    Matrix acc_narrow(narrow.rows(), 6), acc_wide(narrow.rows(), 6);
-    narrow.MultiplyAccumulate(x, acc_narrow, row_mask);
-    wide.MultiplyAccumulate(x, acc_wide, row_mask);
-    EXPECT_EQ(MaxAbsDiff(acc_narrow, acc_wide), 0.0f)
-        << "masked threads=" << threads;
-    // The transposed gathers exercise the plan's row_ptr/value_perm at both
-    // widths (rectangular-free but asymmetric values: no alias).
-    EXPECT_EQ(
-        MaxAbsDiff(narrow.MultiplyTransposed(g), wide.MultiplyTransposed(g)),
-        0.0f)
-        << "transposed threads=" << threads;
-    EXPECT_EQ(MaxAbsDiff(narrow.MultiplyTransposed(g, row_mask),
-                         wide.MultiplyTransposed(g, row_mask)),
-              0.0f)
-        << "transposed masked threads=" << threads;
-  }
-  EXPECT_EQ(MaxAbsDiff(narrow.RowSums(), wide.RowSums()), 0.0f);
-  EXPECT_EQ(wide.transpose_plan().symmetric_alias,
-            narrow.transpose_plan().symmetric_alias);
-}
-
-TEST_F(CsrBuilderTest, WidePatternModeMatchesNarrow) {
-  CsrBuilder::Options wide_options;
-  wide_options.force_wide_offsets = true;
-  CsrBuilder narrow(40, 40);
-  CsrBuilder wide(40, 40, wide_options);
-  Rng rng(9);
-  std::vector<std::pair<int, int>> entries;
-  for (int i = 0; i < 300; ++i) {
-    entries.push_back({static_cast<int>(rng.UniformInt(40)),
-                       static_cast<int>(rng.UniformInt(40))});
-  }
-  for (const auto& [r, c] : entries) {
-    narrow.CountEntry(r);
-    wide.CountEntry(r);
-  }
-  narrow.FinishCounting();
-  wide.FinishCounting();
-  for (const auto& [r, c] : entries) {
-    narrow.AddPatternEntry(r, c);
-    wide.AddPatternEntry(r, c);
-  }
-  narrow.FinalizePattern();
-  wide.FinalizePattern();
-  ASSERT_EQ(narrow.final_nnz(), wide.final_nnz());
-  const auto weight = [](int r, int c) {
-    return 1.0f / static_cast<float>(1 + r + c);
-  };
-  ExpectIdenticalCsr(narrow.BuildWithValues(weight),
-                     wide.BuildWithValues(weight));
 }
 
 }  // namespace

@@ -86,12 +86,6 @@ TEST(CsrMatrixTest, MultiplyAccumulateAdds) {
             1e-5f);
 }
 
-TEST(CsrMatrixTest, IdentityActsAsIdentity) {
-  Rng rng(4);
-  Matrix x = Matrix::Random(5, 3, rng);
-  EXPECT_LT(MaxAbsDiff(CsrMatrix::Identity(5).Multiply(x), x), 1e-6f);
-}
-
 TEST(CsrMatrixTest, RowSums) {
   Matrix sums = SmallMatrix().RowSums();
   EXPECT_FLOAT_EQ(sums.at(0, 0), 2.0f);

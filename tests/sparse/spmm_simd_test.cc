@@ -3,9 +3,9 @@
 //
 // The four CSR kernels (forward / masked forward / transposed backward /
 // masked transposed backward) must be bitwise identical with the vectorized
-// inner loops on and off (DESIGN §14), at 1/4/8 threads (DESIGN §7), over
-// both offset widths (DESIGN §13), and across odd dense widths that leave a
-// strip tail. This is the cross-product the SIMD rewiring must not move.
+// inner loops on and off (DESIGN §14), at 1/4/8 threads (DESIGN §7), and
+// across odd dense widths that leave a strip tail. This is the
+// cross-product the SIMD rewiring must not move.
 
 #include <cstring>
 #include <utility>
@@ -36,9 +36,8 @@ class StateGuard {
   bool simd_;
 };
 
-// Random rectangular CSR with a couple of heavy rows (skewed nnz) built at
-// the requested offset width.
-CsrMatrix RandomCsr(int rows, int cols, bool wide, Rng& rng) {
+// Random rectangular CSR with a couple of heavy rows (skewed nnz).
+CsrMatrix RandomCsr(int rows, int cols, Rng& rng) {
   std::vector<std::pair<int, int>> coords;
   std::vector<float> values;
   for (int r = 0; r < rows; ++r) {
@@ -48,9 +47,7 @@ CsrMatrix RandomCsr(int rows, int cols, bool wide, Rng& rng) {
       values.push_back(rng.UniformFloat(-1.0f, 1.0f));
     }
   }
-  CsrBuilder::Options options;
-  options.force_wide_offsets = wide;
-  CsrBuilder builder(rows, cols, options);
+  CsrBuilder builder(rows, cols);
   for (const auto& [r, c] : coords) builder.CountEntry(r);
   builder.FinishCounting();
   for (size_t i = 0; i < coords.size(); ++i) {
@@ -76,7 +73,7 @@ void ExpectBitwiseEq(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsWidthAndTails) {
+TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsAndTails) {
   const StateGuard guard;
   const int rows = 97, cols = 61;
   Rng data_rng(3);
@@ -92,39 +89,29 @@ TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsWidthAndTails) {
     Rng mask_rng(5);
     const auto row_mask = RandomMask(rows, mask_rng);
 
-    Matrix narrow_fwd;
-    for (const bool wide : {false, true}) {
-      Rng csr_rng(7);  // Same matrix content at both widths.
-      const CsrMatrix a = RandomCsr(rows, cols, wide, csr_rng);
-      ASSERT_EQ(a.index_width(), wide ? 64 : 32);
+    Rng csr_rng(7);
+    const CsrMatrix a = RandomCsr(rows, cols, csr_rng);
 
-      // Reference: SIMD off, single thread.
-      simd::SetEnabled(false);
-      SetParallelThreadCount(1);
-      const Matrix fwd = a.Multiply(x);
-      Matrix fwd_masked(rows, d);
-      a.MultiplyAccumulate(x, fwd_masked, row_mask);
-      const Matrix bwd = a.MultiplyTransposed(g);
-      const Matrix bwd_masked = a.MultiplyTransposed(g, row_mask);
+    // Reference: SIMD off, single thread.
+    simd::SetEnabled(false);
+    SetParallelThreadCount(1);
+    const Matrix fwd = a.Multiply(x);
+    Matrix fwd_masked(rows, d);
+    a.MultiplyAccumulate(x, fwd_masked, row_mask);
+    const Matrix bwd = a.MultiplyTransposed(g);
+    const Matrix bwd_masked = a.MultiplyTransposed(g, row_mask);
 
-      for (const bool vec : {false, true}) {
-        simd::SetEnabled(vec);
-        for (const int threads : {1, 4, 8}) {
-          SetParallelThreadCount(threads);
-          ExpectBitwiseEq(a.Multiply(x), fwd, "forward");
-          Matrix masked(rows, d);
-          a.MultiplyAccumulate(x, masked, row_mask);
-          ExpectBitwiseEq(masked, fwd_masked, "masked forward");
-          ExpectBitwiseEq(a.MultiplyTransposed(g), bwd, "backward");
-          ExpectBitwiseEq(a.MultiplyTransposed(g, row_mask), bwd_masked,
-                          "masked backward");
-        }
-      }
-      // Narrow and wide must agree too (same content, different offsets).
-      if (!wide) {
-        narrow_fwd = fwd;
-      } else {
-        ExpectBitwiseEq(fwd, narrow_fwd, "narrow-vs-wide forward");
+    for (const bool vec : {false, true}) {
+      simd::SetEnabled(vec);
+      for (const int threads : {1, 4, 8}) {
+        SetParallelThreadCount(threads);
+        ExpectBitwiseEq(a.Multiply(x), fwd, "forward");
+        Matrix masked(rows, d);
+        a.MultiplyAccumulate(x, masked, row_mask);
+        ExpectBitwiseEq(masked, fwd_masked, "masked forward");
+        ExpectBitwiseEq(a.MultiplyTransposed(g), bwd, "backward");
+        ExpectBitwiseEq(a.MultiplyTransposed(g, row_mask), bwd_masked,
+                        "masked backward");
       }
     }
   }

@@ -6,9 +6,13 @@
 // must be bitwise identical to the pre-plan *serial scatter* kernels —
 // reimplemented verbatim below as the reference — at 1, 4, and 8 threads,
 // for asymmetric rectangular matrices (plan materialised) and for symmetric
-// normalised adjacencies (forward-CSR alias fast path).
+// normalised adjacencies (forward-CSR alias fast path). Every Â the library
+// builds must take that alias: a materialised plan would store 12 more bytes
+// per entry.
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,8 @@
 
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "graph/datasets.h"
+#include "graph/graph.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/graph_ops.h"
 #include "tensor/ops.h"
@@ -122,14 +128,58 @@ TEST_F(SpmmTransposedParallelTest, AsymmetricRectangularMatchesSerialScatter) {
   ExpectBitwiseAtAllThreadCounts(a);
 }
 
-TEST_F(SpmmTransposedParallelTest, SymmetricAdjacencyMatchesSerialScatter) {
+// Every Â the library builds, named: NormalizedAdjacency over a random edge
+// list, each classic dataset's lazy Â, two streamed ones, and the per-epoch
+// re-normalised operators of DropEdge and DropNode.
+std::vector<std::pair<std::string, std::shared_ptr<const CsrMatrix>>>
+LibraryAdjacencies() {
+  std::vector<std::pair<std::string, std::shared_ptr<const CsrMatrix>>> out;
   Rng rng(6);
-  const CsrMatrix a = SymmetricAdjacency(150, rng);
-  // Â is exactly symmetric (inv_sqrt[u] * inv_sqrt[v] commutes bitwise), so
-  // the plan must alias the forward CSR instead of materialising an index
-  // set.
-  ASSERT_TRUE(a.transpose_plan().symmetric_alias);
-  ExpectBitwiseAtAllThreadCounts(a);
+  out.emplace_back("NormalizedAdjacency",
+                   std::make_shared<const CsrMatrix>(
+                       SymmetricAdjacency(150, rng)));
+  for (const DatasetSpec& spec : AllDatasetSpecs()) {
+    const double scale = spec.num_nodes > 1000 ? 0.1 : 1.0;
+    out.emplace_back(spec.name, BuildDataset(spec, scale, /*seed=*/3)
+                                    .normalized_adjacency());
+  }
+  // A size override sends a classic spec, and "synth" always, through the
+  // streaming DC-SBM build.
+  for (const char* name : {"cora_like", "synth"}) {
+    DatasetRequest request;
+    request.name = name;
+    request.seed = 4;
+    request.nodes = 3000;
+    out.emplace_back(
+        std::string(name) + "@3000",
+        DatasetRegistry::Global().Build(request).normalized_adjacency());
+  }
+  for (const size_t base : {size_t{1}, out.size() - 1}) {
+    const std::string name = out[base].first;
+    const std::shared_ptr<const CsrMatrix> a_hat = out[base].second;
+    out.emplace_back("DropEdge " + name,
+                     std::make_shared<const CsrMatrix>(
+                         DropEdgeAdjacency(*a_hat, 0.3, rng)));
+    out.emplace_back("DropNode " + name,
+                     std::make_shared<const CsrMatrix>(
+                         DropNodeAdjacency(*a_hat, 0.3, rng)));
+  }
+  return out;
+}
+
+TEST_F(SpmmTransposedParallelTest, SymmetricAdjacencyMatchesSerialScatter) {
+  for (const auto& [name, a] : LibraryAdjacencies()) {
+    SCOPED_TRACE(name);
+    // Â is exactly symmetric (inv_sqrt[u] * inv_sqrt[v] commutes bitwise), so
+    // the plan must alias the forward CSR instead of materialising an index
+    // set.
+    const CsrMatrix::TransposePlan& plan = a->transpose_plan();
+    ASSERT_TRUE(plan.symmetric_alias);
+    EXPECT_TRUE(plan.row_ptr.empty());
+    EXPECT_TRUE(plan.src_row.empty());
+    EXPECT_TRUE(plan.value_perm.empty());
+    ExpectBitwiseAtAllThreadCounts(*a);
+  }
 }
 
 TEST_F(SpmmTransposedParallelTest, SymmetricAliasTransposeEqualsForward) {

@@ -99,11 +99,6 @@ TEST(MatrixTest, SameShape) {
   EXPECT_FALSE(a.SameShape(c));
 }
 
-TEST(MatrixTest, ShapeString) {
-  Matrix m(7, 9);
-  EXPECT_EQ(m.ShapeString(), "Matrix(7x9)");
-}
-
 TEST(MatrixTest, CopyIsDeep) {
   Matrix a(1, 1, {1.0f});
   Matrix b = a;

@@ -407,15 +407,6 @@ TEST(OpsTest, NonFiniteScansFlagNanAndInfPerRow) {
             (std::vector<uint8_t>{0, 1, 0, 1, 0}));
 }
 
-TEST(OpsTest, MaxRowNormPicksTheLargestRow) {
-  Matrix x(3, 2);
-  x(1, 0) = 3.0f;
-  x(1, 1) = 4.0f;  // Row norm 5.
-  x(2, 0) = 1.0f;
-  EXPECT_FLOAT_EQ(MaxRowNorm(x), 5.0f);
-  EXPECT_FLOAT_EQ(MaxRowNorm(Matrix()), 0.0f);
-}
-
 TEST(OpsTest, HealthScansAreBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(22);
   Matrix x = Matrix::Random(700, 40, rng, -5.0f, 5.0f);
@@ -423,15 +414,11 @@ TEST(OpsTest, HealthScansAreBitwiseIdenticalAcrossThreadCounts) {
   x(600, 0) = std::numeric_limits<float>::infinity();
   SetParallelThreadCount(1);
   const std::vector<uint8_t> flags1 = RowNonFiniteFlags(x);
-  const float norm1 = MaxRowNorm(x);
   SetParallelThreadCount(4);
   const std::vector<uint8_t> flags4 = RowNonFiniteFlags(x);
-  const float norm4 = MaxRowNorm(x);
   SetParallelThreadCount(0);
   EXPECT_EQ(flags1, flags4);
   EXPECT_EQ(std::count(flags1.begin(), flags1.end(), 1), 2);
-  // NaN != NaN, so compare the bit patterns.
-  EXPECT_EQ(std::memcmp(&norm1, &norm4, sizeof(norm1)), 0);
 }
 
 TEST(OpsTest, MaxSingularValueOfDiagonal) {
