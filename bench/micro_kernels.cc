@@ -11,15 +11,17 @@
 // sweep times the prefetched row gather against the loop without it, a Gemm
 // row sweep times the register-tiled Gemm against the per-entry Axpy loop it
 // replaced, a SIMD sweep times the vectorized microkernels against their
-// scalar references, and a CDF-lookup cell times the DC-SBM generator's
-// propensity search; each records one JSONL cell per configuration when
-// SKIPNODE_BENCH_JSON is set.
+// scalar references, a CDF-lookup cell times the DC-SBM generator's
+// propensity search, and a pool fan-out cell times what one ParallelFor
+// fan-out costs in process CPU; each records one JSONL cell per
+// configuration when SKIPNODE_BENCH_JSON is set.
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <functional>
 #include <string>
 #include <utility>
@@ -43,8 +45,10 @@ namespace skipnode {
 namespace {
 
 // Pins the pool width for one benchmark run and restores the default after.
-// UseRealTime() matters on every threaded benchmark: CPU time sums the
-// workers and would hide any parallel speedup.
+// Every threaded benchmark reports both clocks: UseRealTime() makes the
+// iteration count and the rate follow wall time, where a parallel speedup
+// shows, and MeasureProcessCPUTime() makes the CPU column sum every thread
+// of the process, where the pool's fan-out cost shows.
 class ThreadCountGuard {
  public:
   explicit ThreadCountGuard(int count) { SetParallelThreadCount(count); }
@@ -153,8 +157,9 @@ BENCHMARK(BM_NormalizedAdjacency);
 
 // --- Thread-pool sweeps ------------------------------------------------------
 // The same kernels at a forced pool width of 1 / 2 / 4; the ratio of the
-// real-time numbers is the parallel speedup on the current machine (flat on
-// a single-core host — see EXPERIMENTS.md).
+// real-time numbers is the parallel speedup on the current machine, and the
+// CPU column (process CPU, all threads) what the fan-out costs for it — see
+// EXPERIMENTS.md.
 
 void BM_GemmThreads(benchmark::State& state) {
   const ThreadCountGuard guard(static_cast<int>(state.range(0)));
@@ -168,7 +173,8 @@ void BM_GemmThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * int64_t{1024} * 256 * 256);
 }
-BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_GemmTransposeAThreads(benchmark::State& state) {
   // The backward-pass shape: dW = X^T * dY.
@@ -183,7 +189,8 @@ void BM_GemmTransposeAThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * int64_t{4096} * 128 * 128);
 }
-BENCHMARK(BM_GemmTransposeAThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_GemmTransposeAThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_SpMMThreads(benchmark::State& state) {
   const ThreadCountGuard guard(static_cast<int>(state.range(0)));
@@ -198,7 +205,8 @@ void BM_SpMMThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * a_hat->nnz() * 64);
 }
-BENCHMARK(BM_SpMMThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_SpMMThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_SpMMTransposedThreads(benchmark::State& state) {
   // The backward-pass shape dX += Â^T * g, now a row-parallel gather over
@@ -216,7 +224,8 @@ void BM_SpMMTransposedThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * a_hat->nnz() * 64);
 }
-BENCHMARK(BM_SpMMTransposedThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_SpMMTransposedThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 // --- Fused SkipNode propagation sweep ---------------------------------------
 // Forward cost of one middle-layer SkipNode propagation, naive vs fused
@@ -447,7 +456,7 @@ void ReferenceGather(const CsrMatrix& a, const Matrix& dense, Matrix& out) {
           }
         }
       },
-      SpmmChunkCost(d));
+      /*work_per_cost=*/d + 1);
 }
 
 void GatherCell(const char* graph_name, const Graph& graph, int samples,
@@ -794,6 +803,124 @@ void CdfLookupSweep() {
   SetParallelThreadCount(0);
 }
 
+// --- Pool fan-out cost -------------------------------------------------------
+// What one fan-out costs (DESIGN §7). The job is an element-wise Axpy over
+// `work` floats, so `work` work units, one per element, run through
+// ParallelFor at widths 1 and 4. Each call declares at least 4 ×
+// kMinWorkPerChunk of work, so width 4 always fans out into four chunks
+// whatever the real work, and width 1 runs it inline. The two widths
+// alternate rep block by rep block inside every sample, with telemetry off;
+// cell "pool_fanout" (params work, threads) records, per width, the process
+// CPU (metric cpu_ns_per_op) and the wall time (ns_per_op) per call of the
+// sample with the median width-4 / width-1 CPU ratio. Width 4's CPU minus
+// width 1's is what a fan-out costs at that size; EXPERIMENTS.md ("The
+// pool's fan-out cost") derives kMinWorkPerChunk from that curve. These
+// timings are recorded, not gated. Cell "pool_fanout_dispatch" (metric
+// dispatches, param work_over_grain) is the deterministic part, which
+// validate_bench_jsonl.py gates: at width 4, declared work one unit below
+// the grain dispatches no job, and work at twice the grain dispatches one.
+
+int64_t ProcessCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return int64_t{ts.tv_sec} * 1000000000 + ts.tv_nsec;
+}
+
+void PoolFanoutSweep() {
+  constexpr int kWidths[2] = {1, 4};
+  const int samples = bench::Pick(5, 15);
+  std::printf("\nPool fan-out: Axpy over `work` floats, widths 1 vs 4, "
+              "median of %d samples (per call)\n"
+              "  %9s %12s %12s %12s %12s %12s\n",
+              samples, "work", "cpu@1 ns", "cpu@4 ns", "wall@1 ns",
+              "wall@4 ns", "cpu@4-cpu@1");
+  for (int64_t work = int64_t{1} << 12; work <= int64_t{1} << 21;
+       work *= 2) {
+    Rng rng(31);
+    const Matrix x = Matrix::Random(1, static_cast<int>(work), rng);
+    Matrix y(1, static_cast<int>(work));
+    const int64_t declared =
+        std::max<int64_t>(1, 4 * kMinWorkPerChunk / work);
+    const int reps = static_cast<int>(std::max<int64_t>(
+        2, bench::Pick(int64_t{1} << 20, int64_t{1} << 22) / work));
+    const auto run = [&] {
+      ParallelFor(
+          0, work,
+          [&](int64_t lo, int64_t hi) {
+            simd::Axpy(1e-3f, x.data() + lo, y.data() + lo, hi - lo);
+          },
+          declared);
+    };
+    // samples x width -> {cpu, wall} per call.
+    std::vector<std::array<std::array<int64_t, 2>, 2>> timings;
+    const bool telemetry = TelemetryEnabled();
+    SetTelemetryEnabled(false);
+    for (int s = 0; s < samples; ++s) {
+      std::array<std::array<int64_t, 2>, 2> sample{};
+      for (int w = 0; w < 2; ++w) {
+        SetParallelThreadCount(kWidths[w]);
+        run();  // wakes the workers once before the timed block
+        const int64_t cpu0 = ProcessCpuNanos();
+        const int64_t wall0 = MonotonicNanos();
+        for (int r = 0; r < reps; ++r) run();
+        sample[w] = {(ProcessCpuNanos() - cpu0) / reps,
+                     (MonotonicNanos() - wall0) / reps};
+      }
+      timings.push_back(sample);
+    }
+    SetTelemetryEnabled(telemetry);
+    std::sort(timings.begin(), timings.end(),
+              [](const auto& a, const auto& b) {
+                return static_cast<double>(a[1][0]) / std::max<int64_t>(
+                                                          1, a[0][0]) <
+                       static_cast<double>(b[1][0]) / std::max<int64_t>(
+                                                          1, b[0][0]);
+              });
+    const auto& median = timings[timings.size() / 2];
+    for (int w = 0; w < 2; ++w) {
+      SetParallelThreadCount(kWidths[w]);
+      bench::CellRecorder cell("pool_fanout");
+      cell.Param("work", work).Param("reps", reps).Param("samples", samples);
+      cell.Record("cpu_ns_per_op", static_cast<double>(median[w][0]));
+      cell.Record("ns_per_op", static_cast<double>(median[w][1]));
+    }
+    std::printf("  %9lld %12lld %12lld %12lld %12lld %12lld\n",
+                static_cast<long long>(work),
+                static_cast<long long>(median[0][0]),
+                static_cast<long long>(median[1][0]),
+                static_cast<long long>(median[0][1]),
+                static_cast<long long>(median[1][1]),
+                static_cast<long long>(median[1][0] - median[0][0]));
+  }
+
+  // The deterministic part: what the pool does with declared work around
+  // the grain, at width 4.
+  SetParallelThreadCount(4);
+  const bool telemetry = TelemetryEnabled();
+  SetTelemetryEnabled(true);
+  for (const char* where : {"below", "2x"}) {
+    const bool below = std::strcmp(where, "below") == 0;
+    bench::CellRecorder cell("pool_fanout_dispatch");
+    cell.Param("work_over_grain", where)
+        .Param("grain", kMinWorkPerChunk);
+    ResetTelemetry();
+    // Two elements, each half the declared total.
+    ParallelFor(
+        0, 2, [](int64_t, int64_t) {},
+        below ? (kMinWorkPerChunk - 1) / 2 : kMinWorkPerChunk);
+    const TelemetrySnapshot snapshot = SnapshotTelemetry();
+    const MetricStat* task = snapshot.Find("parallel.task");
+    const int64_t dispatches = task == nullptr ? 0 : task->count;
+    cell.Record("dispatches", static_cast<double>(dispatches));
+    std::printf("  declared work %s the grain (%lld): %lld dispatch(es)\n",
+                below ? "below" : "at 2x", static_cast<long long>(
+                                                kMinWorkPerChunk),
+                static_cast<long long>(dispatches));
+  }
+  SetTelemetryEnabled(telemetry);
+  SetParallelThreadCount(0);
+}
+
 }  // namespace
 }  // namespace skipnode
 
@@ -830,6 +957,7 @@ int main(int argc, char** argv) {
   skipnode::GemmRowSweep();
   skipnode::SimdSweep();
   skipnode::CdfLookupSweep();
+  skipnode::PoolFanoutSweep();
   if (skipnode::TelemetryEnabled()) {
     std::printf("telemetry: %s\n",
                 skipnode::SnapshotTelemetry().ToJson().c_str());

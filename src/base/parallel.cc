@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -50,10 +51,14 @@ class ThreadPool {
     return pool;
   }
 
-  // Runs fn(chunk) for every chunk in [0, num_chunks). The calling thread
-  // participates; at most num_chunks - 1 workers are woken.
-  void Run(int num_chunks, const std::function<void(int)>& fn) {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
+  // Runs fn(chunk) for every chunk in [0, num_chunks) and returns true; the
+  // calling thread participates and at most num_chunks - 1 workers are
+  // woken. Returns false without running anything when another top-level
+  // caller holds the pool: that caller's job may be long (a Freeze), and a
+  // short job (a serving batch) is better run inline than queued behind it.
+  bool TryRun(int num_chunks, const std::function<void(int)>& fn) {
+    std::unique_lock<std::mutex> run_lock(run_mu_, std::try_to_lock);
+    if (!run_lock.owns_lock()) return false;
     EnsureWorkers(num_chunks - 1);
     uint64_t id;
     {
@@ -69,6 +74,7 @@ class ThreadPool {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return pending_ == 0; });
     job_ = nullptr;
+    return true;
   }
 
  private:
@@ -127,7 +133,7 @@ class ThreadPool {
     }
   }
 
-  std::mutex run_mu_;  // Serializes top-level Run calls.
+  std::mutex run_mu_;  // Held by the one top-level caller running a job.
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
@@ -140,28 +146,45 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Dispatches `chunks` chunk jobs through the pool. Under telemetry each
-// chunk is timed (disjoint slots, so no write races) and the per-task shard
-// imbalance — the gap between the slowest and fastest chunk, i.e. wall-clock
-// the other threads spent idle at the barrier — is reported. All of it is
-// off the numeric path: run_chunk is invoked identically either way.
-void RunPoolChunks(int chunks, const std::function<void(int)>& run_chunk) {
+// Dispatches `chunks` chunk jobs through the pool; false when the pool is
+// busy with another caller's job and nothing ran. Under telemetry each
+// dispatched job is counted as one `parallel.task`, each chunk is timed
+// (disjoint slots, so no write races) and the per-task shard imbalance — the
+// gap between the slowest and fastest chunk, i.e. wall-clock the other
+// threads spent idle at the barrier — is reported. All of it is off the
+// numeric path: run_chunk is invoked identically either way.
+bool RunPoolChunks(int chunks, const std::function<void(int)>& run_chunk) {
   if (!TelemetryEnabled()) {
-    ThreadPool::Instance().Run(chunks, run_chunk);
-    return;
+    return ThreadPool::Instance().TryRun(chunks, run_chunk);
   }
   std::vector<int64_t> chunk_ns(static_cast<size_t>(chunks), 0);
   const int64_t task_start = MonotonicNanos();
-  ThreadPool::Instance().Run(chunks, [&](int chunk) {
+  const bool ran = ThreadPool::Instance().TryRun(chunks, [&](int chunk) {
     const int64_t start = MonotonicNanos();
     run_chunk(chunk);
     chunk_ns[chunk] = MonotonicNanos() - start;
   });
+  if (!ran) return false;
   const int64_t task_ns = MonotonicNanos() - task_start;
   const auto [min_it, max_it] =
       std::minmax_element(chunk_ns.begin(), chunk_ns.end());
   RecordTiming("parallel.task", task_ns, /*items=*/chunks);
   RecordTiming("parallel.imbalance", *max_it - *min_it, /*items=*/chunks);
+  return true;
+}
+
+// The chunk count for `units` units of `work_per_unit` work each: min(threads,
+// units, total work / kMinWorkPerChunk), with the product saturating rather
+// than overflowing. A result <= 1 means the range runs inline.
+int64_t ChunkCount(int64_t units, int64_t work_per_unit) {
+  SKIPNODE_CHECK(work_per_unit >= 0);
+  const int64_t threads = ParallelThreadCount();
+  if (units <= 1 || work_per_unit == 0 || threads <= 1) return 1;
+  const int64_t by_work =
+      units > std::numeric_limits<int64_t>::max() / work_per_unit
+          ? std::numeric_limits<int64_t>::max()
+          : units * work_per_unit / kMinWorkPerChunk;
+  return std::max<int64_t>(1, std::min({threads, units, by_work}));
 }
 
 }  // namespace
@@ -186,39 +209,32 @@ void SetParallelThreadCount(int count) {
 
 void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t, int64_t)>& fn,
-                 int64_t min_per_thread) {
-  SKIPNODE_CHECK(min_per_thread >= 1);
+                 int64_t work_per_element) {
   if (begin >= end) return;
   const int64_t n = end - begin;
-  const int threads = ParallelThreadCount();
-  int64_t chunks = n / min_per_thread;
-  if (chunks > threads) chunks = threads;
-  if (chunks <= 1 || in_parallel_region) {
-    fn(begin, end);
-    return;
-  }
+  const int64_t chunks = ChunkCount(n, work_per_element);
   // Balanced static partition: the first n % chunks chunks get one extra
   // element. Boundaries depend only on (n, chunks).
   const int64_t base = n / chunks;
   const int64_t extra = n % chunks;
-  RunPoolChunks(static_cast<int>(chunks), [&](int chunk) {
-    const int64_t lo = begin + chunk * base + std::min<int64_t>(chunk, extra);
-    const int64_t hi = lo + base + (chunk < extra ? 1 : 0);
-    fn(lo, hi);
-  });
+  const bool ran =
+      chunks > 1 && !in_parallel_region &&
+      RunPoolChunks(static_cast<int>(chunks), [&](int chunk) {
+        const int64_t lo =
+            begin + chunk * base + std::min<int64_t>(chunk, extra);
+        const int64_t hi = lo + base + (chunk < extra ? 1 : 0);
+        fn(lo, hi);
+      });
+  if (!ran) fn(begin, end);
 }
 
 void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
                          const std::function<void(int64_t, int64_t)>& fn,
-                         int64_t min_cost_per_chunk) {
-  SKIPNODE_CHECK(min_cost_per_chunk >= 1);
+                         int64_t work_per_cost) {
   if (n <= 0) return;
   SKIPNODE_CHECK(cost_prefix != nullptr);
   const int64_t total = cost_prefix[n] - cost_prefix[0];
-  const int threads = ParallelThreadCount();
-  int64_t chunks = total / min_cost_per_chunk;
-  if (chunks > threads) chunks = threads;
-  if (chunks > n) chunks = n;
+  const int64_t chunks = std::min(n, ChunkCount(total, work_per_cost));
   if (chunks <= 1 || in_parallel_region) {
     fn(0, n);
     return;
@@ -237,13 +253,14 @@ void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
                          cost_prefix + n, target) -
         cost_prefix;
   }
-  RunPoolChunks(static_cast<int>(chunks), [&](int chunk) {
+  const bool ran = RunPoolChunks(static_cast<int>(chunks), [&](int chunk) {
     const int64_t lo = bounds[static_cast<size_t>(chunk)];
     const int64_t hi = bounds[static_cast<size_t>(chunk) + 1];
     // A pathologically heavy element can starve its neighbours into empty
     // chunks; they simply do nothing.
     if (lo < hi) fn(lo, hi);
   });
+  if (!ran) fn(0, n);
 }
 
 }  // namespace skipnode

@@ -23,7 +23,6 @@
 #ifndef SKIPNODE_BASE_PARALLEL_H_
 #define SKIPNODE_BASE_PARALLEL_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -37,15 +36,28 @@ int ParallelThreadCount();
 // concurrent ParallelFor calls; intended for tests and benchmarks.
 void SetParallelThreadCount(int count);
 
+// Work, in units of about one inner-loop float op, that one chunk must
+// carry before the pool fans out. Waking a worker and meeting it at the
+// barrier costs process CPU whatever the chunk holds; micro_kernels'
+// `pool_fanout` cell times that cost against declared work at widths 1 and
+// 4, and EXPERIMENTS.md ("one measured grain behind every parallel kernel")
+// derives this value from its curve. It is the one grain behind every
+// parallel kernel: callers state what an element costs, never a chunk size.
+inline constexpr int64_t kMinWorkPerChunk = int64_t{1} << 18;
+
 // Invokes fn(chunk_begin, chunk_end) over a static partition of
-// [begin, end) into contiguous chunks, one chunk per thread at most.
-// `min_per_thread` caps the fan-out for small ranges: no chunk is smaller
-// than it (except the last). Chunk boundaries depend only on the range and
-// the thread count, never on timing. Nested calls (from inside a chunk)
-// run inline on the calling thread, so kernels may compose freely.
+// [begin, end) into contiguous chunks, one chunk per thread at most. Every
+// element costs `work_per_element` work units (2·k·n for a Gemm row, one
+// for an element-wise map); the pool splits into min(threads, n, total work
+// / kMinWorkPerChunk) chunks, so a range whose work would not pay for a
+// wake-up runs inline on the caller. Chunk boundaries depend only on the
+// range, the declared work and the thread count, never on timing. Calls
+// made from inside a chunk, and top-level calls that find the pool busy
+// with another caller's job, run their whole range inline on the calling
+// thread, so kernels may compose freely and never wait on each other.
 void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t, int64_t)>& fn,
-                 int64_t min_per_thread = 1);
+                 int64_t work_per_element);
 
 // Like ParallelFor over [0, n), but chunk boundaries balance a
 // caller-supplied cost instead of the element count: `cost_prefix` is a
@@ -53,23 +65,16 @@ void ParallelFor(int64_t begin, int64_t end,
 // verbatim), and element i costs cost_prefix[i + 1] - cost_prefix[i]. Each
 // chunk receives approximately total_cost / chunks cost, so one heavy
 // element (a hub row) no longer serialises its whole equal-count chunk.
-// `min_cost_per_chunk` caps the fan-out for small problems the way
-// min_per_thread does for ParallelFor. Boundaries depend only on the prefix
-// array, n, and the thread count — never on timing — so element ownership
-// is deterministic and the DESIGN §7 bitwise contract holds unchanged. fn
-// is never invoked on an empty range; nested calls run inline.
+// One unit of cost is `work_per_cost` work units (d + 1 for a CSR entry of
+// an SpMM over d columns), and the chunk count follows the same rule as
+// ParallelFor's. Boundaries depend only on the prefix array, n, the
+// declared work and the thread count — never on timing — so element
+// ownership is deterministic and the DESIGN §7 bitwise contract holds
+// unchanged. fn is never invoked on an empty range; nested and busy-pool
+// calls run inline.
 void ParallelForBalanced(int64_t n, const int64_t* cost_prefix,
                          const std::function<void(int64_t, int64_t)>& fn,
-                         int64_t min_cost_per_chunk = 1);
-
-// Grain for SpMM-shaped kernels partitioned with ParallelForBalanced over a
-// CSR row_ptr: every stored entry costs `cols` inner-loop float ops, and a
-// chunk should amortise roughly 2^14 of them so pool dispatch never
-// dominates skinny matrices. The grain of the CsrMatrix row gather behind
-// every SpMM product.
-inline int64_t SpmmChunkCost(int64_t cols) {
-  return std::max<int64_t>(1, (int64_t{1} << 14) / (cols + 1));
-}
+                         int64_t work_per_cost);
 
 }  // namespace skipnode
 

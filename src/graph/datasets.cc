@@ -221,7 +221,7 @@ Graph BuildStreamingDataset(const DatasetSpec& spec,
           inv_sqrt[i] = 1.0f / std::sqrt(static_cast<float>(degrees[i] + 1));
         }
       },
-      /*min_per_thread=*/1 << 13);
+      /*work_per_element=*/1);
   CsrMatrix a_hat = builder.BuildWithValues(
       [&](int r, int c) { return inv_sqrt[r] * inv_sqrt[c]; });
 

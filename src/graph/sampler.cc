@@ -15,6 +15,10 @@
 namespace skipnode {
 namespace {
 
+// Work units per entry of a block row's fill: its share of the replayed
+// draw and of the row's renormalisation sums, and a local-id lookup.
+constexpr int64_t kFillWorkPerEntry = 32;
+
 // Statistically independent Rng seed for one (batch, layer, node) stream:
 // distinct multipliers per coordinate, then the splitmix64 finalizer so
 // adjacent node ids land far apart in seed space.
@@ -251,7 +255,7 @@ SampledBatch NeighborSampler::SampleBlocks(
                                   static_cast<int>(row_cols.size()));
           }
         },
-        /*min_cost_per_chunk=*/256);
+        /*work_per_cost=*/kFillWorkPerEntry);
 
     SampledLayer& out = batch.layers[static_cast<size_t>(layer)];
     out.block = std::make_shared<const CsrMatrix>(builder.Build());

@@ -10,6 +10,16 @@
 #include "base/telemetry.h"
 
 namespace skipnode {
+namespace {
+
+// Work units per raw entry of the per-row merge: its share of the sort's
+// comparisons and swaps, plus the staging copies.
+constexpr int64_t kMergeWorkPerEntry = 32;
+
+// Work units per entry of BuildWithValues: one call of the value function.
+constexpr int64_t kValueWorkPerEntry = 8;
+
+}  // namespace
 
 CsrBuilder::CsrBuilder(int rows, int cols) : rows_(rows), cols_(cols) {
   SKIPNODE_CHECK(rows >= 0 && cols >= 0);
@@ -152,7 +162,7 @@ void CsrBuilder::MergeRows(bool with_values) {
           counts_[static_cast<size_t>(r)] = unique;
         }
       },
-      /*min_cost_per_chunk=*/1 << 12);
+      /*work_per_cost=*/kMergeWorkPerEntry);
 
   // Final offsets, then a row-parallel compaction into tight arrays (the
   // raw buffers still hold per-row gaps).
@@ -177,7 +187,7 @@ void CsrBuilder::MergeRows(bool with_values) {
           }
         }
       },
-      /*min_cost_per_chunk=*/1 << 12);
+      /*work_per_cost=*/1);
   cols_buf_.clear();
   cols_buf_.shrink_to_fit();
   vals_buf_.clear();
@@ -230,7 +240,7 @@ CsrMatrix CsrBuilder::BuildWithValues(
           }
         }
       },
-      /*min_cost_per_chunk=*/1 << 12);
+      /*work_per_cost=*/kValueWorkPerEntry);
   return TakeMatrix();
 }
 

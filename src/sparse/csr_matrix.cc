@@ -98,7 +98,8 @@ void RowGather(const int64_t* ptr, const int* src, Perm perm,
           }
         }
       },
-      SpmmChunkCost(d));
+      // An entry is a d-column Axpy plus its index and weight loads.
+      /*work_per_cost=*/d + 1);
 }
 
 // Binds one product's runtime choices to RowGather's template parameters,

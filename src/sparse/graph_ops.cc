@@ -54,7 +54,7 @@ CsrMatrix NormalizeImpl(int num_nodes, const EdgeStream& for_each_edge,
           }
         }
       },
-      /*min_per_thread=*/1 << 13);
+      /*work_per_element=*/1);
 
   for (int i = 0; i < num_nodes; ++i) {
     if (node_kept(i)) builder.CountEntry(i);

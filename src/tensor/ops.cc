@@ -13,17 +13,6 @@
 namespace skipnode {
 namespace {
 
-// Minimum amount of arithmetic a chunk should carry before fanning out to
-// the pool; below this the wake-up latency dominates the kernel.
-constexpr int64_t kMinFlopsPerChunk = 1 << 15;
-
-// Rows each thread must own at minimum for a row-partitioned kernel whose
-// per-row cost is `flops_per_row`.
-int64_t MinRowsPerThread(int64_t flops_per_row) {
-  return std::max<int64_t>(1, kMinFlopsPerChunk / std::max<int64_t>(
-                                                      1, flops_per_row));
-}
-
 // Rows of A that Gemm's Aᵀ·B path gathers per pass. It bounds the scratch
 // at 128 floats per output row of the chunk whatever A's height, and the
 // matching rows of B (16 KB at 32 columns) stay in L1 while every output
@@ -52,8 +41,8 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
                            : options.transpose_b ? "tensor.gemm_tb"
                                                  : "tensor.gemm";
   const ScopedTimer timer(timer_name, /*items=*/m);
-  const int64_t min_rows =
-      MinRowsPerThread(2 * static_cast<int64_t>(k) * n);
+  // Work per output row: k multiply-adds into each of n columns.
+  const int64_t row_work = 2 * static_cast<int64_t>(k) * n;
   const bool accumulate = options.accumulate;
 
   if (!options.transpose_a && !options.transpose_b) {
@@ -67,7 +56,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
                           out.row(i));
           }
         },
-        min_rows);
+        row_work);
   } else if (options.transpose_a) {
     // Output row p is column p of A. Each chunk gathers its own columns of
     // A into rows, kGemmTaGatherRows rows of A at a time, and runs the row
@@ -104,7 +93,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
             i0 += len;
           } while (i0 < k);
         },
-        min_rows);
+        row_work);
   } else {
     // A * B^T: per output a dot product accumulated in double in ascending
     // k — the serial kernel's exact order — computed kLanes outputs at a time
@@ -122,19 +111,20 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& out,
                             oi);
           }
         },
-        min_rows);
+        row_work);
   }
 }
 
 namespace {
 
 // Element-parallel map over the flat buffers: every element is computed
-// independently, so chunking cannot perturb results.
+// independently, so chunking cannot perturb results. One work unit per
+// element.
 template <typename Fn>
 void ParallelElements(int64_t size, const Fn& fn) {
   ParallelFor(
       0, size, [&](int64_t lo, int64_t hi) { fn(lo, hi); },
-      /*min_per_thread=*/kMinFlopsPerChunk);
+      /*work_per_element=*/1);
 }
 
 }  // namespace
@@ -225,7 +215,7 @@ void AddRowVectorInto(const Matrix& x, const Matrix& v, Matrix& out) {
           simd::Add(x.row(r), vd, out.row(r), x.cols());
         }
       },
-      /*min_per_thread=*/kMinFlopsPerChunk);
+      /*work_per_element=*/x.cols());
 }
 
 Matrix Relu(const Matrix& x) {
@@ -297,7 +287,7 @@ Matrix GatherRows(const Matrix& x, const std::vector<int>& rows) {
                     out.row(static_cast<int>(i)));
         }
       },
-      MinRowsPerThread(x.cols()));
+      /*work_per_element=*/x.cols());
   return out;
 }
 
@@ -330,7 +320,7 @@ void CopyRowsWhere(const Matrix& src, const std::vector<uint8_t>& mask,
           std::copy(src.row(r), src.row(r) + src.cols(), out.row(r));
         }
       },
-      MinRowsPerThread(src.cols()));
+      /*work_per_element=*/src.cols());
 }
 
 void AddRowsWhere(const Matrix& src, const std::vector<uint8_t>& mask,
@@ -348,7 +338,7 @@ void AddRowsWhere(const Matrix& src, const std::vector<uint8_t>& mask,
           simd::Accumulate(sr, or_, src.cols());
         }
       },
-      MinRowsPerThread(src.cols()));
+      /*work_per_element=*/src.cols());
 }
 
 // Serial: a cross-row reduction — splitting rows across threads would
@@ -377,7 +367,7 @@ Matrix SubtractRowVector(const Matrix& x, const Matrix& v) {
           simd::Subtract(vd, oi, out.cols());
         }
       },
-      MinRowsPerThread(out.cols()));
+      /*work_per_element=*/out.cols());
   return out;
 }
 
@@ -396,7 +386,7 @@ Matrix RowNorms(const Matrix& x) {
           out(i, 0) = static_cast<float>(std::sqrt(total));
         }
       },
-      MinRowsPerThread(2 * x.cols()));
+      /*work_per_element=*/2 * x.cols());
   return out;
 }
 
@@ -416,7 +406,7 @@ Matrix RowDots(const Matrix& a, const Matrix& b) {
           out(i, 0) = static_cast<float>(total);
         }
       },
-      MinRowsPerThread(2 * a.cols()));
+      /*work_per_element=*/2 * a.cols());
   return out;
 }
 
@@ -446,7 +436,7 @@ std::vector<uint8_t> RowNonFiniteFlags(const Matrix& x) {
           flags[i] = bad;
         }
       },
-      MinRowsPerThread(x.cols()));
+      /*work_per_element=*/x.cols());
   return flags;
 }
 

@@ -16,9 +16,9 @@ constexpr float kBeta1 = 0.9f;
 constexpr float kBeta2 = 0.999f;
 constexpr float kEpsilon = 1e-8f;
 
-// Parameter matrices are a few thousand elements; only fan out when the
-// per-thread slice carries enough work to hide the pool wake-up.
-constexpr int64_t kMinUpdateElementsPerThread = 1 << 13;
+// Work units per parameter element of one Adam update: two moment
+// recurrences, the bias corrections, a square root and a divide.
+constexpr int64_t kAdamWorkPerElement = 16;
 
 }  // namespace
 
@@ -67,7 +67,7 @@ void Adam::Step(const std::vector<Parameter*>& parameters) {
           simd::AdamStep(value + lo, grad + lo, m + lo, v + lo, hi - lo,
                          constants);
         },
-        kMinUpdateElementsPerThread);
+        kAdamWorkPerElement);
   }
 }
 

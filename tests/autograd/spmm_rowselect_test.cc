@@ -26,6 +26,7 @@
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "testing/coo_matrix.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -99,7 +100,14 @@ struct BitwiseCase {
 
 class FusedBitwiseTest : public ::testing::TestWithParam<BitwiseCase> {};
 
-// A mid-sized random graph so several ParallelFor shards are in play.
+// Shape of the bitwise cases below: enough rows and columns that an SpMM
+// over MediumAdjacency exceeds the pool's grain several times.
+constexpr int kBitwiseRows = 16384;
+constexpr int kBitwiseCols = 32;
+
+// A random graph with ~5 entries per row. At the sizes below
+// (kBitwiseRows rows, kBitwiseCols columns) one SpMM carries several grains
+// of work, so the 4-thread runs fan out (each asserts it did).
 std::shared_ptr<const CsrMatrix> MediumAdjacency(int n, Rng& rng) {
   std::vector<std::pair<int, int>> coords;
   std::vector<float> values;
@@ -142,7 +150,7 @@ std::vector<int> Degrees(int n, Rng& rng) {
 
 TEST_P(FusedBitwiseTest, FusedMatchesNaiveBitwise) {
   const BitwiseCase& c = GetParam();
-  const int n = 64, d = 7;
+  const int n = kBitwiseRows, d = kBitwiseCols;
   const int rows = c.dst_rows > 0 ? c.dst_rows : n;
   Rng graph_rng(42);
   auto adjacency = MediumAdjacency(n, graph_rng);
@@ -173,23 +181,28 @@ TEST_P(FusedBitwiseTest, FusedMatchesNaiveBitwise) {
       const Matrix target = Matrix::Random(rows, d, target_rng);
 
       Matrix values[2], x_grads[2], pre_grads[2];
-      for (int fused = 0; fused < 2; ++fused) {
-        Tape tape;
-        Var x = tape.Leaf(x_param);
-        Var pre = tape.Leaf(pre_param);
-        Var out = fused
-                      ? tape.SpMMRowSelect(adjacency, x, pre, mask)
-                      : tape.RowSelect(mask, pre, tape.SpMM(adjacency, x));
-        values[fused] = out.value();
-        Var loss = tape.MseLoss(out, tape.Constant(target));
-        x_param.ZeroGrad();
-        pre_param.ZeroGrad();
-        tape.Backward(loss);
-        x_grads[fused] = x_param.grad;
-        pre_grads[fused] = pre_param.grad;
-      }
+      const int64_t dispatches = testing::PoolDispatches([&] {
+        for (int fused = 0; fused < 2; ++fused) {
+          Tape tape;
+          Var x = tape.Leaf(x_param);
+          Var pre = tape.Leaf(pre_param);
+          Var out = fused
+                        ? tape.SpMMRowSelect(adjacency, x, pre, mask)
+                        : tape.RowSelect(mask, pre, tape.SpMM(adjacency, x));
+          values[fused] = out.value();
+          Var loss = tape.MseLoss(out, tape.Constant(target));
+          x_param.ZeroGrad();
+          pre_param.ZeroGrad();
+          tape.Backward(loss);
+          x_grads[fused] = x_param.grad;
+          pre_grads[fused] = pre_param.grad;
+        }
+      });
       SetParallelThreadCount(0);
       SetMatrixPoolEnabled(true);
+      if (threads == 4) {
+        EXPECT_GT(dispatches, 0) << c.name << " pooled=" << pooled;
+      }
 
       // Bitwise: exact zero difference, not approximately zero.
       EXPECT_EQ(MaxAbsDiff(values[0], values[1]), 0.0f)
@@ -210,8 +223,10 @@ INSTANTIATE_TEST_SUITE_P(
                       BitwiseCase{"BiasedRho0", 0.0f, true},
                       BitwiseCase{"BiasedRho05", 0.5f, true},
                       BitwiseCase{"BiasedRho1", 1.0f, true},
-                      BitwiseCase{"BlockUniformRho05", 0.5f, false, 40},
-                      BitwiseCase{"BlockBiasedRho05", 0.5f, true, 40}),
+                      BitwiseCase{"BlockUniformRho05", 0.5f, false,
+                                  kBitwiseRows * 5 / 8},
+                      BitwiseCase{"BlockBiasedRho05", 0.5f, true,
+                                  kBitwiseRows * 5 / 8}),
     [](const ::testing::TestParamInfo<BitwiseCase>& info) {
       return info.param.name;
     });
@@ -222,7 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The fused chain must match the unfused SpMM + RowSelect chain bit for bit
 // at 1 and 4 threads, consuming the same masks.
 TEST(FusedChainTest, GrandPropagationMatchesNaiveBitwise) {
-  const int n = 64, d = 7, steps = 4;
+  const int n = kBitwiseRows, d = kBitwiseCols, steps = 4;
   Rng graph_rng(42);
   const auto adjacency = MediumAdjacency(n, graph_rng);
   Rng data_rng(5);
@@ -235,19 +250,25 @@ TEST(FusedChainTest, GrandPropagationMatchesNaiveBitwise) {
   for (const int threads : {1, 4}) {
     SetParallelThreadCount(threads);
     Matrix sums[2];
-    for (int fused = 0; fused < 2; ++fused) {
-      Tape tape;
-      Var power = tape.Constant(x);
-      Var sum = power;
-      for (int k = 0; k < steps; ++k) {
-        power = fused ? tape.SpMMRowSelect(adjacency, power, power, masks[k])
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      for (int fused = 0; fused < 2; ++fused) {
+        Tape tape;
+        Var power = tape.Constant(x);
+        Var sum = power;
+        for (int k = 0; k < steps; ++k) {
+          power = fused
+                      ? tape.SpMMRowSelect(adjacency, power, power, masks[k])
                       : tape.RowSelect(masks[k], power,
                                        tape.SpMM(adjacency, power));
-        sum = tape.Add(sum, power);
+          sum = tape.Add(sum, power);
+        }
+        sums[fused] = sum.value();
       }
-      sums[fused] = sum.value();
-    }
+    });
     SetParallelThreadCount(0);
+    if (threads == 4) {
+      EXPECT_GT(dispatches, 0);
+    }
     ASSERT_EQ(std::memcmp(sums[0].data(), sums[1].data(),
                           sizeof(float) * static_cast<size_t>(sums[0].size())),
               0)
@@ -262,7 +283,7 @@ TEST(FusedChainTest, GrandPropagationMatchesNaiveBitwise) {
 // gradients into that one buffer decides the bits. The fused backward must
 // add in the unfused order (passthrough, then Â^T g) at 1 and 4 threads.
 TEST(FusedChainTest, AliasedChainWithLaterConsumersMatchesNaiveBitwise) {
-  const int n = 64, d = 7, steps = 4;
+  const int n = kBitwiseRows, d = kBitwiseCols, steps = 4;
   Rng graph_rng(42);
   const auto adjacency = MediumAdjacency(n, graph_rng);
   Rng data_rng(5);
@@ -277,30 +298,36 @@ TEST(FusedChainTest, AliasedChainWithLaterConsumersMatchesNaiveBitwise) {
   for (const int threads : {1, 4}) {
     SetParallelThreadCount(threads);
     Matrix grads[2];
-    for (int fused = 0; fused < 2; ++fused) {
-      Tape tape;
-      Var power = tape.Leaf(x_param);
-      std::vector<Var> hops = {power};
-      for (int k = 0; k < steps; ++k) {
-        power = fused ? tape.SpMMRowSelect(adjacency, power, power, masks[k])
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      for (int fused = 0; fused < 2; ++fused) {
+        Tape tape;
+        Var power = tape.Leaf(x_param);
+        std::vector<Var> hops = {power};
+        for (int k = 0; k < steps; ++k) {
+          power = fused
+                      ? tape.SpMMRowSelect(adjacency, power, power, masks[k])
                       : tape.RowSelect(masks[k], power,
                                        tape.SpMM(adjacency, power));
-        hops.push_back(power);
+          hops.push_back(power);
+        }
+        // Built after every hop, so its backward runs before theirs.
+        Var combined = hops[0];
+        float gamma = 1.0f;
+        for (int k = 1; k <= steps; ++k) {
+          gamma *= 0.7f;
+          combined = tape.Axpby(combined, hops[static_cast<size_t>(k)], 1.0f,
+                                gamma);
+        }
+        Var loss = tape.MseLoss(combined, tape.Constant(target));
+        x_param.ZeroGrad();
+        tape.Backward(loss);
+        grads[fused] = x_param.grad;
       }
-      // Built after every hop, so its backward runs before theirs.
-      Var combined = hops[0];
-      float gamma = 1.0f;
-      for (int k = 1; k <= steps; ++k) {
-        gamma *= 0.7f;
-        combined = tape.Axpby(combined, hops[static_cast<size_t>(k)], 1.0f,
-                              gamma);
-      }
-      Var loss = tape.MseLoss(combined, tape.Constant(target));
-      x_param.ZeroGrad();
-      tape.Backward(loss);
-      grads[fused] = x_param.grad;
-    }
+    });
     SetParallelThreadCount(0);
+    if (threads == 4) {
+      EXPECT_GT(dispatches, 0);
+    }
     ASSERT_EQ(std::memcmp(grads[0].data(), grads[1].data(),
                           sizeof(float) * static_cast<size_t>(grads[0].size())),
               0)

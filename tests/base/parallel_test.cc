@@ -7,11 +7,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
+
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -27,22 +33,29 @@ TEST_F(ParallelTest, CoversRangeExactlyOnce) {
   SetParallelThreadCount(4);
   std::vector<std::atomic<int>> hits(257);
   for (auto& h : hits) h = 0;
-  ParallelFor(0, 257, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
+  ParallelFor(
+      0, 257,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      },
+      kMinWorkPerChunk);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST_F(ParallelTest, EmptyAndSingleElementRanges) {
   SetParallelThreadCount(4);
   int calls = 0;
-  ParallelFor(5, 5, [&](int64_t, int64_t) { ++calls; });
+  ParallelFor(
+      5, 5, [&](int64_t, int64_t) { ++calls; }, kMinWorkPerChunk);
   EXPECT_EQ(calls, 0);
-  ParallelFor(7, 8, [&](int64_t lo, int64_t hi) {
-    EXPECT_EQ(lo, 7);
-    EXPECT_EQ(hi, 8);
-    ++calls;
-  });
+  ParallelFor(
+      7, 8,
+      [&](int64_t lo, int64_t hi) {
+        EXPECT_EQ(lo, 7);
+        EXPECT_EQ(hi, 8);
+        ++calls;
+      },
+      kMinWorkPerChunk);
   EXPECT_EQ(calls, 1);
 }
 
@@ -50,12 +63,14 @@ TEST_F(ParallelTest, ChunksAreContiguousAndDisjoint) {
   SetParallelThreadCount(4);
   std::mutex mu;
   std::vector<std::pair<int64_t, int64_t>> chunks;
-  ParallelFor(10, 110, [&](int64_t lo, int64_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(lo, hi);
-  });
-  ASSERT_FALSE(chunks.empty());
-  EXPECT_LE(chunks.size(), 4u);
+  ParallelFor(
+      10, 110,
+      [&](int64_t lo, int64_t hi) {
+        std::lock_guard<std::mutex> lock(mu);
+        chunks.emplace_back(lo, hi);
+      },
+      kMinWorkPerChunk);
+  ASSERT_EQ(chunks.size(), 4u);
   std::sort(chunks.begin(), chunks.end());
   EXPECT_EQ(chunks.front().first, 10);
   EXPECT_EQ(chunks.back().second, 110);
@@ -64,14 +79,47 @@ TEST_F(ParallelTest, ChunksAreContiguousAndDisjoint) {
   }
 }
 
-TEST_F(ParallelTest, MinPerThreadCapsFanOut) {
+TEST_F(ParallelTest, WorkBelowTheGrainRunsInline) {
   SetParallelThreadCount(8);
+  // 100 elements whose total work falls one unit short of the grain: one
+  // inline call, no dispatch.
   std::atomic<int> calls{0};
-  // 100 elements at >= 60 per chunk allows at most one chunk.
-  ParallelFor(
-      0, 100, [&](int64_t, int64_t) { calls.fetch_add(1); },
-      /*min_per_thread=*/60);
+  const int64_t dispatches = testing::PoolDispatches([&] {
+    ParallelFor(
+        0, 100, [&](int64_t, int64_t) { calls.fetch_add(1); },
+        (kMinWorkPerChunk - 1) / 100);
+  });
   EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(dispatches, 0);
+}
+
+TEST_F(ParallelTest, ChunksFollowTheDeclaredWork) {
+  SetParallelThreadCount(8);
+  // chunks = min(threads, n, total work / kMinWorkPerChunk).
+  const auto chunk_count = [](int64_t n, int64_t work_per_element) {
+    std::atomic<int> calls{0};
+    ParallelFor(
+        0, n, [&](int64_t, int64_t) { calls.fetch_add(1); },
+        work_per_element);
+    return calls.load();
+  };
+  EXPECT_EQ(chunk_count(100, 2 * kMinWorkPerChunk / 100 + 1), 2);
+  EXPECT_EQ(chunk_count(100, 3 * kMinWorkPerChunk / 100 + 1), 3);
+  EXPECT_EQ(chunk_count(100, kMinWorkPerChunk), 8);      // the thread cap
+  EXPECT_EQ(chunk_count(5, kMinWorkPerChunk), 5);        // the element cap
+  EXPECT_EQ(chunk_count(1 << 20, 0), 1);                 // no work
+  EXPECT_EQ(chunk_count(3, int64_t{1} << 62), 3);        // saturates
+  SetParallelThreadCount(1);
+  EXPECT_EQ(chunk_count(100, kMinWorkPerChunk), 1);
+}
+
+TEST_F(ParallelTest, WorkAtTwiceTheGrainDispatches) {
+  SetParallelThreadCount(4);
+  const int64_t dispatches = testing::PoolDispatches([] {
+    ParallelFor(
+        0, 2, [](int64_t, int64_t) {}, kMinWorkPerChunk);
+  });
+  EXPECT_EQ(dispatches, 1);
 }
 
 TEST_F(ParallelTest, PoolIsReusedAcrossManyCalls) {
@@ -80,11 +128,14 @@ TEST_F(ParallelTest, PoolIsReusedAcrossManyCalls) {
   // finish, and park cleanly every time.
   for (int round = 0; round < 300; ++round) {
     std::atomic<int64_t> sum{0};
-    ParallelFor(0, 64, [&](int64_t lo, int64_t hi) {
-      int64_t local = 0;
-      for (int64_t i = lo; i < hi; ++i) local += i;
-      sum.fetch_add(local);
-    });
+    ParallelFor(
+        0, 64,
+        [&](int64_t lo, int64_t hi) {
+          int64_t local = 0;
+          for (int64_t i = lo; i < hi; ++i) local += i;
+          sum.fetch_add(local);
+        },
+        kMinWorkPerChunk);
     EXPECT_EQ(sum.load(), 64 * 63 / 2);
   }
 }
@@ -93,18 +144,82 @@ TEST_F(ParallelTest, NestedCallsRunInlineWithoutDeadlock) {
   SetParallelThreadCount(4);
   std::vector<std::atomic<int>> hits(64);
   for (auto& h : hits) h = 0;
-  ParallelFor(0, 8, [&](int64_t lo, int64_t hi) {
-    for (int64_t block = lo; block < hi; ++block) {
-      const std::thread::id outer = std::this_thread::get_id();
-      ParallelFor(block * 8, (block + 1) * 8, [&](int64_t ilo, int64_t ihi) {
-        // The nested region must not hop threads: it runs inline on the
-        // worker that owns the outer chunk.
-        EXPECT_EQ(std::this_thread::get_id(), outer);
-        for (int64_t i = ilo; i < ihi; ++i) hits[i].fetch_add(1);
-      });
-    }
-  });
+  ParallelFor(
+      0, 8,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t block = lo; block < hi; ++block) {
+          const std::thread::id outer = std::this_thread::get_id();
+          ParallelFor(
+              block * 8, (block + 1) * 8,
+              [&](int64_t ilo, int64_t ihi) {
+                // The nested region must not hop threads: it runs inline on
+                // the worker that owns the outer chunk.
+                EXPECT_EQ(std::this_thread::get_id(), outer);
+                for (int64_t i = ilo; i < ihi; ++i) hits[i].fetch_add(1);
+              },
+              kMinWorkPerChunk);
+        }
+      },
+      kMinWorkPerChunk);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST_F(ParallelTest, TopLevelCallerFindingThePoolBusyRunsInline) {
+  SetParallelThreadCount(4);
+  // Caller B's job is a row-owned map, so a serial run is its reference.
+  constexpr int64_t kN = 1 << 12;
+  const auto fill = [](std::vector<float>& out) {
+    return [&out](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        out[i] = std::sqrt(static_cast<float>(i)) * 0.37f;
+      }
+    };
+  };
+  std::vector<float> serial(kN), inline_run(kN);
+  fill(serial)(0, kN);
+
+  // Caller A's chunks hold the pool until B, another top-level caller on
+  // its own thread, has finished. B must not wait for A: it runs its whole
+  // range inline on its thread, once.
+  std::promise<void> b_done;
+  const std::shared_future<void> b_finished = b_done.get_future().share();
+  std::once_flag start_b;
+  std::thread b;
+  std::atomic<int> b_calls{0};
+  std::atomic<bool> b_off_thread{false};
+  std::atomic<int> a_timeouts{0};
+  ParallelFor(
+      0, 4,
+      [&](int64_t, int64_t) {
+        std::call_once(start_b, [&] {
+          b = std::thread([&] {
+            const std::thread::id self = std::this_thread::get_id();
+            const auto body = fill(inline_run);
+            ParallelFor(
+                0, kN,
+                [&](int64_t lo, int64_t hi) {
+                  b_calls.fetch_add(1);
+                  if (std::this_thread::get_id() != self) {
+                    b_off_thread = true;
+                  }
+                  body(lo, hi);
+                },
+                kMinWorkPerChunk);
+            b_done.set_value();
+          });
+        });
+        if (b_finished.wait_for(std::chrono::seconds(5)) !=
+            std::future_status::ready) {
+          a_timeouts.fetch_add(1);
+        }
+      },
+      kMinWorkPerChunk);
+  b.join();
+  EXPECT_EQ(a_timeouts.load(), 0) << "B waited for A's job to end";
+  EXPECT_EQ(b_calls.load(), 1);
+  EXPECT_FALSE(b_off_thread.load());
+  EXPECT_EQ(0, std::memcmp(serial.data(), inline_run.data(),
+                           kN * sizeof(float)));
 }
 
 TEST_F(ParallelTest, SetParallelThreadCountForcesAndRestores) {
@@ -147,7 +262,7 @@ TEST_F(ParallelTest, BalancedCoversRangeExactlyOnce) {
     ParallelForBalanced(257, prefix.data(), [&](int64_t lo, int64_t hi) {
       EXPECT_LT(lo, hi);  // fn is never invoked on an empty range.
       for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-    });
+    }, kMinWorkPerChunk);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "threads=" << threads;
   }
 }
@@ -163,7 +278,7 @@ TEST_F(ParallelTest, BalancedSplitsSkewedCostEvenly) {
   ParallelForBalanced(5, prefix.data(), [&](int64_t lo, int64_t hi) {
     std::lock_guard<std::mutex> lock(mu);
     chunks.emplace_back(lo, hi);
-  });
+  }, kMinWorkPerChunk);
   std::sort(chunks.begin(), chunks.end());
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_EQ(chunks[0], (std::pair<int64_t, int64_t>{0, 1}));  // The hub alone.
@@ -181,7 +296,7 @@ TEST_F(ParallelTest, BalancedSkipsEmptyChunksFromZeroCostRuns) {
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_LT(lo, hi);
     chunks.emplace_back(lo, hi);
-  });
+  }, kMinWorkPerChunk);
   std::sort(chunks.begin(), chunks.end());
   ASSERT_FALSE(chunks.empty());
   EXPECT_EQ(chunks.front().first, 0);
@@ -195,13 +310,16 @@ TEST_F(ParallelTest, BalancedEmptyRangeAndMinCostCap) {
   SetParallelThreadCount(8);
   std::vector<int64_t> prefix = {0, 10, 20, 30, 40};
   int calls = 0;
-  ParallelForBalanced(0, nullptr, [&](int64_t, int64_t) { ++calls; });
+  ParallelForBalanced(
+      0, nullptr, [&](int64_t, int64_t) { ++calls; }, kMinWorkPerChunk);
   EXPECT_EQ(calls, 0);
   // Total cost 40 at >= 25 per chunk allows at most one chunk.
   std::atomic<int> chunk_calls{0};
+  // Total cost 40 at kMinWorkPerChunk / 25 work each is 1.6 grains: one
+  // chunk.
   ParallelForBalanced(
       4, prefix.data(), [&](int64_t, int64_t) { chunk_calls.fetch_add(1); },
-      /*min_cost_per_chunk=*/25);
+      kMinWorkPerChunk / 25);
   EXPECT_EQ(chunk_calls.load(), 1);
 }
 
@@ -218,7 +336,7 @@ TEST_F(ParallelTest, BalancedBoundariesAreThreadCountDeterministic) {
     ParallelForBalanced(100, prefix.data(), [&](int64_t lo, int64_t hi) {
       std::lock_guard<std::mutex> lock(mu);
       chunks.emplace_back(lo, hi);
-    });
+    }, kMinWorkPerChunk);
     std::sort(chunks.begin(), chunks.end());
     return chunks;
   };
@@ -240,7 +358,7 @@ TEST_F(ParallelTest, BalancedWideOffsetsHandleCostsBeyondInt32) {
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_LT(lo, hi);
     chunks.emplace_back(lo, hi);
-  });
+  }, kMinWorkPerChunk);
   std::sort(chunks.begin(), chunks.end());
   ASSERT_EQ(chunks.size(), 4u);  // Uniform huge costs: one chunk per thread.
   EXPECT_EQ(chunks.front().first, 0);
@@ -255,12 +373,15 @@ TEST_F(ParallelTest, ManyThreadsOnFewElementsNeverYieldsEmptyChunks) {
   std::mutex mu;
   std::set<int64_t> seen;
   int chunk_count = 0;
-  ParallelFor(0, 3, [&](int64_t lo, int64_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++chunk_count;
-    EXPECT_LT(lo, hi);
-    for (int64_t i = lo; i < hi; ++i) EXPECT_TRUE(seen.insert(i).second);
-  });
+  ParallelFor(
+      0, 3,
+      [&](int64_t lo, int64_t hi) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++chunk_count;
+        EXPECT_LT(lo, hi);
+        for (int64_t i = lo; i < hi; ++i) EXPECT_TRUE(seen.insert(i).second);
+      },
+      kMinWorkPerChunk);
   EXPECT_EQ(seen.size(), 3u);
   EXPECT_LE(chunk_count, 3);
 }

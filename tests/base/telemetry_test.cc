@@ -116,11 +116,13 @@ TEST_F(TelemetryTest, MultiThreadAggregationIsComplete) {
         [](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) CountMetric("test.parallel");
         },
-        /*min_per_thread=*/16);
+        kMinWorkPerChunk);
     const TelemetrySnapshot snapshot = SnapshotTelemetry();
     const MetricStat* stat = snapshot.Find("test.parallel");
     ASSERT_NE(stat, nullptr) << "threads=" << threads;
     EXPECT_EQ(stat->count, kElements) << "threads=" << threads;
+    // The 4-thread pass really ran on the pool's workers.
+    EXPECT_EQ(snapshot.Find("parallel.task") != nullptr, threads == 4);
   }
   SetParallelThreadCount(0);
 }
@@ -134,7 +136,7 @@ TEST_F(TelemetryTest, ParallelForReportsTaskAndImbalance) {
       [&](int64_t lo, int64_t hi) {
         sink.fetch_add(hi - lo, std::memory_order_relaxed);
       },
-      /*min_per_thread=*/1);
+      kMinWorkPerChunk);
   const TelemetrySnapshot snapshot = SnapshotTelemetry();
   ASSERT_NE(snapshot.Find("parallel.task"), nullptr);
   ASSERT_NE(snapshot.Find("parallel.imbalance"), nullptr);

@@ -15,6 +15,7 @@
 #include "sparse/csr_matrix.h"
 #include "sparse/graph_ops.h"
 #include "testing/coo_matrix.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -129,23 +130,30 @@ void ExpectIdenticalCsr(const CsrMatrix& a, const CsrMatrix& b) {
 // Each Graph builds A_hat from its generator's edge list on first use; the
 // reference is built from the edges its pattern walk reports, which must be
 // the same simple edges (same count, same degrees).
+// The specs above 3000 nodes build at full size, so their CSR merges exceed
+// the pool's grain: the 4-thread pass must have fanned out somewhere.
 TEST(DatasetsTest, StreamingNormalizationBitwiseMatchesCooOnEveryDataset) {
+  int64_t dispatches_at_4 = 0;
   for (const DatasetSpec& spec : AllDatasetSpecs()) {
-    const double scale = spec.num_nodes > 3000 ? 0.15 : 0.3;
+    const double scale = spec.num_nodes > 3000 ? 1.0 : 0.3;
     for (const int threads : {1, 4, 8}) {
       SetParallelThreadCount(threads);
       Graph graph = BuildDataset(spec, scale, /*seed=*/3);
       const int n = graph.num_nodes();
-      const CsrMatrix& lazy = *graph.normalized_adjacency();
-      const EdgeList edges = UndirectedEdges(lazy);
+      const CsrMatrix* lazy = nullptr;
+      const int64_t dispatches = testing::PoolDispatches(
+          [&] { lazy = graph.normalized_adjacency().get(); });
+      if (threads == 4) dispatches_at_4 += dispatches;
+      const EdgeList edges = UndirectedEdges(*lazy);
       ASSERT_EQ(static_cast<int>(edges.size()), graph.num_edges());
       ASSERT_EQ(Degrees(n, edges), graph.degrees());
       const CsrMatrix reference = testing::CooReferenceNormalized(n, edges);
-      ExpectIdenticalCsr(reference, lazy);
+      ExpectIdenticalCsr(reference, *lazy);
       ExpectIdenticalCsr(reference, NormalizedAdjacency(n, edges));
     }
     SetParallelThreadCount(0);
   }
+  EXPECT_GT(dispatches_at_4, 0);
 }
 
 TEST(DatasetsTest, ParseDatasetRequestSuffixes) {

@@ -24,6 +24,7 @@
 #include "base/telemetry.h"
 #include "graph/datasets.h"
 #include "graph/sampler.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -163,8 +164,10 @@ TEST_F(SamplerTest, SampledRowsPreserveAdjacencyRowSums) {
 }
 
 TEST_F(SamplerTest, BitwiseIdenticalAcrossThreadCountsAndReplays) {
-  const Graph graph = BuildDatasetByName("citeseer_like", 0.3, 6);
-  const std::vector<int> seeds = SeedNodes(graph, 48, 13);
+  // Large enough that the lower layers' fills and merges exceed the pool's
+  // grain, so the 4- and 8-thread batches fan out (asserted below).
+  const Graph graph = BuildDatasetByName("arxiv_like", 1.0, 6);
+  const std::vector<int> seeds = SeedNodes(graph, 1024, 13);
   const LayerSkipMaskFn mask_fn = [](int layer,
                                      const std::vector<int>& dst_nodes) {
     if (layer != 1) return std::vector<uint8_t>();
@@ -182,7 +185,11 @@ TEST_F(SamplerTest, BitwiseIdenticalAcrossThreadCountsAndReplays) {
   for (const int threads : {4, 8}) {
     SetParallelThreadCount(threads);
     NeighborSampler sampler(graph, {{3, 3, 3}});
-    ExpectIdenticalBatch(reference, sampler.SampleBlocks(seeds, 21, mask_fn));
+    SampledBatch batch;
+    const int64_t dispatches = testing::PoolDispatches(
+        [&] { batch = sampler.SampleBlocks(seeds, 21, mask_fn); });
+    EXPECT_GT(dispatches, 0) << "threads=" << threads;
+    ExpectIdenticalBatch(reference, batch);
   }
 
   // A different batch seed draws a different neighborhood.

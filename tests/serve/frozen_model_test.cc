@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "nn/model_factory.h"
 #include "tensor/ops.h"
 #include "testing/mutation.h"
+#include "testing/pool_dispatches.h"
 #include "train/trainer.h"
 
 namespace skipnode {
@@ -34,8 +36,15 @@ Graph& TestGraph() {
   return *kGraph;
 }
 
-ModelConfig SmallConfig() {
-  Graph& graph = TestGraph();
+// A graph large enough that a Freeze's first-layer Gemm exceeds the pool's
+// grain, for the across-thread-count check.
+Graph& LargeGraph() {
+  static Graph* const kGraph =
+      new Graph(BuildDatasetByName("cora_like", 1.0, 3));
+  return *kGraph;
+}
+
+ModelConfig SmallConfig(Graph& graph = TestGraph()) {
   ModelConfig config;
   config.in_dim = graph.feature_dim();
   config.hidden_dim = 8;
@@ -46,12 +55,13 @@ ModelConfig SmallConfig() {
 }
 
 // A briefly trained model, so the weights are not just their init values.
-std::unique_ptr<Model> TrainedModel(const std::string& name) {
+std::unique_ptr<Model> TrainedModel(const std::string& name,
+                                    Graph& graph = TestGraph()) {
   Rng rng(7);
-  auto model = MakeModel(name, SmallConfig(), rng);
+  auto model = MakeModel(name, SmallConfig(graph), rng);
   Rng split_rng(7);
-  const Split split = RandomSplit(TestGraph(), 0.6, 0.2, split_rng);
-  TrainNodeClassifier(*model, TestGraph(), split, StrategyConfig::None(),
+  const Split split = RandomSplit(graph, 0.6, 0.2, split_rng);
+  TrainNodeClassifier(*model, graph, split, StrategyConfig::None(),
                       {.options = {.epochs = 5, .seed = 7}});
   return model;
 }
@@ -62,16 +72,24 @@ std::vector<int> SomeIds(int num_nodes) {
 }
 
 TEST(FrozenModelTest, LogitsAreBitwiseEvaluateLogitsRowsForEveryBackbone) {
+  Graph& graph = LargeGraph();
   for (const std::string& name : AllModelNames()) {
-    auto model = TrainedModel(name);
+    auto model = TrainedModel(name, graph);
     const Matrix reference =
-        EvaluateLogits(*model, TestGraph(), StrategyConfig::None());
+        EvaluateLogits(*model, graph, StrategyConfig::None());
     const std::vector<int> ids = SomeIds(reference.rows());
     const Matrix expected = GatherRows(reference, ids);
     for (const int threads : {1, 4, 8}) {
       SetParallelThreadCount(threads);
-      const FrozenModel frozen =
-          FrozenModel::Freeze(*model, TestGraph(), StrategyConfig::None());
+      std::unique_ptr<FrozenModel> frozen_ptr;
+      const int64_t dispatches = testing::PoolDispatches([&] {
+        frozen_ptr = std::make_unique<FrozenModel>(
+            FrozenModel::Freeze(*model, graph, StrategyConfig::None()));
+      });
+      const FrozenModel& frozen = *frozen_ptr;
+      if (threads == 4) {
+        EXPECT_GT(dispatches, 0) << name;
+      }
       EXPECT_EQ(MaxAbsDiff(frozen.full_logits(), reference), 0.0f)
           << name << " @ " << threads << " threads";
       EXPECT_EQ(MaxAbsDiff(frozen.Logits(ids), expected), 0.0f)

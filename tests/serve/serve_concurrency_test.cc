@@ -219,8 +219,10 @@ TEST(ServeConcurrencyTest, ShutdownDrainsEveryPendingRequest) {
 
 TEST(ServeConcurrencyTest, ServerRunsWhileKernelsStayDeterministic) {
   // Server workers call the parallel Gemm while client threads hammer the
-  // queue — the repo's first concurrent consumer of the thread pool. Pin
-  // the pool wide to make the interleaving real under TSan.
+  // queue — the repo's first concurrent consumer of the thread pool. The
+  // pool is pinned wide, so a batch whose work exceeds the grain fans out
+  // and one that finds the pool busy runs inline; either way every response
+  // must match a solo run (TSan checks the interleavings).
   SetParallelThreadCount(4);
   const FrozenModel& model = TestModel("GCNII");
   ExpectBitwiseSolo(

@@ -2,14 +2,17 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // The streaming two-pass CSR builder (DESIGN §13). Contracts under test:
-//   * Value mode reproduces the serial COO reference (testing/coo_matrix.h,
-//     the retired CsrMatrix::FromCoo semantics) bit for bit — same row
-//     pointers, column order, and summed duplicate values — at any thread
-//     count (the builder's per-row merge fans out).
+//   * Value mode reproduces a plain-loop reference that shares no code with
+//     the builder (ReferenceCsr below: per row, a stable sort by column over
+//     insertion order, then left-to-right float sums of duplicates) bit for
+//     bit — same row pointers, column order, and summed duplicate values —
+//     at 1, 4 and 8 threads, on inputs large enough that the builder's
+//     per-row merge and compaction fan out.
 //   * Pattern mode collapses duplicates before weights exist, exposes the
 //     final degrees, and assigns fn(r, c) per surviving entry.
 
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -19,7 +22,7 @@
 #include "base/rng.h"
 #include "sparse/csr_builder.h"
 #include "sparse/csr_matrix.h"
-#include "testing/coo_matrix.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -31,8 +34,9 @@ struct Coo {
   std::vector<float> values;
 };
 
-// Random COO with skewed rows and ~10% duplicate coordinates (float-equal
-// values per coordinate, like every duplicate producer in the repo).
+// Random COO with skewed rows where ~10% of the coordinates come three
+// times, each with its own value: three addends sum to different bits in
+// different orders, so a merge that left insertion order shows.
 Coo RandomCoo(int rows, int cols, uint64_t seed) {
   Coo coo;
   coo.rows = rows;
@@ -46,9 +50,11 @@ Coo RandomCoo(int rows, int cols, uint64_t seed) {
       const float v = rng.UniformFloat(-2.0f, 2.0f);
       coo.coords.push_back({r, c});
       coo.values.push_back(v);
-      if (rng.Bernoulli(0.1)) {  // duplicate the coordinate, equal value
-        coo.coords.push_back({r, c});
-        coo.values.push_back(v);
+      if (rng.Bernoulli(0.1)) {
+        for (int copy = 0; copy < 2; ++copy) {
+          coo.coords.push_back({r, c});
+          coo.values.push_back(rng.UniformFloat(-2.0f, 2.0f));
+        }
       }
     }
   }
@@ -66,21 +72,61 @@ CsrMatrix BuildStreaming(const Coo& coo) {
   return builder.Build();
 }
 
-void ExpectIdenticalCsr(const CsrMatrix& a, const CsrMatrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  ASSERT_EQ(a.nnz(), b.nnz());
-  for (int r = 0; r <= a.rows(); ++r) {
-    EXPECT_EQ(a.row_offsets()[static_cast<size_t>(r)],
-              b.row_offsets()[static_cast<size_t>(r)])
-        << "row " << r;
+// The builder's value-mode contract in plain loops: per row, the entries in
+// insertion order, stably insertion-sorted by column, then duplicates summed
+// left to right.
+struct PlainCsr {
+  std::vector<int64_t> row_offsets;
+  std::vector<int> col_idx;
+  std::vector<float> values;
+};
+
+PlainCsr ReferenceCsr(const Coo& coo) {
+  std::vector<std::vector<std::pair<int, float>>> rows(
+      static_cast<size_t>(coo.rows));
+  for (size_t i = 0; i < coo.coords.size(); ++i) {
+    rows[static_cast<size_t>(coo.coords[i].first)].push_back(
+        {coo.coords[i].second, coo.values[i]});
   }
-  for (int64_t e = 0; e < a.nnz(); ++e) {
-    const size_t i = static_cast<size_t>(e);
-    EXPECT_EQ(a.col_idx()[i], b.col_idx()[i]) << "entry " << e;
-    EXPECT_EQ(a.values()[i], b.values()[i]) << "entry " << e;  // bitwise
+  PlainCsr out;
+  out.row_offsets.push_back(0);
+  for (std::vector<std::pair<int, float>>& row : rows) {
+    for (size_t i = 1; i < row.size(); ++i) {
+      const std::pair<int, float> entry = row[i];
+      size_t j = i;
+      for (; j > 0 && row[j - 1].first > entry.first; --j) row[j] = row[j - 1];
+      row[j] = entry;
+    }
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0 && row[i].first == row[i - 1].first) {
+        out.values.back() += row[i].second;
+      } else {
+        out.col_idx.push_back(row[i].first);
+        out.values.push_back(row[i].second);
+      }
+    }
+    out.row_offsets.push_back(static_cast<int64_t>(out.col_idx.size()));
   }
+  return out;
 }
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+void ExpectIdenticalCsr(const PlainCsr& reference, const CsrMatrix& m) {
+  ASSERT_EQ(static_cast<int64_t>(reference.row_offsets.size()),
+            int64_t{m.rows()} + 1);
+  EXPECT_TRUE(SameBytes(reference.row_offsets, m.row_offsets()));
+  EXPECT_TRUE(SameBytes(reference.col_idx, m.col_idx()));
+  EXPECT_TRUE(SameBytes(reference.values, m.values()));  // bitwise
+}
+
+// Rows enough that the per-row merge and the compaction both exceed the
+// pool's grain and fan out (about 5 entries per row).
+constexpr int kLargeRows = 120000;
 
 class CsrBuilderTest : public ::testing::Test {
  protected:
@@ -88,29 +134,31 @@ class CsrBuilderTest : public ::testing::Test {
 };
 
 TEST_F(CsrBuilderTest, ValueModeMatchesCooReferenceAtAllThreadCounts) {
-  const Coo coo = RandomCoo(211, 97, /*seed=*/21);
-  const CsrMatrix reference =
-      testing::CsrFromCoo(coo.rows, coo.cols, coo.coords, coo.values);
+  const Coo coo = RandomCoo(kLargeRows, 50000, /*seed=*/21);
+  const PlainCsr reference = ReferenceCsr(coo);
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
-    ExpectIdenticalCsr(reference, BuildStreaming(coo));
+    CsrMatrix built;
+    const int64_t dispatches =
+        testing::PoolDispatches([&] { built = BuildStreaming(coo); });
+    ExpectIdenticalCsr(reference, built);
+    if (threads > 1) {
+      EXPECT_GT(dispatches, 0) << "threads=" << threads;
+    }
   }
 }
 
 TEST_F(CsrBuilderTest, DuplicatesSumInPerRowInsertionOrder) {
-  // Values chosen so float addition order matters: (0.1 + 0.2) + 0.3 and
-  // 0.1 + (0.3 + 0.2) differ in the last bit. Both paths must pick the same
-  // (insertion) order.
+  // Values chosen so float addition order matters: (1 + 1e8) - 1e8 is 0,
+  // 1 + (1e8 - 1e8) is 1. Both paths must pick the same (insertion) order.
   Coo coo;
   coo.rows = 2;
   coo.cols = 3;
   coo.coords = {{0, 2}, {0, 2}, {1, 0}, {0, 2}, {1, 1}};
-  coo.values = {0.1f, 0.2f, 5.0f, 0.3f, -1.0f};
-  const CsrMatrix reference =
-      testing::CsrFromCoo(coo.rows, coo.cols, coo.coords, coo.values);
+  coo.values = {1.0f, 1e8f, 5.0f, -1e8f, -1.0f};
   const CsrMatrix streamed = BuildStreaming(coo);
-  ExpectIdenticalCsr(reference, streamed);
-  EXPECT_EQ(streamed.values()[0], (0.1f + 0.2f) + 0.3f);  // bitwise
+  ExpectIdenticalCsr(ReferenceCsr(coo), streamed);
+  EXPECT_EQ(streamed.values()[0], 0.0f);
   EXPECT_EQ(streamed.nnz(), 3);
 }
 
@@ -118,8 +166,8 @@ TEST_F(CsrBuilderTest, RowOwnerFillMatchesSerialFillAtAllThreadCounts) {
   // The sampler's fill mode: BeginRowFill + one AddRowEntries call per row,
   // issued from parallel code with row ownership. Must be bitwise identical
   // to the serial AddEntry path at any thread count.
-  const Coo coo = RandomCoo(160, 80, /*seed=*/33);
-  const CsrMatrix reference = BuildStreaming(coo);
+  const Coo coo = RandomCoo(kLargeRows, 50000, /*seed=*/33);
+  const PlainCsr reference = ReferenceCsr(coo);
   // Group the COO stream by row, preserving per-row insertion order.
   std::vector<std::vector<int>> row_cols(static_cast<size_t>(coo.rows));
   std::vector<std::vector<float>> row_vals(static_cast<size_t>(coo.rows));
@@ -131,19 +179,31 @@ TEST_F(CsrBuilderTest, RowOwnerFillMatchesSerialFillAtAllThreadCounts) {
   }
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
-    CsrBuilder builder(coo.rows, coo.cols);
-    for (const auto& [r, c] : coo.coords) builder.CountEntry(r);
-    builder.FinishCounting();
-    builder.BeginRowFill();
-    ParallelFor(0, coo.rows, [&](int64_t begin, int64_t end) {
-      for (int64_t r = begin; r < end; ++r) {
-        builder.AddRowEntries(
-            static_cast<int>(r), row_cols[static_cast<size_t>(r)].data(),
-            row_vals[static_cast<size_t>(r)].data(),
-            static_cast<int>(row_cols[static_cast<size_t>(r)].size()));
-      }
+    CsrMatrix built;
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      CsrBuilder builder(coo.rows, coo.cols);
+      for (const auto& [r, c] : coo.coords) builder.CountEntry(r);
+      builder.FinishCounting();
+      builder.BeginRowFill();
+      // Declares a grain per row, so the fill fans out whenever the merge
+      // would.
+      ParallelFor(
+          0, coo.rows,
+          [&](int64_t begin, int64_t end) {
+            for (int64_t r = begin; r < end; ++r) {
+              builder.AddRowEntries(
+                  static_cast<int>(r), row_cols[static_cast<size_t>(r)].data(),
+                  row_vals[static_cast<size_t>(r)].data(),
+                  static_cast<int>(row_cols[static_cast<size_t>(r)].size()));
+            }
+          },
+          kMinWorkPerChunk);
+      built = builder.Build();
     });
-    ExpectIdenticalCsr(reference, builder.Build());
+    ExpectIdenticalCsr(reference, built);
+    if (threads > 1) {
+      EXPECT_GT(dispatches, 0) << "threads=" << threads;
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "base/simd.h"
 #include "tensor/ops.h"
 #include "testing/coo_matrix.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -213,13 +214,20 @@ TEST(CsrMatrixTest, ProductsAboveThePrefetchThresholdMatchTheSerialLoop) {
   }
   for (const int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    EXPECT_TRUE(SameBits(a.Multiply(x), forward)) << threads;
-    Matrix masked_out(n, d);
-    a.MultiplyAccumulate(x, masked_out, mask);
+    Matrix out, masked_out(n, d), out_t, masked_out_t;
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      out = a.Multiply(x);
+      a.MultiplyAccumulate(x, masked_out, mask);
+      out_t = a.MultiplyTransposed(x);
+      masked_out_t = a.MultiplyTransposed(x, mask);
+    });
+    if (threads == 4) {
+      EXPECT_GE(dispatches, 4);  // each product fanned out
+    }
+    EXPECT_TRUE(SameBits(out, forward)) << threads;
     EXPECT_TRUE(SameBits(masked_out, forward_masked)) << threads;
-    EXPECT_TRUE(SameBits(a.MultiplyTransposed(x), transposed)) << threads;
-    EXPECT_TRUE(SameBits(a.MultiplyTransposed(x, mask), transposed_masked))
-        << threads;
+    EXPECT_TRUE(SameBits(out_t, transposed)) << threads;
+    EXPECT_TRUE(SameBits(masked_out_t, transposed_masked)) << threads;
   }
   SetParallelThreadCount(0);
 }

@@ -19,6 +19,7 @@
 #include "sparse/csr_builder.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/matrix.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -75,7 +76,9 @@ void ExpectBitwiseEq(const Matrix& a, const Matrix& b, const char* what) {
 
 TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsAndTails) {
   const StateGuard guard;
-  const int rows = 97, cols = 61;
+  // Rows enough that every product exceeds the pool's grain several times,
+  // so the 4- and 8-thread runs fan out (asserted below).
+  const int rows = 9701, cols = 61;
   Rng data_rng(3);
   // d=19 leaves a 3-element strip tail; d=32 is strip-covered.
   for (const int d : {19, 32}) {
@@ -105,13 +108,20 @@ TEST(SpmmSimdTest, AllFourKernelsBitwiseAcrossSimdThreadsAndTails) {
       simd::SetEnabled(vec);
       for (const int threads : {1, 4, 8}) {
         SetParallelThreadCount(threads);
-        ExpectBitwiseEq(a.Multiply(x), fwd, "forward");
-        Matrix masked(rows, d);
-        a.MultiplyAccumulate(x, masked, row_mask);
+        Matrix out, masked(rows, d), out_t, masked_t;
+        const int64_t dispatches = testing::PoolDispatches([&] {
+          out = a.Multiply(x);
+          a.MultiplyAccumulate(x, masked, row_mask);
+          out_t = a.MultiplyTransposed(g);
+          masked_t = a.MultiplyTransposed(g, row_mask);
+        });
+        if (threads > 1) {
+          EXPECT_GE(dispatches, 4) << "threads=" << threads;
+        }
+        ExpectBitwiseEq(out, fwd, "forward");
         ExpectBitwiseEq(masked, fwd_masked, "masked forward");
-        ExpectBitwiseEq(a.MultiplyTransposed(g), bwd, "backward");
-        ExpectBitwiseEq(a.MultiplyTransposed(g, row_mask), bwd_masked,
-                        "masked backward");
+        ExpectBitwiseEq(out_t, bwd, "backward");
+        ExpectBitwiseEq(masked_t, bwd_masked, "masked backward");
       }
     }
   }

@@ -26,6 +26,7 @@
 #include "sparse/graph_ops.h"
 #include "tensor/ops.h"
 #include "testing/coo_matrix.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -103,34 +104,43 @@ class SpmmTransposedParallelTest : public ::testing::Test {
  protected:
   void TearDown() override { SetParallelThreadCount(0); }
 
-  void ExpectBitwiseAtAllThreadCounts(const CsrMatrix& a) {
+  // Returns the pool dispatches of the 4-thread products, for the callers
+  // whose inputs are large enough to fan out.
+  int64_t ExpectBitwiseAtAllThreadCounts(const CsrMatrix& a) {
     Rng rng(77);
     const Matrix g = Matrix::Random(a.rows(), 9, rng);
     const std::vector<uint8_t> mask = AlternatingMask(a.rows());
     const Matrix ref = SerialScatterTransposed(a, g);
     const Matrix ref_masked = SerialScatterTransposedMasked(a, g, mask);
+    int64_t dispatches_at_4 = 0;
     for (const int threads : {1, 4, 8}) {
       SetParallelThreadCount(threads);
+      Matrix out, out_masked;
+      const int64_t dispatches = testing::PoolDispatches([&] {
+        out = a.MultiplyTransposed(g);
+        out_masked = a.MultiplyTransposed(g, mask);
+      });
+      if (threads == 4) dispatches_at_4 = dispatches;
       // Bitwise: exact zero difference, not approximately zero.
-      EXPECT_EQ(MaxAbsDiff(ref, a.MultiplyTransposed(g)), 0.0f)
-          << "threads=" << threads;
-      EXPECT_EQ(MaxAbsDiff(ref_masked, a.MultiplyTransposed(g, mask)),
-                0.0f)
+      EXPECT_EQ(MaxAbsDiff(ref, out), 0.0f) << "threads=" << threads;
+      EXPECT_EQ(MaxAbsDiff(ref_masked, out_masked), 0.0f)
           << "masked threads=" << threads;
     }
+    return dispatches_at_4;
   }
 };
 
 TEST_F(SpmmTransposedParallelTest, AsymmetricRectangularMatchesSerialScatter) {
   Rng rng(5);
-  const CsrMatrix a = AsymmetricRectangular(203, 91, rng);
+  const CsrMatrix a = AsymmetricRectangular(20300, 9100, rng);
   ASSERT_FALSE(a.transpose_plan().symmetric_alias);
-  ExpectBitwiseAtAllThreadCounts(a);
+  EXPECT_GT(ExpectBitwiseAtAllThreadCounts(a), 0);
 }
 
 // Every Â the library builds, named: NormalizedAdjacency over a random edge
-// list, each classic dataset's lazy Â, two streamed ones, and the per-epoch
-// re-normalised operators of DropEdge and DropNode.
+// list, each classic dataset's lazy Â, two streamed ones (30k nodes, so
+// their products exceed the pool's grain), and the per-epoch re-normalised
+// operators of DropEdge and DropNode.
 std::vector<std::pair<std::string, std::shared_ptr<const CsrMatrix>>>
 LibraryAdjacencies() {
   std::vector<std::pair<std::string, std::shared_ptr<const CsrMatrix>>> out;
@@ -149,9 +159,9 @@ LibraryAdjacencies() {
     DatasetRequest request;
     request.name = name;
     request.seed = 4;
-    request.nodes = 3000;
+    request.nodes = 30000;
     out.emplace_back(
-        std::string(name) + "@3000",
+        std::string(name) + "@30000",
         DatasetRegistry::Global().Build(request).normalized_adjacency());
   }
   for (const size_t base : {size_t{1}, out.size() - 1}) {
@@ -168,6 +178,7 @@ LibraryAdjacencies() {
 }
 
 TEST_F(SpmmTransposedParallelTest, SymmetricAdjacencyMatchesSerialScatter) {
+  int64_t dispatches_at_4 = 0;
   for (const auto& [name, a] : LibraryAdjacencies()) {
     SCOPED_TRACE(name);
     // Â is exactly symmetric (inv_sqrt[u] * inv_sqrt[v] commutes bitwise), so
@@ -178,8 +189,9 @@ TEST_F(SpmmTransposedParallelTest, SymmetricAdjacencyMatchesSerialScatter) {
     EXPECT_TRUE(plan.row_ptr.empty());
     EXPECT_TRUE(plan.src_row.empty());
     EXPECT_TRUE(plan.value_perm.empty());
-    ExpectBitwiseAtAllThreadCounts(*a);
+    dispatches_at_4 += ExpectBitwiseAtAllThreadCounts(*a);
   }
+  EXPECT_GT(dispatches_at_4, 0);
 }
 
 TEST_F(SpmmTransposedParallelTest, SymmetricAliasTransposeEqualsForward) {
@@ -204,7 +216,7 @@ TEST_F(SpmmTransposedParallelTest, NearSymmetricValuesDoNotAlias) {
 
 TEST_F(SpmmTransposedParallelTest, MaskedMatchesZeroedRowsUnderThreads) {
   Rng rng(9);
-  const CsrMatrix a = AsymmetricRectangular(140, 60, rng);
+  const CsrMatrix a = AsymmetricRectangular(28000, 12000, rng);
   Rng data_rng(10);
   const Matrix g = Matrix::Random(a.rows(), 5, data_rng);
   const std::vector<uint8_t> mask = AlternatingMask(a.rows());
@@ -215,10 +227,15 @@ TEST_F(SpmmTransposedParallelTest, MaskedMatchesZeroedRowsUnderThreads) {
   }
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
-    EXPECT_EQ(MaxAbsDiff(a.MultiplyTransposed(g_zeroed),
-                         a.MultiplyTransposed(g, mask)),
-              0.0f)
-        << "threads=" << threads;
+    Matrix zeroed, masked;
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      zeroed = a.MultiplyTransposed(g_zeroed);
+      masked = a.MultiplyTransposed(g, mask);
+    });
+    if (threads > 1) {
+      EXPECT_GT(dispatches, 0) << "threads=" << threads;
+    }
+    EXPECT_EQ(MaxAbsDiff(zeroed, masked), 0.0f) << "threads=" << threads;
   }
 }
 

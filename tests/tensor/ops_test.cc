@@ -16,6 +16,7 @@
 #include "base/parallel.h"
 #include "base/simd.h"
 #include "base/rng.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -165,14 +166,16 @@ TEST(OpsTest, GemmWideOutputsKeepTheSerialRecurrence) {
   // contract is that each element is still accumulated in plain p-ascending
   // float order. Check every element against that exact serial recurrence.
   Rng rng(31);
-  const Matrix a = Matrix::Random(5, 37, rng);
+  // 24 rows: four grains of work, so the 4-thread run below fans out.
+  const int m = 24;
+  const Matrix a = Matrix::Random(m, 37, rng);
   const Matrix b = Matrix::Random(37, 600, rng);
 
-  Matrix out(5, 600);
+  Matrix out(m, 600);
   Gemm(a, b, out);
-  Matrix accumulated = Matrix::Ones(5, 600);
+  Matrix accumulated = Matrix::Ones(m, 600);
   Gemm(a, b, accumulated, {.accumulate = true});
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < m; ++i) {
     for (int j = 0; j < 600; ++j) {
       float acc = 0.0f;
       float acc_from_one = 1.0f;
@@ -188,11 +191,11 @@ TEST(OpsTest, GemmWideOutputsKeepTheSerialRecurrence) {
   // And the blocks must not interact with row sharding: 4 threads bitwise
   // match 1 thread on a wide output.
   SetParallelThreadCount(1);
-  Matrix serial(5, 600);
+  Matrix serial(m, 600);
   Gemm(a, b, serial);
   SetParallelThreadCount(4);
-  Matrix threaded(5, 600);
-  Gemm(a, b, threaded);
+  Matrix threaded(m, 600);
+  EXPECT_GT(testing::PoolDispatches([&] { Gemm(a, b, threaded); }), 0);
   SetParallelThreadCount(0);
   EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0f);
 }
@@ -264,9 +267,14 @@ TEST(OpsTest, GemmSkipsExactlyTheZeroEntriesAtAnyThreadCount) {
       for (const int threads : {1, 4}) {
         SetParallelThreadCount(threads);
         Matrix out = start;
-        Gemm(a, b, out,
-             {.transpose_a = transpose_a, .accumulate = accumulate});
+        const int64_t dispatches = testing::PoolDispatches([&] {
+          Gemm(a, b, out,
+               {.transpose_a = transpose_a, .accumulate = accumulate});
+        });
         SetParallelThreadCount(0);
+        if (threads == 4) {
+          ASSERT_GT(dispatches, 0);
+        }
         ASSERT_EQ(std::memcmp(out.data(), expected.data(),
                               sizeof(float) * static_cast<size_t>(out.size())),
                   0)
@@ -318,7 +326,8 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b) {
 
 TEST(OpsTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(13);
-  // Big enough that ParallelFor actually fans out past min_per_thread.
+  // Big enough that every Gemm below exceeds the pool's grain and fans out
+  // (asserted).
   Matrix a = Matrix::Random(192, 96, rng);
   Matrix b = Matrix::Random(96, 64, rng);
   Matrix at = Transpose(a);  // For the transpose_a path: 96 x 192.
@@ -339,7 +348,9 @@ TEST(OpsTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
     Gemm(lhs, rhs, serial, options);
     SetParallelThreadCount(4);
     Matrix threaded = Matrix::Ones(192, 64);
-    Gemm(lhs, rhs, threaded, options);
+    EXPECT_GT(testing::PoolDispatches(
+                  [&] { Gemm(lhs, rhs, threaded, options); }),
+              0);
     SetParallelThreadCount(0);
     ExpectBitwiseEqual(serial, threaded);
   }
@@ -352,7 +363,9 @@ TEST(OpsTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
     Gemm(a, b_narrow, serial, options);
     SetParallelThreadCount(4);
     Matrix threaded = Matrix::Ones(192, 61);
-    Gemm(a, b_narrow, threaded, options);
+    EXPECT_GT(testing::PoolDispatches(
+                  [&] { Gemm(a, b_narrow, threaded, options); }),
+              0);
     SetParallelThreadCount(0);
     ExpectBitwiseEqual(serial, threaded);
   }
@@ -360,21 +373,24 @@ TEST(OpsTest, GemmIsBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(OpsTest, RowOpsAreBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(14);
-  Matrix x = Matrix::Random(512, 32, rng, -3.0f, 3.0f);
+  // 16384 rows: both ops exceed the pool's grain at 4 threads.
+  Matrix x = Matrix::Random(16384, 32, rng, -3.0f, 3.0f);
   SetParallelThreadCount(1);
   Matrix norms1 = RowNorms(x), relu1 = Relu(x);
   SetParallelThreadCount(4);
-  Matrix norms4 = RowNorms(x), relu4 = Relu(x);
+  Matrix norms4, relu4;
+  EXPECT_GE(testing::PoolDispatches([&] { norms4 = RowNorms(x); }), 1);
+  EXPECT_GE(testing::PoolDispatches([&] { relu4 = Relu(x); }), 1);
   SetParallelThreadCount(0);
   ExpectBitwiseEqual(norms1, norms4);
   ExpectBitwiseEqual(relu1, relu4);
 }
 
-// 100k rows fan out over the pool; every row must hold x.row + v exactly,
-// as the serial loop computed it, at any thread count.
+// 200k rows of 5 columns fan out over the pool; every row must hold x.row + v
+// exactly, as the serial loop computed it, at any thread count.
 TEST(OpsTest, AddRowVectorIntoIsBitwiseAtAnyThreadCount) {
   Rng rng(15);
-  const Matrix x = Matrix::Random(100000, 5, rng, -3.0f, 3.0f);
+  const Matrix x = Matrix::Random(200000, 5, rng, -3.0f, 3.0f);
   const Matrix v = Matrix::Random(1, 5, rng, -3.0f, 3.0f);
   Matrix serial(x.rows(), x.cols());
   for (int r = 0; r < x.rows(); ++r) {
@@ -383,7 +399,11 @@ TEST(OpsTest, AddRowVectorIntoIsBitwiseAtAnyThreadCount) {
   for (const int threads : {1, 4}) {
     SetParallelThreadCount(threads);
     Matrix out(x.rows(), x.cols());
-    AddRowVectorInto(x, v, out);
+    const int64_t dispatches =
+        testing::PoolDispatches([&] { AddRowVectorInto(x, v, out); });
+    if (threads == 4) {
+      EXPECT_GT(dispatches, 0);
+    }
     ExpectBitwiseEqual(out, serial);
   }
   SetParallelThreadCount(0);
@@ -409,13 +429,16 @@ TEST(OpsTest, NonFiniteScansFlagNanAndInfPerRow) {
 
 TEST(OpsTest, HealthScansAreBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(22);
-  Matrix x = Matrix::Random(700, 40, rng, -5.0f, 5.0f);
+  // 28000 rows: the scan exceeds the pool's grain at 4 threads.
+  Matrix x = Matrix::Random(28000, 40, rng, -5.0f, 5.0f);
   x(123, 7) = std::numeric_limits<float>::quiet_NaN();
-  x(600, 0) = std::numeric_limits<float>::infinity();
+  x(21600, 0) = std::numeric_limits<float>::infinity();
   SetParallelThreadCount(1);
   const std::vector<uint8_t> flags1 = RowNonFiniteFlags(x);
   SetParallelThreadCount(4);
-  const std::vector<uint8_t> flags4 = RowNonFiniteFlags(x);
+  std::vector<uint8_t> flags4;
+  EXPECT_GT(testing::PoolDispatches([&] { flags4 = RowNonFiniteFlags(x); }),
+            0);
   SetParallelThreadCount(0);
   EXPECT_EQ(flags1, flags4);
   EXPECT_EQ(std::count(flags1.begin(), flags1.end(), 1), 2);
@@ -468,14 +491,17 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
   const Matrix b = Matrix::Random(k, n, rng);
   const Matrix at = Transpose(a);
   const Matrix bt = Transpose(b);
-  const Matrix x = Matrix::Random(m, n, rng);
-  const Matrix y = Matrix::Random(m, n, rng);
+  // Element-wise operands large enough to fan out, with an odd element
+  // count so every strip leaves a tail.
+  const int rows = 30011;
+  const Matrix x = Matrix::Random(rows, n, rng);
+  const Matrix y = Matrix::Random(rows, n, rng);
   const Matrix v = Matrix::Random(1, n, rng);
   // An A * B^T large enough to fan out over threads, accumulating into a
   // random output whose width (45) leaves a partial panel.
-  const Matrix wide_a = Matrix::Random(160, 33, rng);
+  const Matrix wide_a = Matrix::Random(1600, 33, rng);
   const Matrix wide_bt = Matrix::Random(45, 33, rng);
-  const Matrix wide_init = Matrix::Random(160, 45, rng);
+  const Matrix wide_init = Matrix::Random(1600, 45, rng);
 
   auto run_all = [&]() {
     std::vector<Matrix> outs;
@@ -493,7 +519,7 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
     outs.push_back(Sub(x, y));
     outs.push_back(Hadamard(x, y));
     outs.push_back(Scale(x, -0.3f));
-    Matrix axpby(m, n);
+    Matrix axpby(rows, n);
     AxpbyInto(x, y, 0.5f, 1.5f, axpby);
     outs.push_back(std::move(axpby));
     outs.push_back(Relu(x));
@@ -509,7 +535,12 @@ TEST(OpsTest, VectorizedKernelsMatchScalarReferenceBitwise) {
     simd::SetEnabled(vec);
     for (const int threads : {1, 4, 8}) {
       SetParallelThreadCount(threads);
-      const std::vector<Matrix> got = run_all();
+      std::vector<Matrix> got;
+      const int64_t dispatches =
+          testing::PoolDispatches([&] { got = run_all(); });
+      if (threads > 1) {
+        EXPECT_GT(dispatches, 0) << "threads=" << threads;
+      }
       ASSERT_EQ(got.size(), reference.size());
       for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(std::memcmp(got[i].data(), reference[i].data(),

@@ -28,6 +28,7 @@
 #include "nn/model_factory.h"
 #include "tensor/ops.h"
 #include "train/metrics.h"
+#include "testing/pool_dispatches.h"
 #include "train/trainer.h"
 
 namespace skipnode {
@@ -100,12 +101,18 @@ TEST(EvalRowPlanTest, PlannedEvalMatchesFullPassBitwise) {
       Rng init_rng(5);
       auto model = MakeModel(name, TestConfig(graph), init_rng);
       for (const StrategyConfig& strategy : PlannedStrategies()) {
-        const Matrix full = EvaluateLogits(*model, graph, strategy);
-        Tape tape;
-        Rng rng(6);
-        StrategyContext ctx(graph, strategy, plan, rng);
-        const Matrix planned =
-            model->Forward(tape, ctx, /*training=*/false, rng).value();
+        Matrix full, planned;
+        const int64_t dispatches = testing::PoolDispatches([&] {
+          full = EvaluateLogits(*model, graph, strategy);
+          Tape tape;
+          Rng rng(6);
+          StrategyContext ctx(graph, strategy, plan, rng);
+          planned = model->Forward(tape, ctx, /*training=*/false, rng).value();
+        });
+        if (threads == 4) {
+          EXPECT_GT(dispatches, 0)
+              << name << " " << StrategyName(strategy.kind);
+        }
         ASSERT_TRUE(planned.SameShape(full));
         for (const int row : read_rows) {
           ASSERT_TRUE(SameRowBits(planned, full, row))

@@ -21,6 +21,7 @@
 #include "nn/model_factory.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
+#include "testing/pool_dispatches.h"
 #include "train/trainer.h"
 
 namespace skipnode {
@@ -51,6 +52,7 @@ ModelConfig ConfigFor(const Graph& graph, int layers) {
 struct TrainedRun {
   TrainResult result;
   std::vector<Matrix> parameters;
+  int64_t dispatches = 0;  // jobs the run handed to the pool
 };
 
 TrainedRun Train(const Fixture& setup, const std::string& backbone,
@@ -60,9 +62,11 @@ TrainedRun Train(const Fixture& setup, const std::string& backbone,
   Rng rng(12);
   auto model = MakeModel(backbone, ConfigFor(setup.graph, 4), rng);
   TrainedRun run;
-  run.result =
-      TrainNodeClassifier(*model, setup.graph, setup.split, strategy,
-                          {.options = {.epochs = 12, .seed = 31}});
+  run.dispatches = testing::PoolDispatches([&] {
+    run.result =
+        TrainNodeClassifier(*model, setup.graph, setup.split, strategy,
+                            {.options = {.epochs = 12, .seed = 31}});
+  });
   for (Parameter* p : model->Parameters()) run.parameters.push_back(p->value);
   SetParallelThreadCount(0);
   SetMatrixPoolEnabled(true);
@@ -99,6 +103,7 @@ TEST_P(FusedTrainTest, PooledTrainingIsBitwiseIdenticalToUnpooled) {
       Train(setup, backbone, strategy, /*pooled=*/true, /*threads=*/4);
   ExpectBitwiseEqual(unpooled, pooled_1t, backbone + " pooled@1t");
   ExpectBitwiseEqual(unpooled, pooled_4t, backbone + " pooled@4t");
+  EXPECT_GT(pooled_4t.dispatches, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,6 +159,7 @@ TEST(FusedTrainTest, UnpooledTrainingIsThreadCountInvariant) {
   const TrainedRun unpooled_4t =
       Train(setup, "GCN", strategy, /*pooled=*/false, /*threads=*/4);
   ExpectBitwiseEqual(unpooled_1t, unpooled_4t, "unpooled 1t-vs-4t");
+  EXPECT_GT(unpooled_4t.dispatches, 0);
 }
 
 // A rerun must agree with itself (the harness is sound, not vacuously
@@ -184,6 +190,7 @@ TEST(FusedTrainTest, TrainingIsBitwiseIdenticalAcrossSimdSwitch) {
   simd::SetEnabled(saved);
   ExpectBitwiseEqual(vec, scalar, "simd on-vs-off");
   ExpectBitwiseEqual(vec, scalar_4t, "simd on-vs-off@4t");
+  EXPECT_GT(scalar_4t.dispatches, 0);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -73,22 +74,26 @@ TEST(OptimizerTest, AdamIsScaleInvariantInFirstStep) {
 }
 
 // Adam updates must be bitwise identical with the vectorized kernels on and
-// off (DESIGN section 14), odd sizes, any thread count.
+// off (DESIGN section 14), odd sizes, any thread count. The parameter is
+// large enough that an update exceeds the pool's grain and fans out.
 TEST(OptimizerTest, StepsAreBitwiseIdenticalAcrossSimdAndThreads) {
   const bool saved = simd::Enabled();
+  constexpr int kRows = 4001, kCols = 19;
   Rng rng(21);
+  int64_t dispatches = 0;
   const auto run = [&](bool vec, int threads) {
     simd::SetEnabled(vec);
     SetParallelThreadCount(threads);
-    Parameter w("w", Matrix::Random(13, 19, rng));
+    Parameter w("w", Matrix::Random(kRows, kCols, rng));
     Rng local(33);
-    Matrix init = Matrix::Random(13, 19, local);
+    Matrix init = Matrix::Random(kRows, kCols, local);
     w.value = init;
     Adam adam(0.01f, 5e-4f);
+    dispatches = 0;
     for (int step = 0; step < 5; ++step) {
-      Matrix g = Matrix::Random(13, 19, local);
+      Matrix g = Matrix::Random(kRows, kCols, local);
       w.grad = g;
-      adam.Step({&w});
+      dispatches += testing::PoolDispatches([&] { adam.Step({&w}); });
     }
     return w.value;
   };
@@ -96,6 +101,9 @@ TEST(OptimizerTest, StepsAreBitwiseIdenticalAcrossSimdAndThreads) {
   for (const bool vec : {false, true}) {
     for (const int threads : {1, 4, 8}) {
       const Matrix got = run(vec, threads);
+      if (threads > 1) {
+        EXPECT_EQ(dispatches, 5) << "threads=" << threads;
+      }
       ASSERT_EQ(std::memcmp(got.data(), reference.data(),
                             sizeof(float) * static_cast<size_t>(got.size())),
                 0)

@@ -22,6 +22,7 @@
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "train/trainer.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -51,6 +52,7 @@ ModelConfig ConfigFor(const Graph& graph, int layers) {
 struct TrainedRun {
   TrainResult result;
   std::vector<Matrix> parameters;
+  int64_t dispatches = 0;  // jobs the run handed to the pool
 };
 
 struct TrainSetup {
@@ -70,10 +72,13 @@ TrainedRun Train(const Fixture& fixture, const TrainSetup& setup) {
   auto model = MakeModel(setup.backbone, ConfigFor(fixture.graph, setup.layers),
                          rng);
   TrainedRun run;
-  run.result = TrainNodeClassifier(
-      *model, fixture.graph, fixture.split, setup.strategy,
-      {.options = {.epochs = setup.epochs, .seed = 31},
-       .sampling = {.fanouts = setup.fanouts, .batch_size = setup.batch_size}});
+  run.dispatches = testing::PoolDispatches([&] {
+    run.result = TrainNodeClassifier(
+        *model, fixture.graph, fixture.split, setup.strategy,
+        {.options = {.epochs = setup.epochs, .seed = 31},
+         .sampling = {.fanouts = setup.fanouts,
+                      .batch_size = setup.batch_size}});
+  });
   for (Parameter* p : model->Parameters()) run.parameters.push_back(p->value);
   SetParallelThreadCount(0);
   return run;
@@ -112,7 +117,9 @@ TEST_P(SampledTrainTest, SampledTrainingIsThreadCountInvariant) {
   for (const int threads : {4, 8}) {
     TrainSetup threaded = setup;
     threaded.threads = threads;
-    ExpectBitwiseEqual(ref, Train(fixture, threaded),
+    const TrainedRun run = Train(fixture, threaded);
+    EXPECT_GT(run.dispatches, 0) << threads;
+    ExpectBitwiseEqual(ref, run,
                        backbone + "/" + strategy_name + " @" +
                            std::to_string(threads) + "t");
   }
@@ -254,7 +261,9 @@ TEST(SampledTrainTest, DeeperStackStaysThreadCountInvariant) {
   const TrainedRun ref = Train(fixture, setup);
   TrainSetup threaded = setup;
   threaded.threads = 8;
-  ExpectBitwiseEqual(ref, Train(fixture, threaded), "4-layer @8t");
+  const TrainedRun run = Train(fixture, threaded);
+  EXPECT_GT(run.dispatches, 0);
+  ExpectBitwiseEqual(ref, run, "4-layer @8t");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "graph/datasets.h"
 #include "nn/model_factory.h"
 #include "train/trainer.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -222,6 +223,7 @@ TEST_P(TrainerHealthModeTest, RecoveryIsBitwiseIdenticalAcrossThreadCounts) {
   Fixture setup(6);
   TrainResult results[2];
   const int thread_counts[2] = {1, 4};
+  int64_t dispatches_at_4 = 0;
   for (int i = 0; i < 2; ++i) {
     SetParallelThreadCount(thread_counts[i]);
     Rng rng(7);
@@ -232,10 +234,14 @@ TEST_P(TrainerHealthModeTest, RecoveryIsBitwiseIdenticalAcrossThreadCounts) {
     run.options.seed = 31;
     run.health.enabled = true;
     run.fault = UpdateNaNAt(15);
-    results[i] = TrainNodeClassifier(*model, setup.graph, setup.split,
-                                     StrategyConfig::SkipNodeU(0.5f), run);
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      results[i] = TrainNodeClassifier(*model, setup.graph, setup.split,
+                                       StrategyConfig::SkipNodeU(0.5f), run);
+    });
+    if (thread_counts[i] == 4) dispatches_at_4 = dispatches;
   }
   SetParallelThreadCount(0);
+  EXPECT_GT(dispatches_at_4, 0);
   ASSERT_EQ(results[0].health_log.size(), results[1].health_log.size());
   for (size_t i = 0; i < results[0].health_log.size(); ++i) {
     EXPECT_EQ(results[0].health_log[i].kind, results[1].health_log[i].kind);

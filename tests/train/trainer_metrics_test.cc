@@ -46,6 +46,7 @@ ModelConfig ConfigFor(const Graph& graph, int layers) {
 struct RunOutput {
   TrainResult result;
   std::vector<std::vector<char>> parameter_bytes;
+  int64_t dispatches = 0;  // parallel.task count of an instrumented run
 };
 
 // Full-batch, or neighbor-sampled minibatches: fanout 3 at every layer and
@@ -76,6 +77,11 @@ RunOutput TrainOnce(const Fixture& setup, bool instrumented, int threads,
     output.parameter_bytes.emplace_back(
         data, data + p->value.size() * sizeof(float));
   }
+  if (instrumented) {
+    const TelemetrySnapshot snapshot = SnapshotTelemetry();
+    const MetricStat* task = snapshot.Find("parallel.task");
+    output.dispatches = task == nullptr ? 0 : task->count;
+  }
   SetTelemetryEnabled(false);
   SetParallelThreadCount(0);
   return output;
@@ -99,6 +105,9 @@ TEST_P(TrainerMetricsModeTest, WeightsAreBitwiseIdenticalWithMetricsOnOrOff) {
   for (const int threads : {1, 4}) {
     const RunOutput instrumented =
         TrainOnce(setup, /*instrumented=*/true, threads, GetParam());
+    if (threads == 4) {
+      EXPECT_GT(instrumented.dispatches, 0);
+    }
     ASSERT_EQ(instrumented.parameter_bytes.size(),
               baseline.parameter_bytes.size());
     for (size_t i = 0; i < baseline.parameter_bytes.size(); ++i) {

@@ -11,6 +11,7 @@
 #include "graph/datasets.h"
 #include "tensor/ops.h"
 #include "nn/model_factory.h"
+#include "testing/pool_dispatches.h"
 
 namespace skipnode {
 namespace {
@@ -147,14 +148,19 @@ TEST(TrainerTest, TrainResultIsIdenticalAcrossThreadCounts) {
   const TrainRun run{.options = {.epochs = 30, .seed = 31}};
   TrainResult results[2];
   const int thread_counts[2] = {1, 4};
+  int64_t dispatches_at_4 = 0;
   for (int i = 0; i < 2; ++i) {
     SetParallelThreadCount(thread_counts[i]);
     Rng rng(12);
     auto model = MakeModel("GCN", ConfigFor(setup.graph, 4), rng);
-    results[i] = TrainNodeClassifier(*model, setup.graph, setup.split,
-                                     StrategyConfig::SkipNodeU(0.5f), run);
+    const int64_t dispatches = testing::PoolDispatches([&] {
+      results[i] = TrainNodeClassifier(*model, setup.graph, setup.split,
+                                       StrategyConfig::SkipNodeU(0.5f), run);
+    });
+    if (thread_counts[i] == 4) dispatches_at_4 = dispatches;
   }
   SetParallelThreadCount(0);
+  EXPECT_GT(dispatches_at_4, 0);
   EXPECT_EQ(results[0].best_epoch, results[1].best_epoch);
   EXPECT_EQ(results[0].epochs_run, results[1].epochs_run);
   EXPECT_DOUBLE_EQ(results[0].best_val_accuracy, results[1].best_val_accuracy);

@@ -3,7 +3,13 @@
 # skipnode_train at git revision REF and in the working tree, trains a fixed
 # matrix of runs with each binary at 1 and 4 threads, and diffs the
 # --save-dir checkpoints and the --log-every 1 stdout byte for byte (only
-# the line naming the checkpoint path is left out). The matrix (35 cases):
+# the line naming the checkpoint path is left out). A 4-thread run proves
+# nothing if every kernel ran inline, so each working-tree run at 4 threads
+# must also have dispatched to the thread pool: its --metrics-out summary
+# (telemetry stays off the numeric path, DESIGN §9) must count a
+# parallel.task, or the case fails. The shared flags train on the full
+# cora_like graph at hidden 64, so the Gemms, SpMMs and Adam steps of the
+# hidden layers exceed the pool's grain. The matrix (35 cases):
 #   * full-batch: GCN / ResGCN / GRAND x none / skipnode-u / dropedge /
 #     dropnode, and skipnode-u for each other backbone (GAT, JKNet,
 #     IncepGCN, GCNII, APPNP, GPRGNN, SGC), so every Forward is covered;
@@ -49,7 +55,7 @@ cmake --build "$HEAD_BUILD" -j "$(nproc)" --target skipnode_train_cli \
 REF_BIN="$WORK/src/build/tools/skipnode_train"
 HEAD_BIN="$HEAD_BUILD/tools/skipnode_train"
 
-COMMON="--dataset cora_like --scale 0.3 --layers 4 --hidden 16 --epochs 12
+COMMON="--dataset cora_like --scale 1.0 --layers 4 --hidden 64 --epochs 12
   --seed 7 --rate 0.5 --log-every 1"
 SAMPLED="--sample-fanout 3 --batch-size 64"
 INJECT="--model GCN --strategy skipnode-u --health --inject-epoch 5 --inject"
@@ -83,14 +89,26 @@ CASES+=("full-GCN-skipnode-u-streamed|--model GCN --strategy skipnode-u \
 CASES+=("sampled-GCN-skipnode-u-streamed|--model GCN --strategy skipnode-u \
 --nodes 6000 $SAMPLED")
 
-# Trains one case with binary $1 into directory $2; the flags follow.
+# Trains one case with binary $1 into directory $2; the flags follow. The
+# telemetry summary goes to $2.metrics.jsonl, outside the diffed directory:
+# its timings differ from run to run.
 train() {
   local bin=$1 out=$2
   shift 2
   mkdir -p "$out"
   # shellcheck disable=SC2086  # COMMON is a flag list
-  "$bin" $COMMON "$@" --save-dir "$out/checkpoint" |
+  "$bin" $COMMON "$@" --save-dir "$out/checkpoint" \
+    --metrics-out "$out.metrics.jsonl" |
     grep -v '^checkpoint saved to ' >"$out/stdout"
+}
+
+# Prints how many jobs the run behind metrics file $1 dispatched to the
+# thread pool: the parallel.task count of its summary record (0 if absent).
+dispatches() {
+  local count
+  count=$(grep -o '"parallel.task":{"count":[0-9]*' "$1" | grep -o '[0-9]*$' ||
+    true)
+  echo "${count:-0}"
 }
 
 failures=0
@@ -102,8 +120,12 @@ for threads in 1 4; do
     out="$WORK/out/$threads/$name"
     train "$REF_BIN" "$out/ref" "${flags[@]}"
     train "$HEAD_BIN" "$out/head" "${flags[@]}"
-    if diff -r "$out/ref" "$out/head" >"$out/diff"; then
-      echo "identical  $name @ $threads threads"
+    tasks=$(dispatches "$out/head.metrics.jsonl")
+    if ((threads > 1 && tasks == 0)); then
+      echo "NO FAN-OUT $name @ $threads threads: no pool dispatch"
+      failures=$((failures + 1))
+    elif diff -r "$out/ref" "$out/head" >"$out/diff"; then
+      echo "identical  $name @ $threads threads ($tasks pool dispatches)"
     else
       echo "DIFFERENT  $name @ $threads threads:"
       head -20 "$out/diff"
@@ -113,8 +135,10 @@ for threads in 1 4; do
 done
 
 if ((failures > 0)); then
-  echo "train bitwise: $failures run(s) differ from $1 ($REF_SHA)." >&2
+  echo "train bitwise: $failures run(s) differ from $1 ($REF_SHA) or ran" \
+    "without the pool at 4 threads." >&2
   exit 1
 fi
 echo "train bitwise: ${#CASES[@]} cases x 2 thread counts identical to" \
-  "$1 ($REF_SHA): checkpoints and stdout."
+  "$1 ($REF_SHA): checkpoints and stdout; every 4-thread run dispatched to" \
+  "the pool."

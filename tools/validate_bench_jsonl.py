@@ -30,6 +30,11 @@ DESIGN.md section 9, plus bench-specific invariants:
   * micro must emit the cdf_lookup cell (DESIGN section 13) in both
     guided=0 (std::upper_bound) and guided=1 (CdfTable) variants, with the
     guide table >= 3x faster.
+  * micro must emit the pool fan-out cells (DESIGN section 7): pool_fanout
+    timings (cpu_ns_per_op and ns_per_op at widths 1 and 4), recorded but
+    not gated, and pool_fanout_dispatch, whose counts are gated: at width 4,
+    declared work one unit below kMinWorkPerChunk dispatches no pool job,
+    and work at twice the grain dispatches one.
   * serve must show batched serving at 8 client threads reaching >= 2x the
     one-request-at-a-time EvaluateLogits baseline throughput, with p50/p99
     latency records present (the DESIGN section 11 acceptance signal).
@@ -311,6 +316,34 @@ def check_micro(path, records):
              f"{guided['value']:.1f} ns guided)")
 
 
+def check_pool_fanout(path, records):
+    """The one grain behind every parallel kernel (DESIGN section 7)."""
+    for threads in (1, 4):
+        for metric in ("cpu_ns_per_op", "ns_per_op"):
+            if not any(r["cell"] == "pool_fanout" and
+                       r["metric"] == metric and r["threads"] == threads
+                       for r in records):
+                fail(f"{path}: micro emitted no 'pool_fanout' {metric} "
+                     f"record at threads={threads}")
+
+    def dispatches(where):
+        for r in records:
+            if r["cell"] == "pool_fanout_dispatch" and \
+                    r["params"].get("work_over_grain") == where:
+                return r["value"]
+        fail(f"{path}: micro emitted no 'pool_fanout_dispatch' record for "
+             f"work_over_grain={where}")
+
+    below = dispatches("below")
+    if below != 0:
+        fail(f"{path}: declared work below the pool's grain dispatched "
+             f"{below:.0f} pool job(s); it must run inline")
+    at_twice = dispatches("2x")
+    if at_twice < 1:
+        fail(f"{path}: declared work at twice the pool's grain dispatched "
+             f"no pool job")
+
+
 def check_serve(path, records):
     """The serving-layer acceptance check (DESIGN section 11): batched
     serving at 8 client threads must beat the one-request-at-a-time
@@ -562,6 +595,7 @@ def main():
         check_table8(path, records)
     if bench_name == "micro":
         check_micro(path, records)
+        check_pool_fanout(path, records)
     if bench_name == "serve":
         check_serve(path, records)
     if bench_name == "scale":
