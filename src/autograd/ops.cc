@@ -100,8 +100,6 @@ Var Tape::SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
 
 Var Tape::Add(Var a, Var b) { return Axpby(a, b, 1.0f, 1.0f); }
 
-Var Tape::Sub(Var a, Var b) { return Axpby(a, b, 1.0f, -1.0f); }
-
 Var Tape::AddRowBroadcast(Var x, Var bias) {
   SKIPNODE_CHECK(x.tape_ == this && bias.tape_ == this);
   SKIPNODE_CHECK(bias.rows() == 1 && bias.cols() == x.cols());

@@ -127,7 +127,6 @@ class Tape {
   Var SpMMRowSelect(std::shared_ptr<const CsrMatrix> a, Var x, Var pre,
                     std::vector<uint8_t> skip_mask);
   Var Add(Var a, Var b);
-  Var Sub(Var a, Var b);
   // x + bias broadcast over rows; bias is 1 x cols.
   Var AddRowBroadcast(Var x, Var bias);
   // alpha * a + beta * b.

@@ -4,24 +4,11 @@
 #include "base/result_table.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 #include "base/check.h"
-#include "base/json.h"
 
 namespace skipnode {
-namespace {
-
-// A cell is emitted as a bare JSON number iff the whole string parses as a
-// finite double ("86.1", "-3", "1e-4"); everything else stays a string.
-bool IsNumericCell(const std::string& cell) {
-  if (cell.empty()) return false;
-  char* end = nullptr;
-  std::strtod(cell.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-}  // namespace
 
 ResultTable::ResultTable(std::vector<std::string> columns)
     : columns_(std::move(columns)) {
@@ -70,9 +57,6 @@ void ResultTable::Emit(TableFormat format, std::FILE* out) const {
     case TableFormat::kCsv:
       EmitCsv(out);
       return;
-    case TableFormat::kJsonl:
-      EmitJsonl(out);
-      return;
   }
 }
 
@@ -114,21 +98,6 @@ void ResultTable::EmitCsv(std::FILE* out) const {
   };
   write_row(columns_);
   for (const auto& row : rows_) write_row(row);
-}
-
-void ResultTable::EmitJsonl(std::FILE* out) const {
-  for (const auto& row : rows_) {
-    JsonObject object;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (IsNumericCell(row[c])) {
-        object.AddRaw(columns_[c], row[c]);
-      } else {
-        object.Add(columns_[c], row[c]);
-      }
-    }
-    std::fputs(object.Finish().c_str(), out);
-    std::fputc('\n', out);
-  }
 }
 
 }  // namespace skipnode

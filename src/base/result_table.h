@@ -2,10 +2,9 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Result-table builder used by the benchmark harness: collects rows of
-// string cells and emits them in any supported format through one API —
-// column-aligned text for the terminal, CSV for post-processing, and JSONL
-// (one object per row, numeric-looking cells emitted as numbers) for the
-// machine-readable bench trajectory.
+// string cells and emits them in either supported format through one API —
+// column-aligned text for the terminal and CSV for post-processing. Bench
+// JSONL records go through bench::CellRecorder, not this table.
 
 #ifndef SKIPNODE_BASE_RESULT_TABLE_H_
 #define SKIPNODE_BASE_RESULT_TABLE_H_
@@ -19,7 +18,6 @@ namespace skipnode {
 enum class TableFormat {
   kText,   // column-aligned, human-readable
   kCsv,    // header + comma-separated rows
-  kJsonl,  // one JSON object per row keyed by column name
 };
 
 class ResultTable {
@@ -50,7 +48,6 @@ class ResultTable {
  private:
   void EmitText(std::FILE* out) const;
   void EmitCsv(std::FILE* out) const;
-  void EmitJsonl(std::FILE* out) const;
   void PrintStreamRow(const std::vector<std::string>& cells) const;
 
   std::vector<std::string> columns_;

@@ -7,14 +7,14 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "base/check.h"
-#include "base/parallel.h"
 #include "base/rng.h"
 #include "base/telemetry.h"
 #include "graph/generators.h"
-#include "sparse/csr_builder.h"
+#include "sparse/graph_ops.h"
 
 namespace skipnode {
 
@@ -181,49 +181,11 @@ Graph BuildStreamingDataset(const DatasetSpec& spec,
   const DcSbmPlan plan = PlanDcSbm(config, rng);
   // The edges draw from a fork seeded by one draw, so the caller's stream —
   // the features come next — is independent of how many draws they take.
+  // Repeated draws collapse in the normaliser, which frees the list before
+  // its per-row merge.
   Rng edge_stream_rng(rng.Next());
-  EdgeList drawn = DrawDcSbmEdges(config, plan, edge_stream_rng);
-
-  // A+I pattern from the drawn list: count, then fill; duplicate draws
-  // collapse in FinalizePattern. The list is freed before the merge, which
-  // holds the builder's buffer and the final columns together.
-  CsrBuilder builder(n, n);
-  for (const auto& [u, v] : drawn) {
-    builder.CountEntry(u);
-    builder.CountEntry(v);
-  }
-  for (int i = 0; i < n; ++i) builder.CountEntry(i);
-  builder.FinishCounting();
-  for (const auto& [u, v] : drawn) {
-    builder.AddPatternEntry(u, v);
-    builder.AddPatternEntry(v, u);
-  }
-  for (int i = 0; i < n; ++i) builder.AddPatternEntry(i, i);
-  EdgeList().swap(drawn);
-  builder.FinalizePattern();
-
-  // Simple-graph degrees from the deduplicated pattern (self-loop excluded);
-  // the GCN normalisation then reads the *final* degrees, which is why the
-  // weights wait for BuildWithValues.
-  std::vector<int> degrees(n);
-  int64_t directed_entries = 0;
-  for (int i = 0; i < n; ++i) {
-    degrees[i] = builder.FinalRowNnz(i) - 1;
-    directed_entries += degrees[i];
-  }
-  const int64_t num_undirected_edges = directed_entries / 2;
-
-  std::vector<float> inv_sqrt(n);
-  ParallelFor(
-      0, n,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          inv_sqrt[i] = 1.0f / std::sqrt(static_cast<float>(degrees[i] + 1));
-        }
-      },
-      /*work_per_element=*/1);
-  CsrMatrix a_hat = builder.BuildWithValues(
-      [&](int r, int c) { return inv_sqrt[r] * inv_sqrt[c]; });
+  auto a_hat = std::make_shared<const CsrMatrix>(
+      NormalizedAdjacency(n, DrawDcSbmEdges(config, plan, edge_stream_rng)));
 
   FeatureConfig feature_config;
   feature_config.dim = spec.feature_dim;
@@ -232,11 +194,8 @@ Graph BuildStreamingDataset(const DatasetSpec& spec,
   Matrix features = MakeClassFeatures(plan.labels, spec.num_classes,
                                       feature_config, rng);
 
-  std::vector<int> labels = plan.labels;
-  Graph graph(spec.name, n,
-              std::make_shared<const CsrMatrix>(std::move(a_hat)),
-              std::move(degrees), num_undirected_edges, std::move(features),
-              std::move(labels), spec.num_classes);
+  Graph graph(spec.name, std::move(a_hat), std::move(features), plan.labels,
+              spec.num_classes);
   if (spec.with_years) {
     graph.set_years(DrawYears(n, rng));
   }

@@ -106,10 +106,11 @@ class DatasetRegistry {
   std::vector<Entry> entries_;
 };
 
-// Streaming DC-SBM instantiation of `spec` at an explicit size: generates
-// the edge stream twice through a pattern-mode CsrBuilder (count, fill),
-// normalises in place from the post-deduplication degrees, and returns a
-// Graph adopting that A_hat. Never materialises an edge list or COO vector.
+// Streaming DC-SBM instantiation of `spec` at an explicit size: draws the
+// edge list once (repeats included), hands it to NormalizedAdjacency, which
+// collapses the repeats, reads the degrees off the collapsed pattern and
+// frees the list before its per-row merge, and returns a Graph adopting that
+// A_hat. Never materialises a COO vector.
 Graph BuildStreamingDataset(const DatasetSpec& spec,
                             const DatasetRequest& request);
 

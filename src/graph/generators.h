@@ -92,8 +92,8 @@ DcSbmPlan PlanDcSbm(const PlantedPartitionConfig& config, Rng& rng);
 
 // Draws the plan's degree-corrected edges from `rng`: (u, v) with u < v for
 // every accepted draw, in draw order, until config.num_edges are accepted
-// or the attempt budget runs out. Duplicates are NOT filtered — the
-// pattern-mode CsrBuilder collapses them, where PlantedPartition keeps a
+// or the attempt budget runs out. Duplicates are NOT filtered —
+// NormalizedAdjacency collapses them, where PlantedPartition keeps a
 // std::set — so the list holds at most num_edges pairs (8 bytes each).
 EdgeList DrawDcSbmEdges(const PlantedPartitionConfig& config,
                         const DcSbmPlan& plan, Rng& rng);

@@ -33,24 +33,24 @@ Graph::Graph(std::string name, int num_nodes, EdgeList edges, Matrix features,
   degrees_ = Degrees(num_nodes_, edges_);
 }
 
-Graph::Graph(std::string name, int num_nodes,
+Graph::Graph(std::string name,
              std::shared_ptr<const CsrMatrix> normalized_adjacency,
-             std::vector<int> degrees, int64_t num_undirected_edges,
              Matrix features, std::vector<int> labels, int num_classes)
     : name_(std::move(name)),
-      num_nodes_(num_nodes),
-      num_edges_(num_undirected_edges),
       features_(std::move(features)),
       labels_(std::move(labels)),
       num_classes_(num_classes),
-      degrees_(std::move(degrees)),
       normalized_adjacency_(std::move(normalized_adjacency)) {
-  SKIPNODE_CHECK(num_nodes_ >= 0);
-  SKIPNODE_CHECK(num_edges_ >= 0);
   SKIPNODE_CHECK(normalized_adjacency_ != nullptr);
-  SKIPNODE_CHECK(normalized_adjacency_->rows() == num_nodes_);
-  SKIPNODE_CHECK(normalized_adjacency_->cols() == num_nodes_);
-  SKIPNODE_CHECK(static_cast<int>(degrees_.size()) == num_nodes_);
+  const CsrMatrix& a_hat = *normalized_adjacency_;
+  SKIPNODE_CHECK(a_hat.cols() == a_hat.rows());
+  num_nodes_ = a_hat.rows();
+  degrees_.resize(static_cast<size_t>(num_nodes_));
+  for (int i = 0; i < num_nodes_; ++i) {
+    SKIPNODE_CHECK(a_hat.RowNnz(i) >= 1);  // The self-loop.
+    degrees_[static_cast<size_t>(i)] = a_hat.RowNnz(i) - 1;
+  }
+  num_edges_ = (a_hat.nnz() - num_nodes_) / 2;
   SKIPNODE_CHECK(features_.rows() == num_nodes_);
   if (!labels_.empty()) {
     SKIPNODE_CHECK(static_cast<int>(labels_.size()) == num_nodes_);
@@ -67,14 +67,15 @@ void Graph::set_years(std::vector<int> years) {
 
 std::shared_ptr<const CsrMatrix> Graph::normalized_adjacency() const {
   if (normalized_adjacency_ == nullptr) {
+    // The normaliser takes the list over (a moved-from vector is empty) and
+    // frees it.
     normalized_adjacency_ = std::make_shared<const CsrMatrix>(
-        NormalizedAdjacency(num_nodes_, edges_));
-    // Duplicates merge in A_hat, so its pattern would disagree with
+        NormalizedAdjacency(num_nodes_, std::move(edges_)));
+    // Repeats collapse in A_hat, so its pattern would disagree with
     // num_edges().
     SKIPNODE_CHECK_MSG(
         normalized_adjacency_->nnz() == num_nodes_ + 2 * num_edges_,
         "Graph '%s': an edge is listed twice", name_.c_str());
-    EdgeList().swap(edges_);
   }
   return normalized_adjacency_;
 }

@@ -38,11 +38,11 @@ class Graph {
   Graph(std::string name, int num_nodes, EdgeList edges, Matrix features,
         std::vector<int> labels, int num_classes);
 
-  // Adopts a pre-normalised A_hat (pattern = A+I), its simple-graph degrees,
-  // and its undirected edge count.
-  Graph(std::string name, int num_nodes,
+  // Adopts a pre-normalised A_hat whose pattern is A+I (every diagonal
+  // entry stored, as NormalizedAdjacency builds it); the node count, the
+  // degrees and the edge count are read off that pattern.
+  Graph(std::string name,
         std::shared_ptr<const CsrMatrix> normalized_adjacency,
-        std::vector<int> degrees, int64_t num_undirected_edges,
         Matrix features, std::vector<int> labels, int num_classes);
 
   const std::string& name() const { return name_; }

@@ -3,29 +3,27 @@
 //
 // Streaming two-pass CSR constructor: the single construction path for
 // CsrMatrix (DESIGN §13). Callers stream their entries twice — once to
-// count per-row degrees, once to fill — and the builder lays the matrix out
+// count per-row entries, once to fill — and the builder lays the matrix out
 // directly in compact CSR form, so no intermediate COO triplet vector is
 // ever materialised (the retired FromCoo path peaked at ~3x the final
 // footprint at 10M edges).
 //
-// Two fill modes, chosen by which Add call the second pass uses:
-//   * Value mode  — AddEntry(r, c, v); Build() sorts each row by column and
-//     sums duplicate coordinates in per-row insertion order (every producer
-//     of duplicates in this codebase emits float-equal values per
-//     coordinate, so the sum is order-independent anyway). BeginRowFill /
-//     AddRowEntries switch the fill pass to row-owner mode, where parallel
-//     code may fill disjoint rows concurrently (the sampler's block build).
+// Two fill modes, chosen by the second pass:
+//   * Row fill — BeginRowFill, then AddRowEntries(row, cols, values, n)
+//     calls, which parallel code may issue for disjoint rows (the sampler's
+//     block build). Each column appears at most once per row; Build() sorts
+//     every row by column and returns the matrix.
 //   * Pattern mode — AddPatternEntry(r, c); FinalizePattern() collapses
-//     duplicates to a single entry, after which FinalRowNnz exposes the
-//     deduplicated degrees and BuildWithValues(fn) assigns each surviving
-//     entry's weight as fn(r, c). This is the streaming-generator path:
-//     degree-dependent weights (the Â normalisation) need the *final*
-//     degrees, which only exist after deduplication.
+//     repeated coordinates to a single entry, after which FinalRowNnz
+//     exposes the final row counts and BuildWithValues(fn) assigns each
+//     entry's weight as fn(r, c). This is the normaliser's path
+//     (NormalizedAdjacency): the Â weights need the final degrees, which
+//     exist only once repeats have collapsed.
 //
-// The two passes must stream identical entry sequences; the builder checks
-// the counts line up. Per-row sorting/merging fans out with
-// ParallelForBalanced over rows (row segments are disjoint), so building is
-// parallel yet bitwise deterministic at any thread count (DESIGN §7).
+// The two passes must stream the same per-row counts; the builder checks
+// that they line up. Per-row sorting fans out with ParallelForBalanced over
+// rows (row segments are disjoint), so building is parallel yet bitwise
+// deterministic at any thread count (DESIGN §7).
 
 #ifndef SKIPNODE_SPARSE_CSR_BUILDER_H_
 #define SKIPNODE_SPARSE_CSR_BUILDER_H_
@@ -51,52 +49,41 @@ class CsrBuilder {
     ++total_count_;
   }
 
-  // Raw (pre-deduplication) entries counted so far for `row`. Valid during
-  // counting; graph normalisation reads these as degrees before appending
-  // the self-loop counts.
-  int64_t RowCount(int row) const {
-    SKIPNODE_CHECK(row >= 0 && row < rows_);
-    return counts_[row];
-  }
-  int64_t total_count() const { return total_count_; }
-
   // Freezes the counts: prefix-sums the row pointers and allocates the
-  // fill buffers.
+  // column buffer.
   void FinishCounting();
 
   // --- Pass 2: filling ------------------------------------------------
-  // Exactly total_count() Add*Entry calls must follow FinishCounting, with
-  // per-row multiplicity matching the counting pass (order within and
-  // across rows is free).
-  void AddEntry(int row, int col, float value);
+  // Every counted entry must be added after FinishCounting, with per-row
+  // multiplicity matching the counting pass (order within and across rows
+  // is free).
   void AddPatternEntry(int row, int col);
 
-  // Switches the fill pass to row-owner value mode: allocates the value
-  // buffer up front so the AddRowEntries calls below may run from parallel
-  // code. Call once, serially, after FinishCounting; AddEntry /
-  // AddPatternEntry are disallowed afterwards.
+  // Switches the fill pass to row fill: allocates the value buffer up front
+  // so the AddRowEntries calls below may run from parallel code. Call once,
+  // serially, after FinishCounting; AddPatternEntry is disallowed
+  // afterwards.
   void BeginRowFill();
 
   // Appends `n` (col, value) entries to `row`'s segment in one call. Safe to
   // call concurrently for *different* rows — each row must be filled by
   // exactly one thread (ParallelFor row ownership, DESIGN §7); the per-row
   // cursors and segments are disjoint, so no synchronisation is needed.
-  // Requires BeginRowFill; Build() verifies every row's segment filled up
-  // exactly.
   void AddRowEntries(int row, const int* cols, const float* values, int n);
 
-  // --- Finish: value mode ---------------------------------------------
-  // Sorts each row by column, sums duplicates in per-row insertion order,
-  // and returns the matrix. The builder is consumed.
+  // --- Finish: row fill -----------------------------------------------
+  // Checks every row's segment filled up exactly, sorts each row by column
+  // (a column repeated within a row aborts), and returns the matrix. The
+  // builder is consumed.
   CsrMatrix Build();
 
   // --- Finish: pattern mode -------------------------------------------
-  // Sorts each row and collapses duplicate coordinates to one entry.
+  // Sorts each row and collapses repeated coordinates to one entry.
   void FinalizePattern();
-  // Post-deduplication entries in `row`; valid after FinalizePattern.
+  // Entries left in `row` once repeats collapsed; valid after
+  // FinalizePattern.
   int FinalRowNnz(int row) const;
-  int64_t final_nnz() const { return final_nnz_; }
-  // Assigns every surviving entry's weight as value_fn(row, col) (invoked
+  // Assigns every entry's weight as value_fn(row, col) (invoked
   // row-parallel; it must be pure) and returns the matrix. The builder is
   // consumed.
   CsrMatrix BuildWithValues(const std::function<float(int, int)>& value_fn);
@@ -104,35 +91,26 @@ class CsrBuilder {
  private:
   enum class Phase { kCounting, kFilling, kPatternFinal, kDone };
 
-  // Shared sort/merge/compact tail. In value mode duplicate coordinates sum
-  // (insertion order); in pattern mode they collapse.
-  void MergeRows(bool with_values);
+  // Checks every row's fill cursor reached its segment end: the fill
+  // matched the count pass.
+  void CheckFilled() const;
   CsrMatrix TakeMatrix();
 
   int rows_;
   int cols_;
   Phase phase_ = Phase::kCounting;
   int64_t total_count_ = 0;
-  int64_t added_ = 0;
-  bool has_values_ = false;
-  // Set by BeginRowFill: fill completeness is verified per row (cursor ==
-  // segment end) instead of via the shared added_ counter, which parallel
-  // AddRowEntries calls must not touch.
   bool row_fill_ = false;
 
-  // Counting pass: per-row raw counts; after FinishCounting, reused as the
-  // per-row fill cursors; after MergeRows, holds per-row unique counts.
+  // Counting pass: per-row counts; after FinishCounting, reused as the
+  // per-row fill cursors; in FinalizePattern, the per-row final counts.
   std::vector<int64_t> counts_;
-  // Raw row segments [raw_offsets_[r], raw_offsets_[r+1]).
-  std::vector<int64_t> raw_offsets_;
-  std::vector<int> cols_buf_;
-  std::vector<float> vals_buf_;
-
-  // Final CSR arrays (populated by MergeRows).
+  // The matrix arrays under construction. Row r fills the segment
+  // [offsets_[r], offsets_[r+1]); FinalizePattern replaces offsets_ and
+  // col_idx_ with their compacted forms.
   std::vector<int64_t> offsets_;
-  std::vector<int> final_cols_;
-  std::vector<float> final_vals_;
-  int64_t final_nnz_ = 0;
+  std::vector<int> col_idx_;
+  std::vector<float> values_;
 };
 
 }  // namespace skipnode

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <queue>
+#include <utility>
 
 #include "base/check.h"
 #include "base/parallel.h"
@@ -12,67 +13,6 @@
 #include "sparse/csr_builder.h"
 
 namespace skipnode {
-namespace {
-
-// Builds (D+I)^{-1/2}(A+I)(D+I)^{-1/2} over the subgraph induced by
-// `keep_node` (nullptr keeps everything). Nodes outside the subgraph get
-// all-zero rows and columns. `for_each_edge(fn)` streams the undirected
-// edges as fn(u, v) and must replay the same sequence when called again.
-//
-// Streams both directions of every kept edge through CsrBuilder twice (count
-// then fill) instead of materialising the symmetric COO triplet vector; the
-// float math is unchanged from the COO path — degrees are raw symmetric-entry
-// counts (duplicate edges counted), inv_sqrt is computed per node once, and
-// each entry's value is the same two-factor product — so the result is
-// bitwise identical.
-template <typename EdgeStream>
-CsrMatrix NormalizeImpl(int num_nodes, const EdgeStream& for_each_edge,
-                        const std::vector<bool>* keep_node) {
-  const ScopedTimer timer("sparse.adjacency_normalize", /*items=*/num_nodes);
-  CsrBuilder builder(num_nodes, num_nodes);
-  const auto node_kept = [keep_node](int64_t i) {
-    return keep_node == nullptr || (*keep_node)[static_cast<size_t>(i)];
-  };
-  for_each_edge([&](int u, int v) {
-    if (!node_kept(u) || !node_kept(v)) return;
-    builder.CountEntry(u);
-    builder.CountEntry(v);
-  });
-
-  // Degrees of the (possibly sub-sampled) simple graph, read from the raw
-  // counts before the self-loop entries join them. Per-node map with no
-  // cross-element accumulation: safe to chunk across threads without
-  // perturbing any value.
-  std::vector<float> inv_sqrt(num_nodes, 0.0f);
-  ParallelFor(
-      0, num_nodes,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          if (node_kept(i)) {
-            const int64_t d = builder.RowCount(static_cast<int>(i)) + 1;
-            inv_sqrt[i] = 1.0f / std::sqrt(static_cast<float>(d));
-          }
-        }
-      },
-      /*work_per_element=*/1);
-
-  for (int i = 0; i < num_nodes; ++i) {
-    if (node_kept(i)) builder.CountEntry(i);
-  }
-  builder.FinishCounting();
-
-  for_each_edge([&](int u, int v) {
-    if (!node_kept(u) || !node_kept(v)) return;
-    builder.AddEntry(u, v, inv_sqrt[u] * inv_sqrt[v]);
-    builder.AddEntry(v, u, inv_sqrt[v] * inv_sqrt[u]);
-  });
-  for (int i = 0; i < num_nodes; ++i) {
-    if (node_kept(i)) builder.AddEntry(i, i, inv_sqrt[i] * inv_sqrt[i]);
-  }
-  return builder.Build();
-}
-
-}  // namespace
 
 std::vector<int> Degrees(int num_nodes, const EdgeList& edges) {
   std::vector<int> degree(num_nodes, 0);
@@ -84,11 +24,57 @@ std::vector<int> Degrees(int num_nodes, const EdgeList& edges) {
   return degree;
 }
 
-CsrMatrix NormalizedAdjacency(int num_nodes, const EdgeList& edges) {
-  const auto walk = [&edges](auto&& fn) {
-    for (const auto& [u, v] : edges) fn(u, v);
+CsrMatrix NormalizedAdjacency(int num_nodes, EdgeList edges,
+                              const std::vector<bool>* keep_node) {
+  const ScopedTimer timer("sparse.adjacency_normalize", /*items=*/num_nodes);
+  SKIPNODE_CHECK(keep_node == nullptr ||
+                 static_cast<int>(keep_node->size()) == num_nodes);
+  const auto kept = [keep_node](int i) {
+    return keep_node == nullptr || (*keep_node)[static_cast<size_t>(i)];
   };
-  return NormalizeImpl(num_nodes, walk, nullptr);
+  // The A+I pattern: both directions of every edge plus the kept
+  // self-loops, streamed twice (count, fill).
+  CsrBuilder builder(num_nodes, num_nodes);
+  for (const auto& [u, v] : edges) {
+    builder.CountEntry(u);
+    builder.CountEntry(v);
+    SKIPNODE_CHECK(kept(u) && kept(v));
+  }
+  for (int i = 0; i < num_nodes; ++i) {
+    if (kept(i)) builder.CountEntry(i);
+  }
+  builder.FinishCounting();
+  for (const auto& [u, v] : edges) {
+    builder.AddPatternEntry(u, v);
+    builder.AddPatternEntry(v, u);
+  }
+  for (int i = 0; i < num_nodes; ++i) {
+    if (kept(i)) builder.AddPatternEntry(i, i);
+  }
+  // Freed before the per-row merge, which holds the builder's column buffer
+  // and the compacted columns together.
+  EdgeList().swap(edges);
+  builder.FinalizePattern();
+
+  // A kept row holds its distinct neighbours plus the self-loop, so its
+  // entry count is d + 1; a dropped row is empty and is never read. A
+  // per-node map with no cross-element accumulation: safe to chunk across
+  // threads without perturbing any value.
+  std::vector<float> inv_sqrt(static_cast<size_t>(num_nodes), 0.0f);
+  ParallelFor(
+      0, num_nodes,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const int entries = builder.FinalRowNnz(static_cast<int>(i));
+          if (entries > 0) {
+            inv_sqrt[static_cast<size_t>(i)] =
+                1.0f / std::sqrt(static_cast<float>(entries));
+          }
+        }
+      },
+      /*work_per_element=*/1);
+  return builder.BuildWithValues(
+      [&](int r, int c) { return inv_sqrt[r] * inv_sqrt[c]; });
 }
 
 EdgeList UndirectedEdges(const CsrMatrix& pattern) {
@@ -105,7 +91,7 @@ CsrMatrix DropEdgeAdjacency(const CsrMatrix& a_hat, double drop_rate,
   ForEachEdge(a_hat, [&](int u, int v) {
     if (!rng.Bernoulli(drop_rate)) kept.emplace_back(u, v);
   });
-  return NormalizedAdjacency(a_hat.rows(), kept);
+  return NormalizedAdjacency(a_hat.rows(), std::move(kept));
 }
 
 CsrMatrix DropNodeAdjacency(const CsrMatrix& a_hat, double drop_rate,
@@ -116,8 +102,11 @@ CsrMatrix DropNodeAdjacency(const CsrMatrix& a_hat, double drop_rate,
   for (int i = 0; i < n; ++i) {
     if (rng.Bernoulli(drop_rate)) keep[i] = false;
   }
-  const auto walk = [&a_hat](auto&& fn) { ForEachEdge(a_hat, fn); };
-  return NormalizeImpl(n, walk, &keep);
+  EdgeList kept;
+  ForEachEdge(a_hat, [&](int u, int v) {
+    if (keep[u] && keep[v]) kept.emplace_back(u, v);
+  });
+  return NormalizedAdjacency(n, std::move(kept), &keep);
 }
 
 std::vector<int> ConnectedComponents(const CsrMatrix& adjacency) {

@@ -27,10 +27,17 @@ using EdgeList = std::vector<std::pair<int, int>>;
 // (self-loops excluded; the normalisation adds them separately).
 std::vector<int> Degrees(int num_nodes, const EdgeList& edges);
 
-// GCN re-normalised adjacency: A_hat = (D+I)^{-1/2} (A+I) (D+I)^{-1/2}.
-// Duplicate listed edges count twice in D and sum in A (the COO-era
-// semantics, preserved bit for bit by the streaming builder).
-CsrMatrix NormalizedAdjacency(int num_nodes, const EdgeList& edges);
+// GCN re-normalised adjacency: A_hat = (D+I)^{-1/2} (A+I) (D+I)^{-1/2}, the
+// one normaliser every A_hat goes through (a Graph's lazy A_hat, DropEdge,
+// DropNode and the streaming generator). Both directions of each listed
+// edge and one self-loop per kept node stream into a pattern-mode
+// CsrBuilder; an edge listed more than once (in either orientation)
+// collapses to one entry, so D counts each distinct neighbour once. The
+// list is consumed: it is freed before the per-row merge. Nodes that
+// `keep_node` (when given) marks false get no self-loop and so an all-zero
+// row and column; every listed edge must then join two kept nodes.
+CsrMatrix NormalizedAdjacency(int num_nodes, EdgeList edges,
+                              const std::vector<bool>* keep_node = nullptr);
 
 // Visits each undirected edge of a symmetric pattern (any A_hat) once as
 // fn(u, v) with u < v, in row-major order; the diagonal is skipped.

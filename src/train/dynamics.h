@@ -47,8 +47,7 @@ struct DynamicsRecord {
 
 // TrainNodeClassifier (full-batch, no guardrails) recording the dynamics;
 // `options` controls epochs/optimiser. Evaluation (MAD + val accuracy) runs
-// every epoch and never stops early: options.eval_every and
-// options.patience are overridden to 1 and 0.
+// every epoch: options.eval_every is overridden to 1.
 DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
                                  const Split& split,
                                  const StrategyConfig& strategy,

@@ -119,9 +119,7 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
 
   const auto log_event = [&](HealthEventKind kind, int epoch,
                              std::string detail) {
-    HealthEvent event{kind, epoch, std::move(detail)};
-    if (run.health_log != nullptr) run.health_log->push_back(event);
-    result.health_log.push_back(std::move(event));
+    result.health_log.push_back({kind, epoch, std::move(detail)});
   };
 
   // The last known-good parameter snapshot. Taken before the first step and
@@ -319,7 +317,6 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
 
   if (health.enabled) take_snapshot(-1);
 
-  int epochs_since_best = 0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     phase = EpochMetrics{};
     phase.epoch = epoch;
@@ -342,7 +339,6 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
       finish_epoch();
       continue;
     }
-    bool out_of_patience = false;
     {
       const int64_t eval_start = now();
       if (plan_eval && eval_plan == nullptr) {
@@ -370,15 +366,9 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
         result.best_val_accuracy = val_acc;
         result.test_accuracy = test_acc;
         result.best_epoch = epoch;
-        epochs_since_best = 0;
-      } else {
-        epochs_since_best += options.eval_every;
-        out_of_patience =
-            options.patience > 0 && epochs_since_best >= options.patience;
       }
     }
     finish_epoch();
-    if (out_of_patience) break;
   }
   return result;
 }
@@ -418,7 +408,6 @@ DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
 
   TrainRun run{.options = options};
   run.options.eval_every = 1;
-  run.options.patience = 0;
   // Runs after every epoch's evaluation pass. Parameter gradients survive
   // until the next step's ZeroGrad, and the eval forward — a full pass here,
   // not a planned one — has just refreshed Penultimate().

@@ -27,9 +27,6 @@ struct TrainOptions {
   int epochs = 200;  // >= 0
   float learning_rate = 0.01f;
   float weight_decay = 5e-4f;
-  // Stop if validation accuracy has not improved for this many epochs
-  // (<= 0 disables early stopping).
-  int patience = 0;
   // Evaluate every `eval_every` epochs (validation + test tracking; >= 1).
   int eval_every = 1;
   uint64_t seed = 1;
@@ -163,9 +160,6 @@ struct TrainRun {
   // evaluation computes only the rows its val/test logits read (DESIGN
   // §10), so it need not refresh Model::Penultimate().
   EpochCallback on_epoch;
-  // Optional external sink: when set, every HealthEvent is appended here as
-  // it happens, in addition to TrainResult::health_log.
-  std::vector<HealthEvent>* health_log = nullptr;
   // Collect per-epoch phase timings into TrainResult::epoch_metrics. Off the
   // numeric path: the trained weights are bitwise identical either way.
   bool collect_metrics = false;

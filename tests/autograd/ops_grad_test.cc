@@ -102,9 +102,6 @@ std::vector<OpCase> MakeOpCases() {
   cases.push_back({"Add", 3, 4, [same_shape](Tape& t, Var leaf) {
                      return t.Add(leaf, t.Constant(same_shape));
                    }});
-  cases.push_back({"Sub", 3, 4, [same_shape](Tape& t, Var leaf) {
-                     return t.Sub(t.Constant(same_shape), leaf);
-                   }});
   cases.push_back({"Axpby", 3, 4, [same_shape](Tape& t, Var leaf) {
                      return t.Axpby(leaf, t.Constant(same_shape), 0.3f, 1.7f);
                    }});

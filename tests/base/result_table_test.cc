@@ -56,19 +56,6 @@ TEST(ResultTableTest, EmitCsvRoundTrip) {
   EXPECT_EQ(ReadFile(path), "x,y\n1,2\n3,4.5\n");
 }
 
-TEST(ResultTableTest, EmitJsonlTypesCells) {
-  ResultTable table({"model", "acc", "note"});
-  table.AddRow({"GCN", "86.1", "2 layers"});
-  table.AddRow({"SkipNode", "-3e-1", ""});
-  const std::string path = ::testing::TempDir() + "/table.jsonl";
-  ASSERT_TRUE(table.EmitToFile(TableFormat::kJsonl, path));
-  // Numeric-looking cells are bare numbers, everything else is a string
-  // ("2 layers" starts with a digit but does not fully parse as one).
-  EXPECT_EQ(ReadFile(path),
-            "{\"model\":\"GCN\",\"acc\":86.1,\"note\":\"2 layers\"}\n"
-            "{\"model\":\"SkipNode\",\"acc\":-3e-1,\"note\":\"\"}\n");
-}
-
 TEST(ResultTableTest, EmitToFileFailsOnBadPath) {
   ResultTable table({"x"});
   EXPECT_FALSE(table.EmitToFile(TableFormat::kCsv,

@@ -6,12 +6,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/parallel.h"
+#include "base/rng.h"
+#include "graph/generators.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/graph_ops.h"
 #include "testing/coo_matrix.h"
@@ -276,6 +280,82 @@ TEST(DatasetsTest, StreamingSynthIsDeterministicAndHomophilous) {
   const double dense_degree =
       2.0 * dense.num_edges() / static_cast<double>(dense.num_nodes());
   EXPECT_NEAR(dense_degree, 30.0, 3.0);
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Redraws BuildStreamingDataset's edge list with its own recipe (seed mix,
+// PlanDcSbm, one draw to fork the edge stream, DrawDcSbmEdges), repeats
+// included, and returns the plan's labels alongside.
+EdgeList RedrawStreamedEdges(const DatasetSpec& spec, int nodes,
+                             uint64_t seed, std::vector<int>* labels) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 17);
+  const int n = std::max(nodes, spec.num_classes * 8);
+  const double avg_degree = 2.0 * spec.num_edges / spec.num_nodes;
+  PlantedPartitionConfig config;
+  config.num_nodes = n;
+  config.num_classes = spec.num_classes;
+  config.num_edges = static_cast<int>(std::max<int64_t>(
+      std::llround(n * avg_degree / 2.0), static_cast<int64_t>(n)));
+  config.homophily = spec.homophily;
+  config.power_law = spec.power_law;
+  const DcSbmPlan plan = PlanDcSbm(config, rng);
+  Rng edge_stream_rng(rng.Next());
+  *labels = plan.labels;
+  return DrawDcSbmEdges(config, plan, edge_stream_rng);
+}
+
+// The streamed A_hat against the COO reference over the same draw, which
+// the test deduplicates itself (each draw is (u, v) with u < v). DC-SBM
+// draws repeat, so a normaliser that counted a repeat in D — or summed it
+// in A — fails here.
+TEST(DatasetsTest, StreamedAdjacencyMatchesCooReferenceOverTheSameDraw) {
+  // A copy of the registered synth spec; a drift between the two shows as a
+  // label or edge mismatch below.
+  const DatasetSpec synth{"synth", 100000, 500000, 10,  32,
+                          0.80,    0.62,   12,     2.5, false};
+  const std::vector<std::pair<DatasetSpec, int>> cases = {
+      {synth, 20000}, {FindDatasetSpec("cora_like"), 6000}};
+  for (const auto& [spec, nodes] : cases) {
+    for (const uint64_t seed : {1u, 5u}) {
+      std::vector<int> labels;
+      EdgeList edges = RedrawStreamedEdges(spec, nodes, seed, &labels);
+      const size_t drawn = edges.size();
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+      ASSERT_LT(edges.size(), drawn) << spec.name << ": no repeated draw";
+      const CsrMatrix reference = testing::CooReferenceNormalized(nodes, edges);
+
+      DatasetRequest request;
+      request.name = spec.name;
+      request.seed = seed;
+      request.nodes = nodes;
+      for (const int threads : {1, 4}) {
+        SetParallelThreadCount(threads);
+        std::optional<Graph> graph;
+        const int64_t dispatches = testing::PoolDispatches(
+            [&] { graph.emplace(DatasetRegistry::Global().Build(request)); });
+        if (threads == 4) {
+          EXPECT_GT(dispatches, 0) << spec.name;
+        }
+        const CsrMatrix& a_hat = *graph->normalized_adjacency();
+        EXPECT_TRUE(SameBytes(reference.row_offsets(), a_hat.row_offsets()))
+            << spec.name << " seed " << seed << " threads " << threads;
+        EXPECT_TRUE(SameBytes(reference.col_idx(), a_hat.col_idx()))
+            << spec.name << " seed " << seed << " threads " << threads;
+        EXPECT_TRUE(SameBytes(reference.values(), a_hat.values()))
+            << spec.name << " seed " << seed << " threads " << threads;
+        EXPECT_EQ(graph->degrees(), Degrees(nodes, edges));
+        EXPECT_EQ(graph->num_edges(), static_cast<int>(edges.size()));
+        EXPECT_EQ(graph->labels(), labels);
+      }
+      SetParallelThreadCount(0);
+    }
+  }
 }
 
 TEST(GraphTest, NormalizedAdjacencyIsCachedAndShared) {

@@ -248,5 +248,31 @@ TEST_F(SamplerTest, SkipMaskPrunesFrontierAndCountsSavings) {
   EXPECT_EQ(edges->items, masked.edges_pruned);
 }
 
+// e2ebench reads each block build's `sparse.csr_build` record: its items
+// (entries streamed in) are the denominator of graph.pruned_edge_share, its
+// time sparse.csr_build_ms.
+TEST_F(SamplerTest, EachBlockRecordsOneCsrBuildOfItsEntries) {
+  const Graph graph = BuildDatasetByName("cora_like", 0.3, 1);
+  graph.normalized_adjacency();  // Built before the window: it records too.
+  NeighborSampler sampler(graph, {{4, 4, 4}});
+  const std::vector<int> seeds = SeedNodes(graph, 32, 7);
+
+  const bool enabled = TelemetryEnabled();
+  SetTelemetryEnabled(true);
+  ResetTelemetry();
+  const SampledBatch batch = sampler.SampleBlocks(seeds, 99, nullptr);
+  const TelemetrySnapshot snapshot = SnapshotTelemetry();
+  SetTelemetryEnabled(enabled);
+
+  int64_t block_nnz = 0;
+  for (const SampledLayer& layer : batch.layers) {
+    block_nnz += layer.block->nnz();
+  }
+  const MetricStat* build = snapshot.Find("sparse.csr_build");
+  ASSERT_NE(build, nullptr);
+  EXPECT_EQ(build->count, static_cast<int64_t>(batch.layers.size()));
+  EXPECT_EQ(build->items, block_nnz);
+}
+
 }  // namespace
 }  // namespace skipnode

@@ -2,14 +2,17 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // The streaming two-pass CSR builder (DESIGN §13). Contracts under test:
-//   * Value mode reproduces a plain-loop reference that shares no code with
-//     the builder (ReferenceCsr below: per row, a stable sort by column over
-//     insertion order, then left-to-right float sums of duplicates) bit for
-//     bit — same row pointers, column order, and summed duplicate values —
-//     at 1, 4 and 8 threads, on inputs large enough that the builder's
-//     per-row merge and compaction fan out.
-//   * Pattern mode collapses duplicates before weights exist, exposes the
-//     final degrees, and assigns fn(r, c) per surviving entry.
+//   * Row fill from parallel code (rows with distinct columns, in any order)
+//     reproduces a plain reference that shares no code with the builder
+//     (testing::ReferenceCsr: each row stably sorted by column) bit for bit —
+//     same row pointers, column order and values — at 1, 4 and 8 threads, on
+//     inputs large enough that the builder's per-row sort fans out. A column
+//     repeated within a row aborts.
+//   * Pattern mode collapses repeated coordinates before weights exist,
+//     exposes the final row counts, and assigns fn(r, c) per entry.
+//   * Each build records one `sparse.csr_build` whose items are the entries
+//     streamed in, before any collapse: e2ebench derives
+//     `graph.pruned_edge_share` from those items.
 
 #include <cstdint>
 #include <cstring>
@@ -20,8 +23,10 @@
 
 #include "base/parallel.h"
 #include "base/rng.h"
+#include "base/telemetry.h"
 #include "sparse/csr_builder.h"
 #include "sparse/csr_matrix.h"
+#include "testing/coo_matrix.h"
 #include "testing/pool_dispatches.h"
 
 namespace skipnode {
@@ -34,80 +39,58 @@ struct Coo {
   std::vector<float> values;
 };
 
-// Random COO with skewed rows where ~10% of the coordinates come three
-// times, each with its own value: three addends sum to different bits in
-// different orders, so a merge that left insertion order shows.
-Coo RandomCoo(int rows, int cols, uint64_t seed) {
+// Random rows with skewed lengths, each holding distinct columns in draw
+// (unsorted) order.
+Coo RandomDistinctRows(int rows, int cols, uint64_t seed) {
   Coo coo;
   coo.rows = rows;
   coo.cols = cols;
   Rng rng(seed);
+  std::vector<int> row_cols;
   for (int r = 0; r < rows; ++r) {
     const int degree =
         r % 13 == 0 ? 30 : static_cast<int>(rng.UniformInt(6));
-    for (int k = 0; k < degree; ++k) {
+    row_cols.clear();
+    while (static_cast<int>(row_cols.size()) < degree) {
       const int c = static_cast<int>(rng.UniformInt(cols));
-      const float v = rng.UniformFloat(-2.0f, 2.0f);
+      bool repeated = false;
+      for (const int seen : row_cols) repeated = repeated || seen == c;
+      if (repeated) continue;
+      row_cols.push_back(c);
       coo.coords.push_back({r, c});
-      coo.values.push_back(v);
-      if (rng.Bernoulli(0.1)) {
-        for (int copy = 0; copy < 2; ++copy) {
-          coo.coords.push_back({r, c});
-          coo.values.push_back(rng.UniformFloat(-2.0f, 2.0f));
-        }
-      }
+      coo.values.push_back(rng.UniformFloat(-2.0f, 2.0f));
     }
   }
   return coo;
 }
 
-CsrMatrix BuildStreaming(const Coo& coo) {
+// Fills the builder the sampler's way: one AddRowEntries call per row,
+// issued from ParallelFor with row ownership.
+CsrMatrix BuildByRowFill(const Coo& coo) {
+  std::vector<std::vector<int>> row_cols(static_cast<size_t>(coo.rows));
+  std::vector<std::vector<float>> row_vals(static_cast<size_t>(coo.rows));
+  for (size_t i = 0; i < coo.coords.size(); ++i) {
+    const auto [r, c] = coo.coords[i];
+    row_cols[static_cast<size_t>(r)].push_back(c);
+    row_vals[static_cast<size_t>(r)].push_back(coo.values[i]);
+  }
   CsrBuilder builder(coo.rows, coo.cols);
   for (const auto& [r, c] : coo.coords) builder.CountEntry(r);
   builder.FinishCounting();
-  for (size_t i = 0; i < coo.coords.size(); ++i) {
-    builder.AddEntry(coo.coords[i].first, coo.coords[i].second,
-                     coo.values[i]);
-  }
+  builder.BeginRowFill();
+  // Declares a grain per row, so the fill fans out whenever the sort would.
+  ParallelFor(
+      0, coo.rows,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t r = begin; r < end; ++r) {
+          const size_t row = static_cast<size_t>(r);
+          builder.AddRowEntries(static_cast<int>(r), row_cols[row].data(),
+                                row_vals[row].data(),
+                                static_cast<int>(row_cols[row].size()));
+        }
+      },
+      kMinWorkPerChunk);
   return builder.Build();
-}
-
-// The builder's value-mode contract in plain loops: per row, the entries in
-// insertion order, stably insertion-sorted by column, then duplicates summed
-// left to right.
-struct PlainCsr {
-  std::vector<int64_t> row_offsets;
-  std::vector<int> col_idx;
-  std::vector<float> values;
-};
-
-PlainCsr ReferenceCsr(const Coo& coo) {
-  std::vector<std::vector<std::pair<int, float>>> rows(
-      static_cast<size_t>(coo.rows));
-  for (size_t i = 0; i < coo.coords.size(); ++i) {
-    rows[static_cast<size_t>(coo.coords[i].first)].push_back(
-        {coo.coords[i].second, coo.values[i]});
-  }
-  PlainCsr out;
-  out.row_offsets.push_back(0);
-  for (std::vector<std::pair<int, float>>& row : rows) {
-    for (size_t i = 1; i < row.size(); ++i) {
-      const std::pair<int, float> entry = row[i];
-      size_t j = i;
-      for (; j > 0 && row[j - 1].first > entry.first; --j) row[j] = row[j - 1];
-      row[j] = entry;
-    }
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0 && row[i].first == row[i - 1].first) {
-        out.values.back() += row[i].second;
-      } else {
-        out.col_idx.push_back(row[i].first);
-        out.values.push_back(row[i].second);
-      }
-    }
-    out.row_offsets.push_back(static_cast<int64_t>(out.col_idx.size()));
-  }
-  return out;
 }
 
 template <typename T>
@@ -116,7 +99,8 @@ bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
-void ExpectIdenticalCsr(const PlainCsr& reference, const CsrMatrix& m) {
+void ExpectIdenticalCsr(const testing::PlainCsr& reference,
+                        const CsrMatrix& m) {
   ASSERT_EQ(static_cast<int64_t>(reference.row_offsets.size()),
             int64_t{m.rows()} + 1);
   EXPECT_TRUE(SameBytes(reference.row_offsets, m.row_offsets()));
@@ -124,8 +108,8 @@ void ExpectIdenticalCsr(const PlainCsr& reference, const CsrMatrix& m) {
   EXPECT_TRUE(SameBytes(reference.values, m.values()));  // bitwise
 }
 
-// Rows enough that the per-row merge and the compaction both exceed the
-// pool's grain and fan out (about 5 entries per row).
+// Rows enough that the per-row sort exceeds the pool's grain and fans out
+// (about 5 entries per row).
 constexpr int kLargeRows = 120000;
 
 class CsrBuilderTest : public ::testing::Test {
@@ -133,14 +117,15 @@ class CsrBuilderTest : public ::testing::Test {
   void TearDown() override { SetParallelThreadCount(0); }
 };
 
-TEST_F(CsrBuilderTest, ValueModeMatchesCooReferenceAtAllThreadCounts) {
-  const Coo coo = RandomCoo(kLargeRows, 50000, /*seed=*/21);
-  const PlainCsr reference = ReferenceCsr(coo);
+TEST_F(CsrBuilderTest, RowFillMatchesPlainReferenceAtAllThreadCounts) {
+  const Coo coo = RandomDistinctRows(kLargeRows, 50000, /*seed=*/33);
+  const testing::PlainCsr reference =
+      testing::ReferenceCsr(coo.rows, coo.cols, coo.coords, coo.values);
   for (const int threads : {1, 4, 8}) {
     SetParallelThreadCount(threads);
     CsrMatrix built;
     const int64_t dispatches =
-        testing::PoolDispatches([&] { built = BuildStreaming(coo); });
+        testing::PoolDispatches([&] { built = BuildByRowFill(coo); });
     ExpectIdenticalCsr(reference, built);
     if (threads > 1) {
       EXPECT_GT(dispatches, 0) << "threads=" << threads;
@@ -148,70 +133,23 @@ TEST_F(CsrBuilderTest, ValueModeMatchesCooReferenceAtAllThreadCounts) {
   }
 }
 
-TEST_F(CsrBuilderTest, DuplicatesSumInPerRowInsertionOrder) {
-  // Values chosen so float addition order matters: (1 + 1e8) - 1e8 is 0,
-  // 1 + (1e8 - 1e8) is 1. Both paths must pick the same (insertion) order.
+TEST_F(CsrBuilderTest, RowFillRejectsARepeatedColumn) {
   Coo coo;
   coo.rows = 2;
   coo.cols = 3;
-  coo.coords = {{0, 2}, {0, 2}, {1, 0}, {0, 2}, {1, 1}};
-  coo.values = {1.0f, 1e8f, 5.0f, -1e8f, -1.0f};
-  const CsrMatrix streamed = BuildStreaming(coo);
-  ExpectIdenticalCsr(ReferenceCsr(coo), streamed);
-  EXPECT_EQ(streamed.values()[0], 0.0f);
-  EXPECT_EQ(streamed.nnz(), 3);
-}
-
-TEST_F(CsrBuilderTest, RowOwnerFillMatchesSerialFillAtAllThreadCounts) {
-  // The sampler's fill mode: BeginRowFill + one AddRowEntries call per row,
-  // issued from parallel code with row ownership. Must be bitwise identical
-  // to the serial AddEntry path at any thread count.
-  const Coo coo = RandomCoo(kLargeRows, 50000, /*seed=*/33);
-  const PlainCsr reference = ReferenceCsr(coo);
-  // Group the COO stream by row, preserving per-row insertion order.
-  std::vector<std::vector<int>> row_cols(static_cast<size_t>(coo.rows));
-  std::vector<std::vector<float>> row_vals(static_cast<size_t>(coo.rows));
-  for (size_t i = 0; i < coo.coords.size(); ++i) {
-    row_cols[static_cast<size_t>(coo.coords[i].first)].push_back(
-        coo.coords[i].second);
-    row_vals[static_cast<size_t>(coo.coords[i].first)].push_back(
-        coo.values[i]);
-  }
-  for (const int threads : {1, 4, 8}) {
-    SetParallelThreadCount(threads);
-    CsrMatrix built;
-    const int64_t dispatches = testing::PoolDispatches([&] {
-      CsrBuilder builder(coo.rows, coo.cols);
-      for (const auto& [r, c] : coo.coords) builder.CountEntry(r);
-      builder.FinishCounting();
-      builder.BeginRowFill();
-      // Declares a grain per row, so the fill fans out whenever the merge
-      // would.
-      ParallelFor(
-          0, coo.rows,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t r = begin; r < end; ++r) {
-              builder.AddRowEntries(
-                  static_cast<int>(r), row_cols[static_cast<size_t>(r)].data(),
-                  row_vals[static_cast<size_t>(r)].data(),
-                  static_cast<int>(row_cols[static_cast<size_t>(r)].size()));
-            }
-          },
-          kMinWorkPerChunk);
-      built = builder.Build();
-    });
-    ExpectIdenticalCsr(reference, built);
-    if (threads > 1) {
-      EXPECT_GT(dispatches, 0) << "threads=" << threads;
-    }
-  }
+  coo.coords = {{0, 2}, {1, 0}, {0, 2}};
+  coo.values = {1.0f, 2.0f, 3.0f};
+  EXPECT_DEATH(BuildByRowFill(coo), "column 2 repeated in row 0");
 }
 
 TEST_F(CsrBuilderTest, EmptyRowsAndEmptyMatrix) {
   CsrBuilder builder(4, 4);
   builder.CountEntry(2);
   builder.FinishCounting();
-  builder.AddEntry(2, 1, 7.0f);
+  builder.BeginRowFill();
+  const int col = 1;
+  const float value = 7.0f;
+  builder.AddRowEntries(2, &col, &value, 1);
   const CsrMatrix m = builder.Build();
   EXPECT_EQ(m.nnz(), 1);
   EXPECT_EQ(m.RowNnz(0), 0);
@@ -219,6 +157,7 @@ TEST_F(CsrBuilderTest, EmptyRowsAndEmptyMatrix) {
 
   CsrBuilder empty(3, 5);
   empty.FinishCounting();
+  empty.BeginRowFill();
   const CsrMatrix e = empty.Build();
   EXPECT_EQ(e.rows(), 3);
   EXPECT_EQ(e.cols(), 5);
@@ -237,11 +176,10 @@ TEST_F(CsrBuilderTest, PatternModeCollapsesDuplicatesBeforeWeights) {
   builder.AddPatternEntry(2, 0);
   builder.FinalizePattern();
 
-  // Degrees are post-deduplication: the weight fn sees final structure.
+  // Row counts are post-collapse: the weight fn sees the final structure.
   EXPECT_EQ(builder.FinalRowNnz(0), 2);
   EXPECT_EQ(builder.FinalRowNnz(1), 0);
   EXPECT_EQ(builder.FinalRowNnz(2), 1);
-  EXPECT_EQ(builder.final_nnz(), 3);
 
   const CsrMatrix m = builder.BuildWithValues(
       [](int r, int c) { return static_cast<float>(10 * r + c); });
@@ -250,6 +188,53 @@ TEST_F(CsrBuilderTest, PatternModeCollapsesDuplicatesBeforeWeights) {
   EXPECT_EQ(m.values()[0], 1.0f);   // fn(0, 1)
   EXPECT_EQ(m.values()[1], 2.0f);   // fn(0, 2)
   EXPECT_EQ(m.values()[2], 20.0f);  // fn(2, 0)
+}
+
+TEST_F(CsrBuilderTest, EachBuildRecordsTheEntriesStreamedIn) {
+  const bool enabled = TelemetryEnabled();
+  SetTelemetryEnabled(true);
+  ResetTelemetry();
+
+  // Row fill: four entries over two rows.
+  const Coo coo{.rows = 2,
+                .cols = 4,
+                .coords = {{0, 3}, {1, 1}, {0, 0}, {1, 2}},
+                .values = {1.0f, 2.0f, 3.0f, 4.0f}};
+  const CsrMatrix filled = BuildByRowFill(coo);
+  const TelemetrySnapshot after_fill = SnapshotTelemetry();
+
+  // Pattern mode: five entries streamed in, three left after the collapse.
+  CsrBuilder pattern(2, 2);
+  for (int i = 0; i < 3; ++i) pattern.CountEntry(0);
+  for (int i = 0; i < 2; ++i) pattern.CountEntry(1);
+  pattern.FinishCounting();
+  pattern.AddPatternEntry(0, 1);
+  pattern.AddPatternEntry(0, 1);
+  pattern.AddPatternEntry(0, 0);
+  pattern.AddPatternEntry(1, 1);
+  pattern.AddPatternEntry(1, 1);
+  pattern.FinalizePattern();
+  const TelemetrySnapshot after_pattern = SnapshotTelemetry();
+  const CsrMatrix weighted =
+      pattern.BuildWithValues([](int, int) { return 1.0f; });
+  const TelemetrySnapshot after_values = SnapshotTelemetry();
+  SetTelemetryEnabled(enabled);
+
+  EXPECT_EQ(filled.nnz(), 4);
+  EXPECT_EQ(weighted.nnz(), 3);
+  const MetricStat* fill_stat = after_fill.Find("sparse.csr_build");
+  ASSERT_NE(fill_stat, nullptr);
+  EXPECT_EQ(fill_stat->count, 1);
+  EXPECT_EQ(fill_stat->items, 4);
+  const MetricStat* pattern_stat = after_pattern.Find("sparse.csr_build");
+  ASSERT_NE(pattern_stat, nullptr);
+  EXPECT_EQ(pattern_stat->count, 2);
+  EXPECT_EQ(pattern_stat->items, 4 + 5);
+  // Assigning the weights records nothing more.
+  const MetricStat* values_stat = after_values.Find("sparse.csr_build");
+  ASSERT_NE(values_stat, nullptr);
+  EXPECT_EQ(values_stat->count, 2);
+  EXPECT_EQ(values_stat->items, 4 + 5);
 }
 
 }  // namespace

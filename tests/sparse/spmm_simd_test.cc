@@ -16,9 +16,9 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/simd.h"
-#include "sparse/csr_builder.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/matrix.h"
+#include "testing/coo_matrix.h"
 #include "testing/pool_dispatches.h"
 
 namespace skipnode {
@@ -48,13 +48,7 @@ CsrMatrix RandomCsr(int rows, int cols, Rng& rng) {
       values.push_back(rng.UniformFloat(-1.0f, 1.0f));
     }
   }
-  CsrBuilder builder(rows, cols);
-  for (const auto& [r, c] : coords) builder.CountEntry(r);
-  builder.FinishCounting();
-  for (size_t i = 0; i < coords.size(); ++i) {
-    builder.AddEntry(coords[i].first, coords[i].second, values[i]);
-  }
-  return builder.Build();
+  return testing::CsrFromCoo(rows, cols, coords, values);
 }
 
 std::vector<uint8_t> RandomMask(int n, Rng& rng) {

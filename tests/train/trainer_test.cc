@@ -65,16 +65,6 @@ TEST(TrainerTest, ResultIsDeterministicForSeed) {
   EXPECT_DOUBLE_EQ(accs[0], accs[1]);
 }
 
-TEST(TrainerTest, EarlyStoppingCutsEpochs) {
-  Fixture setup(4);
-  Rng rng(6);
-  auto model = MakeModel("GCN", ConfigFor(setup.graph, 2), rng);
-  const TrainResult result = TrainNodeClassifier(
-      *model, setup.graph, setup.split, StrategyConfig::None(),
-      {.options = {.epochs = 300, .patience = 10}});
-  EXPECT_LT(result.epochs_run, 300);
-}
-
 TEST(TrainerTest, EvalEveryReducesEvaluationWithoutBreakingSelection) {
   Fixture setup(5);
   Rng rng(7);

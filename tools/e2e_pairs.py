@@ -47,7 +47,8 @@ UNTRACED_METRICS = ("setup_s", "peak_rss_mb", "time_to_target_cpu_s",
                     "epoch_cpu_ms", "test_accuracy")
 TRACED_METRICS = ("wall.epoch_ms", "train.forward_ms", "train.backward_ms",
                   "train.eval_ms", "sparse.spmm_ms", "tensor.gemm_ms",
-                  "parallel.imbalance_share")
+                  "sparse.csr_build_ms", "sparse.csr_build_setup_ms",
+                  "graph.pruned_edge_share", "parallel.imbalance_share")
 SIDES = ("ref", "change")
 
 
