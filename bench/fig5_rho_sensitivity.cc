@@ -47,11 +47,8 @@ RhoPoint RunPoint(const Graph& graph, const Split& split,
                                                .seed = 19}})
                   .test_accuracy;
   // MAD of the trained model's penultimate features (paper Fig. 5b).
-  Tape tape;
-  Rng eval_rng(20);
-  StrategyContext ctx(graph, strategy, /*training=*/false, eval_rng);
-  model->Forward(tape, ctx, /*training=*/false, eval_rng);
-  point.mad = MeanAverageDistance(graph, model->Penultimate());
+  point.mad = MeanAverageDistance(
+      graph, EvaluateWithPenultimate(*model, graph, strategy).penultimate);
   return point;
 }
 

@@ -82,7 +82,9 @@ int main() {
   }
   Matrix restored_logits =
       EvaluateLogits(*restored, *graph, StrategyConfig::None());
-  std::printf("restored model matches trained logits: max diff %.2e\n",
-              MaxAbsDiff(restored_logits, logits));
-  return 0;
+  // The checkpoint round trip is exact: any difference is a failure.
+  const float max_diff = MaxAbsDiff(restored_logits, logits);
+  std::printf("restored model %s trained logits: max diff %.2e\n",
+              max_diff == 0.0f ? "matches" : "does NOT match", max_diff);
+  return max_diff == 0.0f ? 0 : 1;
 }

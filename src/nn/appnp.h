@@ -10,9 +10,7 @@
 #ifndef SKIPNODE_NN_APPNP_H_
 #define SKIPNODE_NN_APPNP_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "nn/linear.h"
 #include "nn/model.h"
@@ -21,21 +19,23 @@ namespace skipnode {
 
 class AppnpModel : public Model {
  public:
-  AppnpModel(const ModelConfig& config, Rng& rng);
+  AppnpModel(const ModelConfig& config, Rng& rng)
+      : AppnpModel(config, rng, "APPNP") {}
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
  protected:
+  // GPRGNN's constructor. The MLP keeps its APPNP.lin* parameter names,
+  // which GPRGNN checkpoints carry.
+  AppnpModel(const ModelConfig& config, Rng& rng, std::string name);
+
   // Shared by GPRGNN: dropout -> linear -> relu -> dropout -> linear.
   Var Mlp(Tape& tape, Var x, bool training, Rng& rng);
 
-  std::string name_ = "APPNP";
   ModelConfig config_;
-  std::unique_ptr<Linear> lin1_;
-  std::unique_ptr<Linear> lin2_;
+  Linear lin1_;
+  Linear lin2_;
 };
 
 }  // namespace skipnode

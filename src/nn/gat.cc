@@ -7,7 +7,8 @@
 
 namespace skipnode {
 
-GatModel::GatModel(const ModelConfig& config, Rng& rng) : config_(config) {
+GatModel::GatModel(const ModelConfig& config, Rng& rng)
+    : Model("GAT"), config_(config) {
   SKIPNODE_CHECK(config.num_layers >= 2);
   SKIPNODE_CHECK(config.gat_heads >= 1);
   SKIPNODE_CHECK_MSG(config.hidden_dim % config.gat_heads == 0,
@@ -21,16 +22,16 @@ GatModel::GatModel(const ModelConfig& config, Rng& rng) : config_(config) {
     const int heads = last ? 1 : config.gat_heads;
     std::vector<Head> layer;
     for (int k = 0; k < heads; ++k) {
-      const std::string prefix = name_ + ".layer" + std::to_string(l) +
+      const std::string prefix = "GAT.layer" + std::to_string(l) +
                                  ".head" + std::to_string(k);
       Head head;
-      head.weight = std::make_unique<Parameter>(
-          prefix + ".weight", Matrix::GlorotUniform(in, out, rng));
-      head.attn_src = std::make_unique<Parameter>(
-          prefix + ".attn_src", Matrix::GlorotUniform(out, 1, rng));
-      head.attn_dst = std::make_unique<Parameter>(
-          prefix + ".attn_dst", Matrix::GlorotUniform(out, 1, rng));
-      layer.push_back(std::move(head));
+      head.weight = &AddParameter(prefix + ".weight",
+                                  Matrix::GlorotUniform(in, out, rng));
+      head.attn_src = &AddParameter(prefix + ".attn_src",
+                                    Matrix::GlorotUniform(out, 1, rng));
+      head.attn_dst = &AddParameter(prefix + ".attn_dst",
+                                    Matrix::GlorotUniform(out, 1, rng));
+      layer.push_back(head);
     }
     layers_.push_back(std::move(layer));
   }
@@ -44,10 +45,11 @@ Var GatModel::ApplyHead(Tape& tape, const Head& head, Var x,
   return tape.GatAggregate(pattern, h, score_src, score_dst);
 }
 
-Var GatModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
-                      Rng& rng) {
+ForwardResult GatModel::Forward(Tape& tape, StrategyContext& ctx,
+                                bool training, Rng& rng) {
   const int num_layers = config_.num_layers;
   Var x = ctx.Features(tape);
+  Var logits;
   for (int l = 0; l < num_layers; ++l) {
     const Var pre = x;
     Var dropped = tape.Dropout(x, config_.dropout, training, rng);
@@ -72,25 +74,12 @@ Var GatModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
       conv = ctx.TransformBoundary(tape, conv);
     }
     if (l == num_layers - 1) {
-      x = conv;
+      logits = conv;
     } else {
       x = tape.Relu(conv);
-      if (l == num_layers - 2) StashPenultimate(x);
     }
   }
-  return x;
-}
-
-std::vector<Parameter*> GatModel::Parameters() {
-  std::vector<Parameter*> params;
-  for (auto& layer : layers_) {
-    for (Head& head : layer) {
-      params.push_back(head.weight.get());
-      params.push_back(head.attn_src.get());
-      params.push_back(head.attn_dst.get());
-    }
-  }
-  return params;
+  return {.logits = logits, .penultimate = x};
 }
 
 }  // namespace skipnode

@@ -19,7 +19,6 @@
 #define SKIPNODE_NN_GAT_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/model.h"
@@ -30,23 +29,20 @@ class GatModel : public Model {
  public:
   GatModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
  private:
   struct Head {
-    std::unique_ptr<Parameter> weight;     // in x head_dim.
-    std::unique_ptr<Parameter> attn_src;   // head_dim x 1.
-    std::unique_ptr<Parameter> attn_dst;   // head_dim x 1.
+    Parameter* weight = nullptr;    // in x head_dim.
+    Parameter* attn_src = nullptr;  // head_dim x 1.
+    Parameter* attn_dst = nullptr;  // head_dim x 1.
   };
 
   // One attention head's output on `x` over `pattern`.
   Var ApplyHead(Tape& tape, const Head& head, Var x,
                 const std::shared_ptr<const CsrMatrix>& pattern);
 
-  std::string name_ = "GAT";
   ModelConfig config_;
   // layers_[l] holds the heads of layer l (middle layers have
   // config.gat_heads heads; the final layer has exactly one).

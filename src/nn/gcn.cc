@@ -9,7 +9,7 @@ namespace skipnode {
 
 GcnModel::GcnModel(const ModelConfig& config, Rng& rng, bool residual,
                    std::string name)
-    : name_(std::move(name)), config_(config), residual_(residual) {
+    : Model(std::move(name)), config_(config), residual_(residual) {
   SKIPNODE_CHECK(config.num_layers >= 2);
   SKIPNODE_CHECK(config.in_dim > 0 && config.hidden_dim > 0 &&
                  config.out_dim > 0);
@@ -17,22 +17,22 @@ GcnModel::GcnModel(const ModelConfig& config, Rng& rng, bool residual,
     const int in = l == 0 ? config.in_dim : config.hidden_dim;
     const int out = l == config.num_layers - 1 ? config.out_dim
                                                : config.hidden_dim;
-    layers_.push_back(std::make_unique<Linear>(
-        name_ + ".conv" + std::to_string(l), in, out, rng));
+    layers_.emplace_back(*this, this->name() + ".conv" + std::to_string(l),
+                         in, out, rng);
   }
 }
 
-Var GcnModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
-                      Rng& rng) {
+ForwardResult GcnModel::Forward(Tape& tape, StrategyContext& ctx,
+                                bool training, Rng& rng) {
   const int num_layers = config_.num_layers;
-  const bool full_graph = ctx.batch() == nullptr;
-  SKIPNODE_CHECK(full_graph ||
+  SKIPNODE_CHECK(ctx.batch() == nullptr ||
                  static_cast<int>(ctx.batch()->layers.size()) == num_layers);
   Var x = ctx.Features(tape);
+  Var logits;
   for (int l = 0; l < num_layers; ++l) {
     Var h = tape.Dropout(x, config_.dropout, training, rng);
     // A_hat (X W): multiplying by W first keeps the SpMM at the narrow width.
-    h = layers_[l]->Apply(tape, h);
+    h = layers_[l].Apply(tape, h);
 
     // Every propagation is one hop and every other op here is row-wise, so
     // layer l may compute only the rows an eval row plan reads
@@ -56,22 +56,13 @@ Var GcnModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
       if (l == 0) conv = ctx.TransformBoundary(tape, conv);
     }
     if (l == num_layers - 1) {
-      x = conv;
+      logits = conv;
     } else {
       x = tape.Relu(conv);
-      // A batch or planned pass computes only some rows.
-      if (l == num_layers - 2 && full_graph && ctx.row_plan() == nullptr) {
-        StashPenultimate(x);
-      }
     }
   }
-  return x;
-}
-
-std::vector<Parameter*> GcnModel::Parameters() {
-  std::vector<Parameter*> params;
-  for (const auto& layer : layers_) layer->CollectParameters(params);
-  return params;
+  // x is the last hidden layer's output, the classifying conv's input.
+  return {.logits = logits, .penultimate = x};
 }
 
 }  // namespace skipnode

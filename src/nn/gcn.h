@@ -10,7 +10,6 @@
 #ifndef SKIPNODE_NN_GCN_H_
 #define SKIPNODE_NN_GCN_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,23 +20,20 @@ namespace skipnode {
 
 class GcnModel : public Model {
  public:
-  // `residual` turns the backbone into ResGCN: conv output += layer input on
-  // every middle layer (He-style skip connection baked into the backbone,
-  // independent of the plug-and-play strategy).
+  // `residual` turns the backbone into ResGCN (Table 6): conv output +=
+  // layer input on every middle layer (He-style skip connection baked into
+  // the backbone, independent of the plug-and-play strategy).
   GcnModel(const ModelConfig& config, Rng& rng, bool residual = false,
            std::string name = "GCN");
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
   bool SupportsSampledForward() const override { return true; }
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
 
  private:
-  std::string name_;
   ModelConfig config_;
   bool residual_;
-  std::vector<std::unique_ptr<Linear>> layers_;
+  std::vector<Linear> layers_;
 };
 
 }  // namespace skipnode

@@ -10,25 +10,24 @@
 namespace skipnode {
 
 GcniiModel::GcniiModel(const ModelConfig& config, Rng& rng)
-    : config_(config) {
+    : Model("GCNII"), config_(config) {
   SKIPNODE_CHECK(config.num_layers >= 2);
-  input_proj_ = std::make_unique<Linear>(name_ + ".input", config.in_dim,
-                                         config.hidden_dim, rng);
+  input_proj_ = Linear(*this, "GCNII.input", config.in_dim,
+                       config.hidden_dim, rng);
   for (int l = 0; l < config.num_layers; ++l) {
-    conv_weights_.push_back(std::make_unique<Parameter>(
-        name_ + ".conv" + std::to_string(l) + ".weight",
+    conv_weights_.push_back(&AddParameter(
+        "GCNII.conv" + std::to_string(l) + ".weight",
         Matrix::GlorotUniform(config.hidden_dim, config.hidden_dim, rng)));
   }
-  output_proj_ = std::make_unique<Linear>(name_ + ".output",
-                                          config.hidden_dim, config.out_dim,
-                                          rng);
+  output_proj_ = Linear(*this, "GCNII.output", config.hidden_dim,
+                        config.out_dim, rng);
 }
 
-Var GcniiModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
-                        Rng& rng) {
+ForwardResult GcniiModel::Forward(Tape& tape, StrategyContext& ctx,
+                                  bool training, Rng& rng) {
   Var x = ctx.Features(tape);
   x = tape.Dropout(x, config_.dropout, training, rng);
-  Var h0 = tape.Relu(input_proj_->Apply(tape, x));
+  Var h0 = tape.Relu(input_proj_.Apply(tape, x));
 
   Var h = h0;
   const float alpha = config_.alpha;
@@ -48,17 +47,8 @@ Var GcniiModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
     block = ctx.TransformMiddle(tape, pre, block);
     h = tape.Relu(block);
   }
-  StashPenultimate(h);
-  h = tape.Dropout(h, config_.dropout, training, rng);
-  return output_proj_->Apply(tape, h);
-}
-
-std::vector<Parameter*> GcniiModel::Parameters() {
-  std::vector<Parameter*> params;
-  input_proj_->CollectParameters(params);
-  for (const auto& w : conv_weights_) params.push_back(w.get());
-  output_proj_->CollectParameters(params);
-  return params;
+  const Var dropped = tape.Dropout(h, config_.dropout, training, rng);
+  return {.logits = output_proj_.Apply(tape, dropped), .penultimate = h};
 }
 
 }  // namespace skipnode

@@ -10,8 +10,6 @@
 #ifndef SKIPNODE_NN_GCNII_H_
 #define SKIPNODE_NN_GCNII_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/linear.h"
@@ -23,17 +21,14 @@ class GcniiModel : public Model {
  public:
   GcniiModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
  private:
-  std::string name_ = "GCNII";
   ModelConfig config_;
-  std::unique_ptr<Linear> input_proj_;   // in_dim -> hidden.
-  std::vector<std::unique_ptr<Parameter>> conv_weights_;  // hidden x hidden.
-  std::unique_ptr<Linear> output_proj_;  // hidden -> out_dim.
+  Linear input_proj_;                     // in_dim -> hidden.
+  std::vector<Parameter*> conv_weights_;  // hidden x hidden.
+  Linear output_proj_;                    // hidden -> out_dim.
 };
 
 }  // namespace skipnode

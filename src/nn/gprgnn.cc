@@ -8,8 +8,7 @@
 namespace skipnode {
 
 GprGnnModel::GprGnnModel(const ModelConfig& config, Rng& rng)
-    : AppnpModel(config, rng) {
-  name_ = "GPRGNN";
+    : AppnpModel(config, rng, "GPRGNN") {
   const int k = config.num_layers;
   Matrix init(1, k + 1);
   // PPR profile: gamma_j = alpha (1-alpha)^j, last hop takes the remainder.
@@ -17,11 +16,11 @@ GprGnnModel::GprGnnModel(const ModelConfig& config, Rng& rng)
     init(0, j) = config.alpha * std::pow(1.0f - config.alpha, j);
   }
   init(0, k) = std::pow(1.0f - config.alpha, k);
-  gammas_ = std::make_unique<Parameter>(name_ + ".gammas", std::move(init));
+  gammas_ = &AddParameter("GPRGNN.gammas", std::move(init));
 }
 
-Var GprGnnModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
-                         Rng& rng) {
+ForwardResult GprGnnModel::Forward(Tape& tape, StrategyContext& ctx,
+                                   bool training, Rng& rng) {
   Var h = Mlp(tape, ctx.Features(tape), training, rng);
   std::vector<Var> hops = {h};
   Var z = h;
@@ -30,15 +29,8 @@ Var GprGnnModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
     z = ctx.PropagateMiddle(tape, k, pre, z);
     hops.push_back(z);
   }
-  Var out = tape.LinearCombination(hops, tape.Leaf(*gammas_));
-  StashPenultimate(out);
-  return out;
-}
-
-std::vector<Parameter*> GprGnnModel::Parameters() {
-  std::vector<Parameter*> params = AppnpModel::Parameters();
-  params.push_back(gammas_.get());
-  return params;
+  const Var out = tape.LinearCombination(hops, tape.Leaf(*gammas_));
+  return {.logits = out, .penultimate = out};
 }
 
 }  // namespace skipnode

@@ -11,8 +11,6 @@
 #ifndef SKIPNODE_NN_GPRGNN_H_
 #define SKIPNODE_NN_GPRGNN_H_
 
-#include <memory>
-
 #include "nn/appnp.h"
 
 namespace skipnode {
@@ -21,12 +19,11 @@ class GprGnnModel : public AppnpModel {
  public:
   GprGnnModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
  private:
-  std::unique_ptr<Parameter> gammas_;  // 1 x (num_layers + 1).
+  Parameter* gammas_ = nullptr;  // 1 x (num_layers + 1).
 };
 
 }  // namespace skipnode

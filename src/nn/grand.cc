@@ -9,12 +9,10 @@
 namespace skipnode {
 
 GrandModel::GrandModel(const ModelConfig& config, Rng& rng)
-    : config_(config) {
+    : Model("GRAND"), config_(config) {
   SKIPNODE_CHECK(config.num_layers >= 1);
-  lin1_ = std::make_unique<Linear>(name_ + ".lin1", config.in_dim,
-                                   config.hidden_dim, rng);
-  lin2_ = std::make_unique<Linear>(name_ + ".lin2", config.hidden_dim,
-                                   config.out_dim, rng);
+  lin1_ = Linear(*this, "GRAND.lin1", config.in_dim, config.hidden_dim, rng);
+  lin2_ = Linear(*this, "GRAND.lin2", config.hidden_dim, config.out_dim, rng);
 }
 
 Var GrandModel::View(Tape& tape, StrategyContext& ctx, bool training,
@@ -40,38 +38,31 @@ Var GrandModel::View(Tape& tape, StrategyContext& ctx, bool training,
   Var mean = tape.Scale(sum, 1.0f / static_cast<float>(config_.num_layers + 1));
 
   Var h = tape.Dropout(mean, config_.dropout, training, rng);
-  h = tape.Relu(lin1_->Apply(tape, h));
+  h = tape.Relu(lin1_.Apply(tape, h));
   h = tape.Dropout(h, config_.dropout, training, rng);
-  return lin2_->Apply(tape, h);
+  return lin2_.Apply(tape, h);
 }
 
-Var GrandModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
-                        Rng& rng) {
-  view_logits_.clear();
-  const int views = training ? std::max(1, config_.grand_augmentations) : 1;
-  for (int s = 0; s < views; ++s) {
-    view_logits_.push_back(View(tape, ctx, training, rng));
+ForwardResult GrandModel::Forward(Tape& tape, StrategyContext& ctx,
+                                  bool training, Rng& rng) {
+  const int num_views =
+      training ? std::max(1, config_.grand_augmentations) : 1;
+  std::vector<Var> views;
+  for (int s = 0; s < num_views; ++s) {
+    views.push_back(View(tape, ctx, training, rng));
   }
-  StashPenultimate(view_logits_.front());
-  return view_logits_.front();
+  const Var first = views.front();
+  return {.logits = first, .penultimate = first, .views = std::move(views)};
 }
 
-Var GrandModel::AuxiliaryLoss(Tape& tape) {
-  if (view_logits_.size() < 2 || config_.grand_consistency <= 0.0f) {
-    return Var();
-  }
-  Var total = tape.MseLoss(view_logits_[0], view_logits_[1]);
-  for (size_t s = 2; s < view_logits_.size(); ++s) {
-    total = tape.Add(total, tape.MseLoss(view_logits_[s - 1], view_logits_[s]));
+Var GrandModel::AuxiliaryLoss(Tape& tape, const ForwardResult& pass) const {
+  const std::vector<Var>& views = pass.views;
+  if (views.size() < 2 || config_.grand_consistency <= 0.0f) return Var();
+  Var total = tape.MseLoss(views[0], views[1]);
+  for (size_t s = 2; s < views.size(); ++s) {
+    total = tape.Add(total, tape.MseLoss(views[s - 1], views[s]));
   }
   return tape.Scale(total, config_.grand_consistency);
-}
-
-std::vector<Parameter*> GrandModel::Parameters() {
-  std::vector<Parameter*> params;
-  lin1_->CollectParameters(params);
-  lin2_->CollectParameters(params);
-  return params;
 }
 
 }  // namespace skipnode

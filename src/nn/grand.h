@@ -12,10 +12,6 @@
 #ifndef SKIPNODE_NN_GRAND_H_
 #define SKIPNODE_NN_GRAND_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "nn/linear.h"
 #include "nn/model.h"
 
@@ -25,22 +21,21 @@ class GrandModel : public Model {
  public:
   GrandModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  // Consistency loss (already weighted); invalid outside training passes.
-  Var AuxiliaryLoss(Tape& tape) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  // A training pass returns grand_augmentations views (at least one), an
+  // eval pass one; the logits are the first view's.
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
+  // Consistency loss over the pass's views (already weighted); invalid for
+  // a single-view (eval) pass.
+  Var AuxiliaryLoss(Tape& tape, const ForwardResult& pass) const override;
 
  private:
   // One random-propagation + MLP view.
   Var View(Tape& tape, StrategyContext& ctx, bool training, Rng& rng);
 
-  std::string name_ = "GRAND";
   ModelConfig config_;
-  std::unique_ptr<Linear> lin1_;
-  std::unique_ptr<Linear> lin2_;
-  std::vector<Var> view_logits_;  // Stashed by Forward for AuxiliaryLoss.
+  Linear lin1_;
+  Linear lin2_;
 };
 
 }  // namespace skipnode

@@ -11,8 +11,6 @@
 #ifndef SKIPNODE_NN_INCEPGCN_H_
 #define SKIPNODE_NN_INCEPGCN_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/linear.h"
@@ -24,21 +22,18 @@ class IncepGcnModel : public Model {
  public:
   IncepGcnModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
   // Branch depths used for a given total layer budget (exposed for tests).
   static std::vector<int> BranchDepths(int num_layers);
 
  private:
-  std::string name_ = "IncepGCN";
   ModelConfig config_;
-  std::unique_ptr<Linear> input_proj_;
-  // convs_[b][i] = i-th convolution of branch b.
-  std::vector<std::vector<std::unique_ptr<Linear>>> branches_;
-  std::unique_ptr<Linear> head_;
+  Linear input_proj_;
+  // branches_[b][i] = i-th convolution of branch b.
+  std::vector<std::vector<Linear>> branches_;
+  Linear head_;
 };
 
 }  // namespace skipnode

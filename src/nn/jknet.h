@@ -8,8 +8,6 @@
 #ifndef SKIPNODE_NN_JKNET_H_
 #define SKIPNODE_NN_JKNET_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/linear.h"
@@ -21,16 +19,13 @@ class JkNetModel : public Model {
  public:
   JkNetModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
  private:
-  std::string name_ = "JKNet";
   ModelConfig config_;
-  std::vector<std::unique_ptr<Linear>> convs_;  // num_layers convolutions.
-  std::unique_ptr<Linear> head_;                // (L * hidden) -> out_dim.
+  std::vector<Linear> convs_;  // num_layers convolutions.
+  Linear head_;                // (L * hidden) -> out_dim.
 };
 
 }  // namespace skipnode

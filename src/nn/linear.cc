@@ -5,21 +5,15 @@
 
 namespace skipnode {
 
-Linear::Linear(const std::string& name, int in_dim, int out_dim, Rng& rng,
-               bool with_bias)
-    : weight_(name + ".weight", Matrix::GlorotUniform(in_dim, out_dim, rng)),
-      with_bias_(with_bias),
-      bias_(name + ".bias", Matrix(1, out_dim)) {}
+Linear::Linear(Model& owner, const std::string& name, int in_dim,
+               int out_dim, Rng& rng)
+    : weight_(&owner.AddParameter(name + ".weight",
+                                  Matrix::GlorotUniform(in_dim, out_dim, rng))),
+      bias_(&owner.AddParameter(name + ".bias", Matrix(1, out_dim))) {}
 
-Var Linear::Apply(Tape& tape, Var x) {
-  Var out = tape.MatMul(x, tape.Leaf(weight_));
-  if (with_bias_) out = tape.AddRowBroadcast(out, tape.Leaf(bias_));
-  return out;
-}
-
-void Linear::CollectParameters(std::vector<Parameter*>& out) {
-  out.push_back(&weight_);
-  if (with_bias_) out.push_back(&bias_);
+Var Linear::Apply(Tape& tape, Var x) const {
+  Var out = tape.MatMul(x, tape.Leaf(*weight_));
+  return tape.AddRowBroadcast(out, tape.Leaf(*bias_));
 }
 
 }  // namespace skipnode

@@ -3,34 +3,34 @@
 //
 // Dense linear layer (x W + b) reused by every backbone: the graph
 // convolution's weight, input/output MLPs, and JKNet/IncepGCN classifier
-// heads.
+// heads. The parameters belong to the Model that built the layer.
 
 #ifndef SKIPNODE_NN_LINEAR_H_
 #define SKIPNODE_NN_LINEAR_H_
 
 #include <string>
-#include <vector>
 
 #include "autograd/tape.h"
 #include "base/rng.h"
+#include "nn/model.h"
 
 namespace skipnode {
 
 class Linear {
  public:
-  // Glorot-uniform weight; zero bias (omitted entirely if !with_bias).
-  Linear(const std::string& name, int in_dim, int out_dim, Rng& rng,
-         bool with_bias = true);
+  // Holds no parameters; assign a constructed layer before Apply.
+  Linear() = default;
+  // Registers `name`.weight (Glorot-uniform from `rng`) and `name`.bias
+  // (zero) on `owner`, in that order.
+  Linear(Model& owner, const std::string& name, int in_dim, int out_dim,
+         Rng& rng);
 
-  // Returns x * W (+ b).
-  Var Apply(Tape& tape, Var x);
-
-  void CollectParameters(std::vector<Parameter*>& out);
+  // Returns x * W + b.
+  Var Apply(Tape& tape, Var x) const;
 
  private:
-  Parameter weight_;
-  bool with_bias_;
-  Parameter bias_;
+  Parameter* weight_ = nullptr;
+  Parameter* bias_ = nullptr;
 };
 
 }  // namespace skipnode

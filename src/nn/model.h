@@ -2,15 +2,19 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Common interface for the GNN backbones. Each Forward() call records one
-// computation on the caller's Tape and returns one logit row per output
-// node; the input rows, the propagation operators and any plug-and-play
-// strategy come from the StrategyContext, so every backbone supports every
-// strategy through one forward.
+// computation on the caller's Tape and returns what it computed: one logit
+// row per output node plus the representation that feeds the classifier.
+// The input rows, the propagation operators and any plug-and-play strategy
+// come from the StrategyContext, so every backbone supports every strategy
+// through one forward. A Model holds only its parameters: nothing a pass
+// computes outlives the pass's Tape.
 
 #ifndef SKIPNODE_NN_MODEL_H_
 #define SKIPNODE_NN_MODEL_H_
 
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/tape.h"
@@ -41,23 +45,39 @@ struct ModelConfig {
   float grand_consistency = 1.0f;
 };
 
+// What one Forward() recorded on the caller's Tape; every Var dies with it,
+// so a caller that keeps a value copies it.
+struct ForwardResult {
+  // A full-graph pass returns N x num_classes logits; a batch pass returns
+  // |batch.seeds| x num_classes logits in seed order. A planned evaluation
+  // pass (StrategyContext::row_plan(), DESIGN §10) returns N rows of which
+  // only the rows the plan reads are the full pass's bit for bit.
+  Var logits;
+  // The representation feeding the final classification layer, whose
+  // smoothness the paper's metrics measure (Figure 2a, Figure 5b). Only a
+  // full-graph pass without a row plan computes every node's row of it.
+  // Backbones with no distinguished penultimate representation return the
+  // logits.
+  Var penultimate;
+  // GRAND: every augmented view's logits (views.front() is `logits`), which
+  // its AuxiliaryLoss compares. Empty for every other backbone.
+  std::vector<Var> views;
+};
+
 class Model {
  public:
   virtual ~Model() = default;
+  Model(const Model&) = delete;
+  Model& operator=(const Model&) = delete;
 
   // Builds the forward pass. `ctx` supplies the input rows, the
   // propagation operators and the active plug-and-play strategy
   // (StrategyConfig::None() for the vanilla backbone), over the full graph
   // or over one sampled minibatch; `training` toggles Dropout and per-step
-  // strategy sampling. A full-graph pass returns N x num_classes logits and
-  // refreshes Penultimate(); a batch pass returns |batch.seeds| x
-  // num_classes logits in seed order and leaves Penultimate() untouched. A
-  // planned evaluation pass (StrategyContext::row_plan(), DESIGN §10)
-  // returns N rows of which only the rows the plan reads are the full
-  // pass's bit for bit; a backbone that applies the plan (GcnModel) leaves
-  // Penultimate() untouched there too, and the others compute every row.
-  virtual Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-                      Rng& rng) = 0;
+  // strategy sampling. A backbone that applies an eval row plan (GcnModel)
+  // computes only the rows the plan reads; the others compute every row.
+  virtual ForwardResult Forward(Tape& tape, StrategyContext& ctx,
+                                bool training, Rng& rng) = 0;
 
   // True when Forward accepts a minibatch StrategyContext (sampled
   // training, DESIGN §15). The trainer and the CLI check this before
@@ -66,36 +86,43 @@ class Model {
   virtual bool SupportsSampledForward() const { return false; }
 
   // Auxiliary loss added to the classification loss (weighted by the model),
-  // e.g. GRAND's consistency regulariser. Returns an invalid Var when the
-  // model has none. Must be called after Forward() on the same tape.
-  virtual Var AuxiliaryLoss(Tape& tape) {
+  // e.g. GRAND's consistency regulariser over `pass.views`. Records on
+  // `tape`, the Tape `pass` was recorded on; returns an invalid Var when the
+  // model has none.
+  virtual Var AuxiliaryLoss(Tape& tape, const ForwardResult& pass) const {
     (void)tape;
+    (void)pass;
     return Var();
   }
 
-  // Trainable parameters (owned by the model).
-  virtual std::vector<Parameter*> Parameters() = 0;
+  // Trainable parameters in registration order, which is construction
+  // order. The checkpoint manifest, FaultPlan::parameter_index, the health
+  // snapshot and TrainWithDynamics's first-layer gradient all read this
+  // order (models_test pins it per backbone).
+  std::vector<Parameter*> Parameters() {
+    std::vector<Parameter*> parameters;
+    for (Parameter& p : parameters_) parameters.push_back(&p);
+    return parameters;
+  }
 
-  virtual const std::string& name() const = 0;
-
-  // The representation feeding the final classification layer, stashed as an
-  // owned copy by the latest Forward(). The paper's smoothness metrics
-  // (Figure 2a, Figure 5b) are computed on this tensor. Models that have no
-  // distinguished penultimate representation leave it as the logits. Safe to
-  // read at any time — the copy outlives the Tape of the Forward() that
-  // produced it; empty (0x0) before the first full-graph Forward(). Batch
-  // passes and planned evaluation passes leave it as the last full pass
-  // stashed it, so the trainer's evaluations do not refresh it:
-  // TrainWithDynamics evaluates with the full pass, and FrozenModel::Freeze
-  // (EvaluateLogits) always runs one.
-  const Matrix& Penultimate() const { return penultimate_; }
+  const std::string& name() const { return name_; }
 
  protected:
-  // Called by backbones at the penultimate point of Forward(); copies the
-  // node's current value so the stash survives the tape.
-  void StashPenultimate(const Var& v) { penultimate_ = v.value(); }
+  explicit Model(std::string name) : name_(std::move(name)) {}
 
-  Matrix penultimate_;
+  // Registers a parameter the model owns; called from constructors only.
+  // The reference stays valid for the model's lifetime.
+  Parameter& AddParameter(std::string name, Matrix value) {
+    return parameters_.emplace_back(std::move(name), std::move(value));
+  }
+
+ private:
+  friend class Linear;  // Registers its weight and bias.
+
+  std::string name_;
+  // A deque never moves its elements on emplace_back, so the references
+  // AddParameter hands out stay valid.
+  std::deque<Parameter> parameters_;
 };
 
 }  // namespace skipnode

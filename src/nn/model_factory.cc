@@ -12,7 +12,6 @@
 #include "nn/grand.h"
 #include "nn/incepgcn.h"
 #include "nn/jknet.h"
-#include "nn/resgcn.h"
 #include "nn/sgc.h"
 
 namespace skipnode {
@@ -21,7 +20,10 @@ std::unique_ptr<Model> MakeModel(const std::string& name,
                                  const ModelConfig& config, Rng& rng) {
   if (name == "GCN") return std::make_unique<GcnModel>(config, rng);
   if (name == "GAT") return std::make_unique<GatModel>(config, rng);
-  if (name == "ResGCN") return std::make_unique<ResGcnModel>(config, rng);
+  if (name == "ResGCN") {
+    return std::make_unique<GcnModel>(config, rng, /*residual=*/true,
+                                      "ResGCN");
+  }
   if (name == "JKNet") return std::make_unique<JkNetModel>(config, rng);
   if (name == "IncepGCN") return std::make_unique<IncepGcnModel>(config, rng);
   if (name == "GCNII") return std::make_unique<GcniiModel>(config, rng);

@@ -7,14 +7,15 @@
 
 namespace skipnode {
 
-SgcModel::SgcModel(const ModelConfig& config, Rng& rng) : config_(config) {
+SgcModel::SgcModel(const ModelConfig& config, Rng& rng)
+    : Model("SGC"), config_(config) {
   SKIPNODE_CHECK(config.num_layers >= 1);
-  classifier_ = std::make_unique<Linear>(name_ + ".classifier", config.in_dim,
-                                         config.out_dim, rng);
+  classifier_ =
+      Linear(*this, "SGC.classifier", config.in_dim, config.out_dim, rng);
 }
 
-Var SgcModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
-                      Rng& rng) {
+ForwardResult SgcModel::Forward(Tape& tape, StrategyContext& ctx,
+                                bool training, Rng& rng) {
   // The propagation has no trainable pieces, but running it through the tape
   // keeps strategies (DropEdge topologies, SkipNode skips) uniform across
   // backbones; gradients stop at the constant features anyway.
@@ -23,15 +24,8 @@ Var SgcModel::Forward(Tape& tape, StrategyContext& ctx, bool training,
     const Var pre = x;
     x = ctx.PropagateMiddle(tape, k, pre, x);
   }
-  StashPenultimate(x);
-  x = tape.Dropout(x, config_.dropout, training, rng);
-  return classifier_->Apply(tape, x);
-}
-
-std::vector<Parameter*> SgcModel::Parameters() {
-  std::vector<Parameter*> params;
-  classifier_->CollectParameters(params);
-  return params;
+  const Var dropped = tape.Dropout(x, config_.dropout, training, rng);
+  return {.logits = classifier_.Apply(tape, dropped), .penultimate = x};
 }
 
 }  // namespace skipnode

@@ -8,10 +8,6 @@
 #ifndef SKIPNODE_NN_SGC_H_
 #define SKIPNODE_NN_SGC_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "nn/linear.h"
 #include "nn/model.h"
 
@@ -21,15 +17,12 @@ class SgcModel : public Model {
  public:
   SgcModel(const ModelConfig& config, Rng& rng);
 
-  Var Forward(Tape& tape, StrategyContext& ctx, bool training,
-              Rng& rng) override;
-  std::vector<Parameter*> Parameters() override;
-  const std::string& name() const override { return name_; }
+  ForwardResult Forward(Tape& tape, StrategyContext& ctx, bool training,
+                        Rng& rng) override;
 
  private:
-  std::string name_ = "SGC";
   ModelConfig config_;
-  std::unique_ptr<Linear> classifier_;
+  Linear classifier_;
 };
 
 }  // namespace skipnode

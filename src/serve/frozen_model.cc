@@ -25,7 +25,7 @@ FrozenModel FrozenModel::Freeze(Model& model, const Graph& graph,
   Rng rng(0);
   Tape tape;
   StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-  Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
+  const Var logits = model.Forward(tape, ctx, /*training=*/false, rng).logits;
 
   FrozenModel frozen;
   frozen.model_name_ = model.name();
@@ -112,12 +112,7 @@ std::vector<int> FrozenModel::Predict(const std::vector<int>& node_ids) const {
   const Matrix logits = Logits(node_ids);
   std::vector<int> classes(node_ids.size(), 0);
   for (int r = 0; r < logits.rows(); ++r) {
-    const float* row = logits.row(r);
-    int best = 0;
-    for (int c = 1; c < logits.cols(); ++c) {
-      if (row[c] > row[best]) best = c;
-    }
-    classes[static_cast<size_t>(r)] = best;
+    classes[static_cast<size_t>(r)] = RowArgmax(logits, r);
   }
   return classes;
 }

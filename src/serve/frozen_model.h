@@ -30,8 +30,7 @@ namespace skipnode {
 class FrozenModel {
  public:
   // Runs one eval-mode forward of `model` (bitwise the EvaluateLogits pass)
-  // and captures its logits table. `model` is unchanged apart from its
-  // refreshed Penultimate() stash.
+  // and captures its logits table. `model` is unchanged.
   static FrozenModel Freeze(Model& model, const Graph& graph,
                             const StrategyConfig& strategy);
 

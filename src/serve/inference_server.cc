@@ -9,6 +9,7 @@
 
 #include "base/check.h"
 #include "base/telemetry.h"
+#include "tensor/ops.h"
 
 namespace skipnode {
 
@@ -345,12 +346,7 @@ void InferenceServer::WorkerLoop() {
       offset += rows;
       std::vector<int> classes(request.node_ids.size(), 0);
       for (int r = 0; r < rows; ++r) {
-        const float* row = part.row(r);
-        int best = 0;
-        for (int c = 1; c < part.cols(); ++c) {
-          if (row[c] > row[best]) best = c;
-        }
-        classes[static_cast<size_t>(r)] = best;
+        classes[static_cast<size_t>(r)] = RowArgmax(part, r);
       }
       {
         std::lock_guard<std::mutex> guard(request.slot->mu);

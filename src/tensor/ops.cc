@@ -410,6 +410,15 @@ Matrix RowDots(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+int RowArgmax(const Matrix& x, int r) {
+  const float* row = x.row(r);
+  int best = 0;
+  for (int c = 1; c < x.cols(); ++c) {
+    if (row[c] > row[best]) best = c;
+  }
+  return best;
+}
+
 float CosineSimilarity(const float* a, const float* b, int n) {
   double dot = 0.0, na = 0.0, nb = 0.0;
   for (int i = 0; i < n; ++i) {

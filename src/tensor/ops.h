@@ -119,6 +119,10 @@ Matrix RowNorms(const Matrix& x);
 // Dot products of corresponding rows of a and b (rows x 1).
 Matrix RowDots(const Matrix& a, const Matrix& b);
 
+// Column of the first largest entry of row `r` (ties go to the lowest
+// column): the predicted class of a logit row.
+int RowArgmax(const Matrix& x, int r);
+
 // Cosine similarity of two equal-length float spans; 0 if either is zero.
 float CosineSimilarity(const float* a, const float* b, int n);
 

@@ -10,8 +10,11 @@
 // It is a view over TrainNodeClassifier's training loop, not a loop of its
 // own: the series are read from the trainer's per-epoch callback plus one
 // dLoss/dlogits probe inside the step, so the trajectory is exactly the one
-// TrainNodeClassifier trains at the same seed. Defined in trainer.cc,
-// beside the loop, which keeps that probe out of every header.
+// TrainNodeClassifier trains at the same seed. The MAD comes from one full
+// eval forward per epoch (EvaluateWithPenultimate), run from the callback;
+// eval draws nothing from the Rng, so it cannot move the trajectory.
+// Defined in trainer.cc, beside the loop, which keeps that probe out of
+// every header.
 
 #ifndef SKIPNODE_TRAIN_DYNAMICS_H_
 #define SKIPNODE_TRAIN_DYNAMICS_H_

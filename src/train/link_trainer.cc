@@ -49,7 +49,7 @@ LinkResult TrainLinkPredictor(Model& encoder, const Graph& message_graph,
     {
       Tape tape;
       StrategyContext ctx(message_graph, strategy, /*training=*/true, rng);
-      Var z = encoder.Forward(tape, ctx, /*training=*/true, rng);
+      const Var z = encoder.Forward(tape, ctx, /*training=*/true, rng).logits;
 
       std::vector<int> heads, tails;
       std::vector<float> targets;
@@ -80,7 +80,7 @@ LinkResult TrainLinkPredictor(Model& encoder, const Graph& message_graph,
     }
     Tape tape;
     StrategyContext ctx(message_graph, strategy, /*training=*/false, rng);
-    Var z = encoder.Forward(tape, ctx, /*training=*/false, rng);
+    const Var z = encoder.Forward(tape, ctx, /*training=*/false, rng).logits;
     const Matrix& embeddings = z.value();
     const std::vector<float> neg_scores =
         ScoreEdges(embeddings, split.eval_neg);

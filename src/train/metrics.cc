@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "tensor/ops.h"
 
 namespace skipnode {
 
@@ -15,12 +16,7 @@ double Accuracy(const Matrix& logits, const std::vector<int>& labels,
   SKIPNODE_CHECK(static_cast<int>(labels.size()) == logits.rows());
   int correct = 0;
   for (const int node : nodes) {
-    const float* row = logits.row(node);
-    int best = 0;
-    for (int c = 1; c < logits.cols(); ++c) {
-      if (row[c] > row[best]) best = c;
-    }
-    if (best == labels[node]) ++correct;
+    if (RowArgmax(logits, node) == labels[node]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(nodes.size());
 }
@@ -33,11 +29,7 @@ double MacroF1(const Matrix& logits, const std::vector<int>& labels,
   std::vector<int> predicted(num_classes, 0);
   std::vector<int> actual(num_classes, 0);
   for (const int node : nodes) {
-    const float* row = logits.row(node);
-    int best = 0;
-    for (int c = 1; c < logits.cols(); ++c) {
-      if (row[c] > row[best]) best = c;
-    }
+    const int best = RowArgmax(logits, node);
     predicted[best] += 1;
     actual[labels[node]] += 1;
     if (best == labels[node]) true_positive[best] += 1;

@@ -71,13 +71,10 @@ using LogitGradientProbe = std::function<void(
     const Matrix& logit_grad, const std::vector<int>& loss_rows)>;
 
 // The training loop behind TrainNodeClassifier and TrainWithDynamics;
-// `logit_grad_probe` may be empty. `full_eval` makes every evaluation
-// compute every row and refresh Penultimate(), for an observer that reads
-// it.
+// `logit_grad_probe` may be empty.
 TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
                       const StrategyConfig& strategy, const TrainRun& run,
-                      const LogitGradientProbe& logit_grad_probe,
-                      bool full_eval) {
+                      const LogitGradientProbe& logit_grad_probe) {
   const TrainOptions& options = run.options;
   const HealthOptions& health = run.health;
   SKIPNODE_CHECK(graph.has_labels());
@@ -227,12 +224,17 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
       StrategyContext ctx =
           sampled ? StrategyContext(graph, batch, strategy, rng)
                   : StrategyContext(graph, strategy, /*training=*/true, rng);
-      Var logits = model.Forward(tape, ctx, /*training=*/true, rng);
+      const ForwardResult pass =
+          model.Forward(tape, ctx, /*training=*/true, rng);
+      const Var logits = pass.logits;
       maybe_inject(FaultSite::kActivation, epoch, tape.MutableValue(logits));
       const std::vector<int>& loss_rows = sampled ? batch_rows : split.train;
       Var loss = tape.SoftmaxCrossEntropy(
           logits, sampled ? batch_labels : graph.labels(), loss_rows);
-      const Var aux = model.AuxiliaryLoss(tape);
+      // Recorded after the cross-entropy, from the same views: GRAND's
+      // consistency term reads the first view as the (possibly corrupted)
+      // logits.
+      const Var aux = model.AuxiliaryLoss(tape, pass);
       if (aux.valid()) loss = tape.Add(loss, aux);
       const double loss_value = loss.value()(0, 0);
       epoch_loss += loss_value;
@@ -312,8 +314,7 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
   // only the rows those read. PairNorm's row mean reads every row, so it
   // keeps the full pass.
   std::unique_ptr<EvalRowPlan> eval_plan;
-  const bool plan_eval =
-      !full_eval && strategy.kind != StrategyKind::kPairNorm;
+  const bool plan_eval = strategy.kind != StrategyKind::kPairNorm;
 
   if (health.enabled) take_snapshot(-1);
 
@@ -353,7 +354,8 @@ TrainResult TrainLoop(Model& model, const Graph& graph, const Split& split,
           plan_eval
               ? StrategyContext(graph, strategy, *eval_plan, rng)
               : StrategyContext(graph, strategy, /*training=*/false, rng);
-      Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
+      const Var logits =
+          model.Forward(tape, ctx, /*training=*/false, rng).logits;
       const double val_acc =
           Accuracy(logits.value(), graph.labels(), split.val);
       const double test_acc =
@@ -379,8 +381,7 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
                                 const Split& split,
                                 const StrategyConfig& strategy,
                                 const TrainRun& run) {
-  return TrainLoop(model, graph, split, strategy, run, nullptr,
-                   /*full_eval=*/false);
+  return TrainLoop(model, graph, split, strategy, run, nullptr);
 }
 
 DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
@@ -409,8 +410,7 @@ DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
   TrainRun run{.options = options};
   run.options.eval_every = 1;
   // Runs after every epoch's evaluation pass. Parameter gradients survive
-  // until the next step's ZeroGrad, and the eval forward — a full pass here,
-  // not a planned one — has just refreshed Penultimate().
+  // until the next step's ZeroGrad.
   run.on_epoch = [&](int, double train_loss, double val_accuracy, double) {
     record.train_loss.push_back(static_cast<float>(train_loss));
     record.first_layer_gradient_norm.push_back(
@@ -419,14 +419,13 @@ DynamicsRecord TrainWithDynamics(Model& model, const Graph& graph,
     float weight_norm = 0.0f;
     for (const Parameter* p : parameters) weight_norm += p->value.Norm();
     record.weight_norm.push_back(weight_norm);
-    // (a) MAD of the eval-mode penultimate representation.
-    const Matrix& penultimate = model.Penultimate();
-    SKIPNODE_CHECK(!penultimate.empty());
-    record.mad.push_back(MeanAverageDistance(graph, penultimate));
+    // (a) MAD of the eval-mode penultimate representation, every row of
+    // it: the trainer's planned evaluation computes only the rows it reads.
+    record.mad.push_back(MeanAverageDistance(
+        graph, EvaluateWithPenultimate(model, graph, strategy).penultimate));
     record.val_accuracy.push_back(static_cast<float>(val_accuracy));
   };
-  TrainLoop(model, graph, split, strategy, run, probe_logit_grad,
-            /*full_eval=*/true);
+  TrainLoop(model, graph, split, strategy, run, probe_logit_grad);
   return record;
 }
 
@@ -435,6 +434,16 @@ Matrix EvaluateLogits(Model& model, const Graph& graph,
   // The serving layer's freeze is this pass, so a served logit is this
   // function's row bit for bit (frozen_model_test pins the two).
   return FrozenModel::Freeze(model, graph, strategy).full_logits();
+}
+
+Evaluation EvaluateWithPenultimate(Model& model, const Graph& graph,
+                                   const StrategyConfig& strategy) {
+  Rng rng(0);  // Eval mode draws nothing; the value is irrelevant.
+  Tape tape;
+  StrategyContext ctx(graph, strategy, /*training=*/false, rng);
+  const ForwardResult pass = model.Forward(tape, ctx, /*training=*/false, rng);
+  return {.logits = pass.logits.value(),
+          .penultimate = pass.penultimate.value()};
 }
 
 }  // namespace skipnode

@@ -158,7 +158,7 @@ struct TrainRun {
   // Invoked after every epoch where evaluation ran (per options.eval_every
   // and always on the last epoch). Leave unset for silent training. The
   // evaluation computes only the rows its val/test logits read (DESIGN
-  // §10), so it need not refresh Model::Penultimate().
+  // §10); an observer that needs every row runs EvaluateWithPenultimate.
   EpochCallback on_epoch;
   // Collect per-epoch phase timings into TrainResult::epoch_metrics. Off the
   // numeric path: the trained weights are bitwise identical either way.
@@ -180,6 +180,19 @@ TrainResult TrainNodeClassifier(Model& model, const Graph& graph,
 // internal Rng exists only to satisfy the Forward interface.
 Matrix EvaluateLogits(Model& model, const Graph& graph,
                       const StrategyConfig& strategy);
+
+// One evaluation pass's outputs, every row of each, copied off its Tape.
+struct Evaluation {
+  Matrix logits;
+  // ForwardResult::penultimate: what the smoothness metrics (MAD, Figures
+  // 2a and 5b) read.
+  Matrix penultimate;
+};
+
+// EvaluateLogits's pass (its logits bit for bit) that also keeps the
+// representation feeding the classifier.
+Evaluation EvaluateWithPenultimate(Model& model, const Graph& graph,
+                                   const StrategyConfig& strategy);
 
 }  // namespace skipnode
 

@@ -42,8 +42,7 @@ Matrix EvalForward(Model& model, const StrategyConfig& strategy) {
   Rng rng(3);
   Tape tape;
   StrategyContext ctx(TestGraph(), strategy, /*training=*/false, rng);
-  return model.Forward(tape, ctx, /*training=*/false, rng)
-      .value();
+  return model.Forward(tape, ctx, /*training=*/false, rng).logits.value();
 }
 
 TEST(GcnBackboneTest, TwoLayerMatchesHandRolledFormula) {
@@ -200,8 +199,9 @@ TEST(GrandBackboneTest, ConsistencyLossIsNonNegativeAndWeighted) {
   GrandModel model(config, rng);
   Tape tape;
   StrategyContext ctx(graph, StrategyConfig::None(), true, rng);
-  model.Forward(tape, ctx, true, rng);
-  Var aux = model.AuxiliaryLoss(tape);
+  const ForwardResult pass = model.Forward(tape, ctx, true, rng);
+  EXPECT_EQ(pass.views.size(), 3u);
+  Var aux = model.AuxiliaryLoss(tape, pass);
   ASSERT_TRUE(aux.valid());
   EXPECT_GE(aux.value()(0, 0), 0.0f);
 }

@@ -59,7 +59,7 @@ void CheckModelGradients(Model& model, const Graph& graph,
     Rng rng(555);
     Tape tape;
     StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-    Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
+    Var logits = model.Forward(tape, ctx, /*training=*/false, rng).logits;
     return tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes)
         .value()(0, 0);
   };
@@ -69,7 +69,7 @@ void CheckModelGradients(Model& model, const Graph& graph,
     Rng rng(555);
     Tape tape;
     StrategyContext ctx(graph, strategy, /*training=*/false, rng);
-    Var logits = model.Forward(tape, ctx, /*training=*/false, rng);
+    Var logits = model.Forward(tape, ctx, /*training=*/false, rng).logits;
     Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes);
     ZeroGrad(model.Parameters());
     tape.Backward(loss);

@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,14 +63,15 @@ TEST_P(ModelStrategyTest, ForwardShapeAndFiniteness) {
   for (const bool training : {true, false}) {
     Tape tape;
     StrategyContext ctx(graph, param.strategy, training, rng);
-    Var logits = model->Forward(tape, ctx, training, rng);
+    const ForwardResult pass = model->Forward(tape, ctx, training, rng);
+    const Var logits = pass.logits;
     ASSERT_EQ(logits.rows(), graph.num_nodes());
     ASSERT_EQ(logits.cols(), graph.num_classes());
     for (int64_t i = 0; i < logits.value().size(); ++i) {
       ASSERT_TRUE(std::isfinite(logits.value().data()[i]))
           << param.model << " training=" << training;
     }
-    ASSERT_FALSE(model->Penultimate().empty());
+    ASSERT_EQ(pass.penultimate.rows(), graph.num_nodes());
   }
 }
 
@@ -90,9 +94,11 @@ TEST_P(ModelStrategyTest, FewStepsReduceTrainingLoss) {
   for (int step = 0; step < kSteps; ++step) {
     Tape tape;
     StrategyContext ctx(graph, param.strategy, /*training=*/true, rng);
-    Var logits = model->Forward(tape, ctx, /*training=*/true, rng);
-    Var loss = tape.SoftmaxCrossEntropy(logits, graph.labels(), train_nodes);
-    Var aux = model->AuxiliaryLoss(tape);
+    const ForwardResult pass =
+        model->Forward(tape, ctx, /*training=*/true, rng);
+    Var loss =
+        tape.SoftmaxCrossEntropy(pass.logits, graph.labels(), train_nodes);
+    Var aux = model->AuxiliaryLoss(tape, pass);
     if (aux.valid()) loss = tape.Add(loss, aux);
     losses.push_back(loss.value()(0, 0));
     ZeroGrad(params);
@@ -140,6 +146,111 @@ TEST(ModelFactoryTest, KnowsAllNames) {
   }
 }
 
+// The parameter order is a contract: SaveModelParameters writes the
+// manifest in it, FaultPlan::parameter_index indexes into it, the health
+// snapshot and rollback walk it, and TrainWithDynamics reads the first
+// layer's gradient from its front. GPRGNN keeps the APPNP.lin* names it
+// inherits, which checkpoints on disk carry.
+TEST(ModelFactoryTest, ParameterListsAreStable) {
+  using Entry = std::tuple<std::string, int, int>;
+  ModelConfig config;
+  config.in_dim = 6;
+  config.hidden_dim = 8;
+  config.out_dim = 3;
+  config.num_layers = 3;
+  config.gat_heads = 2;
+  const std::vector<std::pair<std::string, std::vector<Entry>>> expected = {
+      {"GCN",
+       {{"GCN.conv0.weight", 6, 8},
+        {"GCN.conv0.bias", 1, 8},
+        {"GCN.conv1.weight", 8, 8},
+        {"GCN.conv1.bias", 1, 8},
+        {"GCN.conv2.weight", 8, 3},
+        {"GCN.conv2.bias", 1, 3}}},
+      {"GAT",
+       {{"GAT.layer0.head0.weight", 6, 4},
+        {"GAT.layer0.head0.attn_src", 4, 1},
+        {"GAT.layer0.head0.attn_dst", 4, 1},
+        {"GAT.layer0.head1.weight", 6, 4},
+        {"GAT.layer0.head1.attn_src", 4, 1},
+        {"GAT.layer0.head1.attn_dst", 4, 1},
+        {"GAT.layer1.head0.weight", 8, 4},
+        {"GAT.layer1.head0.attn_src", 4, 1},
+        {"GAT.layer1.head0.attn_dst", 4, 1},
+        {"GAT.layer1.head1.weight", 8, 4},
+        {"GAT.layer1.head1.attn_src", 4, 1},
+        {"GAT.layer1.head1.attn_dst", 4, 1},
+        {"GAT.layer2.head0.weight", 8, 3},
+        {"GAT.layer2.head0.attn_src", 3, 1},
+        {"GAT.layer2.head0.attn_dst", 3, 1}}},
+      {"ResGCN",
+       {{"ResGCN.conv0.weight", 6, 8},
+        {"ResGCN.conv0.bias", 1, 8},
+        {"ResGCN.conv1.weight", 8, 8},
+        {"ResGCN.conv1.bias", 1, 8},
+        {"ResGCN.conv2.weight", 8, 3},
+        {"ResGCN.conv2.bias", 1, 3}}},
+      {"JKNet",
+       {{"JKNet.conv0.weight", 6, 8},
+        {"JKNet.conv0.bias", 1, 8},
+        {"JKNet.conv1.weight", 8, 8},
+        {"JKNet.conv1.bias", 1, 8},
+        {"JKNet.conv2.weight", 8, 8},
+        {"JKNet.conv2.bias", 1, 8},
+        {"JKNet.head.weight", 24, 3},
+        {"JKNet.head.bias", 1, 3}}},
+      {"IncepGCN",
+       {{"IncepGCN.input.weight", 6, 8},
+        {"IncepGCN.input.bias", 1, 8},
+        {"IncepGCN.b0.conv0.weight", 8, 8},
+        {"IncepGCN.b0.conv0.bias", 1, 8},
+        {"IncepGCN.b1.conv0.weight", 8, 8},
+        {"IncepGCN.b1.conv0.bias", 1, 8},
+        {"IncepGCN.b2.conv0.weight", 8, 8},
+        {"IncepGCN.b2.conv0.bias", 1, 8},
+        {"IncepGCN.b2.conv1.weight", 8, 8},
+        {"IncepGCN.b2.conv1.bias", 1, 8},
+        {"IncepGCN.head.weight", 24, 3},
+        {"IncepGCN.head.bias", 1, 3}}},
+      {"GCNII",
+       {{"GCNII.input.weight", 6, 8},
+        {"GCNII.input.bias", 1, 8},
+        {"GCNII.conv0.weight", 8, 8},
+        {"GCNII.conv1.weight", 8, 8},
+        {"GCNII.conv2.weight", 8, 8},
+        {"GCNII.output.weight", 8, 3},
+        {"GCNII.output.bias", 1, 3}}},
+      {"APPNP",
+       {{"APPNP.lin1.weight", 6, 8},
+        {"APPNP.lin1.bias", 1, 8},
+        {"APPNP.lin2.weight", 8, 3},
+        {"APPNP.lin2.bias", 1, 3}}},
+      {"GPRGNN",
+       {{"APPNP.lin1.weight", 6, 8},
+        {"APPNP.lin1.bias", 1, 8},
+        {"APPNP.lin2.weight", 8, 3},
+        {"APPNP.lin2.bias", 1, 3},
+        {"GPRGNN.gammas", 1, 4}}},
+      {"GRAND",
+       {{"GRAND.lin1.weight", 6, 8},
+        {"GRAND.lin1.bias", 1, 8},
+        {"GRAND.lin2.weight", 8, 3},
+        {"GRAND.lin2.bias", 1, 3}}},
+      {"SGC",
+       {{"SGC.classifier.weight", 6, 3},
+        {"SGC.classifier.bias", 1, 3}}}};
+  ASSERT_EQ(expected.size(), AllModelNames().size());
+  for (const auto& [name, entries] : expected) {
+    Rng rng(3);
+    auto model = MakeModel(name, config, rng);
+    std::vector<Entry> actual;
+    for (const Parameter* p : model->Parameters()) {
+      actual.emplace_back(p->name, p->value.rows(), p->value.cols());
+    }
+    EXPECT_EQ(actual, entries) << name;
+  }
+}
+
 TEST(ModelDeterminismTest, SameSeedSameLogits) {
   Graph& graph = TestGraph();
   for (const std::string& name : AllModelNames()) {
@@ -152,8 +263,8 @@ TEST(ModelDeterminismTest, SameSeedSameLogits) {
                           fwd_a);
     StrategyContext ctx_b(graph, StrategyConfig::SkipNodeU(0.5f), true,
                           fwd_b);
-    Var la = model_a->Forward(tape_a, ctx_a, true, fwd_a);
-    Var lb = model_b->Forward(tape_b, ctx_b, true, fwd_b);
+    Var la = model_a->Forward(tape_a, ctx_a, true, fwd_a).logits;
+    Var lb = model_b->Forward(tape_b, ctx_b, true, fwd_b).logits;
     float max_diff = 0.0f;
     for (int64_t i = 0; i < la.value().size(); ++i) {
       max_diff = std::max(
@@ -172,7 +283,7 @@ TEST(ModelDepthTest, DeepModelsBuildAndRun) {
     auto model = MakeModel(name, config, rng);
     Tape tape;
     StrategyContext ctx(graph, StrategyConfig::SkipNodeU(0.5f), true, rng);
-    Var logits = model->Forward(tape, ctx, true, rng);
+    Var logits = model->Forward(tape, ctx, true, rng).logits;
     EXPECT_EQ(logits.cols(), graph.num_classes()) << name;
   }
 }
@@ -192,13 +303,15 @@ TEST(GrandTest, AuxiliaryLossPresentOnlyWhenTraining) {
 
   Tape train_tape;
   StrategyContext train_ctx(graph, StrategyConfig::None(), true, rng);
-  model->Forward(train_tape, train_ctx, true, rng);
-  EXPECT_TRUE(model->AuxiliaryLoss(train_tape).valid());
+  const ForwardResult train_pass =
+      model->Forward(train_tape, train_ctx, true, rng);
+  EXPECT_TRUE(model->AuxiliaryLoss(train_tape, train_pass).valid());
 
   Tape eval_tape;
   StrategyContext eval_ctx(graph, StrategyConfig::None(), false, rng);
-  model->Forward(eval_tape, eval_ctx, false, rng);
-  EXPECT_FALSE(model->AuxiliaryLoss(eval_tape).valid());
+  const ForwardResult eval_pass =
+      model->Forward(eval_tape, eval_ctx, false, rng);
+  EXPECT_FALSE(model->AuxiliaryLoss(eval_tape, eval_pass).valid());
 }
 
 // Over an unmasked batch whose fanout covers every neighborhood, the blocks
@@ -215,7 +328,7 @@ TEST(BatchForwardTest, FullFanoutBatchMatchesFullGraphOnSeeds) {
     Tape full_tape;
     StrategyContext full_ctx(graph, StrategyConfig::None(), false, rng);
     const Matrix full =
-        model->Forward(full_tape, full_ctx, false, rng).value();
+        model->Forward(full_tape, full_ctx, false, rng).logits.value();
 
     NeighborSampler sampler(
         graph, {std::vector<int>(static_cast<size_t>(config.num_layers),
@@ -223,33 +336,10 @@ TEST(BatchForwardTest, FullFanoutBatchMatchesFullGraphOnSeeds) {
     const SampledBatch batch = sampler.SampleBlocks(seeds, 5, nullptr);
     Tape tape;
     StrategyContext ctx(graph, batch, StrategyConfig::None(), rng);
-    const Matrix sampled = model->Forward(tape, ctx, false, rng).value();
+    const Matrix sampled =
+        model->Forward(tape, ctx, false, rng).logits.value();
     EXPECT_LT(MaxAbsDiff(sampled, GatherRows(full, seeds)), 1e-5f) << name;
   }
-}
-
-// Penultimate() is the full-graph representation the smoothness metrics
-// and the serving tables read; a minibatch pass must not overwrite it.
-TEST(BatchForwardTest, BatchForwardLeavesPenultimateUntouched) {
-  Graph& graph = TestGraph();
-  const ModelConfig config = SmallConfig(graph);
-  const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
-  Rng rng(5);
-  auto model = MakeModel("GCN", config, rng);
-  Tape full_tape;
-  StrategyContext full_ctx(graph, strategy, false, rng);
-  model->Forward(full_tape, full_ctx, false, rng);
-  const Matrix penultimate = model->Penultimate();
-
-  NeighborSampler sampler(graph, {{3, 3, 3, 3}});
-  const SampledBatch batch = sampler.SampleBlocks(
-      {1, 2, 3}, 6,
-      MakeSampledSkipMaskFn(graph, strategy, config.num_layers, rng));
-  Tape tape;
-  StrategyContext ctx(graph, batch, strategy, rng);
-  EXPECT_EQ(model->Forward(tape, ctx, true, rng).rows(), 3);
-  ASSERT_EQ(model->Penultimate().rows(), penultimate.rows());
-  EXPECT_EQ(MaxAbsDiff(model->Penultimate(), penultimate), 0.0f);
 }
 
 }  // namespace

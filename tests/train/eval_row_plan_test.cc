@@ -107,7 +107,8 @@ TEST(EvalRowPlanTest, PlannedEvalMatchesFullPassBitwise) {
           Tape tape;
           Rng rng(6);
           StrategyContext ctx(graph, strategy, plan, rng);
-          planned = model->Forward(tape, ctx, /*training=*/false, rng).value();
+          planned =
+              model->Forward(tape, ctx, /*training=*/false, rng).logits.value();
         });
         if (threads == 4) {
           EXPECT_GT(dispatches, 0)
@@ -123,25 +124,6 @@ TEST(EvalRowPlanTest, PlannedEvalMatchesFullPassBitwise) {
     }
   }
   SetParallelThreadCount(0);
-}
-
-// A planned pass computes only some rows, so it leaves Penultimate() as
-// the last full pass stashed it.
-TEST(EvalRowPlanTest, PlannedPassLeavesPenultimateUntouched) {
-  const Graph& graph = TestGraph();
-  const EvalRowPlan plan(*graph.normalized_adjacency(),
-                         ReadRows(TestSplit()));
-  for (const char* name : {"GCN", "ResGCN"}) {
-    Rng rng(7);
-    auto model = MakeModel(name, TestConfig(graph), rng);
-    (void)EvaluateLogits(*model, graph, StrategyConfig::None());
-    const Matrix penultimate = model->Penultimate();
-    ASSERT_EQ(penultimate.rows(), graph.num_nodes());
-    Tape tape;
-    StrategyContext ctx(graph, StrategyConfig::None(), plan, rng);
-    model->Forward(tape, ctx, /*training=*/false, rng);
-    EXPECT_EQ(MaxAbsDiff(model->Penultimate(), penultimate), 0.0f) << name;
-  }
 }
 
 // The trainer builds the plan from val ∪ test: every accuracy its
@@ -232,7 +214,7 @@ TEST(EvalRowPlanTest, DeepPlannedPassNeverComputesUnreachedRows) {
     Tape tape;
     StrategyContext ctx(graph, StrategyConfig::None(), plan, rng);
     const Matrix planned =
-        model->Forward(tape, ctx, /*training=*/false, rng).value();
+        model->Forward(tape, ctx, /*training=*/false, rng).logits.value();
     const TelemetrySnapshot snapshot = SnapshotTelemetry();
     EXPECT_TRUE(SameRowBits(planned, full, 0)) << name;
     const MetricStat* unread = snapshot.Find("spmm.rows_unread");

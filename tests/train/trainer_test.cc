@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "base/parallel.h"
@@ -85,6 +87,27 @@ TEST(TrainerTest, EvaluateLogitsShapeAndDeterminism) {
   EXPECT_EQ(a.rows(), setup.graph.num_nodes());
   EXPECT_EQ(a.cols(), setup.graph.num_classes());
   EXPECT_LT(MaxAbsDiff(a, b), 1e-7f);
+}
+
+// The pass the smoothness metrics read: EvaluateLogits's logits bit for
+// bit, plus every row of the representation feeding the classifier, for
+// every backbone.
+TEST(TrainerTest, EvaluateWithPenultimateIsTheEvaluateLogitsPass) {
+  Fixture setup(6);
+  const StrategyConfig strategy = StrategyConfig::SkipNodeU(0.5f);
+  for (const std::string& name : AllModelNames()) {
+    Rng rng(8);
+    auto model = MakeModel(name, ConfigFor(setup.graph, 3), rng);
+    const Matrix logits = EvaluateLogits(*model, setup.graph, strategy);
+    const Evaluation eval =
+        EvaluateWithPenultimate(*model, setup.graph, strategy);
+    ASSERT_TRUE(eval.logits.SameShape(logits)) << name;
+    EXPECT_EQ(std::memcmp(eval.logits.data(), logits.data(),
+                          sizeof(float) * logits.size()),
+              0)
+        << name;
+    EXPECT_EQ(eval.penultimate.rows(), setup.graph.num_nodes()) << name;
+  }
 }
 
 TEST(TrainerTest, EpochCallbackObservesEveryEvaluatedEpoch) {

@@ -340,18 +340,18 @@ int RunCli(int argc, const char* const* argv, std::FILE* out) {
   }
 
   // --- Report -------------------------------------------------------------
-  // Eval mode draws no randomness, so this is deterministic and
-  // Penultimate() is refreshed as an owned copy by the forward inside.
-  const Matrix logits = EvaluateLogits(*model, *graph, strategy);
+  // Eval mode draws no randomness, so this pass is deterministic; the
+  // macro-F1 and the MAD read its logits and its penultimate rows.
+  const Evaluation eval = EvaluateWithPenultimate(*model, *graph, strategy);
   std::fprintf(out, "best val accuracy : %.2f%% (epoch %d)\n",
                100.0 * result.best_val_accuracy, result.best_epoch);
   std::fprintf(out, "test accuracy     : %.2f%%\n",
                100.0 * result.test_accuracy);
   std::fprintf(out, "test macro-F1     : %.3f\n",
-               MacroF1(logits, graph->labels(), split.test,
+               MacroF1(eval.logits, graph->labels(), split.test,
                        graph->num_classes()));
   std::fprintf(out, "penultimate MAD   : %.4f\n",
-               MeanAverageDistance(*graph, model->Penultimate()));
+               MeanAverageDistance(*graph, eval.penultimate));
 
   if (!options.save_dir.empty()) {
     if (!SaveModelParameters(*model, options.save_dir)) {
